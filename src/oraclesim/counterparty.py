@@ -252,11 +252,7 @@ def compose_burn_tx(
 
 def burned_host_value(chain: "SimChain", burn_pub: bytes = BURN_PUB) -> int:
     """Host coin sitting on the burn address, unspendable forever."""
-    return sum(
-        out.value
-        for out in chain.utxo.values()
-        if isinstance(out.lock, PayToKey) and out.lock.pub == burn_pub
-    )
+    return chain.balance(burn_pub)
 
 
 def circulating_host_supply(chain: "SimChain", burn_pub: bytes = BURN_PUB) -> int:

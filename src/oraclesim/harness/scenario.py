@@ -37,6 +37,7 @@ from ..simchain import (
     build_payment,
     sighash,
     sign,
+    txid,
 )
 from ..truthcoin import Binary, Scalar, TruthcoinSim, commitment_digest
 from .events import EventLog
@@ -256,7 +257,7 @@ class World:
 
     def mine(self) -> None:
         block = self.chain.mine_next(self.miners, self.rng)
-        ids = [self._txid(tx) for tx in block.txs]
+        ids = [txid(tx) for tx in block.txs]
         delays = [self.tick - self.submit_tick[i] for i in ids if i in self.submit_tick]
         self.emit(
             "host",
@@ -266,12 +267,6 @@ class World:
             txs=len(block.txs),
             delays=delays,
         )
-
-    @staticmethod
-    def _txid(tx: Transaction) -> bytes:
-        from ..simchain import txid
-
-        return txid(tx)
 
     def names_by_pub(self) -> dict[str, str]:
         return {pair.pub.hex(): name for name, pair in self.actors.items()}
@@ -389,7 +384,7 @@ def _op_rk_temps(w: World, a: dict) -> None:
             fee=a.get("fee", 1000),
         )
         w.submit(tx, "rk")
-        outpoints.append((w._txid(tx), 0))
+        outpoints.append((txid(tx), 0))
     w.rk_temps[cid] = (temp_a, temp_b, tuple(outpoints), stakes, a["alice"], a["bob"])
     w.emit("rk", "temps_funded", id=cid)
 
@@ -539,7 +534,7 @@ def _op_orisi_finalize(w: World, a: dict) -> None:
     except orisi.OrisiError as exc:
         w.emit("orisi", "settled", id=cid, accepted=False, reason=type(exc).__name__)
         return
-    w.submit_tick[w._txid(tx)] = w.tick
+    w.submit_tick[txid(tx)] = w.tick
     w.emit("orisi", "settled", id=cid, accepted=True, state=contract.state.value)
 
 
@@ -832,14 +827,14 @@ def _op_oz_default(w: World, a: dict) -> None:
 def _op_oz_cosign(w: World, a: dict) -> None:
     settlement = w.oz_settlements[a["id"]]
     tx = oraclize.co_sign_and_broadcast(w.chain, settlement, w.pair(a["agent"]))
-    w.submit_tick[w._txid(tx)] = w.tick
+    w.submit_tick[txid(tx)] = w.tick
     w.emit("oz", "cosigned", id=a["id"], agent=a["agent"])
 
 
 def _op_oz_refund(w: World, a: dict) -> None:
     contract = w.oz_contracts[a["id"]]
     tx = oraclize.refund_expiry(w.chain, contract)
-    w.submit_tick[w._txid(tx)] = w.tick
+    w.submit_tick[txid(tx)] = w.tick
     w.emit("oz", "refund", id=a["id"])
 
 

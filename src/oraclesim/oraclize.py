@@ -38,7 +38,6 @@ from .datafeed import (
     verify_proof,
 )
 from .simchain import (
-    InsufficientFundsError,
     KeyPair,
     MultiSig,
     PayToKey,
@@ -50,7 +49,7 @@ from .simchain import (
     txid,
 )
 from .simchain.chain import SimChain
-from .simchain.tx import TxInput
+from .simchain.tx import TxInput, select_coins
 
 DEFAULT_POLL_INTERVAL = 3600  # seconds
 
@@ -250,16 +249,6 @@ class AuditRecord:
     verified_before_signing: bool
 
 
-def _select_coins(chain: SimChain, pub: bytes, amount: int):
-    picked, total = [], 0
-    for outpoint, out in chain.utxos_for(pub):
-        picked.append(outpoint)
-        total += out.value
-        if total >= amount:
-            return picked, total
-    raise InsufficientFundsError(f"need {amount}, have {total}")
-
-
 def _escrow_spend(contract: ConditionalContract, beneficiary: bytes, fee: int) -> Transaction:
     return Transaction(
         inputs=(TxInput(outpoint=contract.funding_outpoint),),
@@ -331,8 +320,8 @@ class Oracle:
         lock = MultiSig(m=2, keys=(alice.pub, bob.pub, third))
         escrow_value = sum(stakes) - fee
 
-        coins_a, total_a = _select_coins(chain, alice.pub, stakes[0])
-        coins_b, total_b = _select_coins(chain, bob.pub, stakes[1])
+        coins_a, total_a = select_coins(chain, alice.pub, stakes[0], at_least_one=True)
+        coins_b, total_b = select_coins(chain, bob.pub, stakes[1], at_least_one=True)
         outputs = [TxOutput(value=escrow_value, lock=lock)]
         if total_a > stakes[0]:
             outputs.append(TxOutput(value=total_a - stakes[0], lock=PayToKey(alice.pub)))

@@ -4,20 +4,24 @@ The chain owns the key registry, the standardness policy, and the mempool.
 There are no reorgs, no difficulty, and no coinbase: value enters at the
 genesis allocation and only ever decreases by fees (burned) or by being
 locked behind unspendable scripts.
+
+`chain.utxo` is read-only outside `_apply_block`.  That method is the only
+place the UTXO set changes, and it keeps two indexes beside it: the
+pay-to-key coins of each owner and each owner's running balance, which
+`utxos_for` and `balance` read without scanning the set.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..codec import Writer, sha256
 from .keys import KeyRegistry
 from .mempool import Mempool, SubmitResult
-from .policy import POLICY_V090, StandardnessPolicy, classify
+from .policy import POLICY_V090, StandardnessPolicy
 from .script import PayToKey
-from .tx import Transaction, TxOutput, serialize_tx, tx_to_json, txid
+from .tx import Transaction, TxOutput, serialize_tx, txid
 from .validate import ValidationResult, validate_tx
 
 GENESIS_PARENT = bytes(32)
@@ -30,6 +34,8 @@ class Block:
     txs: tuple[Transaction, ...]
     parent: bytes
 
+    _hash = None  # memoised by block_hash; not a dataclass field
+
 
 def serialize_block(block: Block) -> bytes:
     w = Writer()
@@ -41,7 +47,9 @@ def serialize_block(block: Block) -> bytes:
 
 
 def block_hash(block: Block) -> bytes:
-    return sha256(serialize_block(block))
+    if block._hash is None:
+        object.__setattr__(block, "_hash", sha256(serialize_block(block)))
+    return block._hash
 
 
 class SimChain:
@@ -56,6 +64,9 @@ class SimChain:
         self.keys = keys if keys is not None else KeyRegistry()
         self.mempool = Mempool(expiry_blocks=expiry_blocks)
         self.utxo: dict[tuple[bytes, int], TxOutput] = {}
+        # pay-to-key outpoints per owner pub, and their summed value
+        self._coins: dict[bytes, dict[tuple[bytes, int], TxOutput]] = {}
+        self._balances: dict[bytes, int] = {}
         self.blocks: list[Block] = []
         self.txs_by_id: dict[bytes, Transaction] = {}
         self.confirmed_height: dict[bytes, int] = {}
@@ -74,16 +85,14 @@ class SimChain:
         return block_hash(self.blocks[-1])
 
     def utxos_for(self, pub: bytes) -> list[tuple[tuple[bytes, int], TxOutput]]:
-        found = [
-            (op, out)
-            for op, out in self.utxo.items()
-            if isinstance(out.lock, PayToKey) and out.lock.pub == pub
-        ]
-        found.sort(key=lambda item: item[0])
-        return found
+        """The owner's pay-to-key coins in sorted outpoint order."""
+        coins = self._coins.get(pub)
+        if coins is None:
+            return []
+        return [(op, coins[op]) for op in sorted(coins)]
 
     def balance(self, pub: bytes) -> int:
-        return sum(out.value for _, out in self.utxos_for(pub))
+        return self._balances.get(pub, 0)
 
     def supply(self) -> int:
         return sum(out.value for out in self.utxo.values())
@@ -113,37 +122,27 @@ class SimChain:
         return mine_next(self, self.mempool, miners, rng)
 
     def _apply_block(self, block: Block) -> None:
+        coins, balances = self._coins, self._balances
         for tx in block.txs:
             tid = txid(tx)
             for txin in tx.inputs:
-                del self.utxo[txin.outpoint]
+                out = self.utxo.pop(txin.outpoint)
+                if isinstance(out.lock, PayToKey):
+                    owner = out.lock.pub
+                    owned = coins[owner]
+                    del owned[txin.outpoint]
+                    if owned:
+                        balances[owner] -= out.value
+                    else:
+                        del coins[owner], balances[owner]
             for idx, out in enumerate(tx.outputs):
-                self.utxo[(tid, idx)] = out
+                outpoint = (tid, idx)
+                self.utxo[outpoint] = out
+                if isinstance(out.lock, PayToKey):
+                    owner = out.lock.pub
+                    coins.setdefault(owner, {})[outpoint] = out
+                    balances[owner] = balances.get(owner, 0) + out.value
             self.txs_by_id[tid] = tx
             self.confirmed_height[tid] = block.height
         self.blocks.append(block)
         self.mempool.on_block(block, self.height)
-
-    # --- dumps --------------------------------------------------------------
-
-    def utxo_json(self) -> str:
-        from .tx import _lock_to_json
-
-        entries = [
-            {"txid": op[0].hex(), "index": op[1], "value": out.value, "lock": _lock_to_json(out.lock)}
-            for op, out in sorted(self.utxo.items())
-        ]
-        return json.dumps(entries, sort_keys=True, separators=(",", ":"))
-
-    def chain_json(self) -> str:
-        blocks = [
-            {
-                "height": b.height,
-                "miner": b.miner_id,
-                "parent": b.parent.hex(),
-                "hash": block_hash(b).hex(),
-                "txs": [tx_to_json(tx) for tx in b.txs],
-            }
-            for b in self.blocks
-        ]
-        return json.dumps(blocks, sort_keys=True, separators=(",", ":"))

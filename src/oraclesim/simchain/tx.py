@@ -5,12 +5,15 @@ witnesses included, and is the transaction's identity.  `sighash` hashes
 the transaction with every witness blanked — that is what signatures
 commit to, so co-signers can add their signatures to a partially signed
 transaction without invalidating earlier ones.
+
+A `Transaction` is frozen, so each is serialized at most once for its id:
+`txid`, `sighash` and `tx_size` keep their results on the instance.  Only
+the digests and the size are kept, never the serialized bytes.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..codec import Reader, Writer, sha256
@@ -57,11 +60,21 @@ class Transaction:
     outputs: tuple[TxOutput, ...]
     locktime: int = 0  # block height; 0 = no lock
 
+    # Memoised by txid, sighash and tx_size.  Not dataclass fields, so they
+    # take no part in equality, repr or `replace`, which starts them afresh.
+    _txid = None
+    _size = None
+    _sighash = None
+
     def with_witness(self, index: int, witness: Witness) -> "Transaction":
         """New transaction with input `index`'s witness replaced."""
         inputs = list(self.inputs)
         inputs[index] = replace(inputs[index], witness=witness)
-        return replace(self, inputs=tuple(inputs))
+        derived = replace(self, inputs=tuple(inputs))
+        if self._sighash is not None:
+            # witnesses are blanked in the sighash, so the derived one is equal
+            object.__setattr__(derived, "_sighash", self._sighash)
+        return derived
 
     def without_witnesses(self) -> "Transaction":
         return replace(
@@ -129,22 +142,55 @@ def deserialize_tx(data: bytes) -> Transaction:
     return Transaction(inputs=tuple(inputs), outputs=tuple(outputs), locktime=locktime)
 
 
+def _memoise_serialization(tx: Transaction) -> None:
+    data = serialize_tx(tx)
+    object.__setattr__(tx, "_txid", sha256(data))
+    object.__setattr__(tx, "_size", len(data))
+
+
 def txid(tx: Transaction) -> bytes:
-    return sha256(serialize_tx(tx))
+    if tx._txid is None:
+        _memoise_serialization(tx)
+    return tx._txid
 
 
 def sighash(tx: Transaction) -> bytes:
-    return sha256(serialize_tx(tx.without_witnesses()))
+    if tx._sighash is None:
+        object.__setattr__(tx, "_sighash", sha256(serialize_tx(tx.without_witnesses())))
+    return tx._sighash
 
 
 def tx_size(tx: Transaction) -> int:
-    return len(serialize_tx(tx))
+    if tx._size is None:
+        _memoise_serialization(tx)
+    return tx._size
 
 
 def sign_input(tx: Transaction, index: int, keys: KeyPair, **witness_fields) -> Transaction:
     """Attach a single-signature witness for `keys` to input `index`."""
     sig = sign(keys.secret, sighash(tx))
     return tx.with_witness(index, Witness(signatures=(sig,), **witness_fields))
+
+
+def select_coins(
+    chain: "SimChain", pub: bytes, target: int, have: int = 0, at_least_one: bool = False
+) -> tuple[list[tuple[bytes, int]], int]:
+    """Take the owner's pay-to-key outpoints, in sorted order, until `target` is covered.
+
+    `have` is value already gathered elsewhere.  Returns the outpoints taken
+    and the total gathered, `have` included.  With `at_least_one`, one coin
+    is taken even when `have` already covers `target`.  Raises
+    InsufficientFundsError when the owner's coins run out first.
+    """
+    picked: list[tuple[bytes, int]] = []
+    for outpoint, txout in chain.utxos_for(pub):
+        if have >= target and (picked or not at_least_one):
+            break
+        picked.append(outpoint)
+        have += txout.value
+    if have < target or (at_least_one and not picked):
+        raise InsufficientFundsError(f"need {target}, have {have}")
+    return picked, have
 
 
 def build_payment(
@@ -165,14 +211,10 @@ def build_payment(
         raise ValueError("fee must be non-negative")
     target = sum(o.value for o in outputs) + fee
     selected: list[tuple[bytes, int]] = list(extra_inputs)
-    gathered = sum(chain.utxo[op].value for op in selected)
-    for outpoint, txout in chain.utxos_for(sender.pub):
-        if gathered >= target:
-            break
-        selected.append(outpoint)
-        gathered += txout.value
-    if gathered < target:
-        raise InsufficientFundsError(f"need {target}, have {gathered}")
+    coins, gathered = select_coins(
+        chain, sender.pub, target, have=sum(chain.utxo[op].value for op in selected)
+    )
+    selected += coins
 
     change = gathered - target
     outs = list(outputs)
@@ -297,7 +339,3 @@ def tx_from_json(obj: dict) -> Transaction:
         ),
         locktime=obj.get("locktime", 0),
     )
-
-
-def dump_tx_json(tx: Transaction) -> str:
-    return json.dumps(tx_to_json(tx), sort_keys=True, separators=(",", ":"))

@@ -222,6 +222,17 @@ def test_build_contract_funds_escrow_and_presigns_refund():
     assert contract.state is ContractState.ACTIVE
 
 
+def test_zero_stake_agent_still_contributes_one_coin():
+    chain, reg, oracle, alice, bob, carol = make_world(temp_entries=[(T0, 8)])
+    first_coin = chain.utxos_for(alice.pub)[0][0]
+    contract = fund(
+        chain, oracle, alice, bob, milan_conditions(bob.pub), stakes=(0, 3 * COIN // 10)
+    )
+    funding = chain.txs_by_id[contract.funding_outpoint[0]]
+    assert first_coin in [txin.outpoint for txin in funding.inputs]
+    assert chain.balance(alice.pub) == 12 * COIN  # the whole coin came back as change
+
+
 def test_build_contract_guards():
     chain, reg, oracle, alice, bob, carol = make_world(temp_entries=[(T0, 8)])
     overlapping = (

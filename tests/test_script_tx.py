@@ -33,7 +33,7 @@ from oraclesim.simchain import (
     txid,
 )
 from oraclesim.simchain.script import deserialize_lock
-from oraclesim.simchain.tx import sign_input
+from oraclesim.simchain.tx import select_coins, sign_input
 
 PUB_A = bytes([0x11]) * 32
 PUB_B = bytes([0x22]) * 32
@@ -204,3 +204,27 @@ def test_build_payment_insufficient_funds(funded_chain):
     build_payment(chain, alice, [TxOutput(value=50_000, lock=PayToKey(bob.pub))], fee=0)
     with pytest.raises(InsufficientFundsError):
         build_payment(chain, alice, [TxOutput(value=50_000, lock=PayToKey(bob.pub))], fee=1)
+
+
+def test_select_coins_zero_target_edge(funded_chain):
+    chain, alice, bob = funded_chain
+    first = chain.utxos_for(alice.pub)[0]
+    # build_payment's rule: a covered target takes no coin
+    assert select_coins(chain, alice.pub, 0) == ([], 0)
+    assert select_coins(chain, alice.pub, 10, have=10) == ([], 10)
+    # the escrow funders' rule: at least one coin, even for a zero stake
+    assert select_coins(chain, alice.pub, 0, at_least_one=True) == ([first[0]], first[1].value)
+    assert select_coins(chain, bob.pub, 0) == ([], 0)
+    with pytest.raises(InsufficientFundsError):
+        select_coins(chain, bob.pub, 0, at_least_one=True)
+    free = build_payment(chain, alice, [TxOutput(value=0, lock=PayToKey(bob.pub))])
+    assert free.inputs == ()
+
+
+def test_select_coins_walks_sorted_outpoints(funded_chain):
+    chain, alice, bob = funded_chain
+    coins = chain.utxos_for(alice.pub)
+    total = sum(out.value for _, out in coins)
+    assert select_coins(chain, alice.pub, coins[0][1].value + 1) == ([op for op, _ in coins], total)
+    with pytest.raises(InsufficientFundsError, match=f"need {total + 1}, have {total}"):
+        select_coins(chain, alice.pub, total + 1, at_least_one=True)
