@@ -20,7 +20,9 @@ time and settle on the first feed broadcast at or past their deadline.
 
 from __future__ import annotations
 
+import copy
 import json
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -39,7 +41,7 @@ from .simchain import (
 )
 
 if TYPE_CHECKING:
-    from .simchain import SimChain
+    from .simchain import Block, SimChain
 
 MAGIC = b"CNTRPRTY"
 DATA_CARRIER_LIMIT = 40  # larger payloads fall back to multisig embedding
@@ -115,7 +117,10 @@ _SEND, _BROADCAST, _BET, _BURN = 1, 2, 3, 4
 def _xor_stream(data: bytes, key: bytes) -> bytes:
     if not key:
         raise ValueError("empty cipher key")
-    return bytes(b ^ key[i % len(key)] for i, b in enumerate(data))
+    size = len(data)
+    stream = (key * (size // len(key) + 1))[:size]
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    return mixed.to_bytes(size, "big")
 
 
 def _write_body(message: MetaMessage) -> bytes:
@@ -207,11 +212,10 @@ def carried_ciphertexts(tx: Transaction) -> list[bytes]:
         elif isinstance(lock, MultiSig) and lock.m == 1 and len(lock.keys) >= 2:
             chunks = []
             for key in lock.keys[1:]:
-                size = key[0]
-                if size > CHUNK:
-                    chunks = None
+                if not key or key[0] > CHUNK:
+                    chunks = None  # not a payload key: the output carries nothing
                     break
-                chunks.append(key[1 : 1 + size])
+                chunks.append(key[1 : 1 + key[0]])
             if chunks:
                 found.append(b"".join(chunks))
     return found
@@ -298,7 +302,7 @@ class MatchRecord:
         return self.yes_escrow + self.no_escrow if not self.settled else 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeedEntry:
     timestamp: int
     value: int
@@ -306,7 +310,7 @@ class FeedEntry:
     text: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class AppliedMessage:
     height: int
     tx_index: int
@@ -347,6 +351,37 @@ class MetaState:
     def _debit(self, address: str, qty: int, asset: str = XCP) -> None:
         self.balances[(address, asset)] = self.balance(address, asset) - qty
 
+    def apply_block(self, chain: "SimChain", block: "Block") -> None:
+        """Fold one host block into this state, in transaction order.
+
+        `chain` must hold every transaction the block spends from.  Each
+        candidate payload is decoded once; the first that decodes is the
+        transaction's message, and it is logged valid or invalid.
+        """
+        for tx_index, tx in enumerate(block.txs):
+            if not tx.inputs:
+                continue
+            key_txid = tx.inputs[0].outpoint[0]
+            for cipher in carried_ciphertexts(tx):
+                try:
+                    message = decode_payload(cipher, key_txid)
+                except (BadMagicError, TruncatedPayloadError, ValueError):
+                    continue  # not ours, or the magic matched but the body is garbage
+                break
+            else:
+                continue
+            source = _source_address(chain, tx)
+            if source is None:
+                entry = AppliedMessage(
+                    block.height, tx_index, txid(tx), "", message, False, R_NO_SOURCE
+                )
+            else:
+                valid, reason = _apply(self, source, message, tx)
+                entry = AppliedMessage(
+                    block.height, tx_index, txid(tx), source, message, valid, reason
+                )
+            self.log.append(entry)
+
 
 def xcp_in_circulation(state: MetaState) -> int:
     """Balances plus live escrows; equals issuance at every height."""
@@ -376,6 +411,10 @@ def _source_address(chain: "SimChain", tx: Transaction) -> str | None:
     return None
 
 
+# chain -> {(burn_pub, burn_rate): (folded state, last folded block)}
+_folds = weakref.WeakKeyDictionary()
+
+
 def replay(
     chain: "SimChain",
     *,
@@ -386,46 +425,47 @@ def replay(
 
     Pure function of the chain contents: any replica gets a bit-identical
     state, compared via state_digest.
+
+    The fold is incremental.  A private memo, held weakly per chain, keeps
+    the folded state and the last folded block for each (burn_pub,
+    burn_rate); a later call folds only the blocks appended since, with
+    `MetaState.apply_block`, the one fold path.  The host chain has no
+    reorgs, so blocks are only ever appended; if the memo's last block is
+    no longer at its height, the fold starts again from genesis.  The
+    returned state is a snapshot the caller owns: mutating it never
+    changes what a later call returns.
     """
-    state = MetaState(burn_rate=burn_rate, burn_pub=burn_pub)
-    for block in chain.blocks:
-        for tx_index, tx in enumerate(block.txs):
-            if not tx.inputs:
-                continue
-            key_txid = tx.inputs[0].outpoint[0]
-            message = None
-            for cipher in carried_ciphertexts(tx):
-                plain = _xor_stream(cipher, key_txid)
-                if not plain.startswith(MAGIC):
-                    continue
-                try:
-                    message = decode_payload(cipher, key_txid)
-                except (TruncatedPayloadError, ValueError):
-                    continue  # magic matched but the body is garbage: skip
-                break
-            if message is None:
-                continue
-            source = _source_address(chain, tx)
-            if source is None:
-                entry = AppliedMessage(
-                    block.height, tx_index, txid(tx), "", message, False, R_NO_SOURCE
-                )
-            else:
-                valid, reason = _apply(state, source, message, tx, burn_pub, burn_rate)
-                entry = AppliedMessage(
-                    block.height, tx_index, txid(tx), source, message, valid, reason
-                )
-            state.log.append(entry)
-    return state
+    folds = _folds.setdefault(chain, {})
+    # taken out while folding, so a fold that raises leaves no half-folded state
+    state, last = folds.pop((burn_pub, burn_rate), (None, None))
+    blocks = chain.blocks
+    if last is not None and last.height < len(blocks) and blocks[last.height] is last:
+        start = last.height + 1
+    else:
+        state, start = MetaState(burn_rate=burn_rate, burn_pub=burn_pub), 0
+    for block in blocks[start:]:
+        state.apply_block(chain, block)
+    folds[(burn_pub, burn_rate)] = (state, blocks[-1])
+    return _snapshot(state)
+
+
+def _snapshot(state: MetaState) -> MetaState:
+    # entries and messages are frozen and shared; bet and match records change
+    return MetaState(
+        burn_rate=state.burn_rate,
+        burn_pub=state.burn_pub,
+        balances=dict(state.balances),
+        feeds={feed: list(entries) for feed, entries in state.feeds.items()},
+        bets=[copy.copy(record) for record in state.bets],
+        matches=[copy.copy(match) for match in state.matches],
+        log=list(state.log),
+        burned=state.burned,
+        issued=state.issued,
+    )
 
 
 def _apply(
-    state: MetaState,
-    source: str,
-    message: MetaMessage,
-    tx: Transaction,
-    burn_pub: bytes,
-    burn_rate: int,
+    state: MetaState, source: str, message: MetaMessage, tx: Transaction
 ) -> tuple[bool, str | None]:
     if isinstance(message, Send):
         if state.balance(source, message.asset) < message.qty:
@@ -441,11 +481,11 @@ def _apply(
         paid = sum(
             out.value
             for out in tx.outputs
-            if isinstance(out.lock, PayToKey) and out.lock.pub == burn_pub
+            if isinstance(out.lock, PayToKey) and out.lock.pub == state.burn_pub
         )
         if paid != message.btc_qty or paid == 0:
             return False, R_WRONG_BURN
-        issued = message.btc_qty * burn_rate
+        issued = message.btc_qty * state.burn_rate
         state._credit(source, issued)
         state.burned += message.btc_qty
         state.issued += issued

@@ -15,7 +15,6 @@ reconstructs and byte-compares before signing.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 from .codec import sha256
@@ -125,9 +124,6 @@ class Fact:
     released_outcome: Outcome | None = None
     released_secret: bytes | None = None
     objections: list = field(default_factory=list)
-
-    def pub_for(self, outcome: Outcome) -> bytes:
-        return self.yes_pub if outcome is Outcome.YES else self.no_pub
 
 
 class FactRegistry:
@@ -243,25 +239,6 @@ class FactRegistry:
         if fact.state is FactState.FINALIZED:
             return SECRET_RELEASED if outcome is fact.released_outcome else SECRET_DESTROYED
         return SECRET_HELD
-
-    def facts_json(self) -> str:
-        rows = [
-            {
-                "id": f.id,
-                "question": f.question,
-                "resolution_time": f.resolution_time,
-                "state": f.state.value,
-                "yes_pub": f.yes_pub.hex(),
-                "no_pub": f.no_pub.hex(),
-                "posted_result": f.posted_result.value if f.posted_result else None,
-                "objection_deadline": f.objection_deadline,
-                "human_override": f.human_override.value if f.human_override else None,
-                "released_outcome": f.released_outcome.value if f.released_outcome else None,
-                "objections": f.objections,
-            }
-            for _, f in sorted(self.facts.items())
-        ]
-        return json.dumps(rows, sort_keys=True, separators=(",", ":"))
 
 
 # --- demo contract ----------------------------------------------------------

@@ -63,13 +63,6 @@ class KeyRegistry:
         self._secrets[pair.pub] = pair.secret
         return pair
 
-    def register(self, pair: KeyPair) -> KeyPair:
-        """Admit an externally derived pair so its signatures verify."""
-        if sha256(pair.secret) != pair.pub:
-            raise ValueError("pub is not the digest of secret")
-        self._secrets[pair.pub] = pair.secret
-        return pair
-
     def is_known(self, pub: bytes) -> bool:
         return pub in self._secrets
 

@@ -1,11 +1,15 @@
 """Meta-chain over the host: payload codec, replay, burns, feeds, and bets."""
 
+import gc
 import hashlib
 import json
 import struct
+import weakref
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oraclesim.counterparty import (
     BURN_PUB,
@@ -15,14 +19,18 @@ from oraclesim.counterparty import (
     BetStatus,
     Broadcast,
     Burn,
+    CHUNK,
     DATA_CARRIER_LIMIT,
+    DEFAULT_BURN_RATE,
     FEE_FRACTION_UNIT,
     MAGIC,
+    MetaState,
     NoBroadcastYetError,
     RatingBook,
     Send,
     TruncatedPayloadError,
     XCP,
+    _xor_stream,
     burned_host_value,
     carried_ciphertexts,
     carrier_output,
@@ -133,6 +141,19 @@ def test_payload_layout_is_bit_exact():
     plain = MAGIC + body
     expected = bytes(b ^ KEY_A[i % 32] for i, b in enumerate(plain))
     assert encode_message(message, KEY_A) == expected
+
+
+@given(st.binary(max_size=200), st.binary(min_size=1, max_size=64))
+@example(b"", b"k")
+@example(b"short", bytes(range(64)))
+def test_xor_stream_matches_the_per_byte_reference(data, key):
+    expected = bytes(b ^ key[i % len(key)] for i, b in enumerate(data))
+    assert _xor_stream(data, key) == expected
+
+
+def test_xor_stream_rejects_an_empty_key():
+    with pytest.raises(ValueError):
+        _xor_stream(b"data", b"")
 
 
 def test_wrong_key_scrambles_the_magic():
@@ -319,6 +340,25 @@ def test_garbage_carrier_does_not_mask_the_real_payload():
     assert state.issued == 100_000 * 1000
 
 
+@pytest.mark.parametrize(
+    "spare_key", [b"", bytes([CHUNK + 1]) + bytes(CHUNK)], ids=["empty", "oversized"]
+)
+def test_multisig_with_a_non_payload_key_carries_nothing(spare_key):
+    chain, people = make_chain()
+    alice = people["alice"]
+    key_txid = chain.utxos_for(alice.pub)[0][0][0]
+    payload = encode_message(Burn(btc_qty=100_000), key_txid)
+    odd = TxOutput(value=0, lock=MultiSig(m=1, keys=(alice.pub, spare_key)))
+    burn_out = TxOutput(value=100_000, lock=PayToKey(BURN_PUB))
+    tx = build_payment(
+        chain, alice, [odd, carrier_output(payload, alice.pub), burn_out], fee=1000
+    )
+    assert carried_ciphertexts(tx) == [payload]
+    mine(chain, tx, seed=12)  # host-valid and standard: every replica must fold it
+    [entry] = replay(chain).log
+    assert entry.valid and entry.message == Burn(btc_qty=100_000)
+
+
 # ------------------------------------------------------------- feeds & bets
 
 
@@ -476,6 +516,95 @@ def test_conservation_and_determinism_over_random_traffic():
         state = replay(chain)
         assert xcp_in_circulation(state) == state.issued  # at every height
     assert state_digest(replay(chain)) == state_digest(replay(chain))
+
+
+def full_fold(chain, burn_rate=DEFAULT_BURN_RATE):
+    state = MetaState(burn_rate=burn_rate)
+    for block in chain.blocks:
+        state.apply_block(chain, block)
+    return state
+
+
+def traffic_tx(chain, pair, names, height, op, param):
+    if op == 0:
+        return compose_burn_tx(chain, pair, 1 + param % 500_000)
+    if op == 1:
+        send = Send(XCP, 1 + param % (3 * XCP_UNIT), names[param % len(names)])
+        return compose_message_tx(chain, pair, send)
+    if op == 2:
+        broadcast = Broadcast(2 * height + param % 2, param % 10 * XCP_UNIT, 10**6, "")
+        return compose_message_tx(chain, pair, broadcast)
+    # one deadline and few stakes, so opposite sides meet, match and settle
+    wager, counterwager = ((1, 1), (1, 2), (2, 1))[param // 2 % 3]
+    stake = XCP_UNIT // 10
+    bet = make_bet(param % 2, wager * stake, counterwager * stake, names[2], deadline=12)
+    return compose_message_tx(chain, pair, bet)
+
+
+ACTOR_OP = st.none() | st.tuples(st.integers(0, 3), st.integers(0, 2**20))
+FUNDING = ((0, 300_000),) * 3  # every actor burns for 3 XCP first
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.tuples(ACTOR_OP, ACTOR_OP, ACTOR_OP), min_size=1, max_size=8),
+    st.lists(st.booleans(), min_size=9, max_size=9),
+)
+def test_incremental_replay_equals_a_fresh_fold_at_every_height(blocks, other_rate_at):
+    chain, people = make_chain(coins_each=10, value=5 * 10**8)
+    pairs = list(people.values())
+    names = [addr(p) for p in pairs]
+    for height, ops in enumerate([FUNDING, *blocks], start=1):
+        txs = [
+            traffic_tx(chain, pair, names, height, *op)
+            for pair, op in zip(pairs, ops)
+            if op is not None
+        ]
+        mine(chain, *txs, seed=height)
+        expected = state_digest(full_fold(chain))
+        state = replay(chain)
+        assert state_digest(state) == expected
+        # the caller owns the snapshot: wrecking it leaves the replica intact
+        for record in state.bets:
+            record.status = BetStatus.CANCELLED
+        for match in state.matches:
+            match.settled = True
+        state.balances[(names[0], XCP)] = -1
+        state.log.clear()
+        assert state_digest(replay(chain)) == expected
+        # a replica at another burn rate, folding several blocks at a time
+        if other_rate_at[height - 1]:
+            other = replay(chain, burn_rate=7)
+            assert state_digest(other) == state_digest(full_fold(chain, burn_rate=7))
+    assert state_digest(replay(chain)) == state_digest(full_fold(chain))
+
+
+def test_a_fold_that_raises_leaves_nothing_half_folded(monkeypatch):
+    chain, people = make_chain()
+    burn_and_mine(chain, people["alice"], 100_000, seed=14)
+    replay(chain)
+    burn_and_mine(chain, people["bob"], 200_000, seed=15)
+    fold = MetaState.apply_block
+
+    def interrupted(state, chain, block):
+        fold(state, chain, block)
+        raise RuntimeError("interrupted after folding the block")
+
+    monkeypatch.setattr(MetaState, "apply_block", interrupted)
+    with pytest.raises(RuntimeError):
+        replay(chain)
+    monkeypatch.undo()
+    assert state_digest(replay(chain)) == state_digest(full_fold(chain))
+
+
+def test_replay_memo_does_not_keep_a_chain_alive():
+    chain, people = make_chain()
+    burn_and_mine(chain, people["alice"], 100_000, seed=13)
+    assert replay(chain).issued == 100_000 * 1000
+    gone = weakref.ref(chain)
+    del chain
+    gc.collect()
+    assert gone() is None
 
 
 def test_multisig_embedded_message_survives_mining():
