@@ -212,7 +212,7 @@ def carried_ciphertexts(tx: Transaction) -> list[bytes]:
         elif isinstance(lock, MultiSig) and lock.m == 1 and len(lock.keys) >= 2:
             chunks = []
             for key in lock.keys[1:]:
-                if not key or key[0] > CHUNK:
+                if key[0] > CHUNK:
                     chunks = None  # not a payload key: the output carries nothing
                     break
                 chunks.append(key[1 : 1 + key[0]])

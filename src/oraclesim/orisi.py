@@ -8,15 +8,23 @@ keys meet the threshold exactly. Oracles watch a datafeed condition and
 broadcast partial signatures for one of two pre-drafted settlements (pay
 Bob when true, refund Alice when settled false) over a spam-resistant
 message bus that requires a hash proof-of-work on every message.
+
+A bus message clears difficulty d (0..256) when H(bytes payload || u64
+nonce) has at least d leading zero bits; minting returns the smallest such
+nonce from 0 up (FORMATS.md), a rule the tests pin because nonces never
+reach the event log. Hashing the payload prefix once and copying that state
+per nonce is an implementation detail, not a format change.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
+import struct
 from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
 
-from .codec import Reader, Writer, sha256
+from .codec import Reader, Writer
 from .datafeed import Comparator, DataSource, FeedValue, NoDataError, compare, query
 from .simchain import (
     KeyPair,
@@ -37,6 +45,7 @@ from .simchain.script import MAX_MULTISIG_KEYS
 from .simchain.tx import TxInput
 
 DEFAULT_BUS_DIFFICULTY = 8  # leading zero bits
+MAX_BUS_DIFFICULTY = 256  # a SHA-256 digest has no more zero bits to lead with
 DEFAULT_POLL_SECONDS = 3600
 
 
@@ -93,6 +102,8 @@ def compute_safe_params(m: int, n: int) -> SafeParams:
 
 # --- message bus -------------------------------------------------------------
 
+_NONCE = struct.Struct("<Q")  # the u64 nonce that ends every message digest
+
 
 @dataclass(frozen=True)
 class BusMessage:
@@ -101,39 +112,50 @@ class BusMessage:
     difficulty: int
 
 
-def _message_digest(payload: bytes, nonce: int) -> bytes:
-    w = Writer()
-    w.bytes(payload).u64(nonce)
-    return sha256(w.getvalue())
+def _payload_hash(payload: bytes):
+    """SHA-256 state after `bytes payload`: the prefix every nonce's digest shares."""
+    return hashlib.sha256(Writer().bytes(payload).getvalue())
 
 
-def leading_zero_bits(digest: bytes) -> int:
-    bits = 0
-    for byte in digest:
-        if byte == 0:
-            bits += 8
-            continue
-        bits += 8 - byte.bit_length()
-        break
-    return bits
+def _pow_bound(difficulty: int) -> bytes:
+    """The largest digest with `difficulty` leading zero bits, 2**(256-d) - 1
+    as 32 big-endian bytes: a digest clears iff `digest <= bound`."""
+    if not 0 <= difficulty <= MAX_BUS_DIFFICULTY:
+        raise ValueError(f"bus difficulty must be 0..{MAX_BUS_DIFFICULTY}, got {difficulty}")
+    return ((1 << (MAX_BUS_DIFFICULTY - difficulty)) - 1).to_bytes(32, "big")
 
 
 def check_pow(message: BusMessage) -> bool:
-    return leading_zero_bits(_message_digest(message.payload, message.nonce)) >= message.difficulty
+    """True when the nonce clears the stated difficulty; a difficulty
+    outside 0..256 never does."""
+    try:
+        bound = _pow_bound(message.difficulty)
+    except ValueError:
+        return False
+    h = _payload_hash(message.payload)
+    h.update(_NONCE.pack(message.nonce))
+    return h.digest() <= bound
 
 
 def mint_message(payload: bytes, difficulty: int = DEFAULT_BUS_DIFFICULTY) -> BusMessage:
     """Grind the smallest nonce whose digest clears the difficulty."""
+    bound = _pow_bound(difficulty)
+    prefix = _payload_hash(payload)
+    pack = _NONCE.pack
     nonce = 0
-    while leading_zero_bits(_message_digest(payload, nonce)) < difficulty:
+    while True:
+        h = prefix.copy()
+        h.update(pack(nonce))
+        if h.digest() <= bound:
+            return BusMessage(payload=payload, nonce=nonce, difficulty=difficulty)
         nonce += 1
-    return BusMessage(payload=payload, nonce=nonce, difficulty=difficulty)
 
 
 class MessageBus:
     """Ordered in-memory message queue; spam is rejected at the PoW gate."""
 
     def __init__(self, difficulty: int = DEFAULT_BUS_DIFFICULTY) -> None:
+        _pow_bound(difficulty)  # raises outside 0..256
         self.difficulty = difficulty
         self.pending: list[BusMessage] = []
         self.delivered = 0

@@ -43,6 +43,9 @@ class MultiSig:
             raise ValueError(f"multisig requires 1 <= m <= n, got {self.m} of {len(self.keys)}")
         if len(self.keys) > MAX_MULTISIG_KEYS:
             raise ValueError(f"multisig capped at {MAX_MULTISIG_KEYS} keys, got {len(self.keys)}")
+        # keys are written raw with no length, so only fixed-size keys parse back
+        if any(len(k) != 32 for k in self.keys):
+            raise ValueError("multisig keys must be 32 bytes")
         if self.commitment is not None and len(self.commitment) != 32:
             raise ValueError("commitment must be 32 bytes")
 

@@ -340,9 +340,12 @@ def test_garbage_carrier_does_not_mask_the_real_payload():
     assert state.issued == 100_000 * 1000
 
 
-@pytest.mark.parametrize(
-    "spare_key", [b"", bytes([CHUNK + 1]) + bytes(CHUNK)], ids=["empty", "oversized"]
-)
+def test_multisig_refuses_an_empty_spare_key():
+    with pytest.raises(ValueError):
+        MultiSig(m=1, keys=(bytes(32), b""))
+
+
+@pytest.mark.parametrize("spare_key", [bytes([CHUNK + 1]) + bytes(CHUNK)], ids=["oversized"])
 def test_multisig_with_a_non_payload_key_carries_nothing(spare_key):
     chain, people = make_chain()
     alice = people["alice"]

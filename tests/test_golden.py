@@ -4,11 +4,13 @@ Each scenario's event-log digest is pinned here, as is the combined digest:
 sha256 over the 12 raw digests in file-name order.  A change that moves any
 byte of any log fails this file.  The combined digest must also come out the
 same under different string-hash seeds, so no dict or set iteration order
-that depends on `PYTHONHASHSEED` can reach a log.
+that depends on `PYTHONHASHSEED` can reach a log, and under each other
+supported Python found on `PATH`.
 """
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -59,19 +61,31 @@ def test_bundled_scenario_digest(path):
     assert result.log.digest().hex() == DIGESTS[path.name]
 
 
-def test_suite_digest_is_independent_of_hash_seed():
+def suite_digest(python: str, **env_overrides: str) -> str:
+    """The combined digest from a fresh `python` process, stdlib only (`-S`)."""
     src = str(Path(oraclesim.__file__).resolve().parents[1])
-    outputs = []
-    for hash_seed in ("0", "12345"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        run = subprocess.run(
-            [sys.executable, "-c", SUITE_SCRIPT],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        )
-        outputs.append(run.stdout.strip())
+    env = dict(os.environ, **env_overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [python, "-S", "-c", SUITE_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return run.stdout.strip()
+
+
+def test_suite_digest_is_independent_of_hash_seed():
+    outputs = [suite_digest(sys.executable, PYTHONHASHSEED=seed) for seed in ("0", "12345")]
     assert outputs == [COMBINED, COMBINED]
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_suite_digest_is_the_same_on_other_interpreters(version):
+    # pyproject.toml claims requires-python >=3.10; the tests themselves run on one
+    python = shutil.which(f"python{version}")
+    if python is None or subprocess.run([python, "-S", "-c", ""], capture_output=True).returncode:
+        pytest.skip(f"python{version} is not installed")
+    assert suite_digest(python) == COMBINED

@@ -1,11 +1,16 @@
 """Safe-parameter arithmetic, the PoW bus, and the multi-oracle settlement."""
 
+import hashlib
 import itertools
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oraclesim import orisi
+from oraclesim.codec import Writer
 from oraclesim.datafeed import Comparator, DataSource
+from oraclesim.harness import bundled_scenarios, run_scenario
 from oraclesim.orisi import (
     BadQuorumError,
     BadWitnessError,
@@ -22,12 +27,12 @@ from oraclesim.orisi import (
     SafeParams,
     StateError,
     VerificationFailedError,
+    _pow_bound,
     activate,
     check_pow,
     compute_safe_params,
     encode_bus_payload,
     finalize,
-    leading_zero_bits,
     mint_message,
     propose,
     ready_draft,
@@ -82,7 +87,16 @@ def test_safe_params_whole_accept_region():
             assert params.total_keys == total <= 15
 
 
-def test_leading_zero_bits_matches_integer_arithmetic():
+def leading_zero_bits(digest: bytes) -> int:
+    as_int = int.from_bytes(digest, "big")
+    return 256 - as_int.bit_length() if as_int else 256
+
+
+def reference_digest(payload: bytes, nonce: int) -> bytes:
+    return hashlib.sha256(Writer().bytes(payload).u64(nonce).getvalue()).digest()
+
+
+def test_pow_bound_matches_integer_arithmetic():
     samples = [
         bytes(32),
         bytes([0x80]) + bytes(31),
@@ -91,9 +105,48 @@ def test_leading_zero_bits_matches_integer_arithmetic():
         bytes([0x00, 0x00, 0x10]) + bytes(29),
     ]
     for digest in samples:
-        as_int = int.from_bytes(digest, "big")
-        expected = 256 - as_int.bit_length() if as_int else 256
-        assert leading_zero_bits(digest) == expected
+        for difficulty in range(257):
+            assert (digest <= _pow_bound(difficulty)) == (leading_zero_bits(digest) >= difficulty)
+
+
+@pytest.mark.parametrize("difficulty", [257, 300, -1])
+def test_difficulty_outside_0_to_256_is_refused(difficulty):
+    with pytest.raises(ValueError):
+        MessageBus(difficulty=difficulty)
+    with pytest.raises(ValueError):
+        mint_message(b"never ground", difficulty)  # at 257 grinding could never end
+    assert not check_pow(BusMessage(b"payload", 0, difficulty))
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=st.binary(max_size=300), difficulty=st.integers(0, 10))
+def test_mint_message_returns_the_smallest_clearing_nonce(payload, difficulty):
+    message = mint_message(payload, difficulty)
+    first = next(
+        n
+        for n in itertools.count()
+        if leading_zero_bits(reference_digest(payload, n)) >= difficulty
+    )
+    assert message == BusMessage(payload, first, difficulty)
+    assert check_pow(message)
+    if first:
+        assert not check_pow(BusMessage(payload, first - 1, difficulty))
+
+
+def test_bundled_orisi_scenarios_mint_pinned_nonces(monkeypatch):
+    minted = []
+
+    def record(*args, **kwargs):
+        message = mint_message(*args, **kwargs)
+        minted.append(message.nonce)
+        return message
+
+    monkeypatch.setattr(orisi, "mint_message", record)
+    for path in bundled_scenarios():
+        if path.stem in ("orisi_election", "orisi_theft"):
+            minted.clear()
+            assert run_scenario(path).passed
+            assert minted == [68, 835, 473, 17, 180, 6, 428], path.stem
 
 
 def test_mint_message_clears_difficulty_deterministically():

@@ -77,6 +77,15 @@ def test_multisig_constraints():
     MultiSig(m=15, keys=tuple(bytes([i]) * 32 for i in range(15)))
 
 
+def test_multisig_keys_must_be_32_bytes_so_locks_cannot_alias():
+    # keys are written raw: without the length check these two locks
+    # serialize to the same bytes, so distinct transactions share a txid
+    lock = MultiSig(m=1, keys=(PUB_A, PUB_B))
+    with pytest.raises(ValueError):
+        MultiSig(m=1, keys=(PUB_A + PUB_B[:16], PUB_B[:16]))
+    assert deserialize_lock(serialize_lock(lock)) == lock
+
+
 def test_negative_output_value_rejected():
     with pytest.raises(ValueError):
         TxOutput(value=-1, lock=PayToKey(PUB_A))
