@@ -3,6 +3,9 @@
 One event per line: canonical JSON (sorted keys, no spaces), UTF-8, one
 trailing newline per line. The digest is the hash of exactly those bytes,
 so two logs compare equal iff their files are byte-identical.
+
+A line is fixed when its event is appended: the log encodes each event
+once, then, and later changes to a payload's objects do not reach it.
 """
 
 from __future__ import annotations
@@ -34,19 +37,24 @@ def _encode(event: Event) -> str:
 
 @dataclass
 class EventLog:
-    events: list[Event] = field(default_factory=list)
+    # filled only by `_add`, so every event has its line
+    events: list[Event] = field(default_factory=list, init=False)
+    _lines: list[str] = field(default_factory=list, init=False, repr=False, compare=False)
 
-    def append(self, tick: int, module: str, kind: str, **payload) -> Event:
-        event = Event(tick=tick, module=module, kind=kind, payload=payload)
-        _encode(event)  # reject non-serializable payloads at the source
+    def _add(self, event: Event) -> Event:
+        line = _encode(event)  # rejects non-serializable payloads at the source
         self.events.append(event)
+        self._lines.append(line)
         return event
 
+    def append(self, tick: int, module: str, kind: str, **payload) -> Event:
+        return self._add(Event(tick=tick, module=module, kind=kind, payload=payload))
+
     def lines(self) -> list[str]:
-        return [_encode(e) for e in self.events]
+        return list(self._lines)
 
     def encode(self) -> bytes:
-        return "".join(line + "\n" for line in self.lines()).encode("utf-8")
+        return "".join(line + "\n" for line in self._lines).encode("utf-8")
 
     def digest(self) -> bytes:
         return sha256(self.encode())
@@ -61,7 +69,7 @@ class EventLog:
             if not line:
                 continue
             doc = json.loads(line)
-            log.events.append(
+            log._add(
                 Event(
                     tick=doc["tick"],
                     module=doc["module"],

@@ -127,7 +127,9 @@ def _pow_bound(difficulty: int) -> bytes:
 
 def check_pow(message: BusMessage) -> bool:
     """True when the nonce clears the stated difficulty; a difficulty
-    outside 0..256 never does."""
+    outside 0..256 or a nonce outside the u64 range never does."""
+    if not 0 <= message.nonce < 1 << 64:
+        return False
     try:
         bound = _pow_bound(message.difficulty)
     except ValueError:

@@ -9,6 +9,9 @@ locked behind unspendable scripts.
 place the UTXO set changes, and it keeps two indexes beside it: the
 pay-to-key coins of each owner and each owner's running balance, which
 `utxos_for` and `balance` read without scanning the set.
+
+`serialize_block` writes the header, then each transaction's bytes as kept
+when its txid was taken, so a block never encodes a transaction again.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .keys import KeyRegistry
 from .mempool import Mempool, SubmitResult
 from .policy import POLICY_V090, StandardnessPolicy
 from .script import PayToKey
-from .tx import Transaction, TxOutput, serialize_tx, txid
+from .tx import Transaction, TxOutput, _serialized, txid
 from .validate import ValidationResult, validate_tx
 
 GENESIS_PARENT = bytes(32)
@@ -42,7 +45,7 @@ def serialize_block(block: Block) -> bytes:
     w.u64(block.height).string(block.miner_id).raw(block.parent)
     w.u32(len(block.txs))
     for tx in block.txs:
-        w.raw(serialize_tx(tx))
+        w.raw(_serialized(tx))
     return w.getvalue()
 
 

@@ -31,6 +31,11 @@ _TAG_EITHER = 6
 class PayToKey:
     pub: bytes
 
+    def __post_init__(self) -> None:
+        # written raw with no length, so only a 32-byte key parses back
+        if len(self.pub) != 32:
+            raise ValueError("pay-to-key pub must be 32 bytes")
+
 
 @dataclass(frozen=True)
 class MultiSig:
@@ -53,6 +58,10 @@ class MultiSig:
 @dataclass(frozen=True)
 class ScriptHash:
     h: bytes  # sha256 of the serialized redeem script
+
+    def __post_init__(self) -> None:
+        if len(self.h) != 32:  # written raw, as PayToKey's pub
+            raise ValueError("script hash must be 32 bytes")
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ the transaction with every witness blanked — that is what signatures
 commit to, so co-signers can add their signatures to a partially signed
 transaction without invalidating earlier ones.
 
-A `Transaction` is frozen, so each is serialized at most once for its id:
-`txid`, `sighash` and `tx_size` keep their results on the instance.  Only
-the digests and the size are kept, never the serialized bytes.
+A `Transaction` is frozen, so each is serialized at most once: its
+canonical bytes are kept on the instance, and `txid`, `tx_size` and the
+chain's block encoding all read them.  `txid` and `sighash` keep their
+digests too.  `serialize_tx` itself is the pure reference encoder.
 """
 
 from __future__ import annotations
@@ -60,10 +61,10 @@ class Transaction:
     outputs: tuple[TxOutput, ...]
     locktime: int = 0  # block height; 0 = no lock
 
-    # Memoised by txid, sighash and tx_size.  Not dataclass fields, so they
-    # take no part in equality, repr or `replace`, which starts them afresh.
+    # Memoised by _serialized, txid and sighash.  Not dataclass fields, so
+    # they take no part in equality, repr or `replace`, which starts them afresh.
+    _bytes = None
     _txid = None
-    _size = None
     _sighash = None
 
     def with_witness(self, index: int, witness: Witness) -> "Transaction":
@@ -142,15 +143,16 @@ def deserialize_tx(data: bytes) -> Transaction:
     return Transaction(inputs=tuple(inputs), outputs=tuple(outputs), locktime=locktime)
 
 
-def _memoise_serialization(tx: Transaction) -> None:
-    data = serialize_tx(tx)
-    object.__setattr__(tx, "_txid", sha256(data))
-    object.__setattr__(tx, "_size", len(data))
+def _serialized(tx: Transaction) -> bytes:
+    """`serialize_tx(tx)`, encoded once per frozen transaction."""
+    if tx._bytes is None:
+        object.__setattr__(tx, "_bytes", serialize_tx(tx))
+    return tx._bytes
 
 
 def txid(tx: Transaction) -> bytes:
     if tx._txid is None:
-        _memoise_serialization(tx)
+        object.__setattr__(tx, "_txid", sha256(_serialized(tx)))
     return tx._txid
 
 
@@ -161,9 +163,7 @@ def sighash(tx: Transaction) -> bytes:
 
 
 def tx_size(tx: Transaction) -> int:
-    if tx._size is None:
-        _memoise_serialization(tx)
-    return tx._size
+    return len(_serialized(tx))
 
 
 def sign_input(tx: Transaction, index: int, keys: KeyPair, **witness_fields) -> Transaction:

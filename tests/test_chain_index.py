@@ -2,17 +2,20 @@
 
 Random pay, lock and unlock traffic over several owners runs through the
 public relay and mining path.  At every height the index must equal a fresh
-scan of `chain.utxo`, and every memoised digest must equal a fresh
-serialization, also for transactions derived from a memoised one.
+scan of `chain.utxo`, and every memoised digest and the kept bytes must equal
+a fresh serialization, also for transactions derived from a memoised one.
+The block hash is recomputed from the block layout and `serialize_tx`, never
+from the kept bytes.
 """
 
+import sys
 from dataclasses import replace
 from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oraclesim.codec import sha256
+from oraclesim.codec import Writer, sha256
 from oraclesim.simchain import (
     DataCarrier,
     InsufficientFundsError,
@@ -30,12 +33,11 @@ from oraclesim.simchain import (
     block_hash,
     build_payment,
     p2sh_lock,
-    serialize_block,
     serialize_tx,
     sighash,
     txid,
 )
-from oraclesim.simchain.tx import sign_input, tx_size
+from oraclesim.simchain.tx import _serialized, sign_input, tx_size
 
 OWNERS = 4
 SOLO = [Miner("solo", 1.0)]
@@ -52,6 +54,7 @@ def scanned_coins(chain, pub):
 
 def assert_digests_fresh(tx: Transaction) -> None:
     data = serialize_tx(tx)
+    assert _serialized(tx) == data
     assert txid(tx) == sha256(data)
     assert tx_size(tx) == len(data)
     assert sighash(tx) == sha256(serialize_tx(tx.without_witnesses()))
@@ -63,7 +66,10 @@ def check_chain(chain, owners, stranger):
         assert chain.utxos_for(pub) == coins
         assert chain.balance(pub) == sum(out.value for _, out in coins)
     tip = chain.blocks[-1]
-    assert chain.tip_hash == block_hash(tip) == sha256(serialize_block(tip))
+    w = Writer().u64(tip.height).string(tip.miner_id).raw(tip.parent).u32(len(tip.txs))
+    for tx in tip.txs:
+        w.raw(serialize_tx(tx))
+    assert chain.tip_hash == block_hash(tip) == sha256(w.getvalue())
     for tx in tip.txs:
         assert_digests_fresh(tx)
         derived = [replace(tx, locktime=tx.locktime + 1)]
@@ -152,3 +158,34 @@ def test_owner_index_and_digests_match_brute_force(actions, coins):
                 tx = None
         if tx is not None:
             chain.submit(tx)
+
+
+def test_submitting_and_mining_encodes_each_tx_once(monkeypatch):
+    reg = KeyRegistry()
+    senders = [reg.keygen(b"owner-%d" % i) for i in range(OWNERS)]
+    stranger = reg.keygen(b"stranger").pub
+    genesis = [TxOutput(value=25_000, lock=PayToKey(pair.pub)) for pair in senders]
+    chain = SimChain(policy=POLICY_TEST2013, genesis=genesis, keys=reg)
+    txs = [
+        build_payment(chain, pair, [TxOutput(value=1_000, lock=PayToKey(stranger))], fee=10)
+        for pair in senders
+    ]
+
+    encoded = []
+    original = serialize_tx
+
+    def counting(tx):
+        encoded.append(tx)
+        return original(tx)
+
+    # every module that bound the encoder, so a second call site is counted too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("oraclesim") and getattr(module, "serialize_tx", None) is original:
+            monkeypatch.setattr(module, "serialize_tx", counting)
+    for tx in txs:
+        assert chain.submit(tx).accepted
+    block = chain.mine_next(SOLO, Random(0))
+    assert list(block.txs) == txs
+    block_hash(block)
+    # the witness-blanked copies that sighash encodes are other objects
+    assert sum(any(seen is tx for tx in txs) for seen in encoded) == len(txs)

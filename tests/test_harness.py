@@ -65,6 +65,14 @@ def test_matching_filters_kind_and_payload():
     assert log.matching("balance", {"actor": "zoe"}) == []
 
 
+def test_line_is_fixed_when_its_event_is_appended():
+    log = EventLog()
+    held = [1, 2]
+    log.append(0, "host", "block", txs=held)
+    held.append(3)
+    assert log.lines() == ['{"kind":"block","module":"host","payload":{"txs":[1,2]},"tick":0}']
+
+
 def test_append_rejects_unserializable_payload():
     log = EventLog()
     with pytest.raises(TypeError):

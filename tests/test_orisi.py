@@ -173,6 +173,15 @@ def test_bus_drops_bad_pow_and_low_difficulty():
     assert bus.drain() == []
 
 
+def test_bus_drops_a_nonce_outside_the_u64_range():
+    bus = MessageBus(difficulty=8)
+    for nonce in (-1, 2**64):
+        assert not check_pow(BusMessage(b"payload", nonce, 8))
+        assert not bus.post(BusMessage(b"payload", nonce, 8))
+    assert bus.dropped == 2
+    assert bus.drain() == []
+
+
 # --- end-to-end contract -----------------------------------------------------
 
 

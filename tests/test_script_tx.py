@@ -86,6 +86,36 @@ def test_multisig_keys_must_be_32_bytes_so_locks_cannot_alias():
     assert deserialize_lock(serialize_lock(lock)) == lock
 
 
+def test_pay_to_key_and_script_hash_must_be_32_bytes_so_txs_cannot_alias():
+    # Without the length check, the second pair of outputs writes the same
+    # bytes as the first (its values are the bytes between the keys), so two
+    # unequal transactions share a txid.
+    first_value, second_value = 7, 9
+    x = (
+        bytes(range(1, 33))
+        + struct.pack("<Q", first_value) + b"\x01"
+        + struct.pack("<Q", second_value) + b"\x01"
+        + bytes(range(100, 123))
+    )
+    assert len(x) == 73 and x[40] == x[49] == 1
+    tx = Transaction(
+        inputs=(),
+        outputs=(TxOutput(5, PayToKey(x[0:32])), TxOutput(first_value, PayToKey(x[41:73]))),
+    )
+    assert deserialize_tx(serialize_tx(tx)) == tx
+    with pytest.raises(ValueError):
+        PayToKey(x[0:41])
+    with pytest.raises(ValueError):
+        PayToKey(x[50:73])
+    # a 33-byte key used to serialize and then fail to parse back
+    with pytest.raises(ValueError):
+        PayToKey(b"\x11" * 33)
+    for size in (0, 31, 33):
+        with pytest.raises(ValueError):
+            ScriptHash(bytes(size))
+    assert deserialize_lock(serialize_lock(ScriptHash(bytes(32)))) == ScriptHash(bytes(32))
+
+
 def test_negative_output_value_rejected():
     with pytest.raises(ValueError):
         TxOutput(value=-1, lock=PayToKey(PUB_A))
