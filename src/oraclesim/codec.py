@@ -87,6 +87,13 @@ class Reader:
     def u8(self) -> int:
         return struct.unpack("<B", self._take(1))[0]
 
+    def flag(self) -> bool:
+        # a presence flag is exactly 0 or 1, so one value has one encoding
+        value = self.u8()
+        if value > 1:
+            raise ValueError(f"flag byte {value} at offset {self._pos - 1} is not 0 or 1")
+        return value == 1
+
     def u16(self) -> int:
         return struct.unpack("<H", self._take(2))[0]
 

@@ -20,10 +20,9 @@ time and settle on the first feed broadcast at or past their deadline.
 
 from __future__ import annotations
 
-import copy
 import json
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -274,7 +273,7 @@ class BetStatus(Enum):
     CANCELLED = "cancelled"  # owner could not fund the escrow at match time
 
 
-@dataclass
+@dataclass(frozen=True)
 class BetRecord:
     bet_id: int
     owner: str
@@ -282,7 +281,7 @@ class BetRecord:
     status: BetStatus = BetStatus.OPEN
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatchRecord:
     match_id: int
     feed: str
@@ -433,7 +432,9 @@ def replay(
     reorgs, so blocks are only ever appended; if the memo's last block is
     no longer at its height, the fold starts again from genesis.  The
     returned state is a snapshot the caller owns: mutating it never
-    changes what a later call returns.
+    changes what a later call returns.  Every record in it is frozen and
+    shared with the memo (a fold replaces a changed bet or match in its
+    list slot, never edits it), so a snapshot copies containers only.
     """
     folds = _folds.setdefault(chain, {})
     # taken out while folding, so a fold that raises leaves no half-folded state
@@ -450,17 +451,14 @@ def replay(
 
 
 def _snapshot(state: MetaState) -> MetaState:
-    # entries and messages are frozen and shared; bet and match records change
-    return MetaState(
-        burn_rate=state.burn_rate,
-        burn_pub=state.burn_pub,
+    # every record is frozen and shared; only the containers are the caller's
+    return replace(
+        state,
         balances=dict(state.balances),
         feeds={feed: list(entries) for feed, entries in state.feeds.items()},
-        bets=[copy.copy(record) for record in state.bets],
-        matches=[copy.copy(match) for match in state.matches],
+        bets=list(state.bets),
+        matches=list(state.matches),
         log=list(state.log),
-        burned=state.burned,
-        issued=state.issued,
     )
 
 
@@ -510,7 +508,7 @@ def _apply_broadcast(
 
 def _settle_feed(state: MetaState, feed: str, broadcast: Broadcast) -> None:
     # first broadcast at or past a deadline settles every match behind it
-    for match in state.matches:
+    for i, match in enumerate(state.matches):
         if match.settled or match.feed != feed or match.deadline > broadcast.timestamp:
             continue
         pot = match.yes_escrow + match.no_escrow
@@ -518,15 +516,13 @@ def _settle_feed(state: MetaState, feed: str, broadcast: Broadcast) -> None:
         holds = compare(match.comparator, broadcast.value, match.target)
         winner_side = "yes" if holds else "no"
         winner = match.yes_owner if winner_side == "yes" else match.no_owner
-        match.settled = True
-        match.winner = winner_side
-        match.fee_paid = fee
+        state.matches[i] = replace(match, settled=True, winner=winner_side, fee_paid=fee)
         state._credit(feed, fee)
         state._credit(winner, pot - fee)
-    for record in state.bets:
+    for i, record in enumerate(state.bets):
         if record.status is BetStatus.OPEN and record.bet.feed == feed:
             if record.bet.deadline <= broadcast.timestamp:
-                record.status = BetStatus.EXPIRED
+                state.bets[i] = replace(record, status=BetStatus.EXPIRED)
 
 
 def _apply_bet(state: MetaState, source: str, bet: Bet) -> tuple[bool, str | None]:
@@ -534,7 +530,7 @@ def _apply_bet(state: MetaState, source: str, bet: Bet) -> tuple[bool, str | Non
         return False, R_ZERO_WAGER
     if bet.side not in (0, 1):
         return False, R_BAD_SIDE
-    for record in state.bets:
+    for i, record in enumerate(state.bets):
         if record.status is not BetStatus.OPEN:
             continue
         other = record.bet
@@ -549,13 +545,14 @@ def _apply_bet(state: MetaState, source: str, bet: Bet) -> tuple[bool, str | Non
         ):
             continue
         if state.balance(record.owner) < other.wager:
-            record.status = BetStatus.CANCELLED  # maker spent the stake meanwhile
+            # maker spent the stake meanwhile
+            state.bets[i] = replace(record, status=BetStatus.CANCELLED)
             continue
         if state.balance(source) < bet.wager:
             return False, R_BALANCE
         state._debit(record.owner, other.wager)
         state._debit(source, bet.wager)
-        record.status = BetStatus.MATCHED
+        state.bets[i] = replace(record, status=BetStatus.MATCHED)
         taker = BetRecord(len(state.bets) + 1, source, bet, BetStatus.MATCHED)
         state.bets.append(taker)
         yes_first = bet.side == 1

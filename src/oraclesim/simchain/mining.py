@@ -5,6 +5,22 @@ its hashrate share, then fills its block greedily by fee rate. Policy
 compliance matters only here: a compliant miner never considers
 nonstandard txs, which is what makes nonstandard inclusion a waiting
 game rather than a validity question.
+
+Blocks are filled from the pool without validating again, because every
+entry of the chain's own pool is valid at the next height:
+
+- the pool validated it at submit against the confirmed UTXO set;
+- `_claimed` refuses a second claim on an outpoint, so no two entries
+  spend one output;
+- this function is the only caller of `SimChain._apply_block` after
+  genesis, so only pool entries spend confirmed outputs, and they leave
+  the pool with their block;
+- keys are only ever added to the registry, and `locktime` and
+  `TimeLocked` validity only grow with height.
+
+`mempool` must therefore be `chain.mempool`, as `SimChain.mine_next`
+passes it.  `tests/test_mempool_mining.py` checks every mined block of
+random traffic by brute force.
 """
 
 from __future__ import annotations
@@ -58,17 +74,11 @@ def mine_next(chain: SimChain, mempool: Mempool, miners: Sequence[Miner], rng: R
 
     winner = _draw_winner(miners, rng)
     included: list[Transaction] = []
-    spent_in_block: set[tuple[bytes, int]] = set()
     used = 0
     for entry in mempool.candidates(include_nonstandard=winner.accepts_nonstandard):
         if used + entry.size > winner.block_size_budget:
             continue
-        if any(txin.outpoint in spent_in_block for txin in entry.tx.inputs):
-            continue
-        if not chain.validate(entry.tx):
-            continue
         included.append(entry.tx)
-        spent_in_block.update(txin.outpoint for txin in entry.tx.inputs)
         used += entry.size
 
     block = Block(

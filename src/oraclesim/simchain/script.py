@@ -118,7 +118,7 @@ def lock_from_reader(r: Reader) -> LockScript:
         m = r.u8()
         n = r.u8()
         keys = tuple(r.raw(32) for _ in range(n))
-        commitment = r.raw(32) if r.u8() else None
+        commitment = r.raw(32) if r.flag() else None
         return MultiSig(m=m, keys=keys, commitment=commitment)
     if tag == _TAG_SCRIPT_HASH:
         return ScriptHash(h=r.raw(32))

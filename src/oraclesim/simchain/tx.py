@@ -109,8 +109,8 @@ def _write_witness(w: Writer, wit: Witness) -> None:
 
 def _witness_from_reader(r: Reader) -> Witness:
     sigs = tuple(_signature_from_reader(r) for _ in range(r.u16()))
-    redeem = lock_from_reader(r) if r.u8() else None
-    preimage = r.bytes() if r.u8() else None
+    redeem = lock_from_reader(r) if r.flag() else None
+    preimage = r.bytes() if r.flag() else None
     return Witness(signatures=sigs, redeem=redeem, expr_preimage=preimage)
 
 

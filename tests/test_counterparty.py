@@ -5,6 +5,7 @@ import hashlib
 import json
 import struct
 import weakref
+from dataclasses import FrozenInstanceError, replace
 from random import Random
 
 import pytest
@@ -454,6 +455,33 @@ def test_mismatched_terms_stay_open():
     assert state.matches == []
 
 
+def test_a_maker_who_spent_the_stake_is_cancelled_and_the_taker_stays_open():
+    chain, people = make_chain()
+    alice, bob, claire = people["alice"], people["bob"], people["claire"]
+    feed = addr(claire)
+    seeded_bettors(chain, people)  # 15 XCP each
+    yes = make_bet(1, 10 * XCP_UNIT, 5 * XCP_UNIT, feed)
+    mine(chain, compose_message_tx(chain, alice, yes), seed=50)
+    away = Send(XCP, 10 * XCP_UNIT, addr(claire))
+    mine(chain, compose_message_tx(chain, alice, away), seed=51)
+    before = replay(chain)
+    before_digest = state_digest(before)
+    no = make_bet(0, 5 * XCP_UNIT, 10 * XCP_UNIT, feed)
+    mine(chain, compose_message_tx(chain, bob, no), seed=52)
+    state = replay(chain)
+    # the earlier snapshot shares alice's record, which the cancel replaced
+    assert before.bets[0].status is BetStatus.OPEN
+    assert state_digest(before) == before_digest
+    assert [(r.owner, r.status) for r in state.bets] == [
+        (addr(alice), BetStatus.CANCELLED),
+        (addr(bob), BetStatus.OPEN),
+    ]
+    assert state.matches == []
+    assert state.balance(addr(alice)) == 5 * XCP_UNIT
+    assert state.balance(addr(bob)) == 15 * XCP_UNIT
+    assert xcp_in_circulation(state) == state.issued
+
+
 def test_unmatched_bets_expire_after_the_deadline_broadcast():
     chain, people = make_chain()
     alice, claire = people["alice"], people["claire"]
@@ -553,10 +581,17 @@ FUNDING = ((0, 300_000),) * 3  # every actor burns for 3 XCP first
     st.lists(st.tuples(ACTOR_OP, ACTOR_OP, ACTOR_OP), min_size=1, max_size=8),
     st.lists(st.booleans(), min_size=9, max_size=9),
 )
+# bets at heights 2 and 3 match, a third stays open; the feed's broadcast at
+# height 6 settles the match and expires the open bet
+@example(
+    [((3, 1), None, (3, 2)), (None, (3, 0), None), (None,) * 3, (None,) * 3, (None, None, (2, 0))],
+    [False] * 9,
+)
 def test_incremental_replay_equals_a_fresh_fold_at_every_height(blocks, other_rate_at):
     chain, people = make_chain(coins_each=10, value=5 * 10**8)
     pairs = list(people.values())
     names = [addr(p) for p in pairs]
+    kept = []
     for height, ops in enumerate([FUNDING, *blocks], start=1):
         txs = [
             traffic_tx(chain, pair, names, height, *op)
@@ -567,19 +602,31 @@ def test_incremental_replay_equals_a_fresh_fold_at_every_height(blocks, other_ra
         expected = state_digest(full_fold(chain))
         state = replay(chain)
         assert state_digest(state) == expected
-        # the caller owns the snapshot: wrecking it leaves the replica intact
+        kept.append((state, expected))
+        # records are frozen and shared with the replica: editing one is refused
         for record in state.bets:
-            record.status = BetStatus.CANCELLED
+            with pytest.raises(FrozenInstanceError):
+                record.status = BetStatus.CANCELLED
         for match in state.matches:
-            match.settled = True
-        state.balances[(names[0], XCP)] = -1
-        state.log.clear()
+            with pytest.raises(FrozenInstanceError):
+                match.settled = True
+        # the containers are the caller's: wrecking them leaves the replica intact
+        wrecked = replay(chain)
+        wrecked.bets[:] = [replace(r, status=BetStatus.CANCELLED) for r in wrecked.bets]
+        wrecked.matches.clear()
+        for entries in wrecked.feeds.values():
+            entries.clear()
+        wrecked.balances[(names[0], XCP)] = -1
+        wrecked.log.clear()
         assert state_digest(replay(chain)) == expected
         # a replica at another burn rate, folding several blocks at a time
         if other_rate_at[height - 1]:
             other = replay(chain, burn_rate=7)
             assert state_digest(other) == state_digest(full_fold(chain, burn_rate=7))
     assert state_digest(replay(chain)) == state_digest(full_fold(chain))
+    # no later settle, expiry, cancel or match rewrote a record an earlier snapshot shares
+    for state, expected in kept:
+        assert state_digest(state) == expected
 
 
 def test_a_fold_that_raises_leaves_nothing_half_folded(monkeypatch):

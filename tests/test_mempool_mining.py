@@ -3,9 +3,13 @@
 from random import Random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from oraclesim.simchain import (
     DataCarrier,
+    InsufficientFundsError,
     InvalidReason,
     KeyRegistry,
     Miner,
@@ -13,10 +17,16 @@ from oraclesim.simchain import (
     PayToKey,
     POLICY_TEST2013,
     SimChain,
+    TimeLocked,
+    Transaction,
+    TxInput,
     TxOutput,
     block_hash,
     build_payment,
+    txid,
+    validate_tx,
 )
+from oraclesim.simchain.tx import sign_input
 
 ALL_COMPLIANT = [Miner("big", 0.93, accepts_nonstandard=False), Miner("small", 0.07)]
 SOLO = [Miner("solo", 1.0)]
@@ -177,3 +187,125 @@ def test_nonstandard_inclusion_waits_for_minority_miner():
         delay += 1
         assert delay < 200
     assert block.miner_id == "small"
+
+
+# ------------------------------------------- mined blocks, checked by brute force
+
+RELAY_OWNERS = 3
+owner_index = st.integers(0, RELAY_OWNERS - 1)
+MINER_SETS = {
+    "strict": [Miner("strict", 1.0, accepts_nonstandard=False)],
+    "loose": SOLO,
+    "mixed": ALL_COMPLIANT,
+    "tiny": [Miner("tiny", 1.0, block_size_budget=400)],
+}
+
+
+class RelayTraffic(RuleBasedStateMachine):
+    """Random relay traffic, mined with no validation at mining time.
+
+    Payments (some time-locked, some nonstandard), rival spends of one coin,
+    transactions naming a coin twice, premature unlocks and re-sent confirmed
+    transactions go through `submit`; mining by strict, loose, mixed and
+    small-budget miners confirms some and lets the rest expire.  Every mined
+    block must validate tx by tx against the UTXO set before it, with the
+    block's earlier spends applied.
+    """
+
+    def __init__(self):
+        super().__init__()
+        reg = KeyRegistry()
+        self.pairs = [reg.keygen(b"relay-%d" % i) for i in range(RELAY_OWNERS)]
+        self.owner_of = {pair.pub: pair for pair in self.pairs}
+        genesis = [
+            TxOutput(value=20_000, lock=PayToKey(pair.pub))
+            for pair in self.pairs
+            for _ in range(3)
+        ]
+        genesis += [
+            TxOutput(value=9_000, lock=TimeLocked(inner=PayToKey(pair.pub), unlock_height=3))
+            for pair in self.pairs
+        ]
+        self.chain = SimChain(policy=POLICY_TEST2013, genesis=genesis, keys=reg, expiry_blocks=4)
+
+    def pay_to(self, sender, lock, value, fee, **kwargs):
+        try:
+            tx = build_payment(
+                self.chain, self.pairs[sender], [TxOutput(value=value, lock=lock)], fee=fee, **kwargs
+            )
+        except InsufficientFundsError:
+            return
+        self.chain.submit(tx)
+
+    @rule(
+        sender=owner_index,
+        recipient=owner_index,
+        value=st.integers(0, 30_000),
+        fee=st.integers(0, 500),
+        delay=st.integers(0, 3),
+        nonstandard=st.booleans(),
+    )
+    def pay(self, sender, recipient, value, fee, delay, nonstandard):
+        # coin selection takes the first coins, so a second payment from one
+        # sender conflicts; a locktime past the next height is premature
+        lock = DataCarrier(bytes(81)) if nonstandard else PayToKey(self.pairs[recipient].pub)
+        self.pay_to(sender, lock, value, fee, locktime=self.chain.height + delay)
+
+    @rule(sender=owner_index, unlock_in=st.integers(0, 4), value=st.integers(0, 15_000))
+    def lock(self, sender, unlock_in, value):
+        inner = PayToKey(self.pairs[sender].pub)
+        lock = TimeLocked(inner=inner, unlock_height=self.chain.height + unlock_in)
+        self.pay_to(sender, lock, value, fee=100)
+
+    @rule(pick=st.integers(0, 50), fee=st.integers(0, 500))
+    def unlock(self, pick, fee):
+        locked = sorted(
+            (op, out) for op, out in self.chain.utxo.items() if isinstance(out.lock, TimeLocked)
+        )
+        if not locked:
+            return
+        op, out = locked[pick % len(locked)]
+        owner = self.owner_of[out.lock.inner.pub]
+        unsigned = Transaction(
+            inputs=(TxInput(outpoint=op),),
+            outputs=(TxOutput(value=max(out.value - fee, 0), lock=PayToKey(owner.pub)),),
+        )
+        self.chain.submit(sign_input(unsigned, 0, owner))
+
+    @rule(sender=owner_index, fee=st.integers(1, 500))
+    def double_spend(self, sender, fee):
+        coins = self.chain.utxos_for(self.pairs[sender].pub)
+        if coins:
+            # the extra input is also the first coin selected, so it is named twice
+            (first, out), *_ = coins
+            lock = PayToKey(self.pairs[sender].pub)
+            self.pay_to(sender, lock, out.value, fee, extra_inputs=[first])
+
+    @rule(pick=st.integers(0, 50))
+    def resend_confirmed(self, pick):
+        confirmed = [tx for block in self.chain.blocks[1:] for tx in block.txs]
+        if confirmed:
+            self.chain.submit(confirmed[pick % len(confirmed)])
+
+    @rule(miners=st.sampled_from(sorted(MINER_SETS)), seed=st.integers(0, 2**16))
+    def mine(self, miners, seed):
+        view = dict(self.chain.utxo)
+        block = self.chain.mine_next(MINER_SETS[miners], Random(seed))
+        for tx in block.txs:
+            assert validate_tx(tx, view, block.height, self.chain.keys), tx
+            for txin in tx.inputs:
+                del view[txin.outpoint]
+            for index, out in enumerate(tx.outputs):
+                view[(txid(tx), index)] = out
+        assert view == self.chain.utxo
+
+    @invariant()
+    def pool_entries_are_valid_at_the_next_height(self):
+        for entry in self.chain.mempool.entries.values():
+            assert self.chain.validate(entry.tx), entry
+
+
+RelayTraffic.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+test_mined_blocks_validate_against_the_utxo_set_before_them = RelayTraffic.TestCase

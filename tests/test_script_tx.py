@@ -202,6 +202,45 @@ def test_deserialize_rejects_truncation_and_trailing_bytes():
         deserialize_tx(data + b"\x00")
 
 
+def _flag_tx(**witness):
+    return Transaction(
+        inputs=(TxInput(outpoint=(PUB_A, 0), witness=Witness(**witness)),),
+        outputs=(TxOutput(value=1, lock=PayToKey(PUB_B)),),
+    )
+
+
+# (encode, decode, value with the flag 0, value with the flag 1, flag offset);
+# a tx's witness starts after u16 n_inputs, the outpoint and u16 n_signatures
+PRESENCE_FLAGS = {
+    "has_redeem": (
+        serialize_tx, deserialize_tx,
+        _flag_tx(), _flag_tx(redeem=PayToKey(PUB_C)), 2 + 32 + 4 + 2,
+    ),
+    "has_preimage": (
+        serialize_tx, deserialize_tx,
+        _flag_tx(), _flag_tx(expr_preimage=b"preimage"), 2 + 32 + 4 + 2 + 1,
+    ),
+    "has_commitment": (
+        serialize_lock, deserialize_lock,
+        MultiSig(m=1, keys=(PUB_A,)), MultiSig(m=1, keys=(PUB_A,), commitment=PUB_B),
+        1 + 1 + 1 + 32,
+    ),
+}
+
+
+@pytest.mark.parametrize("flag", PRESENCE_FLAGS)
+def test_presence_flags_are_exactly_0_or_1(flag):
+    encode, decode, absent, present, offset = PRESENCE_FLAGS[flag]
+    for value, obj in enumerate((absent, present)):
+        data = encode(obj)
+        assert data[offset] == value
+        assert decode(data) == obj
+        assert encode(decode(data)) == data
+    data = encode(present)
+    with pytest.raises(ValueError, match="not 0 or 1"):
+        decode(data[:offset] + b"\x02" + data[offset + 1 :])
+
+
 @pytest.fixture
 def funded_chain():
     reg = KeyRegistry()
