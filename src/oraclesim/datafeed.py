@@ -12,10 +12,9 @@ number 1 and the string "1" never collide.
 from __future__ import annotations
 
 import enum
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .codec import Writer, sha256
 from .simchain.keys import KeyPair, Signature, derive_pair, sign
@@ -96,24 +95,8 @@ class DataSource:
         self._series = by_key
         self._times = {key: [t for t, _ in series] for key, series in by_key.items()}
 
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "DataSource":
-        entries = [(e["key"], e["time"], e["value"]) for e in obj.get("entries", [])]
-        return cls(
-            source_id=obj["id"],
-            entries=entries,
-            ssl=obj.get("ssl", True),
-            signs_data=obj.get("signs_data", False),
-        )
-
     def keys(self) -> list[str]:
         return sorted(self._series)
-
-
-def load_sources(text: str) -> dict[str, DataSource]:
-    """Parse a fixture document: a JSON array of source objects."""
-    sources = [DataSource.from_json(obj) for obj in json.loads(text)]
-    return {s.id: s for s in sources}
 
 
 def query(source: DataSource, key: str, time: int) -> Observation:

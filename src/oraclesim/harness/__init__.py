@@ -9,7 +9,6 @@ unit of comparison: same scenario, same seed, same bytes.
 from .events import Event, EventLog, verify_replay
 from .metrics import export_metrics
 from .scenario import (
-    AssertionFailed,
     ParseError,
     RunResult,
     Scenario,
@@ -18,7 +17,6 @@ from .scenario import (
 )
 
 __all__ = [
-    "AssertionFailed",
     "Event",
     "EventLog",
     "ParseError",

@@ -8,23 +8,28 @@ Actions are scheduled by tick; the clock at tick t is
 wall time receives it.  Blocks are mined after each tick's actions
 (every ``mine_every`` ticks, or only via explicit ``mine`` actions when
 ``mine_every`` is null).
+
+Each JSON object is declared by the parameters of the callable that takes
+it: ``Scenario``, an ``_op_*`` handler or a ``_check_*`` function.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from importlib import resources
+from inspect import formatannotation, signature
 from pathlib import Path
 from random import Random
-from typing import Any, Callable
+from types import UnionType
+from typing import Any, Callable, Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
-from .. import counterparty, oraclize, orisi, realitykeys, will_oracle
-from ..datafeed import Comparator, DataSource
+from .. import counterparty, oraclize, orisi, realitykeys, truthcoin, will_oracle
+from ..datafeed import Comparator, DataSource, FeedValue
 from ..simchain import (
-    POLICY_TEST2013,
-    POLICY_V090,
     KeyPair,
     KeyRegistry,
     Miner,
@@ -35,11 +40,11 @@ from ..simchain import (
     TxOutput,
     Witness,
     build_payment,
+    policy_for,
     sighash,
     sign,
     txid,
 )
-from ..truthcoin import Binary, Scalar, TruthcoinSim, commitment_digest
 from .events import EventLog
 
 
@@ -47,12 +52,9 @@ class ParseError(Exception):
     """The scenario document is not a runnable script."""
 
 
-class AssertionFailed(Exception):
-    """A scripted post-condition did not hold at the end of the run."""
+_FEE = 1000  # satoshi; what every op that builds a transaction pays unless told otherwise
 
-
-_COMPARATORS = {c.name.lower(): c for c in Comparator}
-
+CheckOp = Literal["==", "!=", "<", "<=", ">", ">="]
 _CHECKS: dict[str, Callable[[Any, Any], bool]] = {
     "==": operator.eq,
     "!=": operator.ne,
@@ -63,91 +65,194 @@ _CHECKS: dict[str, Callable[[Any, Any], bool]] = {
 }
 
 
-def _comparator(name: str) -> Comparator:
+# ----------------------------------------------------------------- binder
+# Binding raises ParseError(": <reason>"); each enclosing object or list
+# prefixes its step (".field" or "[index]"), and from_dict "scenario".
+
+_NONE = type(None)
+# Exact types: a bool is not an int, but a float field takes an int as it is.
+_SCALARS = {str: (str,), int: (int,), float: (int, float), bool: (bool,), _NONE: (_NONE,)}
+_SCALARS[Any] = (str, int, float, bool, _NONE, list, dict)  # any JSON value
+_Spec = tuple[dict[str, tuple[str, Any, tuple[type, ...]]], set[str]]
+
+
+def _spec(fn: Callable, skip: int = 0, **extra: Any) -> _Spec:
+    """The object declared by ``fn``'s parameters after ``skip``, and ``extra``:
+    key -> (parameter, annotation, its exact types if scalar); required keys."""
+    params = list(signature(fn).parameters.values())[skip:]
+    hints = {**get_type_hints(fn), **extra}
+    names = [p.name for p in params] + list(extra)
+    fields = {n.removesuffix("_"): (n, hints[n], _SCALARS.get(hints[n], ())) for n in names}
+    optional = {p.name.removesuffix("_") for p in params if p.default is not p.empty}
+    return fields, fields.keys() - optional
+
+
+def _wrong(expected: Any, value: Any) -> ParseError:
+    return ParseError(f": expected {formatannotation(expected)}, got {type(value).__name__}")
+
+
+def _at(step: str | int, annotation: Any, value: Any) -> Any:
     try:
-        return _COMPARATORS[name.lower()]
-    except KeyError:
-        raise ParseError(f"unknown comparator {name!r}") from None
+        return _convert(annotation, value)
+    except ParseError as exc:
+        raise ParseError(f"[{step}]{exc}" if type(step) is int else f".{step}{exc}") from None
+
+
+def _bind(spec: _Spec, value: Any) -> dict[str, Any]:
+    """Keyword arguments for the declaring callable, from one JSON object."""
+    fields, required = spec
+    if type(value) is not dict:
+        raise _wrong(dict, value)
+    args = {}
+    for key, item in value.items():
+        if key not in fields:
+            raise ParseError(f": unknown field {key!r}")
+        name, annotation, exact = fields[key]
+        args[name] = item if type(item) in exact else _at(key, annotation, item)
+    if not required <= value.keys():
+        raise ParseError(f": missing field {min(required - value.keys())!r}")
+    return args
+
+
+def _tagged(tag: str, specs: dict[str, _Spec], value: Any) -> dict[str, Any]:
+    """``value`` bound to the spec that its ``tag`` field names."""
+    name = value.get(tag) if type(value) is dict else None
+    if type(name) is str and name in specs:
+        return _bind(specs[name], value)
+    if type(value) is dict:
+        raise ParseError(f".{tag}: unknown {tag} {name!r}")
+    raise _wrong(dict, value)
+
+
+def _convert(annotation: Any, value: Any) -> Any:
+    """``value`` checked against ``annotation``, as its declarer receives it:
+    scalars as they are, enum members by name in any case, the rest anew."""
+    if annotation in _SCALARS:
+        if type(value) in _SCALARS[annotation]:
+            return value
+        raise _wrong(annotation, value)
+    if annotation is Action:
+        args = _tagged("op", _ACTION_SPECS, value)
+        return Action(args.pop("tick"), args.pop("op"), args)
+    if annotation is Check:
+        args = _tagged("kind", _CHECK_SPECS, value)
+        return Check(args.pop("kind"), args)
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin in (Union, UnionType):
+        for member in args:
+            with suppress(ParseError):
+                return _convert(member, value)
+        raise _wrong(annotation, value)
+    if origin is Literal or isinstance(annotation, type) and issubclass(annotation, Enum):
+        members = dict(zip(args, args)) if args else annotation.__members__
+        named = {name.lower(): member for name, member in members.items()}
+        if type(value) is str and value.lower() in named:
+            return named[value.lower()]
+        raise ParseError(f": expected one of {', '.join(named)}, got {value!r}")
+    if origin is dict and type(value) is dict:  # JSON object keys are strings
+        return {key: _at(key, args[1], item) for key, item in value.items()}
+    if origin in (list, tuple) and type(value) is list:
+        if origin is list or args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ParseError(f": expected {len(args)} items, got {len(value)}")
+        out = [_at(i, a, item) for i, (a, item) in enumerate(zip(args, value))]
+        return out if origin is list else tuple(out)
+    if origin is not None:
+        raise _wrong(annotation, value)
+    build = _BUILDERS.get(annotation, annotation)
+    args = _bind(_SPECS[build], value)
+    try:
+        return build(**args)
+    except ValueError as exc:
+        raise ParseError(f": {exc}") from None
+
+
+# --------------------------------------------------------------- document
+
+
+class Grant(NamedTuple):
+    """``coins`` genesis outputs of ``value`` satoshi each, paid to ``actor``."""
+
+    actor: str
+    value: int
+    coins: int = 1
+
+
+class Action(NamedTuple):
+    """``_OPS[op](world, **args)``, run at ``tick``."""
+
+    tick: int
+    op: str
+    args: dict[str, Any]
+
+
+class Check(NamedTuple):
+    """``_ASSERTS[kind](world, **args)``, checked after the run."""
+
+    kind: str
+    args: dict[str, Any]
+
+
+class _Entry(NamedTuple):
+    key: str
+    time: int
+    value: FeedValue
+
+
+def _miner(id_: str, hashrate: float = 1.0, accepts_nonstandard: bool = True) -> Miner:
+    return Miner(id_, hashrate, accepts_nonstandard)
+
+
+def _source(
+    id_: str, entries: tuple[_Entry, ...] = (), ssl: bool = True, signs_data: bool = False
+) -> DataSource:
+    return DataSource(id_, entries, ssl=ssl, signs_data=signs_data)
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A checked scenario document; the fields are its top-level keys."""
+
     name: str
     seed: int
     ticks: int
-    tick_seconds: int
-    start_time: int
-    policy: str
-    mine_every: int | None
-    miners: tuple[dict, ...]
-    actors: tuple[str, ...]
-    genesis: tuple[dict, ...]
-    sources: tuple[dict, ...]
-    track_balances: tuple[str, ...]
-    actions: tuple[dict, ...]
-    assertions: tuple[dict, ...]
+    tick_seconds: int = 3600
+    start_time: int = 1_700_000_000
+    policy: Literal["v090", "test2013"] = "v090"
+    mine_every: int | None = 1
+    miners: tuple[Miner, ...] = (Miner("m1", 1.0),)
+    actors: tuple[str, ...] = ()
+    genesis: tuple[Grant, ...] = ()
+    sources: tuple[DataSource, ...] = ()
+    track_balances: tuple[str, ...] = ()
+    actions: tuple[Action, ...] = ()
+    assertions: tuple[Check, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.ticks < 1:
+            raise ValueError("ticks must be at least 1")
+        if self.mine_every is not None and self.mine_every < 1:
+            raise ValueError("mine_every must be null or at least 1")
+        for i, grant in enumerate(self.genesis):
+            if grant.value < 0 or grant.coins < 0:
+                raise ValueError(f"genesis[{i}] has a negative value or coins")
+        for i, action in enumerate(self.actions):
+            if not 0 <= action.tick < self.ticks:
+                raise ValueError(f"actions[{i}].tick {action.tick} is outside 0..{self.ticks - 1}")
+        for what, names in (("actor", self.actors), ("source", [s.id for s in self.sources])):
+            if len(set(names)) < len(names):
+                repeated = next(n for i, n in enumerate(names) if n in names[:i])
+                raise ValueError(f"{what} {repeated!r} is declared twice")
 
     @classmethod
     def from_dict(cls, doc: Any) -> "Scenario":
-        if not isinstance(doc, dict):
-            raise ParseError("scenario must be a JSON object")
-
-        def need(key: str, kind: type) -> Any:
-            value = doc.get(key)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ParseError(f"scenario.{key} must be a {kind.__name__}")
-            return value
-
-        name = need("name", str)
-        seed = need("seed", int)
-        ticks = need("ticks", int)
-        if ticks < 1:
-            raise ParseError("scenario.ticks must be at least 1")
-        policy = doc.get("policy", "v090")
-        if policy not in ("v090", "test2013"):
-            raise ParseError(f"unknown policy {policy!r}")
-        mine_every = doc.get("mine_every", 1)
-        if mine_every is not None and (not isinstance(mine_every, int) or mine_every < 1):
-            raise ParseError("scenario.mine_every must be null or a positive int")
-
-        actions = tuple(doc.get("actions", []))
-        for action in actions:
-            if not isinstance(action, dict):
-                raise ParseError("every action must be an object")
-            op = action.get("op")
-            if op not in _OPS:
-                raise ParseError(f"unknown op {op!r}")
-            tick = action.get("tick")
-            if not isinstance(tick, int) or isinstance(tick, bool) or not 0 <= tick < ticks:
-                raise ParseError(f"action {op!r} has tick {tick!r} outside 0..{ticks - 1}")
-
-        assertions = tuple(doc.get("assertions", []))
-        for check in assertions:
-            if not isinstance(check, dict) or check.get("kind") not in (
-                "balance",
-                "count",
-                "last_event",
-            ):
-                raise ParseError(f"unknown assertion {check!r}")
-            if check.get("op", "==") not in _CHECKS:
-                raise ParseError(f"unknown assertion op {check.get('op')!r}")
-
-        return cls(
-            name=name,
-            seed=seed,
-            ticks=ticks,
-            tick_seconds=doc.get("tick_seconds", 3600),
-            start_time=doc.get("start_time", 1_700_000_000),
-            policy=policy,
-            mine_every=mine_every,
-            miners=tuple(doc.get("miners", [{"id": "m1", "hashrate": 1.0}])),
-            actors=tuple(doc.get("actors", [])),
-            genesis=tuple(doc.get("genesis", [])),
-            sources=tuple(doc.get("sources", [])),
-            track_balances=tuple(doc.get("track_balances", [])),
-            actions=actions,
-            assertions=assertions,
-        )
+        """Check every object of ``doc`` against its declaration; the
+        ParseError names the first object and field that does not fit."""
+        try:
+            return _convert(Scenario, doc)
+        except ParseError as exc:
+            raise ParseError(f"scenario{exc}") from None
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
@@ -188,22 +293,12 @@ class World:
         }
         genesis: list[TxOutput] = []
         for grant in scenario.genesis:
-            pair = self.pair(grant["actor"])
-            for _ in range(grant.get("coins", 1)):
-                genesis.append(TxOutput(value=grant["value"], lock=PayToKey(pair.pub)))
-        policy = POLICY_TEST2013 if scenario.policy == "test2013" else POLICY_V090
+            pair = self.pair(grant.actor)
+            for _ in range(grant.coins):
+                genesis.append(TxOutput(value=grant.value, lock=PayToKey(pair.pub)))
+        policy = policy_for(scenario.policy)
         self.chain = SimChain(policy=policy, genesis=tuple(genesis), keys=self.keys)
-        self.miners = [
-            Miner(
-                miner_id=m["id"],
-                hashrate=m.get("hashrate", 1.0),
-                accepts_nonstandard=m.get("accepts_nonstandard", True),
-            )
-            for m in scenario.miners
-        ]
-        self.sources = {
-            src["id"]: DataSource.from_json(src) for src in scenario.sources
-        }
+        self.sources = {src.id: src for src in scenario.sources}
         self.log = EventLog()
         self.tick = 0
         self.now = scenario.start_time
@@ -219,9 +314,8 @@ class World:
         self.orisi_contracts: dict[str, orisi.OrisiContract] = {}
         self.orisi_agents: dict[str, tuple[KeyPair, ...]] = {}
         self.orisi_nodes: dict[str, list[orisi.OracleNode]] = {}
-        self.orisi_parties: dict[str, tuple[str, str]] = {}
         self.bus = orisi.MessageBus()
-        self.tc: TruthcoinSim | None = None
+        self.tc: truthcoin.TruthcoinSim | None = None
         self.tc_decisions: dict[str, str] = {}
         self.tc_markets: dict[str, str] = {}
         self.tc_reveals: dict[tuple[int, str], tuple[dict[str, float], bytes]] = {}
@@ -256,7 +350,7 @@ class World:
         return result.accepted
 
     def mine(self) -> None:
-        block = self.chain.mine_next(self.miners, self.rng)
+        block = self.chain.mine_next(self.scenario.miners, self.rng)
         ids = [txid(tx) for tx in block.txs]
         delays = [self.tick - self.submit_tick[i] for i in ids if i in self.submit_tick]
         self.emit(
@@ -273,245 +367,242 @@ class World:
 
 
 # ------------------------------------------------------------------- ops
-# Each handler takes (world, action dict) and emits whatever it observed.
+# Each handler takes the world and its action's fields, and emits what it saw.
 
 
-def _op_mine(w: World, a: dict) -> None:
-    for _ in range(a.get("blocks", 1)):
+def _op_mine(w: World, blocks: int = 1) -> None:
+    for _ in range(blocks):
         w.mine()
 
 
-def _op_pay(w: World, a: dict) -> None:
-    out = TxOutput(value=a["value"], lock=PayToKey(w.pair(a["to"]).pub))
-    tx = build_payment(w.chain, w.pair(a["from"]), [out], fee=a.get("fee", 1000))
+def _op_pay(w: World, from_: str, to: str, value: int, fee: int = _FEE) -> None:
+    out = TxOutput(value=value, lock=PayToKey(w.pair(to).pub))
+    tx = build_payment(w.chain, w.pair(from_), [out], fee=fee)
     w.submit(tx, "host")
 
 
 # --- hash-committed will ---------------------------------------------
 
 
-def _op_will_create(w: World, a: dict) -> None:
-    oracle_name = a["oracle"]
-    server = w.will_servers.get(oracle_name)
+def _op_will_create(
+    w: World, id_: str, creator: str, oracle: str, heir: str, source: str, expression: str,
+    amount: int, fee: int = _FEE,
+) -> None:
+    server = w.will_servers.get(oracle)
     if server is None:
-        server = will_oracle.OracleServer(w.pair(oracle_name), w.source(a["source"]))
-        w.will_servers[oracle_name] = server
+        server = will_oracle.OracleServer(w.pair(oracle), w.source(source))
+        w.will_servers[oracle] = server
     contract, funding = will_oracle.create_will(
         w.chain,
-        creator=w.pair(a["creator"]),
+        creator=w.pair(creator),
         oracle_pub=server.pub,
-        heir_pub=w.pair(a["heir"]).pub,
-        expression=a["expression"],
-        amount=a["amount"],
-        fee=a.get("fee", 1000),
+        heir_pub=w.pair(heir).pub,
+        expression=expression,
+        amount=amount,
+        fee=fee,
     )
-    w.wills[a["id"]] = contract
+    w.wills[id_] = contract
     w.submit_tick[contract.funding_outpoint[0]] = w.tick
-    w.emit("will", "created", id=a["id"], amount=contract.amount)
+    w.emit("will", "created", id=id_, amount=contract.amount)
 
 
-def _op_will_claim(w: World, a: dict) -> None:
-    contract = w.wills[a["id"]]
-    server = w.will_servers[a["oracle"]]
-    heir = w.pair(a["heir"])
-    fee = a.get("fee", 1000)
-    partial = will_oracle.build_claim(w.chain, contract, heir, fee=fee)
+def _op_will_claim(
+    w: World, id_: str, oracle: str, heir: str, expression: str, fee: int = _FEE
+) -> None:
+    contract = w.wills[id_]
+    server = w.will_servers[oracle]
+    partial = will_oracle.build_claim(w.chain, contract, w.pair(heir), fee=fee)
     try:
-        sig = server.sign_request(w.chain, a["expression"], partial, w.now)
+        sig = server.sign_request(w.chain, expression, partial, w.now)
     except will_oracle.WillError as exc:
-        w.emit("will", "refused", id=a["id"], reason=type(exc).__name__)
+        w.emit("will", "refused", id=id_, reason=type(exc).__name__)
         return
     tx = will_oracle.attach_signature(partial, 0, sig)
     accepted = w.submit(tx, "will")
-    w.emit("will", "claimed", id=a["id"], accepted=accepted)
+    w.emit("will", "claimed", id=id_, accepted=accepted)
 
 
-def _op_will_claim_alone(w: World, a: dict) -> None:
-    contract = w.wills[a["id"]]
-    partial = will_oracle.build_claim(w.chain, contract, w.pair(a["heir"]), fee=a.get("fee", 1000))
+def _op_will_claim_alone(w: World, id_: str, heir: str, fee: int = _FEE) -> None:
+    contract = w.wills[id_]
+    partial = will_oracle.build_claim(w.chain, contract, w.pair(heir), fee=fee)
     accepted = w.submit(partial, "will")
-    w.emit("will", "claim_alone", id=a["id"], accepted=accepted)
+    w.emit("will", "claim_alone", id=id_, accepted=accepted)
 
 
 # --- fact registry with staged key release ----------------------------
 
 
-def _op_rk_registry(w: World, a: dict) -> None:
-    human = None
-    if "human_agrees" in a:
-        agrees = bool(a["human_agrees"])
+def _op_rk_registry(
+    w: World, objection_window: int = realitykeys.DEFAULT_OBJECTION_WINDOW,
+    min_tip: int = realitykeys.MIN_OBJECTION_TIP, human_agrees: bool | None = None,
+) -> None:
+    def human(fact, claimed):
+        return claimed if human_agrees else None
 
-        def human(fact, claimed):
-            return claimed if agrees else None
     w.rk_registry = realitykeys.FactRegistry(
         sources=w.sources,
         keys=w.keys,
-        objection_window=a.get("objection_window", realitykeys.DEFAULT_OBJECTION_WINDOW),
-        min_tip=a.get("min_tip", realitykeys.MIN_OBJECTION_TIP),
-        human_check=human,
+        objection_window=objection_window,
+        min_tip=min_tip,
+        human_check=None if human_agrees is None else human,
     )
     w.emit("rk", "registry", min_tip=w.rk_registry.min_tip)
 
 
-def _op_rk_fact(w: World, a: dict) -> None:
+def _op_rk_fact(
+    w: World, id_: str, question: str, resolution_time: int, source: str, key: str,
+    comparator: Comparator, threshold: FeedValue,
+) -> None:
     ref = realitykeys.SourceRef(
-        source_id=a["source"],
-        key=a["key"],
-        comparator=_comparator(a["comparator"]),
-        threshold=a["threshold"],
+        source_id=source, key=key, comparator=comparator, threshold=threshold
     )
     fact = w.rk_registry.register_fact(
-        question=a["question"],
-        resolution_time=a["resolution_time"],
+        question=question,
+        resolution_time=resolution_time,
         source_ref=ref,
         now=w.now,
     )
-    w.rk_facts[a["id"]] = fact.id
-    w.emit("rk", "fact", id=a["id"], fact_id=fact.id)
+    w.rk_facts[id_] = fact.id
+    w.emit("rk", "fact", id=id_, fact_id=fact.id)
 
 
-def _op_rk_temps(w: World, a: dict) -> None:
-    cid = a["id"]
-    stakes = tuple(a["stakes"])
-    temp_a = w.keys.keygen(f"rk-temp:{cid}:a".encode())
-    temp_b = w.keys.keygen(f"rk-temp:{cid}:b".encode())
+def _op_rk_temps(
+    w: World, id_: str, alice: str, bob: str, stakes: tuple[int, int], fee: int = _FEE
+) -> None:
+    temp_a = w.keys.keygen(f"rk-temp:{id_}:a".encode())
+    temp_b = w.keys.keygen(f"rk-temp:{id_}:b".encode())
     outpoints = []
-    for payer, temp, stake in ((a["alice"], temp_a, stakes[0]), (a["bob"], temp_b, stakes[1])):
+    for payer, temp, stake in ((alice, temp_a, stakes[0]), (bob, temp_b, stakes[1])):
         tx = build_payment(
             w.chain,
             w.pair(payer),
             [TxOutput(value=stake, lock=PayToKey(temp.pub))],
-            fee=a.get("fee", 1000),
+            fee=fee,
         )
         w.submit(tx, "rk")
         outpoints.append((txid(tx), 0))
-    w.rk_temps[cid] = (temp_a, temp_b, tuple(outpoints), stakes, a["alice"], a["bob"])
-    w.emit("rk", "temps_funded", id=cid)
+    w.rk_temps[id_] = (temp_a, temp_b, tuple(outpoints), stakes, alice, bob)
+    w.emit("rk", "temps_funded", id=id_)
 
 
-def _op_rk_contract(w: World, a: dict) -> None:
-    cid = a["id"]
-    temp_a, temp_b, outpoints, stakes, alice, bob = w.rk_temps[cid]
-    fact = w.rk_registry.facts[w.rk_facts[a["fact"]]]
+def _op_rk_contract(w: World, id_: str, fact: str, fee: int = _FEE) -> None:
+    temp_a, temp_b, outpoints, stakes, alice, bob = w.rk_temps[id_]
+    registered = w.rk_registry.facts[w.rk_facts[fact]]
     contract = realitykeys.demo_contract(
-        fact, w.pair(alice).pub, w.pair(bob).pub, stakes, outpoints
+        registered, w.pair(alice).pub, w.pair(bob).pub, stakes, outpoints
     )
-    fee = a.get("fee", 1000)
     partial = realitykeys.demo_setup(w.chain, contract, temp_a, fee=fee)
     complete = realitykeys.demo_countersign(w.chain, contract, temp_b, partial, fee=fee)
     accepted = w.submit(complete, "rk")
-    w.rk_contracts[cid] = contract
-    w.emit("rk", "funded", id=cid, accepted=accepted, escrow=sum(stakes) - fee)
+    w.rk_contracts[id_] = contract
+    w.emit("rk", "funded", id=id_, accepted=accepted, escrow=sum(stakes) - fee)
 
 
-def _op_rk_post(w: World, a: dict) -> None:
-    fact = w.rk_registry.post_result(w.rk_facts[a["fact"]], now=w.now)
-    w.emit("rk", "result", fact=a["fact"], outcome=fact.posted_result.value)
+def _op_rk_post(w: World, fact: str) -> None:
+    posted = w.rk_registry.post_result(w.rk_facts[fact], now=w.now)
+    w.emit("rk", "result", fact=fact, outcome=posted.posted_result.value)
 
 
-def _op_rk_object(w: World, a: dict) -> None:
-    claimed = realitykeys.Outcome(a["claimed"])
+def _op_rk_object(w: World, fact: str, tip: int, claimed: realitykeys.Outcome) -> None:
     try:
-        flipped = w.rk_registry.object(
-            w.rk_facts[a["fact"]], tip=a["tip"], claimed=claimed, now=w.now
-        )
+        flipped = w.rk_registry.object(w.rk_facts[fact], tip=tip, claimed=claimed, now=w.now)
     except realitykeys.RealityKeysError as exc:
-        w.emit("rk", "objection", fact=a["fact"], accepted=False, reason=type(exc).__name__)
+        w.emit("rk", "objection", fact=fact, accepted=False, reason=type(exc).__name__)
         return
-    w.emit("rk", "objection", fact=a["fact"], accepted=True, flipped=flipped)
+    w.emit("rk", "objection", fact=fact, accepted=True, flipped=flipped)
 
 
-def _op_rk_finalize(w: World, a: dict) -> None:
-    w.rk_registry.finalize(w.rk_facts[a["fact"]], now=w.now)
-    fact = w.rk_registry.facts[w.rk_facts[a["fact"]]]
-    w.emit("rk", "finalized", fact=a["fact"], outcome=fact.released_outcome.value)
+def _op_rk_finalize(w: World, fact: str) -> None:
+    w.rk_registry.finalize(w.rk_facts[fact], now=w.now)
+    released = w.rk_registry.facts[w.rk_facts[fact]].released_outcome
+    w.emit("rk", "finalized", fact=fact, outcome=released.value)
 
 
-def _op_rk_claim(w: World, a: dict) -> None:
-    contract = w.rk_contracts[a["id"]]
-    claimant = w.pair(a["claimant"])
+def _op_rk_claim(w: World, id_: str, claimant: str, fee: int = _FEE) -> None:
+    contract = w.rk_contracts[id_]
+    pair = w.pair(claimant)
     try:
         tx = realitykeys.demo_claim(
             w.chain,
             w.rk_registry,
             contract,
-            claimant=claimant,
-            dest_pub=claimant.pub,
-            fee=a.get("fee", 1000),
+            claimant=pair,
+            dest_pub=pair.pub,
+            fee=fee,
         )
     except realitykeys.RealityKeysError as exc:
-        w.emit("rk", "claimed", id=a["id"], claimant=a["claimant"], accepted=False,
+        w.emit("rk", "claimed", id=id_, claimant=claimant, accepted=False,
                reason=type(exc).__name__)
         return
     accepted = w.submit(tx, "rk")
-    w.emit("rk", "claimed", id=a["id"], claimant=a["claimant"], accepted=accepted)
+    w.emit("rk", "claimed", id=id_, claimant=claimant, accepted=accepted)
 
 
 # --- distributed oracle safe ------------------------------------------
 
 
-def _op_orisi_propose(w: World, a: dict) -> None:
-    cid = a["id"]
-    oracle_names = list(a["oracles"])
-    oracles = [(name, w.pair(name).pub) for name in oracle_names]
+def _op_orisi_propose(
+    w: World, id_: str, alice: str, bob: str, oracles: list[str], m: int, source: str,
+    key: str, comparator: Comparator, threshold: FeedValue, settle_time: int, amount: int,
+    project: str, oracle_fee: int = _FEE, project_fee: int = _FEE,
+) -> None:
     condition = orisi.Condition(
-        source_id=a["source"],
-        key=a["key"],
-        comparator=_comparator(a["comparator"]),
-        threshold=a["threshold"],
-        settle_time=a["settle_time"],
+        source_id=source,
+        key=key,
+        comparator=comparator,
+        threshold=threshold,
+        settle_time=settle_time,
     )
     fees = orisi.OrisiFees(
-        oracle_fee=a.get("oracle_fee", 1000),
-        project_fee=a.get("project_fee", 1000),
-        project_pub=w.pair(a["project"]).pub,
+        oracle_fee=oracle_fee,
+        project_fee=project_fee,
+        project_pub=w.pair(project).pub,
     )
     contract, agent_pairs = orisi.propose(
         w.chain,
-        cid,
-        alice=w.pair(a["alice"]),
-        bob_pub=w.pair(a["bob"]).pub,
-        oracles=oracles,
-        m=a["m"],
+        id_,
+        alice=w.pair(alice),
+        bob_pub=w.pair(bob).pub,
+        oracles=[(name, w.pair(name).pub) for name in oracles],
+        m=m,
         condition=condition,
-        amount=a["amount"],
+        amount=amount,
         fees=fees,
     )
-    w.orisi_contracts[cid] = contract
-    w.orisi_agents[cid] = agent_pairs
-    w.orisi_parties[cid] = (a["alice"], a["bob"])
-    w.orisi_nodes[cid] = [
-        orisi.OracleNode(oracle_id=name, keypair=w.pair(name), source=w.source(a["source"]))
-        for name in oracle_names
+    w.orisi_contracts[id_] = contract
+    w.orisi_agents[id_] = agent_pairs
+    w.orisi_nodes[id_] = [
+        orisi.OracleNode(oracle_id=name, keypair=w.pair(name), source=w.source(source))
+        for name in oracles
     ]
     w.emit(
         "orisi",
         "proposed",
-        id=cid,
+        id=id_,
         threshold=contract.params.threshold,
         total_keys=contract.params.total_keys,
         agent_keys=contract.params.agent_keys,
     )
 
 
-def _op_orisi_ack(w: World, a: dict) -> None:
-    contract = w.orisi_contracts[a["id"]]
-    for node in w.orisi_nodes[a["id"]]:
+def _op_orisi_ack(w: World, id_: str) -> None:
+    contract = w.orisi_contracts[id_]
+    for node in w.orisi_nodes[id_]:
         node.ack(contract)
-    w.emit("orisi", "acked", id=a["id"], acks=len(contract.acks))
+    w.emit("orisi", "acked", id=id_, acks=len(contract.acks))
 
 
-def _op_orisi_activate(w: World, a: dict) -> None:
-    contract = w.orisi_contracts[a["id"]]
+def _op_orisi_activate(w: World, id_: str) -> None:
+    contract = w.orisi_contracts[id_]
     orisi.activate(w.chain, contract)
     w.submit_tick[contract.safe_outpoint[0]] = w.tick
-    w.emit("orisi", "active", id=a["id"], amount=contract.amount)
+    w.emit("orisi", "active", id=id_, amount=contract.amount)
 
 
-def _op_orisi_poll(w: World, a: dict) -> None:
-    contract = w.orisi_contracts[a["id"]]
+def _op_orisi_poll(w: World, id_: str) -> None:
+    contract = w.orisi_contracts[id_]
     posted = 0
-    for node in w.orisi_nodes[a["id"]]:
+    for node in w.orisi_nodes[id_]:
         if node.poll_and_sign(contract, w.bus, w.now) is not None:
             posted += 1
     applied = contract.apply_bus(w.bus, w.keys)
@@ -519,31 +610,29 @@ def _op_orisi_poll(w: World, a: dict) -> None:
     w.emit(
         "orisi",
         "poll",
-        id=a["id"],
+        id=id_,
         posted=posted,
         applied=applied,
         ready=ready.value if ready else None,
     )
 
 
-def _op_orisi_finalize(w: World, a: dict) -> None:
-    cid = a["id"]
-    contract = w.orisi_contracts[cid]
+def _op_orisi_finalize(w: World, id_: str) -> None:
+    contract = w.orisi_contracts[id_]
     try:
-        tx = orisi.finalize(w.chain, contract, w.orisi_agents[cid])
+        tx = orisi.finalize(w.chain, contract, w.orisi_agents[id_])
     except orisi.OrisiError as exc:
-        w.emit("orisi", "settled", id=cid, accepted=False, reason=type(exc).__name__)
+        w.emit("orisi", "settled", id=id_, accepted=False, reason=type(exc).__name__)
         return
     w.submit_tick[txid(tx)] = w.tick
-    w.emit("orisi", "settled", id=cid, accepted=True, state=contract.state.value)
+    w.emit("orisi", "settled", id=id_, accepted=True, state=contract.state.value)
 
 
-def _op_orisi_theft(w: World, a: dict) -> None:
+def _op_orisi_theft(w: World, id_: str, dest: str) -> None:
     """All n oracles collude: their signatures alone stay below the
     n+1 threshold, so the spend must bounce."""
-    cid = a["id"]
-    contract = w.orisi_contracts[cid]
-    loot = TxOutput(value=contract.amount - 1000, lock=PayToKey(w.pair(a["dest"]).pub))
+    contract = w.orisi_contracts[id_]
+    loot = TxOutput(value=contract.amount - _FEE, lock=PayToKey(w.pair(dest).pub))
     theft = Transaction(inputs=(TxInput(outpoint=contract.safe_outpoint),), outputs=(loot,))
     digest = sighash(theft)
     sigs = tuple(
@@ -551,83 +640,87 @@ def _op_orisi_theft(w: World, a: dict) -> None:
     )
     theft = theft.with_witness(0, Witness(signatures=sigs))
     result = w.chain.submit(theft)
-    w.emit("orisi", "theft", id=cid, accepted=result.accepted, signatures=len(sigs))
+    w.emit("orisi", "theft", id=id_, accepted=result.accepted, signatures=len(sigs))
 
 
 # --- sidechain voting and markets --------------------------------------
 
 
-def _op_tc_init(w: World, a: dict) -> None:
-    alloc = {name: int(v) for name, v in a["allocation"].items()}
-    kwargs: dict[str, Any] = {"now": w.now}
-    for key in ("quorum", "severity", "waiting_period", "veto_window"):
-        if key in a:
-            kwargs[key] = a[key]
-    w.tc = TruthcoinSim(alloc, **kwargs)
+def _op_tc_init(
+    w: World, allocation: dict[str, int], quorum: float = truthcoin.DEFAULT_QUORUM,
+    severity: float = truthcoin.DEFAULT_SEVERITY, waiting_period: int = truthcoin.WEEK_SECONDS,
+    veto_window: int = truthcoin.DEFAULT_VETO_WINDOW,
+) -> None:
+    w.tc = truthcoin.TruthcoinSim(allocation, now=w.now, quorum=quorum, severity=severity,
+                                  waiting_period=waiting_period, veto_window=veto_window)
     w.emit("tc", "init", vtc_supply=w.tc.vtc_supply())
 
 
-def _op_tc_peg_in(w: World, a: dict) -> None:
-    w.tc.peg_in(a["actor"], a["amount"])
-    w.emit("tc", "peg_in", actor=a["actor"], amount=a["amount"])
+def _op_tc_peg_in(w: World, actor: str, amount: int) -> None:
+    w.tc.peg_in(actor, amount)
+    w.emit("tc", "peg_in", actor=actor, amount=amount)
 
 
-def _op_tc_decision(w: World, a: dict) -> None:
-    kind = Binary() if a.get("kind", "binary") == "binary" else Scalar(a["min"], a["max"])
-    decision = w.tc.add_decision(a["author"], a["prompt"], kind, a["maturity_time"])
-    w.tc_decisions[a["id"]] = decision.decision_id
-    w.emit("tc", "decision", id=a["id"], decision_id=decision.decision_id)
+def _op_tc_decision(
+    w: World, id_: str, author: str, prompt: str, maturity_time: int,
+    kind: Literal["binary", "scalar"] = "binary", min_: float = 0.0, max_: float = 1.0,
+) -> None:
+    shape = truthcoin.Binary() if kind == "binary" else truthcoin.Scalar(min_, max_)
+    decision = w.tc.add_decision(author, prompt, shape, maturity_time)
+    w.tc_decisions[id_] = decision.decision_id
+    w.emit("tc", "decision", id=id_, decision_id=decision.decision_id)
 
 
-def _op_tc_observe(w: World, a: dict) -> None:
-    w.tc.mark_observable(w.tc_decisions[a["id"]])
-    w.emit("tc", "observable", id=a["id"])
+def _op_tc_observe(w: World, id_: str) -> None:
+    w.tc.mark_observable(w.tc_decisions[id_])
+    w.emit("tc", "observable", id=id_)
 
 
-def _op_tc_market(w: World, a: dict) -> None:
-    decision_ids = [w.tc_decisions[d] for d in a["decisions"]]
-    market = w.tc.add_market(a["author"], decision_ids, a["b"], a.get("fee_rate", 0.0))
-    w.tc_markets[a["id"]] = market.market_id
-    w.emit("tc", "market", id=a["id"], states=len(market.q), collateral=market.collateral)
+def _op_tc_market(
+    w: World, id_: str, author: str, decisions: list[str], b: float, fee_rate: float = 0.0
+) -> None:
+    market = w.tc.add_market(author, [w.tc_decisions[d] for d in decisions], b, fee_rate)
+    w.tc_markets[id_] = market.market_id
+    w.emit("tc", "market", id=id_, states=len(market.q), collateral=market.collateral)
 
 
-def _op_tc_trade(w: World, a: dict) -> None:
-    paid = w.tc.trade(w.tc_markets[a["market"]], a["actor"], a["state"], a["shares"])
-    w.emit("tc", "trade", market=a["market"], actor=a["actor"], state=a["state"], paid=paid)
+def _op_tc_trade(w: World, market: str, actor: str, state: int, shares: float) -> None:
+    paid = w.tc.trade(w.tc_markets[market], actor, state, shares)
+    w.emit("tc", "trade", market=market, actor=actor, state=state, paid=paid)
 
 
-def _op_tc_ballot(w: World, a: dict) -> None:
+def _op_tc_ballot(w: World) -> None:
     ballot = w.tc.open_ballot()
     w.emit("tc", "ballot", period=ballot.period, decisions=len(ballot.decision_ids))
 
 
-def _op_tc_commit(w: World, a: dict) -> None:
-    period = a["period"]
-    reports = {w.tc_decisions[d]: float(v) for d, v in a["reports"].items()}
-    salt = a["salt"].encode("utf-8")
-    w.tc.commit_vote(a["actor"], period, commitment_digest(reports, salt), a["stake"])
-    w.tc_reveals[(period, a["actor"])] = (reports, salt)
-    w.emit("tc", "commit", period=period, actor=a["actor"], stake=a["stake"])
+def _op_tc_commit(
+    w: World, period: int, actor: str, reports: dict[str, float], salt: str, stake: int
+) -> None:
+    by_id = {w.tc_decisions[d]: float(v) for d, v in reports.items()}
+    salt_bytes = salt.encode("utf-8")
+    w.tc.commit_vote(actor, period, truthcoin.commitment_digest(by_id, salt_bytes), stake)
+    w.tc_reveals[(period, actor)] = (by_id, salt_bytes)
+    w.emit("tc", "commit", period=period, actor=actor, stake=stake)
 
 
-def _op_tc_close_commit(w: World, a: dict) -> None:
-    w.tc.close_commit(a["period"])
-    w.emit("tc", "commit_closed", period=a["period"])
+def _op_tc_close_commit(w: World, period: int) -> None:
+    w.tc.close_commit(period)
+    w.emit("tc", "commit_closed", period=period)
 
 
-def _op_tc_reveal(w: World, a: dict) -> None:
-    reports, salt = w.tc_reveals[(a["period"], a["actor"])]
-    w.tc.reveal_vote(a["actor"], a["period"], reports, salt)
-    w.emit("tc", "reveal", period=a["period"], actor=a["actor"])
+def _op_tc_reveal(w: World, period: int, actor: str) -> None:
+    reports, salt = w.tc_reveals[(period, actor)]
+    w.tc.reveal_vote(actor, period, reports, salt)
+    w.emit("tc", "reveal", period=period, actor=actor)
 
 
-def _op_tc_close_reveal(w: World, a: dict) -> None:
-    w.tc.close_reveal(a["period"])
-    w.emit("tc", "reveal_closed", period=a["period"])
+def _op_tc_close_reveal(w: World, period: int) -> None:
+    w.tc.close_reveal(period)
+    w.emit("tc", "reveal_closed", period=period)
 
 
-def _op_tc_resolve(w: World, a: dict) -> None:
-    period = a["period"]
+def _op_tc_resolve(w: World, period: int) -> None:
     outcomes = w.tc.resolve_ballot(period)
     aliases = {did: alias for alias, did in w.tc_decisions.items()}
     for did in sorted(outcomes):
@@ -645,25 +738,28 @@ def _op_tc_resolve(w: World, a: dict) -> None:
         w.emit("tc", "stake", period=period, actor=voter, stake=record.stake)
 
 
-def _op_tc_side_blocks(w: World, a: dict) -> None:
-    veto = frozenset(a.get("veto_periods", []))
-    flagged = a.get("flag_count", a["count"] if veto else 0)
-    for i in range(a["count"]):
-        w.tc.mine_side_block(a.get("miner", "side"), veto=veto if i < flagged else frozenset())
-    w.emit("tc", "side_blocks", count=a["count"], flagged=flagged)
+def _op_tc_side_blocks(
+    w: World, count: int, veto_periods: tuple[int, ...] = (), flag_count: int | None = None,
+    miner: str = "side",
+) -> None:
+    veto = frozenset(veto_periods)
+    flagged = (count if veto else 0) if flag_count is None else flag_count
+    for i in range(count):
+        w.tc.mine_side_block(miner, veto=veto if i < flagged else frozenset())
+    w.emit("tc", "side_blocks", count=count, flagged=flagged)
 
 
-def _op_tc_veto(w: World, a: dict) -> None:
-    outcome = w.tc.veto_result(a["period"])
-    w.emit("tc", "veto", period=a["period"], outcome=outcome.value)
+def _op_tc_veto(w: World, period: int) -> None:
+    outcome = w.tc.veto_result(period)
+    w.emit("tc", "veto", period=period, outcome=outcome.value)
 
 
-def _op_tc_redeem(w: World, a: dict) -> None:
-    payout = w.tc.redeem(w.tc_markets[a["market"]], a["actor"])
-    w.emit("tc", "redeem", market=a["market"], actor=a["actor"], payout=payout)
+def _op_tc_redeem(w: World, market: str, actor: str) -> None:
+    payout = w.tc.redeem(w.tc_markets[market], actor)
+    w.emit("tc", "redeem", market=market, actor=actor, payout=payout)
 
 
-def _op_tc_snapshot(w: World, a: dict) -> None:
+def _op_tc_snapshot(w: World) -> None:
     for name in sorted(set(w.tc.ledger.csh) | set(w.tc.ledger.vtc) | set(w.tc.ledger.frozen_vtc)):
         w.emit(
             "tc",
@@ -678,53 +774,49 @@ def _op_tc_snapshot(w: World, a: dict) -> None:
 # --- embedded meta-protocol --------------------------------------------
 
 
-def _op_xcp_burn(w: World, a: dict) -> None:
-    tx = counterparty.compose_burn_tx(
-        w.chain, w.pair(a["actor"]), a["sats"], fee=a.get("fee", 1000)
-    )
+def _op_xcp_burn(w: World, actor: str, sats: int, fee: int = _FEE) -> None:
+    tx = counterparty.compose_burn_tx(w.chain, w.pair(actor), sats, fee=fee)
     w.submit(tx, "cp")
 
 
-def _op_xcp_send(w: World, a: dict) -> None:
-    message = counterparty.Send(
-        asset=counterparty.XCP, qty=a["qty"], dest=w.pair(a["to"]).pub.hex()
-    )
-    tx = counterparty.compose_message_tx(
-        w.chain, w.pair(a["actor"]), message, fee=a.get("fee", 1000)
-    )
+def _op_xcp_send(w: World, actor: str, to: str, qty: int, fee: int = _FEE) -> None:
+    message = counterparty.Send(asset=counterparty.XCP, qty=qty, dest=w.pair(to).pub.hex())
+    tx = counterparty.compose_message_tx(w.chain, w.pair(actor), message, fee=fee)
     w.submit(tx, "cp")
 
 
-def _op_xcp_broadcast(w: World, a: dict) -> None:
+def _op_xcp_broadcast(
+    w: World, actor: str, timestamp: int, value: int, fee_fraction: int = 0, text: str = "",
+    fee: int = _FEE,
+) -> None:
     message = counterparty.Broadcast(
-        timestamp=a["timestamp"],
-        value=a["value"],
-        fee_fraction=a.get("fee_fraction", 0),
-        text=a.get("text", ""),
+        timestamp=timestamp,
+        value=value,
+        fee_fraction=fee_fraction,
+        text=text,
     )
-    tx = counterparty.compose_message_tx(
-        w.chain, w.pair(a["actor"]), message, fee=a.get("fee", 1000)
-    )
+    tx = counterparty.compose_message_tx(w.chain, w.pair(actor), message, fee=fee)
     w.submit(tx, "cp")
 
 
-def _op_xcp_bet(w: World, a: dict) -> None:
+def _op_xcp_bet(
+    w: World, actor: str, feed: str, comparator: Comparator, target: int, deadline: int,
+    wager: int, counterwager: int, side: int, fee: int = _FEE,
+) -> None:
     message = counterparty.Bet(
-        feed=w.pair(a["feed"]).pub.hex(),
-        comparator=_comparator(a["comparator"]),
-        target=a["target"],
-        deadline=a["deadline"],
-        wager=a["wager"],
-        counterwager=a["counterwager"],
-        side=a["side"],
+        feed=w.pair(feed).pub.hex(),
+        comparator=comparator,
+        target=target,
+        deadline=deadline,
+        wager=wager,
+        counterwager=counterwager,
+        side=side,
     )
-    tx = counterparty.compose_message_tx(
-        w.chain, w.pair(a["actor"]), message, fee=a.get("fee", 1000)
-    )
+    tx = counterparty.compose_message_tx(w.chain, w.pair(actor), message, fee=fee)
     w.submit(tx, "cp")
 
 
-def _op_xcp_replay(w: World, a: dict) -> None:
+def _op_xcp_replay(w: World) -> None:
     state = counterparty.replay(w.chain)
     names = w.names_by_pub()
     for entry in state.log:
@@ -757,90 +849,95 @@ def _op_xcp_replay(w: World, a: dict) -> None:
 # --- polled conditional contracts ---------------------------------------
 
 
+class _Condition(NamedTuple):  # an oraclize.Condition naming its beneficiary
+    source: str
+    key: str
+    comparator: Comparator
+    threshold: FeedValue
+    beneficiary: str
+
+
 def _oz(w: World) -> oraclize.Oracle:
     if w.oz is None:
         w.oz = oraclize.Oracle(w.keys, w.sources)
     return w.oz
 
 
-def _op_oz_contract(w: World, a: dict) -> None:
+def _op_oz_contract(
+    w: World, id_: str, alice: str, bob: str, stakes: tuple[int, int],
+    conditions: list[_Condition], default: str, start: int, end: int, refund_locktime: int,
+    poll_interval: int = oraclize.DEFAULT_POLL_INTERVAL, proofshield: bool = False,
+    arbitrator: str | None = None, fee: int = _FEE,
+) -> None:
     oracle = _oz(w)
-    conditions = tuple(
-        oraclize.Condition(
-            source_id=c["source"],
-            key=c["key"],
-            comparator=_comparator(c["comparator"]),
-            threshold=c["threshold"],
-            beneficiary=w.pair(c["beneficiary"]).pub,
-        )
-        for c in a["conditions"]
-    )
     contract = oracle.build_contract(
         w.chain,
-        alice=w.pair(a["alice"]),
-        bob=w.pair(a["bob"]),
-        stakes=tuple(a["stakes"]),
-        conditions=conditions,
-        default_beneficiary=w.pair(a["default"]).pub,
-        start=a["start"],
-        end=a["end"],
-        refund_locktime=a["refund_locktime"],
-        poll_interval=a.get("poll_interval", 3600),
-        proofshield=a.get("proofshield", False),
-        arbitrator=w.pair(a["arbitrator"]).pub if "arbitrator" in a else None,
-        fee=a.get("fee", 1000),
+        alice=w.pair(alice),
+        bob=w.pair(bob),
+        stakes=stakes,
+        conditions=tuple(
+            oraclize.Condition(*c[:4], beneficiary=w.pair(c.beneficiary).pub) for c in conditions
+        ),
+        default_beneficiary=w.pair(default).pub,
+        start=start,
+        end=end,
+        refund_locktime=refund_locktime,
+        poll_interval=poll_interval,
+        proofshield=proofshield,
+        arbitrator=None if arbitrator is None else w.pair(arbitrator),
+        fee=fee,
     )
-    w.oz_contracts[a["id"]] = contract
+    w.oz_contracts[id_] = contract
     w.submit_tick[contract.funding_outpoint[0]] = w.tick
-    w.emit("oz", "contract", id=a["id"], escrow=contract.escrow_value)
+    w.emit("oz", "contract", id=id_, escrow=contract.escrow_value)
 
 
-def _op_oz_poll(w: World, a: dict) -> None:
+def _op_oz_poll(w: World, id_: str, fee: int = _FEE) -> None:
     oracle = _oz(w)
-    contract = w.oz_contracts[a["id"]]
+    contract = w.oz_contracts[id_]
     try:
-        settlement = oracle.poll(contract, w.now, fee=a.get("fee", 1000))
+        settlement = oracle.poll(contract, w.now, fee=fee)
     except oraclize.ProofInvalidError:
-        w.emit("oz", "refused", id=a["id"])
+        w.emit("oz", "refused", id=id_)
         return
     if settlement is None:
-        w.emit("oz", "poll", id=a["id"], settled=False)
+        w.emit("oz", "poll", id=id_, settled=False)
         return
-    w.oz_settlements[a["id"]] = settlement
+    w.oz_settlements[id_] = settlement
     w.emit(
         "oz",
         "poll",
-        id=a["id"],
+        id=id_,
         settled=True,
         condition=settlement.condition_index,
         proof_ok=settlement.proof_ok,
     )
 
 
-def _op_oz_default(w: World, a: dict) -> None:
+def _op_oz_default(w: World, id_: str, fee: int = _FEE) -> None:
     oracle = _oz(w)
-    contract = w.oz_contracts[a["id"]]
-    w.oz_settlements[a["id"]] = oracle.settle_default(contract, w.now, fee=a.get("fee", 1000))
-    w.emit("oz", "default", id=a["id"])
+    contract = w.oz_contracts[id_]
+    w.oz_settlements[id_] = oracle.settle_default(contract, w.now, fee=fee)
+    w.emit("oz", "default", id=id_)
 
 
-def _op_oz_cosign(w: World, a: dict) -> None:
-    settlement = w.oz_settlements[a["id"]]
-    tx = oraclize.co_sign_and_broadcast(w.chain, settlement, w.pair(a["agent"]))
+def _op_oz_cosign(w: World, id_: str, agent: str) -> None:
+    settlement = w.oz_settlements[id_]
+    tx = oraclize.co_sign_and_broadcast(w.chain, settlement, w.pair(agent))
     w.submit_tick[txid(tx)] = w.tick
-    w.emit("oz", "cosigned", id=a["id"], agent=a["agent"])
+    w.emit("oz", "cosigned", id=id_, agent=agent)
 
 
-def _op_oz_refund(w: World, a: dict) -> None:
-    contract = w.oz_contracts[a["id"]]
+def _op_oz_refund(w: World, id_: str) -> None:
+    contract = w.oz_contracts[id_]
     tx = oraclize.refund_expiry(w.chain, contract)
     w.submit_tick[txid(tx)] = w.tick
-    w.emit("oz", "refund", id=a["id"])
+    w.emit("oz", "refund", id=id_)
 
 
-def _op_oz_tamper(w: World, a: dict) -> None:
+def _op_oz_tamper(w: World, on: bool = True) -> None:
     oracle = _oz(w)
-    if a.get("on", True):
+    if on:
 
         def hook(proof):
             return replace(proof, attestation=bytes(b ^ 0xFF for b in proof.attestation))
@@ -848,123 +945,67 @@ def _op_oz_tamper(w: World, a: dict) -> None:
         oracle.proof_hook = hook
     else:
         oracle.proof_hook = None
-    w.emit("oz", "tamper", on=a.get("on", True))
+    w.emit("oz", "tamper", on=on)
 
 
-def _op_balances(w: World, a: dict) -> None:
-    names = a.get("actors") or sorted(w.actors)
+def _op_balances(w: World, actors: list[str] | None = None) -> None:
+    names = actors or sorted(w.actors)
     balances = {name: w.chain.balance(w.pair(name).pub) for name in names}
     w.emit("host", "balances", balances=balances)
 
 
-_OPS: dict[str, Callable[[World, dict], None]] = {
-    "mine": _op_mine,
-    "pay": _op_pay,
-    "balances": _op_balances,
-    "will_create": _op_will_create,
-    "will_claim": _op_will_claim,
-    "will_claim_alone": _op_will_claim_alone,
-    "rk_registry": _op_rk_registry,
-    "rk_fact": _op_rk_fact,
-    "rk_temps": _op_rk_temps,
-    "rk_contract": _op_rk_contract,
-    "rk_post": _op_rk_post,
-    "rk_object": _op_rk_object,
-    "rk_finalize": _op_rk_finalize,
-    "rk_claim": _op_rk_claim,
-    "orisi_propose": _op_orisi_propose,
-    "orisi_ack": _op_orisi_ack,
-    "orisi_activate": _op_orisi_activate,
-    "orisi_poll": _op_orisi_poll,
-    "orisi_finalize": _op_orisi_finalize,
-    "orisi_theft": _op_orisi_theft,
-    "tc_init": _op_tc_init,
-    "tc_peg_in": _op_tc_peg_in,
-    "tc_decision": _op_tc_decision,
-    "tc_observe": _op_tc_observe,
-    "tc_market": _op_tc_market,
-    "tc_trade": _op_tc_trade,
-    "tc_ballot": _op_tc_ballot,
-    "tc_commit": _op_tc_commit,
-    "tc_close_commit": _op_tc_close_commit,
-    "tc_reveal": _op_tc_reveal,
-    "tc_close_reveal": _op_tc_close_reveal,
-    "tc_resolve": _op_tc_resolve,
-    "tc_side_blocks": _op_tc_side_blocks,
-    "tc_veto": _op_tc_veto,
-    "tc_redeem": _op_tc_redeem,
-    "tc_snapshot": _op_tc_snapshot,
-    "xcp_burn": _op_xcp_burn,
-    "xcp_send": _op_xcp_send,
-    "xcp_broadcast": _op_xcp_broadcast,
-    "xcp_bet": _op_xcp_bet,
-    "xcp_replay": _op_xcp_replay,
-    "oz_contract": _op_oz_contract,
-    "oz_poll": _op_oz_poll,
-    "oz_default": _op_oz_default,
-    "oz_cosign": _op_oz_cosign,
-    "oz_refund": _op_oz_refund,
-    "oz_tamper": _op_oz_tamper,
-}
+# Every ``_op_<name>`` above handles the op "<name>".
+_OPS = {name[4:]: fn for name, fn in globals().items() if name.startswith("_op_")}
 
 
 # ------------------------------------------------------------- assertions
 
 
-def _check_balance(world: World, check: dict) -> str | None:
-    actual = world.chain.balance(world.pair(check["actor"]).pub)
-    op = _CHECKS[check.get("op", "==")]
-    if op(actual, check["value"]):
-        return None
-    return (
-        f"balance[{check['actor']}] = {actual}, "
-        f"wanted {check.get('op', '==')} {check['value']}"
-    )
+def _verdict(label: str, actual: Any, op: CheckOp, value: Any) -> str | None:
+    return None if _CHECKS[op](actual, value) else f"{label} = {actual!r}, wanted {op} {value!r}"
 
 
-def _select(world: World, check: dict) -> list:
-    module, _, kind = check["event"].partition("/")
-    where = check.get("where")
-    events = [
+def _check_balance(w: World, actor: str, value: int, op: CheckOp = "==") -> str | None:
+    return _verdict(f"balance[{actor}]", w.chain.balance(w.pair(actor).pub), op, value)
+
+
+def _select(w: World, event: str, where: dict[str, Any] | None) -> list:
+    module, _, kind = event.partition("/")
+    return [
         e
-        for e in world.log.events
+        for e in w.log.events
         if e.module == module
         and e.kind == kind
         and (not where or all(e.payload.get(k) == v for k, v in where.items()))
     ]
-    return events
 
 
-def _check_count(world: World, check: dict) -> str | None:
-    actual = len(_select(world, check))
-    op = _CHECKS[check.get("op", "==")]
-    if op(actual, check["value"]):
-        return None
-    return (
-        f"count[{check['event']}] = {actual}, "
-        f"wanted {check.get('op', '==')} {check['value']}"
-    )
+def _check_count(
+    w: World, event: str, value: int, where: dict[str, Any] | None = None, op: CheckOp = "=="
+) -> str | None:
+    return _verdict(f"count[{event}]", len(_select(w, event, where)), op, value)
 
 
-def _check_last_event(world: World, check: dict) -> str | None:
-    events = _select(world, check)
+def _check_last_event(
+    w: World, event: str, field_: str, value: Any, where: dict[str, Any] | None = None,
+    op: CheckOp = "==",
+) -> str | None:
+    events = _select(w, event, where)
     if not events:
-        return f"no {check['event']} event matched {check.get('where', {})}"
-    payload = events[-1].payload
-    field_name = check["field"]
-    if field_name not in payload:
-        return f"last {check['event']} event has no field {field_name!r}"
-    actual = payload[field_name]
-    op = _CHECKS[check.get("op", "==")]
-    if op(actual, check["value"]):
-        return None
-    return (
-        f"last {check['event']}.{field_name} = {actual!r}, "
-        f"wanted {check.get('op', '==')} {check['value']!r}"
-    )
+        return f"no {event} event matched {where or {}}"
+    if field_ not in events[-1].payload:
+        return f"last {event} event has no field {field_!r}"
+    return _verdict(f"last {event}.{field_}", events[-1].payload[field_], op, value)
 
 
-_ASSERTS = {"balance": _check_balance, "count": _check_count, "last_event": _check_last_event}
+# Every ``_check_<kind>`` above checks the assertion kind "<kind>".
+_ASSERTS = {name[7:]: fn for name, fn in globals().items() if name.startswith("_check_")}
+
+# Every callable whose parameters declare a JSON object, read once.
+_SPECS = {fn: _spec(fn) for fn in (Scenario, Grant, _Entry, _Condition, _miner, _source)}
+_ACTION_SPECS = {op: _spec(fn, 1, op=str, tick=int) for op, fn in _OPS.items()}
+_CHECK_SPECS = {kind: _spec(fn, 1, kind=str) for kind, fn in _ASSERTS.items()}
+_BUILDERS = {Miner: _miner, DataSource: _source}  # types declared by another signature
 
 
 # -------------------------------------------------------------------- run
@@ -986,14 +1027,12 @@ def run_scenario(
     else:
         scenario = Scenario.load(source)
     if seed_override is not None:
-        scenario = Scenario.from_dict(
-            {**_scenario_dict(scenario), "seed": seed_override}
-        )
+        scenario = replace(scenario, seed=seed_override)
 
     world = World(scenario)
-    by_tick: dict[int, list[dict]] = {}
+    by_tick: dict[int, list[Action]] = {}
     for action in scenario.actions:
-        by_tick.setdefault(action["tick"], []).append(action)
+        by_tick.setdefault(action.tick, []).append(action)
 
     world.emit("run", "start", name=scenario.name, seed=scenario.seed)
     for tick in range(scenario.ticks):
@@ -1002,45 +1041,19 @@ def run_scenario(
         if world.tc is not None and world.now > world.tc.now:
             world.tc.advance(world.now - world.tc.now)
         for action in by_tick.get(tick, ()):
-            _OPS[action["op"]](world, action)
+            _OPS[action.op](world, **action.args)
         if scenario.mine_every is not None and (tick + 1) % scenario.mine_every == 0:
             world.mine()
         if scenario.track_balances:
-            world.emit(
-                "host",
-                "balances",
-                balances={
-                    name: world.chain.balance(world.pair(name).pub)
-                    for name in scenario.track_balances
-                },
-            )
+            _op_balances(world, scenario.track_balances)
     world.emit("run", "end", ticks=scenario.ticks, height=world.chain.height)
 
     failures = []
     for check in scenario.assertions:
-        message = _ASSERTS[check["kind"]](world, check)
+        message = _ASSERTS[check.kind](world, **check.args)
         if message is not None:
             failures.append(message)
     return RunResult(scenario=scenario, log=world.log, failures=failures)
-
-
-def _scenario_dict(scenario: Scenario) -> dict:
-    return {
-        "name": scenario.name,
-        "seed": scenario.seed,
-        "ticks": scenario.ticks,
-        "tick_seconds": scenario.tick_seconds,
-        "start_time": scenario.start_time,
-        "policy": scenario.policy,
-        "mine_every": scenario.mine_every,
-        "miners": list(scenario.miners),
-        "actors": list(scenario.actors),
-        "genesis": list(scenario.genesis),
-        "sources": list(scenario.sources),
-        "track_balances": list(scenario.track_balances),
-        "actions": list(scenario.actions),
-        "assertions": list(scenario.assertions),
-    }
 
 
 def bundled_scenarios() -> list[Path]:

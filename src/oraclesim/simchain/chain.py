@@ -122,7 +122,7 @@ class SimChain:
     def mine_next(self, miners, rng) -> Block:
         from .mining import mine_next
 
-        return mine_next(self, self.mempool, miners, rng)
+        return mine_next(self, miners, rng)
 
     def _apply_block(self, block: Block) -> None:
         coins, balances = self._coins, self._balances

@@ -18,9 +18,8 @@ entry of the chain's own pool is valid at the next height:
 - keys are only ever added to the registry, and `locktime` and
   `TimeLocked` validity only grow with height.
 
-`mempool` must therefore be `chain.mempool`, as `SimChain.mine_next`
-passes it.  `tests/test_mempool_mining.py` checks every mined block of
-random traffic by brute force.
+`tests/test_mempool_mining.py` checks every mined block of random
+traffic by brute force.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from random import Random
 from typing import Sequence
 
 from .chain import Block, SimChain
-from .mempool import Mempool
 from .tx import Transaction
 
 DEFAULT_BLOCK_SIZE_BUDGET = 16384
@@ -65,7 +63,7 @@ def _draw_winner(miners: Sequence[Miner], rng: Random) -> Miner:
     return miners[-1]
 
 
-def mine_next(chain: SimChain, mempool: Mempool, miners: Sequence[Miner], rng: Random) -> Block:
+def mine_next(chain: SimChain, miners: Sequence[Miner], rng: Random) -> Block:
     if not miners:
         raise NoMinersError("cannot mine without miners")
     total = sum(m.hashrate for m in miners)
@@ -75,7 +73,7 @@ def mine_next(chain: SimChain, mempool: Mempool, miners: Sequence[Miner], rng: R
     winner = _draw_winner(miners, rng)
     included: list[Transaction] = []
     used = 0
-    for entry in mempool.candidates(include_nonstandard=winner.accepts_nonstandard):
+    for entry in chain.mempool.candidates(include_nonstandard=winner.accepts_nonstandard):
         if used + entry.size > winner.block_size_budget:
             continue
         included.append(entry.tx)

@@ -1,8 +1,9 @@
 """Consensus validity of transactions against a UTXO view.
 
-A transaction is valid when every input exists and is unspent, every
-witness satisfies its lock, the locktime has passed, and outputs do not
-exceed inputs.  Standardness plays no part here.
+A transaction is valid when it has inputs (one without would be valid at
+every height, so its txid could be mined again and again), every input
+exists and is unspent, every witness satisfies its lock, the locktime has
+passed, and outputs do not exceed inputs.  Standardness plays no part here.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .tx import Transaction, TxOutput, Witness, sighash
 
 
 class InvalidReason(enum.Enum):
+    NO_INPUTS = "no_inputs"
     MISSING_INPUT = "missing_input"
     DOUBLE_SPEND = "double_spend"
     BAD_WITNESS = "bad_witness"
@@ -96,6 +98,8 @@ def validate_tx(
     keys: KeyRegistry,
 ) -> ValidationResult:
     """Validity of `tx` if included in a block at `height`."""
+    if not tx.inputs:
+        return _invalid(InvalidReason.NO_INPUTS)
     if tx.locktime > height:
         return _invalid(InvalidReason.PREMATURE)
 

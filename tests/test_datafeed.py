@@ -13,7 +13,6 @@ from oraclesim.datafeed import (
     NoDataError,
     compare,
     encode_value,
-    load_sources,
     make_proof,
     observation_digest,
     query,
@@ -111,28 +110,6 @@ def test_proof_round_trip_and_tamper_detection(weather):
 def test_proof_before_data_exists_fails(weather):
     with pytest.raises(NoDataError):
         make_proof(weather, "milan_temp", T0 - 1, attestor_id="a")
-
-
-def test_load_sources_covers_every_value_type():
-    text = """
-    [
-      {"id": "mixed", "ssl": true, "signs_data": false, "entries": [
-        {"key": "flag", "time": 100, "value": true},
-        {"key": "count", "time": 100, "value": 42},
-        {"key": "level", "time": 100, "value": 3.5},
-        {"key": "name", "time": 100, "value": "rain"}
-      ]},
-      {"id": "other", "entries": [{"key": "k", "time": 5, "value": 1}]}
-    ]
-    """
-    sources = load_sources(text)
-    assert sorted(sources) == ["mixed", "other"]
-    mixed = sources["mixed"]
-    assert query(mixed, "flag", 100).value is True
-    assert query(mixed, "count", 100).value == 42
-    assert query(mixed, "level", 100).value == 3.5
-    assert query(mixed, "name", 100).value == "rain"
-    assert mixed.keys() == ["count", "flag", "level", "name"]
 
 
 def test_comparators_match_python_semantics():

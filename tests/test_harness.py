@@ -1,14 +1,17 @@
 """Scenario runner, event log, metrics export, and the CLI entry point."""
 
+import copy
 import csv
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oraclesim.counterparty import Send, encode_message
+from oraclesim.datafeed import query
 from oraclesim.harness import (
-    AssertionFailed,
     EventLog,
     ParseError,
     Scenario,
@@ -123,11 +126,116 @@ def test_minimal_scenario_parses_and_runs():
         _minimal(actions=[{"tick": -1, "op": "mine"}]),
         _minimal(assertions=[{"kind": "wishful"}]),
         _minimal(assertions=[{"kind": "balance", "actor": "a", "op": "~", "value": 1}]),
+        _minimal(seed=True),
+        _minimal(colour="red"),
+        _minimal(actions=[{"tick": 0, "op": "mine", "blocks": 1, "colour": "red"}]),
+        _minimal(actions=[{"tick": 0, "op": "mine", "blocks": 1.0}]),
+        _minimal(actions=[{"tick": 0, "blocks": 1}]),
+        _minimal(sources=[{"id": "s"}, {"id": "s"}]),
+        _minimal(actions=[{"tick": 0, "op": "rk_temps", "id": "c", "alice": "a", "bob": "b",
+                           "stakes": [1, 2, 3]}]),
     ],
 )
 def test_malformed_scenarios_raise_parse_error(doc):
     with pytest.raises(ParseError):
         Scenario.from_dict(doc)
+
+
+def test_a_float_field_takes_an_int_and_names_take_any_case():
+    scenario = Scenario.from_dict(
+        _minimal(
+            miners=[{"id": "m", "hashrate": 1}],
+            policy="TEST2013",
+            assertions=[{"kind": "count", "event": "run/start", "op": ">=", "value": 1}],
+        )
+    )
+    assert scenario.miners[0].hashrate == 1 and type(scenario.miners[0].hashrate) is int
+    assert scenario.policy == "test2013"
+    assert run_scenario(scenario).passed
+
+
+def test_scenario_sources_carry_every_value_type():
+    text = """
+    [
+      {"id": "mixed", "ssl": true, "signs_data": false, "entries": [
+        {"key": "flag", "time": 100, "value": true},
+        {"key": "count", "time": 100, "value": 42},
+        {"key": "level", "time": 100, "value": 3.5},
+        {"key": "name", "time": 100, "value": "rain"}
+      ]},
+      {"id": "other", "entries": [{"key": "k", "time": 5, "value": 1}]}
+    ]
+    """
+    mixed, other = Scenario.from_dict(_minimal(sources=json.loads(text))).sources
+    assert (mixed.id, other.id) == ("mixed", "other")
+    assert query(mixed, "flag", 100).value is True
+    assert query(mixed, "count", 100).value == 42
+    assert query(mixed, "level", 100).value == 3.5
+    assert query(mixed, "name", 100).value == "rain"
+    assert mixed.keys() == ["count", "flag", "level", "name"]
+
+
+def _parses_or_refuses(doc):
+    try:
+        assert isinstance(Scenario.from_dict(doc), Scenario)
+    except ParseError:
+        pass
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_from_dict_is_total_on_any_json_value(doc):
+    _parses_or_refuses(doc)
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for step, child in children:
+        yield from _paths(child, path + (step,))
+
+
+_BUNDLED = [json.loads(p.read_text(encoding="utf-8")) for p in bundled_scenarios()]
+_NODES = [(i, path) for i, doc in enumerate(_BUNDLED) for path in _paths(doc)]
+_SAMPLES = [None, True, 0, -1, 2**70, 1.5, "", "x", [], [1], {}, {"x": 1}]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.sampled_from(_NODES), st.sampled_from(["drop", "add", "replace"]), st.sampled_from(_SAMPLES)
+)
+def test_from_dict_is_total_on_mutated_bundled_scenarios(node, mutation, sample):
+    """Drop a key, add an unknown key, or give a value another JSON type,
+    anywhere in a bundled document: the result parses or raises ParseError."""
+    index, path = node
+    doc = copy.deepcopy(_BUNDLED[index])
+    holder = doc
+    for step in path[:-1]:
+        holder = holder[step]
+    target = holder[path[-1]] if path else doc
+    if mutation == "drop" and path:
+        del holder[path[-1]]
+    elif mutation == "add" and isinstance(target, dict):
+        target["unknown"] = sample
+    elif mutation == "replace" and type(sample) is not type(target):
+        if path:
+            holder[path[-1]] = sample
+        else:
+            doc = sample
+    _parses_or_refuses(doc)
 
 
 def test_load_rejects_bad_json(tmp_path):
@@ -322,6 +430,65 @@ def test_cli_run_reports_assertion_failures(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def _mutated(stem, mutate):
+    doc = json.loads(Path(_scenario_path(stem)).read_text(encoding="utf-8"))
+    mutate(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["actions"][1].pop("heir"), "scenario.actions[1]: missing field 'heir'"),
+        (lambda d: d["genesis"][0].update(value=-1), "scenario: genesis[0] has a negative"),
+        (lambda d: d.update(tick_seconds="x"), "scenario.tick_seconds: expected int, got str"),
+        (lambda d: d["assertions"][0].pop("event"), "scenario.assertions[0]: missing field"),
+        (lambda d: d.update(miners=[{"hashrate": 1.0}]), "scenario.miners[0]: missing field 'id'"),
+        (lambda d: d["actions"][0].update(amount="x"), "scenario.actions[0].amount: expected int"),
+        (lambda d: d.update(miners=[{"id": "m", "hashrate": 2.0}]), "scenario.miners[0]: hash"),
+        (lambda d: d["actors"].append("heir"), "scenario: actor 'heir' is declared twice"),
+        (lambda d: d["sources"][0].pop("id"), "scenario.sources[0]: missing field 'id'"),
+    ],
+    ids=[
+        "claim_without_heir",
+        "negative_genesis",
+        "tick_seconds_string",
+        "count_without_event",
+        "miner_without_id",
+        "amount_string",
+        "hashrate_above_1",
+        "duplicate_actor",
+        "source_without_id",
+    ],
+)
+def test_cli_run_names_the_field_of_a_malformed_scenario(tmp_path, capsys, mutate, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_mutated("will_claim", mutate)), encoding="utf-8")
+    assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+    assert f"parse error: {message}" in capsys.readouterr().err
+
+
+def test_cli_seed_flag_equals_editing_the_seed_in_the_file(tmp_path):
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(_mutated("will_claim", lambda d: d.update(seed=424242))))
+    original = _scenario_path("will_claim")
+    assert main(["run", original, "--seed", "424242", "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", str(edited), "--out", str(tmp_path / "b")]) == 0
+    assert main(["run", original, "--out", str(tmp_path / "c")]) == 0
+    logs = [(tmp_path / d / "will_claim.log.jsonl").read_bytes() for d in "abc"]
+    assert logs[0] == logs[1] != logs[2]
+
+
+def test_oz_contract_takes_an_arbitrator():
+    def arbitrated(doc):
+        doc["actors"].append("carol")
+        create = next(a for a in doc["actions"] if a["op"] == "oz_contract")
+        doc["actions"] = [dict(create, arbitrator="carol")]
+        doc["assertions"] = [{"kind": "count", "event": "oz/contract", "value": 1}]
+
+    assert run_scenario(_mutated("oraclize_milan", arbitrated)).passed
+
+
 def test_cli_run_rejects_malformed_script(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{", encoding="utf-8")
@@ -377,7 +544,3 @@ def test_cli_classify_tx_era_split(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["standard"] is False
     assert doc["reason"] == "data_payload_too_large"
-
-
-def test_assertion_failed_type_is_exported():
-    assert issubclass(AssertionFailed, Exception)

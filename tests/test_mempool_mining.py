@@ -81,6 +81,17 @@ def test_submit_rejects_duplicate_conflict_and_invalid():
     assert respend.invalid_reason is InvalidReason.MISSING_INPUT
 
 
+def test_input_less_tx_is_refused_so_no_txid_is_mined_twice():
+    chain, _, _ = make_chain()
+    empty = Transaction(inputs=(), outputs=(TxOutput(value=0, lock=DataCarrier(b"x")),))
+    assert validate_tx(empty, chain.utxo, 1, chain.keys).reason is InvalidReason.NO_INPUTS
+    for height in (1, 2, 3):
+        refused = chain.submit(empty)
+        assert (refused.accepted, refused.invalid_reason) == (False, InvalidReason.NO_INPUTS)
+        assert chain.mine_next(SOLO, Random(height)).txs == ()
+    assert not chain.is_confirmed(txid(empty))
+
+
 def test_mining_moves_value_and_burns_fees():
     chain, alice, bob = make_chain()
     supply_before = chain.supply()
