@@ -611,29 +611,9 @@ class RatingBook:
 # ------------------------------------------------------------ state digest
 
 
-def _message_json(message: MetaMessage) -> dict:
-    if isinstance(message, Send):
-        return {"type": "send", "asset": message.asset, "qty": message.qty, "dest": message.dest}
-    if isinstance(message, Broadcast):
-        return {
-            "type": "broadcast",
-            "timestamp": message.timestamp,
-            "value": message.value,
-            "fee_fraction": message.fee_fraction,
-            "text": message.text,
-        }
-    if isinstance(message, Bet):
-        return {
-            "type": "bet",
-            "feed": message.feed,
-            "comparator": int(message.comparator),
-            "target": message.target,
-            "deadline": message.deadline,
-            "wager": message.wager,
-            "counterwager": message.counterwager,
-            "side": message.side,
-        }
-    return {"type": "burn", "btc_qty": message.btc_qty}
+def message_json(message: MetaMessage) -> dict:
+    """The JSON form of a message: its kind, then its fields."""
+    return {"type": type(message).__name__.lower(), **vars(message)}
 
 
 def state_to_json(state: MetaState) -> dict:
@@ -663,7 +643,7 @@ def state_to_json(state: MetaState) -> dict:
                 "bet_id": r.bet_id,
                 "owner": r.owner,
                 "status": r.status.value,
-                **_message_json(r.bet),
+                **message_json(r.bet),
             }
             for r in state.bets
         ],
@@ -692,7 +672,7 @@ def state_to_json(state: MetaState) -> dict:
                 "source": e.source,
                 "valid": e.valid,
                 "reason": e.reason,
-                "message": _message_json(e.message),
+                "message": message_json(e.message),
             }
             for e in state.log
         ],

@@ -9,9 +9,9 @@ import json
 import sys
 from pathlib import Path
 
-from ..counterparty import CounterpartyError, decode_payload
+from ..counterparty import CounterpartyError, decode_payload, message_json
 from ..orisi import OrisiError, compute_safe_params
-from ..simchain import classify, policy_for, tx_from_json
+from ..simchain import classify, deserialize_tx, policy_for
 from .events import EventLog, verify_replay
 from .metrics import export_metrics
 from .scenario import ParseError, run_scenario
@@ -66,15 +66,14 @@ def _cmd_decode_payload(args: argparse.Namespace) -> int:
     except (ValueError, CounterpartyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = {"type": type(message).__name__.lower(), **dataclasses.asdict(message)}
-    print(json.dumps(doc, sort_keys=True))
+    print(json.dumps(message_json(message), sort_keys=True))
     return 0
 
 
 def _cmd_classify_tx(args: argparse.Namespace) -> int:
     try:
-        tx = tx_from_json(json.loads(Path(args.tx).read_text(encoding="utf-8")))
-    except (OSError, ValueError, KeyError) as exc:
+        tx = deserialize_tx(bytes.fromhex(args.tx))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     decision = classify(tx, policy_for(args.era))
@@ -117,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_decode.add_argument("key_txid", help="hex txid of the carrier's first input")
     p_decode.set_defaults(func=_cmd_decode_payload)
 
-    p_classify = sub.add_parser("classify-tx", help="standardness of a transaction JSON dump")
-    p_classify.add_argument("tx", help="path to a transaction .json file")
+    p_classify = sub.add_parser("classify-tx", help="standardness of a serialized transaction")
+    p_classify.add_argument("tx", help="hex canonical transaction bytes")
     p_classify.add_argument("--era", choices=("test2013", "v090"), default="v090")
     p_classify.set_defaults(func=_cmd_classify_tx)
 

@@ -45,6 +45,7 @@ from ..simchain import (
     sign,
     txid,
 )
+from ..simchain.mining import check_miners
 from .events import EventLog
 
 
@@ -234,6 +235,7 @@ class Scenario:
             raise ValueError("ticks must be at least 1")
         if self.mine_every is not None and self.mine_every < 1:
             raise ValueError("mine_every must be null or at least 1")
+        check_miners(self.miners)
         for i, grant in enumerate(self.genesis):
             if grant.value < 0 or grant.coins < 0:
                 raise ValueError(f"genesis[{i}] has a negative value or coins")
@@ -849,12 +851,16 @@ def _op_xcp_replay(w: World) -> None:
 # --- polled conditional contracts ---------------------------------------
 
 
-class _Condition(NamedTuple):  # an oraclize.Condition naming its beneficiary
+@dataclass(frozen=True)
+class _Condition:  # an oraclize.Condition naming its beneficiary
     source: str
     key: str
     comparator: Comparator
     threshold: FeedValue
     beneficiary: str
+
+    def __post_init__(self) -> None:
+        oraclize.check_condition(self.comparator, self.threshold)
 
 
 def _oz(w: World) -> oraclize.Oracle:
@@ -876,7 +882,10 @@ def _op_oz_contract(
         bob=w.pair(bob),
         stakes=stakes,
         conditions=tuple(
-            oraclize.Condition(*c[:4], beneficiary=w.pair(c.beneficiary).pub) for c in conditions
+            oraclize.Condition(
+                c.source, c.key, c.comparator, c.threshold, w.pair(c.beneficiary).pub
+            )
+            for c in conditions
         ),
         default_beneficiary=w.pair(default).pub,
         start=start,
@@ -962,7 +971,11 @@ _OPS = {name[4:]: fn for name, fn in globals().items() if name.startswith("_op_"
 
 
 def _verdict(label: str, actual: Any, op: CheckOp, value: Any) -> str | None:
-    return None if _CHECKS[op](actual, value) else f"{label} = {actual!r}, wanted {op} {value!r}"
+    try:
+        held = _CHECKS[op](actual, value)
+    except TypeError:  # values that do not order, such as a bool and a str
+        held = False
+    return None if held else f"{label} = {actual!r}, wanted {op} {value!r}"
 
 
 def _check_balance(w: World, actor: str, value: int, op: CheckOp = "==") -> str | None:

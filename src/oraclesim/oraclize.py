@@ -23,8 +23,7 @@ once, and the earliest poll resolves ties by list order.
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .datafeed import (
     AuthenticityProof,
@@ -49,7 +48,7 @@ from .simchain import (
     txid,
 )
 from .simchain.chain import SimChain
-from .simchain.tx import TxInput, select_coins
+from .simchain.tx import TxInput, select_coins, sign_input
 
 DEFAULT_POLL_INTERVAL = 3600  # seconds
 
@@ -116,10 +115,15 @@ class Condition:
     beneficiary: bytes
 
     def __post_init__(self) -> None:
-        if self.comparator not in _ALLOWED:
-            raise ValueError("conditions take <, <=, =, >= or >")
-        if _kind(self.threshold) != "number" and self.comparator is not Comparator.EQ:
-            raise ValueError("event and label conditions compare with equality only")
+        check_condition(self.comparator, self.threshold)
+
+
+def check_condition(comparator: Comparator, threshold: FeedValue) -> None:
+    """Raise ValueError unless a condition may compare ``threshold`` by ``comparator``."""
+    if comparator not in _ALLOWED:
+        raise ValueError("conditions take <, <=, =, >= or >")
+    if _kind(threshold) != "number" and comparator is not Comparator.EQ:
+        raise ValueError("event and label conditions compare with equality only")
 
 
 def condition_holds(condition: Condition, value: FeedValue) -> bool:
@@ -331,12 +335,8 @@ class Oracle:
             inputs=tuple(TxInput(outpoint=op) for op in (*coins_a, *coins_b)),
             outputs=tuple(outputs),
         )
-        digest = sighash(funding)
         for index in range(len(funding.inputs)):
-            owner = alice if index < len(coins_a) else bob
-            funding = funding.with_witness(
-                index, Witness(signatures=(sign(owner.secret, digest),))
-            )
+            funding = sign_input(funding, index, alice if index < len(coins_a) else bob)
         result = chain.submit(funding)
         if not result.accepted:
             raise BadWitnessError(f"funding rejected: {result.reason}")
@@ -418,9 +418,7 @@ class Oracle:
                 )
                 raise ProofInvalidError(f"{contract.contract_id}: proof failed verification")
             tx = _escrow_spend(contract, condition.beneficiary, fee)
-            tx = tx.with_witness(
-                0, Witness(signatures=(sign(self.pair.secret, sighash(tx)),))
-            )
+            tx = sign_input(tx, 0, self.pair)
             contract.state = ContractState.SETTLED_CONDITION
             contract.settled_condition = index
             self.audit.append(
@@ -452,7 +450,7 @@ class Oracle:
         if now <= contract.end:
             raise TooEarlyError(f"window open until {contract.end}")
         tx = _escrow_spend(contract, contract.default_beneficiary, fee)
-        tx = tx.with_witness(0, Witness(signatures=(sign(self.pair.secret, sighash(tx)),)))
+        tx = sign_input(tx, 0, self.pair)
         contract.state = ContractState.SETTLED_DEFAULT
         self.audit.append(
             AuditRecord(
@@ -469,30 +467,6 @@ class Oracle:
             proof_ok=None,
             verified_before_signing=contract.proofshield,
         )
-
-    def audit_json(self) -> str:
-        rows = [
-            {
-                "contract": r.contract_id,
-                "time": r.time,
-                "kind": r.kind,
-                "condition_index": r.condition_index,
-                "observation": None
-                if r.observation is None
-                else {
-                    "source": r.observation.source_id,
-                    "key": r.observation.key,
-                    "time": r.observation.time,
-                    "value": r.observation.value,
-                },
-                "attestation": None if r.proof is None else r.proof.attestation.hex(),
-                "proof_ok": r.proof_ok,
-                "signed": r.signed,
-                "verified_before_signing": r.verified_before_signing,
-            }
-            for r in self.audit
-        ]
-        return json.dumps(rows, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------- agent-side operations
@@ -556,7 +530,7 @@ def arbitrate(
         contract.state = ContractState.SETTLED_CONDITION
         contract.settled_condition = condition_index
     tx = _escrow_spend(contract, beneficiary, fee)
-    tx = tx.with_witness(0, Witness(signatures=(sign(arbitrator.secret, sighash(tx)),)))
+    tx = sign_input(tx, 0, arbitrator)
     return SignedSettlement(
         contract_id=contract.contract_id,
         tx=tx,

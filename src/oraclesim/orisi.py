@@ -46,7 +46,6 @@ from .simchain.tx import TxInput
 
 DEFAULT_BUS_DIFFICULTY = 8  # leading zero bits
 MAX_BUS_DIFFICULTY = 256  # a SHA-256 digest has no more zero bits to lead with
-DEFAULT_POLL_SECONDS = 3600
 
 
 class OrisiError(Exception):
@@ -160,7 +159,6 @@ class MessageBus:
         _pow_bound(difficulty)  # raises outside 0..256
         self.difficulty = difficulty
         self.pending: list[BusMessage] = []
-        self.delivered = 0
         self.dropped = 0
 
     def post(self, message: BusMessage) -> bool:
@@ -172,7 +170,6 @@ class MessageBus:
 
     def drain(self) -> list[BusMessage]:
         out, self.pending = self.pending, []
-        self.delivered += len(out)
         return out
 
 
@@ -369,7 +366,6 @@ class OracleNode:
     oracle_id: str
     keypair: KeyPair
     source: DataSource
-    poll_seconds: int = DEFAULT_POLL_SECONDS
 
     def ack(self, contract: OrisiContract) -> None:
         pub = contract.oracle_pubs.get(self.oracle_id)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .codec import sha256
 from .datafeed import Comparator, DataSource, FeedValue, compare, query
 from .simchain import (
     Either,
@@ -34,7 +33,7 @@ from .simchain import (
     sign,
 )
 from .simchain.chain import SimChain
-from .simchain.tx import TxInput
+from .simchain.tx import TxInput, sign_input
 
 DEFAULT_OBJECTION_WINDOW = 86_400  # seconds
 MIN_OBJECTION_TIP = 1_000_000  # satoshi (10 mBTC)
@@ -304,8 +303,7 @@ def demo_setup(
 ) -> Transaction:
     """Alice's half: build the joint funding spend and sign her input."""
     unsigned = _setup_unsigned(chain, contract, fee)
-    sig = sign(alice_temp.secret, sighash(unsigned))
-    return unsigned.with_witness(0, Witness(signatures=(sig,)))
+    return sign_input(unsigned, 0, alice_temp)
 
 
 def demo_countersign(
@@ -315,8 +313,7 @@ def demo_countersign(
     rebuilt = _setup_unsigned(chain, contract, fee)
     if serialize_tx(partial.without_witnesses()) != serialize_tx(rebuilt):
         raise ReconstructionMismatchError("partner's transaction differs from the rebuilt one")
-    sig = sign(bob_temp.secret, sighash(partial))
-    complete = partial.with_witness(1, Witness(signatures=(sig,)))
+    complete = sign_input(partial, 1, bob_temp)
     from .simchain import txid
 
     contract.funding_outpoint = (txid(complete), 0)
@@ -363,5 +360,4 @@ def demo_refund(
         inputs=(TxInput(outpoint=outpoint),),
         outputs=(TxOutput(value=value, lock=PayToKey(dest_pub)),),
     )
-    sig = sign(temp.secret, sighash(unsigned))
-    return unsigned.with_witness(0, Witness(signatures=(sig,)))
+    return sign_input(unsigned, 0, temp)

@@ -40,8 +40,6 @@ from .tx import (
     deserialize_tx,
     serialize_tx,
     sighash,
-    tx_from_json,
-    tx_to_json,
     txid,
 )
 from .policy import (
@@ -104,8 +102,6 @@ __all__ = [
     "serialize_tx",
     "sighash",
     "sign",
-    "tx_from_json",
-    "tx_to_json",
     "txid",
     "validate_tx",
 ]

@@ -35,7 +35,7 @@ from .tx import Transaction
 DEFAULT_BLOCK_SIZE_BUDGET = 16384
 
 
-class NoMinersError(RuntimeError):
+class NoMinersError(ValueError):
     """Raised when asked to mine with an empty miner table."""
 
 
@@ -63,13 +63,17 @@ def _draw_winner(miners: Sequence[Miner], rng: Random) -> Miner:
     return miners[-1]
 
 
-def mine_next(chain: SimChain, miners: Sequence[Miner], rng: Random) -> Block:
+def check_miners(miners: Sequence[Miner]) -> None:
+    """Raise ValueError unless the table is non-empty and its hashrates sum to 1."""
     if not miners:
         raise NoMinersError("cannot mine without miners")
     total = sum(m.hashrate for m in miners)
     if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise ValueError(f"miner hashrates must sum to 1, got {total}")
 
+
+def mine_next(chain: SimChain, miners: Sequence[Miner], rng: Random) -> Block:
+    check_miners(miners)
     winner = _draw_winner(miners, rng)
     included: list[Transaction] = []
     used = 0

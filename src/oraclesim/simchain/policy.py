@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from .script import DataCarrier, Either, MultiSig, PayToKey, ScriptHash, TimeLocked
 from .tx import Transaction
 
+MAX_STANDARD_MULTISIG_KEYS = 3  # in every era
+
 
 class Era(enum.Enum):
     TEST2013 = "test2013"
@@ -33,7 +35,6 @@ class NonStandardReason(enum.Enum):
 class StandardnessPolicy:
     era: Era
     max_data_payload: int
-    max_standard_multisig_keys: int = 3
 
 
 POLICY_TEST2013 = StandardnessPolicy(era=Era.TEST2013, max_data_payload=80)
@@ -65,7 +66,7 @@ def classify(tx: Transaction, policy: StandardnessPolicy) -> StandardnessDecisio
             if len(lock.payload) > policy.max_data_payload:
                 return StandardnessDecision(False, NonStandardReason.DATA_PAYLOAD_TOO_LARGE)
         elif isinstance(lock, MultiSig):
-            if len(lock.keys) > policy.max_standard_multisig_keys:
+            if len(lock.keys) > MAX_STANDARD_MULTISIG_KEYS:
                 return StandardnessDecision(False, NonStandardReason.TOO_MANY_MULTISIG_KEYS)
             if lock.commitment is not None:
                 # hash-committed multisig is the hand-rolled contract script
@@ -77,6 +78,6 @@ def classify(tx: Transaction, policy: StandardnessPolicy) -> StandardnessDecisio
         else:
             return StandardnessDecision(False, NonStandardReason.NON_TEMPLATE_OUTPUT)
     for txin in tx.inputs:
-        if len(txin.witness.signatures) > policy.max_standard_multisig_keys:
+        if len(txin.witness.signatures) > MAX_STANDARD_MULTISIG_KEYS:
             return StandardnessDecision(False, NonStandardReason.TOO_MANY_WITNESS_SIGS)
     return StandardnessDecision(True)

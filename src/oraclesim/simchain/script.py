@@ -18,6 +18,7 @@ from typing import Union
 from ..codec import Reader, Writer, sha256
 
 MAX_MULTISIG_KEYS = 15
+MAX_LOCK_DEPTH = 16  # nested TimeLocked/Either levels a decoder accepts
 
 _TAG_PAY_TO_KEY = 1
 _TAG_MULTISIG = 2
@@ -111,6 +112,13 @@ def write_lock(w: Writer, lock: LockScript) -> None:
 
 
 def lock_from_reader(r: Reader) -> LockScript:
+    """One lock script; ValueError past MAX_LOCK_DEPTH nested levels."""
+    return _lock_at_depth(r, 0)
+
+
+def _lock_at_depth(r: Reader, depth: int) -> LockScript:
+    if depth > MAX_LOCK_DEPTH:
+        raise ValueError(f"lock script nested deeper than {MAX_LOCK_DEPTH} levels")
     tag = r.u8()
     if tag == _TAG_PAY_TO_KEY:
         return PayToKey(pub=r.raw(32))
@@ -126,9 +134,9 @@ def lock_from_reader(r: Reader) -> LockScript:
         return DataCarrier(payload=r.bytes())
     if tag == _TAG_TIME_LOCKED:
         unlock_height = r.u64()
-        return TimeLocked(inner=lock_from_reader(r), unlock_height=unlock_height)
+        return TimeLocked(inner=_lock_at_depth(r, depth + 1), unlock_height=unlock_height)
     if tag == _TAG_EITHER:
-        return Either(left=lock_from_reader(r), right=lock_from_reader(r))
+        return Either(left=_lock_at_depth(r, depth + 1), right=_lock_at_depth(r, depth + 1))
     raise ValueError(f"unknown lock script tag {tag}")
 
 

@@ -232,110 +232,3 @@ def build_payment(
         tx = tx.with_witness(i, Witness(signatures=(sig,)))
     return tx
 
-
-# --- JSON form (CLI and harness dumps; hex for byte fields) ---------------
-
-
-def _lock_to_json(lock: LockScript):
-    from .script import DataCarrier, Either, MultiSig, PayToKey, ScriptHash, TimeLocked
-
-    if isinstance(lock, PayToKey):
-        return {"type": "pay_to_key", "pub": lock.pub.hex()}
-    if isinstance(lock, MultiSig):
-        out = {"type": "multisig", "m": lock.m, "keys": [k.hex() for k in lock.keys]}
-        if lock.commitment is not None:
-            out["commitment"] = lock.commitment.hex()
-        return out
-    if isinstance(lock, ScriptHash):
-        return {"type": "script_hash", "hash": lock.h.hex()}
-    if isinstance(lock, DataCarrier):
-        return {"type": "data_carrier", "payload": lock.payload.hex()}
-    if isinstance(lock, TimeLocked):
-        return {
-            "type": "time_locked",
-            "unlock_height": lock.unlock_height,
-            "inner": _lock_to_json(lock.inner),
-        }
-    if isinstance(lock, Either):
-        return {"type": "either", "left": _lock_to_json(lock.left), "right": _lock_to_json(lock.right)}
-    raise TypeError(f"not a lock script: {lock!r}")
-
-
-def _lock_from_json(obj) -> LockScript:
-    from .script import DataCarrier, Either, MultiSig, PayToKey, ScriptHash, TimeLocked
-
-    kind = obj["type"]
-    if kind == "pay_to_key":
-        return PayToKey(pub=bytes.fromhex(obj["pub"]))
-    if kind == "multisig":
-        commitment = bytes.fromhex(obj["commitment"]) if "commitment" in obj else None
-        return MultiSig(
-            m=obj["m"], keys=tuple(bytes.fromhex(k) for k in obj["keys"]), commitment=commitment
-        )
-    if kind == "script_hash":
-        return ScriptHash(h=bytes.fromhex(obj["hash"]))
-    if kind == "data_carrier":
-        return DataCarrier(payload=bytes.fromhex(obj["payload"]))
-    if kind == "time_locked":
-        return TimeLocked(inner=_lock_from_json(obj["inner"]), unlock_height=obj["unlock_height"])
-    if kind == "either":
-        return Either(left=_lock_from_json(obj["left"]), right=_lock_from_json(obj["right"]))
-    raise ValueError(f"unknown lock type {kind!r}")
-
-
-def tx_to_json(tx: Transaction) -> dict:
-    def wit(w: Witness):
-        out: dict = {
-            "signatures": [
-                {
-                    "signer_pub": s.signer_pub.hex(),
-                    "digest_signed": s.digest_signed.hex(),
-                    "tag": s.tag.hex(),
-                }
-                for s in w.signatures
-            ]
-        }
-        if w.redeem is not None:
-            out["redeem"] = _lock_to_json(w.redeem)
-        if w.expr_preimage is not None:
-            out["expr_preimage"] = w.expr_preimage.hex()
-        return out
-
-    return {
-        "txid": txid(tx).hex(),
-        "inputs": [
-            {"txid": i.outpoint[0].hex(), "index": i.outpoint[1], "witness": wit(i.witness)}
-            for i in tx.inputs
-        ],
-        "outputs": [{"value": o.value, "lock": _lock_to_json(o.lock)} for o in tx.outputs],
-        "locktime": tx.locktime,
-    }
-
-
-def tx_from_json(obj: dict) -> Transaction:
-    def wit(w: dict) -> Witness:
-        sigs = tuple(
-            Signature(
-                signer_pub=bytes.fromhex(s["signer_pub"]),
-                digest_signed=bytes.fromhex(s["digest_signed"]),
-                tag=bytes.fromhex(s["tag"]),
-            )
-            for s in w.get("signatures", [])
-        )
-        redeem = _lock_from_json(w["redeem"]) if "redeem" in w else None
-        preimage = bytes.fromhex(w["expr_preimage"]) if "expr_preimage" in w else None
-        return Witness(signatures=sigs, redeem=redeem, expr_preimage=preimage)
-
-    return Transaction(
-        inputs=tuple(
-            TxInput(
-                outpoint=(bytes.fromhex(i["txid"]), i["index"]),
-                witness=wit(i.get("witness", {})),
-            )
-            for i in obj["inputs"]
-        ),
-        outputs=tuple(
-            TxOutput(value=o["value"], lock=_lock_from_json(o["lock"])) for o in obj["outputs"]
-        ),
-        locktime=obj.get("locktime", 0),
-    )

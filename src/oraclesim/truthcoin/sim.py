@@ -12,7 +12,6 @@ of the re-vote, where the voters must commit afresh.
 
 from __future__ import annotations
 
-import json
 import math
 
 from . import lmsr
@@ -24,7 +23,6 @@ from .ledger import (
     Decision,
     DecisionKind,
     DecisionState,
-    InsufficientCSHError,
     InsufficientSharesError,
     Market,
     NotConfirmedError,
@@ -380,30 +378,3 @@ class TruthcoinSim:
         for position, payoff in enumerate(branch_payoff):
             value *= payoff if market.branch(state, position) else 1.0 - payoff
         return value
-
-    # ---------------------------------------------------------------- export
-
-    def ballot_json(self, period: int) -> str:
-        ballot = self.ballots[period]
-        doc = {
-            "period": ballot.period,
-            "phase": ballot.phase.value,
-            "decisions": {
-                did: {
-                    "state": self.decisions[did].state.value,
-                    "outcome": self.decisions[did].outcome,
-                    "unresolvable": self.decisions[did].unresolvable,
-                }
-                for did in ballot.decision_ids
-            },
-            "votes": {
-                voter: {
-                    "stake": record.stake,
-                    "commitment": record.commitment.hex() if record.commitment else None,
-                    "reveal": record.reveal,
-                }
-                for voter, record in sorted(ballot.votes.items())
-            },
-            "outcomes": ballot.outcomes,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))

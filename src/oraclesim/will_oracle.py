@@ -20,12 +20,12 @@ from .simchain import (
     Signature,
     Transaction,
     TxOutput,
-    Witness,
     build_payment,
     sighash,
     sign,
 )
 from .simchain.chain import SimChain
+from .simchain.tx import TxInput, sign_input
 
 
 class WillError(Exception):
@@ -133,15 +133,12 @@ def build_claim(
 ) -> Transaction:
     """Heir's half-signed spend of the will output. Deterministic, so the
     oracle's signature over its sighash composes with a rebuilt copy."""
-    from .simchain.tx import TxInput
-
     dest = dest_pub if dest_pub is not None else contract.heir_pub
     unsigned = Transaction(
         inputs=(TxInput(outpoint=contract.funding_outpoint),),
         outputs=(TxOutput(value=contract.amount - fee, lock=PayToKey(dest)),),
     )
-    heir_sig = sign(heir.secret, sighash(unsigned))
-    return unsigned.with_witness(0, Witness(signatures=(heir_sig,)))
+    return sign_input(unsigned, 0, heir)
 
 
 def attach_signature(tx: Transaction, index: int, sig: Signature) -> Transaction:

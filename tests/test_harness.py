@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oraclesim.codec import Writer
 from oraclesim.counterparty import Send, encode_message
 from oraclesim.datafeed import query
 from oraclesim.harness import (
@@ -21,7 +22,16 @@ from oraclesim.harness import (
     verify_replay,
 )
 from oraclesim.harness.cli import main
-from oraclesim.simchain import DataCarrier, Transaction, TxOutput, tx_to_json
+from oraclesim.simchain import (
+    DataCarrier,
+    PayToKey,
+    Transaction,
+    TxInput,
+    TxOutput,
+    Witness,
+    serialize_tx,
+)
+from oraclesim.simchain.script import MAX_LOCK_DEPTH
 
 T0 = 1_700_000_000
 
@@ -101,6 +111,13 @@ def _minimal(**extra):
     return doc
 
 
+def _oz_contract(**condition):
+    condition = {"source": "s", "key": "k", "beneficiary": "b", **condition}
+    return {"tick": 0, "op": "oz_contract", "id": "z", "alice": "a", "bob": "b",
+            "stakes": [1, 1], "conditions": [condition], "default": "a", "start": 0,
+            "end": 1, "refund_locktime": 2}
+
+
 def test_minimal_scenario_parses_and_runs():
     result = run_scenario(_minimal())
     assert result.passed
@@ -134,6 +151,8 @@ def test_minimal_scenario_parses_and_runs():
         _minimal(sources=[{"id": "s"}, {"id": "s"}]),
         _minimal(actions=[{"tick": 0, "op": "rk_temps", "id": "c", "alice": "a", "bob": "b",
                            "stakes": [1, 2, 3]}]),
+        _minimal(actions=[_oz_contract(comparator="ne", threshold=10)]),
+        _minimal(actions=[_oz_contract(comparator="gt", threshold="sunny")]),
     ],
 )
 def test_malformed_scenarios_raise_parse_error(doc):
@@ -448,6 +467,11 @@ def _mutated(stem, mutate):
         (lambda d: d.update(miners=[{"id": "m", "hashrate": 2.0}]), "scenario.miners[0]: hash"),
         (lambda d: d["actors"].append("heir"), "scenario: actor 'heir' is declared twice"),
         (lambda d: d["sources"][0].pop("id"), "scenario.sources[0]: missing field 'id'"),
+        (
+            lambda d: d.update(miners=[{"id": "a", "hashrate": 0.5}]),
+            "scenario: miner hashrates must sum to 1, got 0.5",
+        ),
+        (lambda d: d.update(miners=[]), "scenario: cannot mine without miners"),
     ],
     ids=[
         "claim_without_heir",
@@ -459,6 +483,8 @@ def _mutated(stem, mutate):
         "hashrate_above_1",
         "duplicate_actor",
         "source_without_id",
+        "hashrates_sum_to_half",
+        "no_miners",
     ],
 )
 def test_cli_run_names_the_field_of_a_malformed_scenario(tmp_path, capsys, mutate, message):
@@ -534,13 +560,61 @@ def test_cli_decode_payload_round_trips(capsys):
     assert main(["decode-payload", payload.hex(), bytes(32).hex()]) == 2
 
 
-def test_cli_classify_tx_era_split(tmp_path, capsys):
-    tx = Transaction(inputs=(), outputs=(TxOutput(0, DataCarrier(bytes(60))),))
-    path = tmp_path / "tx.json"
-    path.write_text(json.dumps(tx_to_json(tx)), encoding="utf-8")
-    assert main(["classify-tx", str(path), "--era", "test2013"]) == 0
+def test_cli_classify_tx_era_split(capsys):
+    tx = serialize_tx(Transaction(inputs=(), outputs=(TxOutput(0, DataCarrier(bytes(60))),)))
+    assert main(["classify-tx", tx.hex(), "--era", "test2013"]) == 0
     assert json.loads(capsys.readouterr().out) == {"standard": True}
-    assert main(["classify-tx", str(path), "--era", "v090"]) == 0
+    assert main(["classify-tx", tx.hex(), "--era", "v090"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["standard"] is False
     assert doc["reason"] == "data_payload_too_large"
+
+
+def _tx_with_nested_lock(levels):
+    """A transaction whose one output is a pay-to-key inside `levels` time locks."""
+    w = Writer().u16(0).u16(1).u64(0)  # no inputs; one output of value 0
+    for _ in range(levels):
+        w.u8(5).u64(0)  # TimeLocked tag, unlock height
+    return w.u8(1).raw(bytes(32)).u64(0).getvalue()  # PayToKey tag, pub; locktime
+
+
+# has_redeem is the byte after u16 n_inputs, the outpoint and u16 n_signatures
+_WITH_INPUT = serialize_tx(
+    Transaction(
+        inputs=(TxInput((bytes(32), 0), Witness(redeem=PayToKey(bytes(32)))),),
+        outputs=(TxOutput(0, DataCarrier(b"x")),),
+    )
+)
+_HAS_REDEEM = 2 + 32 + 4 + 2
+
+
+@pytest.mark.parametrize(
+    "tx_hex, message",
+    [
+        ("not hex", "non-hexadecimal"),
+        (_WITH_INPUT[:-1].hex(), "need 8 bytes"),
+        ((_WITH_INPUT + b"\x00").hex(), "1 trailing bytes"),
+        (
+            (_WITH_INPUT[:_HAS_REDEEM] + b"\x02" + _WITH_INPUT[_HAS_REDEEM + 1 :]).hex(),
+            "flag byte 2",
+        ),
+        (_tx_with_nested_lock(MAX_LOCK_DEPTH + 1).hex(), "nested deeper than"),
+        (_tx_with_nested_lock(5000).hex(), "nested deeper than"),
+    ],
+    ids=["not_hex", "truncated", "trailing_byte", "flag_2", "nested", "nested_5000"],
+)
+def test_cli_classify_tx_refuses_bytes_that_are_not_one_transaction(capsys, tx_hex, message):
+    assert main(["classify-tx", tx_hex]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_cli_run_reports_an_ordering_check_on_values_that_do_not_order(tmp_path, capsys):
+    check = {"kind": "last_event", "event": "will/claimed", "field": "accepted", "op": "<",
+             "value": "x"}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_mutated("will_claim", lambda d: d["assertions"].append(check))))
+    assert main(["run", str(bad), "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL last will/claimed.accepted = True, wanted < 'x'" in out
+    assert "1 assertion(s) failed" in out

@@ -550,12 +550,13 @@ def test_arbitrated_default_and_oracle_key_exclusion():
     co_sign_and_broadcast(chain, settlement, alice)
 
 
-def test_audit_json_is_canonical():
+def test_poll_records_a_condition_audit_row():
     chain, reg, oracle, alice, bob, carol = make_world(
         temp_entries=[(T0, 12)], rain_entries=[(T0, False)]
     )
     contract = fund(chain, oracle, alice, bob, milan_conditions(bob.pub))
     oracle.poll(contract, T0 + HOUR)
-    first = oracle.audit_json()
-    assert first == oracle.audit_json()
-    assert '"kind":"condition"' in first
+    (record,) = oracle.audit
+    assert record.kind == "condition"
+    assert record.contract_id == contract.contract_id
+    assert record.signed and record.proof_ok

@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from oraclesim.codec import TruncatedError
+from oraclesim.codec import TruncatedError, Writer
 from oraclesim.simchain import (
     DataCarrier,
     Either,
@@ -28,11 +28,9 @@ from oraclesim.simchain import (
     serialize_lock,
     serialize_tx,
     sighash,
-    tx_from_json,
-    tx_to_json,
     txid,
 )
-from oraclesim.simchain.script import deserialize_lock
+from oraclesim.simchain.script import MAX_LOCK_DEPTH, deserialize_lock
 from oraclesim.simchain.tx import select_coins, sign_input
 
 PUB_A = bytes([0x11]) * 32
@@ -187,7 +185,6 @@ def test_tx_round_trips_with_rich_witness():
     )
     tx = sign_input(tx, 0, alice, redeem=redeem, expr_preimage=b"if this then that")
     assert deserialize_tx(serialize_tx(tx)) == tx
-    assert tx_from_json(tx_to_json(tx)) == tx
 
 
 def test_deserialize_rejects_truncation_and_trailing_bytes():
@@ -239,6 +236,40 @@ def test_presence_flags_are_exactly_0_or_1(flag):
     data = encode(present)
     with pytest.raises(ValueError, match="not 0 or 1"):
         decode(data[:offset] + b"\x02" + data[offset + 1 :])
+
+
+def _nested_lock_bytes(levels, tag):
+    """A PayToKey inside `levels` TimeLocked (tag 5) or left-nested Either (tag 6) locks."""
+    w = Writer()
+    for _ in range(levels):
+        if tag == 5:
+            w.u8(5).u64(0)  # unlock height, then the inner lock
+        else:
+            w.u8(6)  # the left lock, then the right
+    w.u8(1).raw(PUB_A)
+    if tag == 6:
+        for _ in range(levels):
+            w.u8(1).raw(PUB_B)  # each Either's right branch
+    return w.getvalue()
+
+
+@pytest.mark.parametrize("tag", [5, 6], ids=["time_locked", "either"])
+def test_decoders_refuse_locks_nested_past_the_limit(tag):
+    at_limit = _nested_lock_bytes(MAX_LOCK_DEPTH, tag)
+    assert serialize_lock(deserialize_lock(at_limit)) == at_limit
+    as_output = Writer().u16(0).u16(1).u64(0).raw(at_limit).u64(0).getvalue()
+    assert serialize_tx(deserialize_tx(as_output)) == as_output
+    for levels in (MAX_LOCK_DEPTH + 1, 5000):
+        data = _nested_lock_bytes(levels, tag)
+        with pytest.raises(ValueError, match="nested deeper than"):
+            deserialize_lock(data)
+        with pytest.raises(ValueError, match="nested deeper than"):
+            deserialize_tx(Writer().u16(0).u16(1).u64(0).raw(data).u64(0).getvalue())
+    redeem = _nested_lock_bytes(MAX_LOCK_DEPTH + 1, tag)
+    # one input whose witness carries the over-deep lock as its redeem script, no outputs
+    spend = Writer().u16(1).raw(PUB_A).u32(0).u16(0).u8(1).raw(redeem).u8(0).u16(0).u64(0)
+    with pytest.raises(ValueError, match="nested deeper than"):
+        deserialize_tx(spend.getvalue())
 
 
 @pytest.fixture

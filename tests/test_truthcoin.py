@@ -3,7 +3,6 @@
 import hashlib
 import math
 import random
-import json
 import struct
 from fractions import Fraction
 
@@ -755,7 +754,7 @@ def test_peg_out_burns_what_exists():
         sim.peg_out("ann", 4 * COIN)
 
 
-def test_ballot_json_round_trips():
+def test_resolved_ballot_records_phase_votes_and_outcomes():
     sim = make_sim()
     decision = sim.add_decision("ann", "exported", Binary(), 10)
     sim.advance(20)
@@ -766,8 +765,8 @@ def test_ballot_json_round_trips():
     sim.reveal_vote("ann", ballot.period, reports, b"a")
     sim.close_reveal(ballot.period)
     sim.resolve_ballot(ballot.period)
-    doc = json.loads(sim.ballot_json(ballot.period))
-    assert doc["phase"] == "resolved"
-    assert doc["outcomes"] == {decision.decision_id: 1.0}
-    assert doc["votes"]["ann"]["stake"] == 60 * COIN
-    assert doc["votes"]["ann"]["reveal"] == reports
+    resolved = sim.ballots[ballot.period]
+    assert resolved.phase is BallotPhase.RESOLVED
+    assert resolved.outcomes == {decision.decision_id: 1.0}
+    assert resolved.votes["ann"].stake == 60 * COIN
+    assert resolved.votes["ann"].reveal == reports
