@@ -627,15 +627,7 @@ def state_to_json(state: MetaState) -> dict:
             for (address, asset), qty in sorted(state.balances.items())
         },
         "feeds": {
-            feed: [
-                {
-                    "timestamp": e.timestamp,
-                    "value": e.value,
-                    "fee_fraction": e.fee_fraction,
-                    "text": e.text,
-                }
-                for e in entries
-            ]
+            feed: [dict(vars(e)) for e in entries]
             for feed, entries in sorted(state.feeds.items())
         },
         "bets": [
@@ -647,23 +639,7 @@ def state_to_json(state: MetaState) -> dict:
             }
             for r in state.bets
         ],
-        "matches": [
-            {
-                "match_id": m.match_id,
-                "feed": m.feed,
-                "comparator": int(m.comparator),
-                "target": m.target,
-                "deadline": m.deadline,
-                "yes_owner": m.yes_owner,
-                "yes_escrow": m.yes_escrow,
-                "no_owner": m.no_owner,
-                "no_escrow": m.no_escrow,
-                "settled": m.settled,
-                "winner": m.winner,
-                "fee_paid": m.fee_paid,
-            }
-            for m in state.matches
-        ],
+        "matches": [dict(vars(m)) for m in state.matches],
         "log": [
             {
                 "height": e.height,

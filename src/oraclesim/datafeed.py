@@ -7,13 +7,20 @@ binds a query, the response digest, the source, and an attestor into one
 recomputable attestation digest. Values are typed (bool, int, float,
 string) and are encoded with a one-letter type prefix so that, say, the
 number 1 and the string "1" never collide.
+
+Comparison is typed the same way. A value's kind is an event (bool), a
+number (int or float) or a label (str), and a comparator holds only
+between values of one kind: `compare` never raises, and the number 1
+neither equals nor differs from the event True. A `Condition` (source,
+key, comparator, threshold) is the test each oracle module signs on.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .codec import Writer, sha256
@@ -162,21 +169,39 @@ class Comparator(enum.IntEnum):
 
 
 _COMPARE = {
-    Comparator.EQ: lambda a, b: a == b,
-    Comparator.NE: lambda a, b: a != b,
-    Comparator.LT: lambda a, b: a < b,
-    Comparator.LE: lambda a, b: a <= b,
-    Comparator.GT: lambda a, b: a > b,
-    Comparator.GE: lambda a, b: a >= b,
+    Comparator.EQ: operator.eq,
+    Comparator.NE: operator.ne,
+    Comparator.LT: operator.lt,
+    Comparator.LE: operator.le,
+    Comparator.GT: operator.gt,
+    Comparator.GE: operator.ge,
 }
 
 
-def compare(cmp: Comparator, value, target) -> bool:
-    """Apply a comparator; ordering comparators require same-kind operands."""
-    if cmp in (Comparator.EQ, Comparator.NE):
-        return _COMPARE[cmp](value, target)
-    if isinstance(value, bool) or isinstance(target, bool):
-        raise TypeError("ordering comparators need numeric operands")
-    if isinstance(value, str) != isinstance(target, str):
-        raise TypeError("cannot order a string against a number")
-    return _COMPARE[cmp](value, target)
+def kind(value: FeedValue) -> str:
+    """"event", "number" or "label"; bool is checked before int, its subclass."""
+    if isinstance(value, bool):
+        return "event"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "label"
+    raise TypeError(f"unsupported feed value type: {type(value).__name__}")
+
+
+def compare(cmp: Comparator, value: FeedValue, target: FeedValue) -> bool:
+    """Apply a comparator; values of different kinds satisfy none."""
+    return kind(value) == kind(target) and _COMPARE[cmp](value, target)
+
+
+@dataclass(frozen=True)
+class Condition:
+    """Whether a source key's value stands in `comparator` to `threshold`."""
+
+    source_id: str
+    key: str
+    comparator: Comparator
+    threshold: FeedValue
+
+    def holds(self, value: FeedValue) -> bool:
+        return compare(self.comparator, value, self.threshold)

@@ -28,7 +28,7 @@ from types import UnionType
 from typing import Any, Callable, Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from .. import counterparty, oraclize, orisi, realitykeys, truthcoin, will_oracle
-from ..datafeed import Comparator, DataSource, FeedValue
+from ..datafeed import Comparator, Condition, DataSource, FeedValue
 from ..simchain import (
     KeyPair,
     KeyRegistry,
@@ -38,14 +38,12 @@ from ..simchain import (
     Transaction,
     TxInput,
     TxOutput,
-    Witness,
     build_payment,
     policy_for,
-    sighash,
-    sign,
     txid,
 )
 from ..simchain.mining import check_miners
+from ..simchain.tx import add_signature, sign_input
 from .events import EventLog
 
 
@@ -419,7 +417,7 @@ def _op_will_claim(
     except will_oracle.WillError as exc:
         w.emit("will", "refused", id=id_, reason=type(exc).__name__)
         return
-    tx = will_oracle.attach_signature(partial, 0, sig)
+    tx = add_signature(partial, 0, sig)
     accepted = w.submit(tx, "will")
     w.emit("will", "claimed", id=id_, accepted=accepted)
 
@@ -455,13 +453,10 @@ def _op_rk_fact(
     w: World, id_: str, question: str, resolution_time: int, source: str, key: str,
     comparator: Comparator, threshold: FeedValue,
 ) -> None:
-    ref = realitykeys.SourceRef(
-        source_id=source, key=key, comparator=comparator, threshold=threshold
-    )
     fact = w.rk_registry.register_fact(
         question=question,
         resolution_time=resolution_time,
-        source_ref=ref,
+        condition=Condition(source, key, comparator, threshold),
         now=w.now,
     )
     w.rk_facts[id_] = fact.id
@@ -636,13 +631,9 @@ def _op_orisi_theft(w: World, id_: str, dest: str) -> None:
     contract = w.orisi_contracts[id_]
     loot = TxOutput(value=contract.amount - _FEE, lock=PayToKey(w.pair(dest).pub))
     theft = Transaction(inputs=(TxInput(outpoint=contract.safe_outpoint),), outputs=(loot,))
-    digest = sighash(theft)
-    sigs = tuple(
-        sign(w.pair(name).secret, digest) for name in sorted(contract.oracle_pubs)
-    )
-    theft = theft.with_witness(0, Witness(signatures=sigs))
-    result = w.chain.submit(theft)
-    w.emit("orisi", "theft", id=id_, accepted=result.accepted, signatures=len(sigs))
+    colluders = [w.pair(name) for name in sorted(contract.oracle_pubs)]
+    result = w.chain.submit(sign_input(theft, 0, *colluders))
+    w.emit("orisi", "theft", id=id_, accepted=result.accepted, signatures=len(colluders))
 
 
 # --- sidechain voting and markets --------------------------------------

@@ -25,13 +25,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from . import datafeed
 from .datafeed import (
     AuthenticityProof,
     Comparator,
     DataSource,
     FeedValue,
     Observation,
-    compare,
+    kind,
     make_proof,
     query,
     verify_proof,
@@ -42,13 +43,12 @@ from .simchain import (
     PayToKey,
     Transaction,
     TxOutput,
-    Witness,
     sighash,
     sign,
     txid,
 )
 from .simchain.chain import SimChain
-from .simchain.tx import TxInput, select_coins, sign_input
+from .simchain.tx import TxInput, add_signature, select_coins, sign_input
 
 DEFAULT_POLL_INTERVAL = 3600  # seconds
 
@@ -95,23 +95,8 @@ _ORDERING = (Comparator.LT, Comparator.LE, Comparator.GE, Comparator.GT)
 _ALLOWED = (*_ORDERING, Comparator.EQ)
 
 
-def _kind(value: FeedValue) -> str:
-    """Typed feeds never collide across kinds; bool checked before int."""
-    if isinstance(value, bool):
-        return "event"
-    if isinstance(value, (int, float)):
-        return "number"
-    if isinstance(value, str):
-        return "label"
-    raise TypeError(f"unsupported threshold type: {type(value).__name__}")
-
-
 @dataclass(frozen=True)
-class Condition:
-    source_id: str
-    key: str
-    comparator: Comparator
-    threshold: FeedValue
+class Condition(datafeed.Condition):
     beneficiary: bytes
 
     def __post_init__(self) -> None:
@@ -122,15 +107,8 @@ def check_condition(comparator: Comparator, threshold: FeedValue) -> None:
     """Raise ValueError unless a condition may compare ``threshold`` by ``comparator``."""
     if comparator not in _ALLOWED:
         raise ValueError("conditions take <, <=, =, >= or >")
-    if _kind(threshold) != "number" and comparator is not Comparator.EQ:
+    if kind(threshold) != "number" and comparator is not Comparator.EQ:
         raise ValueError("event and label conditions compare with equality only")
-
-
-def condition_holds(condition: Condition, value: FeedValue) -> bool:
-    """Whether an observed value satisfies the condition; total over kinds."""
-    if _kind(value) != _kind(condition.threshold):
-        return False
-    return compare(condition.comparator, value, condition.threshold)
 
 
 _NEG = float("-inf")
@@ -165,7 +143,7 @@ def conditions_overlap(a: Condition, b: Condition) -> bool:
     """
     if (a.source_id, a.key) != (b.source_id, b.key):
         return False
-    ka, kb = _kind(a.threshold), _kind(b.threshold)
+    ka, kb = kind(a.threshold), kind(b.threshold)
     if ka != kb:
         return False
     if ka != "number":
@@ -355,16 +333,7 @@ class Oracle:
             ),
             locktime=refund_locktime,
         )
-        refund_digest = sighash(refund)
-        refund = refund.with_witness(
-            0,
-            Witness(
-                signatures=(
-                    sign(alice.secret, refund_digest),
-                    sign(bob.secret, refund_digest),
-                )
-            ),
-        )
+        refund = sign_input(refund, 0, alice, bob)
 
         return ConditionalContract(
             contract_id=contract_id,
@@ -403,7 +372,7 @@ class Oracle:
         for index, condition in enumerate(contract.conditions):
             source = self.sources[condition.source_id]
             observation = query(source, condition.key, now)
-            if not condition_holds(condition, observation.value):
+            if not condition.holds(observation.value):
                 continue
             proof = make_proof(source, condition.key, now, self.id)
             if self.proof_hook is not None:
@@ -480,12 +449,7 @@ def co_sign_and_broadcast(
     The escrow script only counts keys; it cannot see which beneficiary
     the agents meant, so any two of the three holders can move the funds.
     """
-    tx = settlement.tx
-    digest = sighash(tx)
-    witness = tx.inputs[0].witness
-    tx = tx.with_witness(
-        0, Witness(signatures=(*witness.signatures, sign(agent.secret, digest)))
-    )
+    tx = add_signature(settlement.tx, 0, sign(agent.secret, sighash(settlement.tx)))
     result = chain.submit(tx)
     if not result.accepted:
         raise BadWitnessError(f"settlement rejected: {result.reason}")

@@ -25,8 +25,10 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
 
 from .codec import Reader, Writer
-from .datafeed import Comparator, DataSource, FeedValue, NoDataError, compare, query
+from . import datafeed
+from .datafeed import DataSource, NoDataError, query
 from .simchain import (
+    InvalidReason,
     KeyPair,
     MultiSig,
     PayToKey,
@@ -40,7 +42,7 @@ from .simchain import (
     txid,
 )
 from .simchain.chain import SimChain
-from .simchain.keys import KeyRegistry
+from .simchain.keys import KeyRegistry, signature_from_reader, write_signature
 from .simchain.script import MAX_MULTISIG_KEYS
 from .simchain.tx import TxInput
 
@@ -190,11 +192,7 @@ class ContractState(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Condition:
-    source_id: str
-    key: str
-    comparator: Comparator
-    threshold: FeedValue
+class Condition(datafeed.Condition):
     settle_time: int  # after this, a false reading refunds Alice
 
 
@@ -262,7 +260,7 @@ def encode_bus_payload(contract_id: str, oracle_id: str, kind: DraftKind, sig: S
     w = Writer()
     w.string(contract_id).string(oracle_id)
     w.u8(1 if kind is DraftKind.UNLOCK else 2)
-    w.raw(sig.signer_pub).raw(sig.digest_signed).raw(sig.tag)
+    write_signature(w, sig)
     return w.getvalue()
 
 
@@ -274,7 +272,7 @@ def decode_bus_payload(payload: bytes) -> tuple[str, str, DraftKind, Signature]:
     if code not in (1, 2):
         raise ValueError(f"unknown draft code {code}")
     kind = DraftKind.UNLOCK if code == 1 else DraftKind.REFUND
-    sig = Signature(signer_pub=r.raw(32), digest_signed=r.raw(32), tag=r.raw(32))
+    sig = signature_from_reader(r)
     r.expect_done()
     return contract_id, oracle_id, kind, sig
 
@@ -401,7 +399,7 @@ class OracleNode:
             obs = query(self.source, cond.key, now)
         except NoDataError:
             return None
-        if compare(cond.comparator, obs.value, cond.threshold):
+        if cond.holds(obs.value):
             return DraftKind.UNLOCK
         if now >= cond.settle_time:
             return DraftKind.REFUND
@@ -462,15 +460,10 @@ def finalize(
     sigs += [sign(p.secret, digest) for p in beneficiary_keys if p.pub in set(contract.agent_pubs)]
     settled = draft.with_witness(0, Witness(signatures=tuple(sigs)))
 
-    verdict = chain.validate(settled)
-    if not verdict:
-        from .simchain import InvalidReason
-
-        if verdict.reason is InvalidReason.BAD_WITNESS:
-            raise BadWitnessError("combined signatures do not satisfy the safe")
-        raise StateError(f"settlement unspendable: {verdict.reason.value}")
     result = chain.submit(settled)
     if not result:
+        if result.invalid_reason is InvalidReason.BAD_WITNESS:
+            raise BadWitnessError("combined signatures do not satisfy the safe")
         raise StateError(f"settlement rejected: {result.reason}")
     contract.state = ContractState.SETTLED if kind is DraftKind.UNLOCK else ContractState.REFUNDED
     return settled

@@ -17,7 +17,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .datafeed import Comparator, DataSource, FeedValue, compare, query
+from .codec import sha256
+from .datafeed import Condition, DataSource, query
 from .simchain import (
     Either,
     KeyPair,
@@ -26,11 +27,9 @@ from .simchain import (
     ScriptHash,
     Transaction,
     TxOutput,
-    Witness,
     p2sh_lock,
     serialize_tx,
-    sighash,
-    sign,
+    txid,
 )
 from .simchain.chain import SimChain
 from .simchain.tx import TxInput, sign_input
@@ -99,20 +98,12 @@ SECRET_RELEASED = "released"
 SECRET_DESTROYED = "destroyed"
 
 
-@dataclass(frozen=True)
-class SourceRef:
-    source_id: str
-    key: str
-    comparator: Comparator
-    threshold: FeedValue
-
-
 @dataclass
 class Fact:
     id: str
     question: str
     resolution_time: int
-    source_ref: SourceRef
+    condition: Condition
     yes_pub: bytes
     no_pub: bytes
     objection_window: int
@@ -159,14 +150,14 @@ class FactRegistry:
         self,
         question: str,
         resolution_time: int,
-        source_ref: SourceRef,
+        condition: Condition,
         now: int,
         objection_window: int | None = None,
     ) -> Fact:
         if resolution_time <= now:
             raise PastResolutionError(f"resolution {resolution_time} not after now {now}")
-        if source_ref.source_id not in self.sources:
-            raise UnknownSourceError(source_ref.source_id)
+        if condition.source_id not in self.sources:
+            raise UnknownSourceError(condition.source_id)
         fact_id = f"rk-{self._next_id}"
         self._next_id += 1
         yes_pair = self.keys.keygen(f"fact:{fact_id}:yes".encode())
@@ -175,7 +166,7 @@ class FactRegistry:
             id=fact_id,
             question=question,
             resolution_time=resolution_time,
-            source_ref=source_ref,
+            condition=condition,
             yes_pub=yes_pair.pub,
             no_pub=no_pair.pub,
             objection_window=self.objection_window if objection_window is None else objection_window,
@@ -190,9 +181,9 @@ class FactRegistry:
             raise StateError(f"{fact_id} already has a posted result")
         if now < fact.resolution_time:
             raise TooEarlyError(f"{fact_id} resolves at {fact.resolution_time}")
-        ref = fact.source_ref
-        obs = query(self.sources[ref.source_id], ref.key, fact.resolution_time)
-        outcome = Outcome.YES if compare(ref.comparator, obs.value, ref.threshold) else Outcome.NO
+        cond = fact.condition
+        obs = query(self.sources[cond.source_id], cond.key, fact.resolution_time)
+        outcome = Outcome.YES if cond.holds(obs.value) else Outcome.NO
         fact.posted_result = outcome
         fact.state = FactState.RESULT_POSTED
         fact.objection_deadline = now + fact.objection_window
@@ -241,11 +232,6 @@ class FactRegistry:
 
 
 # --- demo contract ----------------------------------------------------------
-
-
-def demo_makekeys(keys, seed: bytes) -> KeyPair:
-    """One party's contract keypair, registered for on-chain verification."""
-    return keys.keygen(seed)
 
 
 def demo_redeem(fact: Fact, alice_pub: bytes, bob_pub: bytes) -> Either:
@@ -314,8 +300,6 @@ def demo_countersign(
     if serialize_tx(partial.without_witnesses()) != serialize_tx(rebuilt):
         raise ReconstructionMismatchError("partner's transaction differs from the rebuilt one")
     complete = sign_input(partial, 1, bob_temp)
-    from .simchain import txid
-
     contract.funding_outpoint = (txid(complete), 0)
     return complete
 
@@ -343,12 +327,8 @@ def demo_claim(
         inputs=(TxInput(outpoint=contract.funding_outpoint),),
         outputs=(TxOutput(value=value, lock=PayToKey(dest_pub)),),
     )
-    digest = sighash(unsigned)
-    witness = Witness(
-        signatures=(sign(claimant.secret, digest), sign(fact.released_secret, digest)),
-        redeem=contract.redeem,
-    )
-    return unsigned.with_witness(0, witness)
+    released = KeyPair(secret=fact.released_secret, pub=sha256(fact.released_secret))
+    return sign_input(unsigned, 0, claimant, released, redeem=contract.redeem)
 
 
 def demo_refund(

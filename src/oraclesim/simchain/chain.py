@@ -72,7 +72,6 @@ class SimChain:
         self._balances: dict[bytes, int] = {}
         self.blocks: list[Block] = []
         self.txs_by_id: dict[bytes, Transaction] = {}
-        self.confirmed_height: dict[bytes, int] = {}
 
         genesis_tx = Transaction(inputs=(), outputs=tuple(genesis))
         self._apply_block(Block(height=0, miner_id="genesis", txs=(genesis_tx,), parent=GENESIS_PARENT))
@@ -108,7 +107,7 @@ class SimChain:
         return tx.outputs[outpoint[1]]
 
     def is_confirmed(self, tx_id: bytes) -> bool:
-        return tx_id in self.confirmed_height
+        return tx_id in self.txs_by_id
 
     def validate(self, tx: Transaction) -> ValidationResult:
         """Validity if the tx were included at the next height."""
@@ -146,6 +145,5 @@ class SimChain:
                     coins.setdefault(owner, {})[outpoint] = out
                     balances[owner] = balances.get(owner, 0) + out.value
             self.txs_by_id[tid] = tx
-            self.confirmed_height[tid] = block.height
         self.blocks.append(block)
         self.mempool.on_block(block, self.height)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..codec import sha256
+from ..codec import Reader, Writer, sha256
 
 
 class InvalidSeedError(ValueError):
@@ -35,6 +35,15 @@ class Signature:
     signer_pub: bytes
     digest_signed: bytes
     tag: bytes  # sha256(secret || digest_signed)
+
+
+def write_signature(w: Writer, sig: Signature) -> None:
+    """The 96-byte wire form: signer pub, digest signed, tag."""
+    w.raw(sig.signer_pub).raw(sig.digest_signed).raw(sig.tag)
+
+
+def signature_from_reader(r: Reader) -> Signature:
+    return Signature(signer_pub=r.raw(32), digest_signed=r.raw(32), tag=r.raw(32))
 
 
 def derive_pair(seed_material: bytes) -> KeyPair:

@@ -18,7 +18,7 @@ from typing import Union
 from ..codec import Reader, Writer, sha256
 
 MAX_MULTISIG_KEYS = 15
-MAX_LOCK_DEPTH = 16  # nested TimeLocked/Either levels a decoder accepts
+MAX_LOCK_DEPTH = 16  # nested TimeLocked/Either levels a lock may have
 
 _TAG_PAY_TO_KEY = 1
 _TAG_MULTISIG = 2
@@ -70,16 +70,31 @@ class DataCarrier:
     payload: bytes
 
 
+def _nest(lock, *inner) -> None:
+    """Record `lock` as one level above its deepest inner lock; ValueError
+    past MAX_LOCK_DEPTH levels, the limit the decoder enforces too."""
+    depth = 1 + max(getattr(i, "_depth", 0) for i in inner)
+    if depth > MAX_LOCK_DEPTH:
+        raise ValueError(f"lock script nested deeper than {MAX_LOCK_DEPTH} levels")
+    object.__setattr__(lock, "_depth", depth)
+
+
 @dataclass(frozen=True)
 class TimeLocked:
     inner: "LockScript"
     unlock_height: int
+
+    def __post_init__(self) -> None:
+        _nest(self, self.inner)
 
 
 @dataclass(frozen=True)
 class Either:
     left: "LockScript"
     right: "LockScript"
+
+    def __post_init__(self) -> None:
+        _nest(self, self.left, self.right)
 
 
 LockScript = Union[PayToKey, MultiSig, ScriptHash, DataCarrier, TimeLocked, Either]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..codec import Reader, Writer, sha256
-from .keys import KeyPair, Signature, sign
+from .keys import KeyPair, Signature, sign, signature_from_reader, write_signature
 from .script import LockScript, PayToKey, lock_from_reader, write_lock
 
 if TYPE_CHECKING:
@@ -83,18 +83,10 @@ class Transaction:
         )
 
 
-def _write_signature(w: Writer, sig: Signature) -> None:
-    w.raw(sig.signer_pub).raw(sig.digest_signed).raw(sig.tag)
-
-
-def _signature_from_reader(r: Reader) -> Signature:
-    return Signature(signer_pub=r.raw(32), digest_signed=r.raw(32), tag=r.raw(32))
-
-
 def _write_witness(w: Writer, wit: Witness) -> None:
     w.u16(len(wit.signatures))
     for sig in wit.signatures:
-        _write_signature(w, sig)
+        write_signature(w, sig)
     if wit.redeem is None:
         w.u8(0)
     else:
@@ -108,7 +100,7 @@ def _write_witness(w: Writer, wit: Witness) -> None:
 
 
 def _witness_from_reader(r: Reader) -> Witness:
-    sigs = tuple(_signature_from_reader(r) for _ in range(r.u16()))
+    sigs = tuple(signature_from_reader(r) for _ in range(r.u16()))
     redeem = lock_from_reader(r) if r.flag() else None
     preimage = r.bytes() if r.flag() else None
     return Witness(signatures=sigs, redeem=redeem, expr_preimage=preimage)
@@ -166,10 +158,17 @@ def tx_size(tx: Transaction) -> int:
     return len(_serialized(tx))
 
 
-def sign_input(tx: Transaction, index: int, keys: KeyPair, **witness_fields) -> Transaction:
-    """Attach a single-signature witness for `keys` to input `index`."""
-    sig = sign(keys.secret, sighash(tx))
-    return tx.with_witness(index, Witness(signatures=(sig,), **witness_fields))
+def sign_input(tx: Transaction, index: int, *signers: KeyPair, **witness_fields) -> Transaction:
+    """Give input `index` a witness holding one signature per signer, in order."""
+    digest = sighash(tx)
+    sigs = tuple(sign(signer.secret, digest) for signer in signers)
+    return tx.with_witness(index, Witness(signatures=sigs, **witness_fields))
+
+
+def add_signature(tx: Transaction, index: int, sig: Signature) -> Transaction:
+    """Append a co-signature to input `index`'s witness."""
+    wit = tx.inputs[index].witness
+    return tx.with_witness(index, replace(wit, signatures=wit.signatures + (sig,)))
 
 
 def select_coins(

@@ -9,7 +9,7 @@ move the funds alone, and neither can the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .codec import sha256
 from .datafeed import DataSource, query
@@ -139,21 +139,3 @@ def build_claim(
         outputs=(TxOutput(value=contract.amount - fee, lock=PayToKey(dest)),),
     )
     return sign_input(unsigned, 0, heir)
-
-
-def attach_signature(tx: Transaction, index: int, sig: Signature) -> Transaction:
-    wit = tx.inputs[index].witness
-    return tx.with_witness(index, replace(wit, signatures=wit.signatures + (sig,)))
-
-
-def claim(
-    chain: SimChain,
-    contract: WillContract,
-    heir: KeyPair,
-    oracle_sig: Signature,
-    dest_pub: bytes | None = None,
-    fee: int = 0,
-) -> Transaction:
-    """Complete spend carrying both signatures, ready to broadcast."""
-    partial = build_claim(chain, contract, heir, dest_pub=dest_pub, fee=fee)
-    return attach_signature(partial, 0, oracle_sig)

@@ -27,6 +27,7 @@ from oraclesim.counterparty import (
     state_digest,
     xcp_in_circulation,
 )
+from oraclesim import datafeed
 from oraclesim.datafeed import Comparator, DataSource
 from oraclesim.harness import Scenario, bundled_scenarios, run_scenario
 from oraclesim.oraclize import (
@@ -48,7 +49,6 @@ from oraclesim.realitykeys import (
     SECRET_RELEASED,
     FactRegistry,
     Outcome,
-    SourceRef,
     TipTooSmallError,
     WrongBranchError,
     demo_claim,
@@ -237,7 +237,7 @@ def test_c04_fact_key_release_and_losing_branch():
         released_yes = released_no = corrected = 0
         for i in range(1000):
             horizon = rng.randint(1, 1000)
-            ref = SourceRef("idx", "v", rng.choice(list(Comparator)), rng.randint(0, 100))
+            ref = datafeed.Condition("idx", "v", rng.choice(list(Comparator)), rng.randint(0, 100))
             fact = registry.register_fact(
                 f"q{i}", horizon, ref, now=0, objection_window=rng.randint(1, 50)
             )
@@ -266,7 +266,7 @@ def test_c04_fact_key_release_and_losing_branch():
         # objection tip boundary, exact to the satoshi
         assert MIN_OBJECTION_TIP == 1_000_000
         tip_fact = registry.register_fact(
-            "tip boundary", 2000, SourceRef("idx", "v", Comparator.GE, 50), now=1500
+            "tip boundary", 2000, datafeed.Condition("idx", "v", Comparator.GE, 50), now=1500
         )
         registry.post_result(tip_fact.id, now=2000)
         with pytest.raises(TipTooSmallError):
@@ -279,7 +279,7 @@ def test_c04_fact_key_release_and_losing_branch():
             {"s": DataSource("s", [("v", 0, 5)])}, reg2, objection_window=10
         )
         fact = registry2.register_fact(
-            "v >= 1", 100, SourceRef("s", "v", Comparator.GE, 1), now=0
+            "v >= 1", 100, datafeed.Condition("s", "v", Comparator.GE, 1), now=0
         )
         alice, bob = reg2.keygen(b"alice"), reg2.keygen(b"bob")
         alice_temp, bob_temp = reg2.keygen(b"alice-temp"), reg2.keygen(b"bob-temp")

@@ -1,10 +1,12 @@
 """Fixture sources: carry-forward queries, signatures, proofs, comparators."""
 
 import hashlib
+import operator
 import struct
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from oraclesim.datafeed import (
     AuthenticityProof,
@@ -136,8 +138,31 @@ def test_comparator_codes_are_stable():
 
 
 def test_ordering_rejects_mixed_kinds():
-    with pytest.raises(TypeError):
-        compare(Comparator.LT, "5", 6)
-    with pytest.raises(TypeError):
-        compare(Comparator.GE, True, 1)
+    assert compare(Comparator.LT, "5", 6) is False
+    assert compare(Comparator.GE, True, 1) is False
     assert compare(Comparator.EQ, "5", 5) is False
+    assert compare(Comparator.EQ, True, 1) is False
+
+
+_OPERATORS = {
+    Comparator.EQ: operator.eq,
+    Comparator.NE: operator.ne,
+    Comparator.LT: operator.lt,
+    Comparator.LE: operator.le,
+    Comparator.GT: operator.gt,
+    Comparator.GE: operator.ge,
+}
+_KIND_OF_TYPE = {bool: "event", int: "number", float: "number", str: "label"}
+_FEED_VALUES = st.one_of(st.booleans(), st.integers(), st.floats(), st.text())
+
+
+@given(st.sampled_from(Comparator), _FEED_VALUES, _FEED_VALUES)
+@example(Comparator.EQ, True, 1)
+@example(Comparator.NE, 1, True)
+@example(Comparator.GE, False, 0)
+@example(Comparator.LT, 0.5, "1")
+def test_compare_is_the_operator_on_one_kind_and_false_across_kinds(cmp, value, target):
+    same_kind = _KIND_OF_TYPE[type(value)] == _KIND_OF_TYPE[type(target)]
+    expected = same_kind and _OPERATORS[cmp](value, target)
+    assert compare(cmp, value, target) is expected
+

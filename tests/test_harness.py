@@ -515,6 +515,20 @@ def test_oz_contract_takes_an_arbitrator():
     assert run_scenario(_mutated("oraclize_milan", arbitrated)).passed
 
 
+@pytest.mark.parametrize("comparator, threshold", [("gt", 0.5), ("eq", 1)])
+def test_rk_fact_on_a_feed_of_another_kind_posts_no(comparator, threshold):
+    def retyped(doc):  # the snow feed holds events, the threshold is a number
+        fact = next(a for a in doc["actions"] if a["op"] == "rk_fact")
+        fact.update(comparator=comparator, threshold=threshold)
+        doc["assertions"] = [
+            {"kind": "last_event", "event": "rk/result", "field": "outcome", "value": "no"}
+        ]
+
+    result = run_scenario(_mutated("realitykeys_stake", retyped))
+    assert result.passed
+    assert (result.log.events[-1].module, result.log.events[-1].kind) == ("run", "end")
+
+
 def test_cli_run_rejects_malformed_script(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{", encoding="utf-8")

@@ -25,7 +25,6 @@ from oraclesim.oraclize import (
     arbitrate,
     check_disjoint,
     co_sign_and_broadcast,
-    condition_holds,
     conditions_overlap,
     poll_times,
     refund_expiry,
@@ -112,18 +111,18 @@ def test_condition_vocabulary():
 
 def test_condition_holds_is_typed():
     gt10 = Condition("s", "k", Comparator.GT, 10, DUMMY)
-    assert condition_holds(gt10, 12)
-    assert condition_holds(gt10, 10.5)
-    assert not condition_holds(gt10, 10)
-    assert not condition_holds(gt10, True)  # bool is an event, not a number
-    assert not condition_holds(gt10, "12")
+    assert gt10.holds(12)
+    assert gt10.holds(10.5)
+    assert not gt10.holds(10)
+    assert not gt10.holds(True)  # bool is an event, not a number
+    assert not gt10.holds("12")
     event = Condition("s", "k", Comparator.EQ, True, DUMMY)
-    assert condition_holds(event, True)
-    assert not condition_holds(event, False)
-    assert not condition_holds(event, 1)  # int 1 is not the event flag
+    assert event.holds(True)
+    assert not event.holds(False)
+    assert not event.holds(1)  # int 1 is not the event flag
     label = Condition("s", "k", Comparator.EQ, "storm", DUMMY)
-    assert condition_holds(label, "storm")
-    assert not condition_holds(label, "calm")
+    assert label.holds("storm")
+    assert not label.holds("calm")
 
 
 def cond(cmp, threshold, key="k"):

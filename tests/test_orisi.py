@@ -223,6 +223,14 @@ def build_world(n=7, m=4, candidate_a_wins=True, amount=10 * BTC):
     return chain, contract, agents, nodes, alice, bob, project
 
 
+def test_a_condition_on_a_feed_of_another_kind_never_unlocks():
+    chain, contract, agents, nodes, alice, bob, project = build_world()
+    # the election feed holds the event True; the number 0.5 is of another kind
+    contract.condition = Condition("election", "candidate_a_wins", Comparator.GT, 0.5, T_SETTLE)
+    assert nodes[0].evaluate(contract, T_RESULT) is None
+    assert nodes[0].evaluate(contract, T_SETTLE) is DraftKind.REFUND
+
+
 def test_propose_builds_the_paper_safe():
     chain, contract, agents, nodes, alice, bob, project = build_world()
     assert contract.state is ContractState.PROPOSED

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from oraclesim.datafeed import Comparator, DataSource, NoDataError
+from oraclesim.datafeed import Comparator, Condition, DataSource, NoDataError
 from oraclesim.realitykeys import (
     SECRET_DESTROYED,
     SECRET_HELD,
@@ -18,7 +18,6 @@ from oraclesim.realitykeys import (
     Outcome,
     PastResolutionError,
     ReconstructionMismatchError,
-    SourceRef,
     StateError,
     TipTooSmallError,
     TooEarlyError,
@@ -28,7 +27,6 @@ from oraclesim.realitykeys import (
     demo_claim,
     demo_contract,
     demo_countersign,
-    demo_makekeys,
     demo_refund,
     demo_setup,
 )
@@ -51,7 +49,7 @@ T_NOW = 1_390_000_000
 T_RES = T_NOW + 10_000
 WINDOW = 86_400
 SOLO = [Miner("solo", 1.0)]
-REF = SourceRef(source_id="btc-price", key="BTCUSD", comparator=Comparator.GE, threshold=400)
+REF = Condition(source_id="btc-price", key="BTCUSD", comparator=Comparator.GE, threshold=400)
 
 
 def make_registry(price=405.0, keys=None):
@@ -80,7 +78,7 @@ def test_registration_guards():
     registry = make_registry()
     with pytest.raises(PastResolutionError):
         registry.register_fact("too late?", T_NOW, REF, now=T_NOW)
-    bad_ref = SourceRef("nowhere", "BTCUSD", Comparator.GE, 400)
+    bad_ref = Condition("nowhere", "BTCUSD", Comparator.GE, 400)
     with pytest.raises(UnknownSourceError):
         registry.register_fact("where?", T_RES, bad_ref, now=T_NOW)
 
@@ -103,7 +101,7 @@ def test_post_result_guards():
     with pytest.raises(StateError):
         registry.post_result(fact.id, now=T_RES)
 
-    gap_ref = SourceRef("btc-price", "NO_SUCH", Comparator.GE, 400)
+    gap_ref = Condition("btc-price", "NO_SUCH", Comparator.GE, 400)
     orphan = registry.register_fact("gap?", T_RES, gap_ref, now=T_NOW)
     with pytest.raises(NoDataError):
         registry.post_result(orphan.id, now=T_RES)
@@ -183,10 +181,10 @@ def demo_env():
         keys=keys,
     )
     registry = make_registry(keys=keys)
-    alice = demo_makekeys(keys, b"alice")
-    bob = demo_makekeys(keys, b"bob")
-    alice_temp = demo_makekeys(keys, b"alice-temp")
-    bob_temp = demo_makekeys(keys, b"bob-temp")
+    alice = keys.keygen(b"alice")
+    bob = keys.keygen(b"bob")
+    alice_temp = keys.keygen(b"alice-temp")
+    bob_temp = keys.keygen(b"bob-temp")
 
     fund = build_payment(
         chain,

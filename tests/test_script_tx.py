@@ -28,10 +28,11 @@ from oraclesim.simchain import (
     serialize_lock,
     serialize_tx,
     sighash,
+    sign,
     txid,
 )
 from oraclesim.simchain.script import MAX_LOCK_DEPTH, deserialize_lock
-from oraclesim.simchain.tx import select_coins, sign_input
+from oraclesim.simchain.tx import add_signature, select_coins, sign_input
 
 PUB_A = bytes([0x11]) * 32
 PUB_B = bytes([0x22]) * 32
@@ -171,6 +172,19 @@ def test_cosigning_preserves_existing_signatures():
     assert sighash(twice) == sighash(base)
 
 
+def test_co_signatures_land_in_signer_order():
+    reg = KeyRegistry()
+    alice = reg.keygen(b"alice")
+    bob = reg.keygen(b"bob")
+    base = Transaction(
+        inputs=(TxInput(outpoint=(PUB_A, 0)),),
+        outputs=(TxOutput(value=1, lock=PayToKey(PUB_C)),),
+    )
+    both = sign_input(base, 0, alice, bob)
+    assert [s.signer_pub for s in both.inputs[0].witness.signatures] == [alice.pub, bob.pub]
+    assert add_signature(sign_input(base, 0, alice), 0, sign(bob.secret, sighash(base))) == both
+
+
 def test_tx_round_trips_with_rich_witness():
     reg = KeyRegistry()
     alice = reg.keygen(b"alice")
@@ -270,6 +284,26 @@ def test_decoders_refuse_locks_nested_past_the_limit(tag):
     spend = Writer().u16(1).raw(PUB_A).u32(0).u16(0).u8(1).raw(redeem).u8(0).u16(0).u64(0)
     with pytest.raises(ValueError, match="nested deeper than"):
         deserialize_tx(spend.getvalue())
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda lock: TimeLocked(inner=lock, unlock_height=0),
+        lambda lock: Either(left=lock, right=PayToKey(PUB_B)),
+        lambda lock: Either(left=PayToKey(PUB_B), right=lock),
+    ],
+    ids=["time_locked", "either_left", "either_right"],
+)
+def test_locks_refuse_construction_past_the_limit(wrap):
+    lock = PayToKey(PUB_A)
+    for _ in range(MAX_LOCK_DEPTH):
+        lock = wrap(lock)
+    assert deserialize_lock(serialize_lock(lock)) == lock
+    tx = Transaction(inputs=(), outputs=(TxOutput(value=0, lock=lock),))
+    assert deserialize_tx(serialize_tx(tx)) == tx
+    with pytest.raises(ValueError, match="nested deeper than"):
+        wrap(lock)
 
 
 @pytest.fixture

@@ -20,13 +20,12 @@ from oraclesim.simchain import (
     sighash,
     sign,
 )
+from oraclesim.simchain.tx import add_signature
 from oraclesim.will_oracle import (
     ConditionFalseError,
     HashMismatchError,
     OracleServer,
-    attach_signature,
     build_claim,
-    claim,
     create_will,
     expr_hash,
 )
@@ -132,7 +131,7 @@ def test_claim_moves_funds_to_heir(setup):
     contract = fund(chain, creator, oracle, heir)
     partial = build_claim(chain, contract, heir, fee=500)
     oracle_sig = oracle.sign_request(chain, EXPR, partial, now=T_DEAD)
-    spend = claim(chain, contract, heir, oracle_sig, fee=500)
+    spend = add_signature(partial, 0, oracle_sig)
     assert chain.submit(spend).accepted
     chain.mine_next(LOOSE, Random(2))
     assert chain.balance(heir.pub) == contract.amount - 500
@@ -148,7 +147,7 @@ def test_spend_paths_require_both_signatures(setup):
     oracle_sig = oracle.sign_request(chain, EXPR, partial, now=T_DEAD)
     bare = partial.with_witness(0, Witness())
 
-    both = attach_signature(partial, 0, oracle_sig)
+    both = add_signature(partial, 0, oracle_sig)
     assert chain.validate(both)
 
     for witness_sigs in [(), (heir_sig,), (oracle_sig,)]:
@@ -164,7 +163,7 @@ def test_claim_can_pay_a_designated_address(setup):
     dest = chain.keys.keygen(b"estate-account")
     partial = build_claim(chain, contract, heir, dest_pub=dest.pub)
     oracle_sig = oracle.sign_request(chain, EXPR, partial, now=T_DEAD)
-    spend = claim(chain, contract, heir, oracle_sig, dest_pub=dest.pub)
+    spend = add_signature(partial, 0, oracle_sig)
     assert chain.submit(spend).accepted
     chain.mine_next(LOOSE, Random(3))
     assert chain.balance(dest.pub) == contract.amount
