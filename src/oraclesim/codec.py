@@ -16,45 +16,60 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+# Precompiled little-endian packers, one per fixed width; `struct.pack`
+# would look its format up again on every call.
+pack_u8 = struct.Struct("<B").pack
+pack_u16 = struct.Struct("<H").pack
+pack_u32 = struct.Struct("<I").pack
+pack_u64 = struct.Struct("<Q").pack
+pack_i64 = struct.Struct("<q").pack
+pack_f64 = struct.Struct("<d").pack  # IEEE-754 binary64; bit-exact across platforms
+
+
 class Writer:
-    """Accumulates a canonical byte string."""
+    """Accumulates a canonical byte string.
+
+    `put` appends bytes that are already encoded, as they are and without
+    chaining: the hot encoders (`serialize_tx`, `write_lock`) call it with
+    the packers above instead of the chaining methods.
+    """
 
     def __init__(self) -> None:
         self._parts: list[bytes] = []
+        self.put = self._parts.append
 
     def u8(self, v: int) -> "Writer":
-        self._parts.append(struct.pack("<B", v))
+        self.put(pack_u8(v))
         return self
 
     def u16(self, v: int) -> "Writer":
-        self._parts.append(struct.pack("<H", v))
+        self.put(pack_u16(v))
         return self
 
     def u32(self, v: int) -> "Writer":
-        self._parts.append(struct.pack("<I", v))
+        self.put(pack_u32(v))
         return self
 
     def u64(self, v: int) -> "Writer":
-        self._parts.append(struct.pack("<Q", v))
+        self.put(pack_u64(v))
         return self
 
     def i64(self, v: int) -> "Writer":
-        self._parts.append(struct.pack("<q", v))
+        self.put(pack_i64(v))
         return self
 
     def f64(self, v: float) -> "Writer":
-        # IEEE-754 binary64, little-endian; bit-exact across platforms
-        self._parts.append(struct.pack("<d", v))
+        self.put(pack_f64(v))
         return self
 
     def raw(self, b: bytes) -> "Writer":
-        self._parts.append(bytes(b))
+        self.put(bytes(b))
         return self
 
     def bytes(self, b: bytes) -> "Writer":
         # u32 length prefix, then the raw bytes
-        self.u32(len(b))
-        self._parts.append(bytes(b))
+        self.put(pack_u32(len(b)))
+        self.put(bytes(b))
         return self
 
     def string(self, s: str) -> "Writer":

@@ -12,7 +12,10 @@ Comparison is typed the same way. A value's kind is an event (bool), a
 number (int or float) or a label (str), and a comparator holds only
 between values of one kind: `compare` never raises, and the number 1
 neither equals nor differs from the event True. A `Condition` (source,
-key, comparator, threshold) is the test each oracle module signs on.
+key, comparator, threshold) is the test each oracle module signs on. Only
+numbers order, so a condition refuses `lt`, `le`, `gt` and `ge` on an
+event or label threshold when it is built, and `Condition.source_in`
+refuses, when it is registered, a source or key that no source carries.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import enum
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Mapping, Union
 
 from .codec import Writer, sha256
 from .simchain.keys import KeyPair, Signature, derive_pair, sign
@@ -168,6 +171,8 @@ class Comparator(enum.IntEnum):
     GE = 6
 
 
+_ORDERING = frozenset({Comparator.LT, Comparator.LE, Comparator.GT, Comparator.GE})
+
 _COMPARE = {
     Comparator.EQ: operator.eq,
     Comparator.NE: operator.ne,
@@ -203,5 +208,19 @@ class Condition:
     comparator: Comparator
     threshold: FeedValue
 
+    def __post_init__(self) -> None:
+        if self.comparator in _ORDERING and kind(self.threshold) != "number":
+            raise ValueError("event and label conditions take eq or ne, not an ordering")
+
     def holds(self, value: FeedValue) -> bool:
         return compare(self.comparator, value, self.threshold)
+
+    def source_in(self, sources: Mapping[str, DataSource]) -> DataSource:
+        """The source among ``sources`` that this condition reads;
+        ValueError if there is none or it carries no series for the key."""
+        source = sources.get(self.source_id)
+        if source is None:
+            raise ValueError(f"unknown source {self.source_id!r}")
+        if self.key not in source.keys():
+            raise ValueError(f"source {self.source_id!r} has no key {self.key!r}")
+        return source

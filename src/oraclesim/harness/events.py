@@ -25,6 +25,10 @@ class Event:
     payload: dict
 
 
+# One canonical encoder for every line; `json.dumps` would build a new one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _encode(event: Event) -> str:
     doc = {
         "tick": event.tick,
@@ -32,7 +36,7 @@ def _encode(event: Event) -> str:
         "kind": event.kind,
         "payload": event.payload,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(doc)
 
 
 @dataclass

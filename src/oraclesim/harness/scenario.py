@@ -186,6 +186,18 @@ class Action(NamedTuple):
     args: dict[str, Any]
 
 
+def _conditions(action: Action) -> list[Condition]:
+    """The feed conditions that an ``rk_fact``, ``orisi_propose`` or
+    ``oz_contract`` action registers; building one applies its kind rule."""
+    if action.op == "oz_contract":
+        found = [vars(c) for c in action.args["conditions"]]
+    elif action.op in ("rk_fact", "orisi_propose"):
+        found = [action.args]
+    else:
+        return []
+    return [Condition(f["source"], f["key"], f["comparator"], f["threshold"]) for f in found]
+
+
 class Check(NamedTuple):
     """``_ASSERTS[kind](world, **args)``, checked after the run."""
 
@@ -244,6 +256,13 @@ class Scenario:
             if len(set(names)) < len(names):
                 repeated = next(n for i, n in enumerate(names) if n in names[:i])
                 raise ValueError(f"{what} {repeated!r} is declared twice")
+        sources = {s.id: s for s in self.sources}
+        for i, action in enumerate(self.actions):
+            try:
+                for condition in _conditions(action):
+                    condition.source_in(sources)
+            except ValueError as exc:
+                raise ValueError(f"actions[{i}]: {exc}") from None
 
     @classmethod
     def from_dict(cls, doc: Any) -> "Scenario":
@@ -851,7 +870,7 @@ class _Condition:  # an oraclize.Condition naming its beneficiary
     beneficiary: str
 
     def __post_init__(self) -> None:
-        oraclize.check_condition(self.comparator, self.threshold)
+        oraclize.check_comparator(self.comparator)
 
 
 def _oz(w: World) -> oraclize.Oracle:

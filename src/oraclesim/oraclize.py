@@ -30,7 +30,6 @@ from .datafeed import (
     AuthenticityProof,
     Comparator,
     DataSource,
-    FeedValue,
     Observation,
     kind,
     make_proof,
@@ -91,24 +90,20 @@ class ArbitrationRequiredError(OraclizeError):
 
 # ------------------------------------------------------------- conditions
 
-_ORDERING = (Comparator.LT, Comparator.LE, Comparator.GE, Comparator.GT)
-_ALLOWED = (*_ORDERING, Comparator.EQ)
-
-
 @dataclass(frozen=True)
 class Condition(datafeed.Condition):
     beneficiary: bytes
 
     def __post_init__(self) -> None:
-        check_condition(self.comparator, self.threshold)
+        super().__post_init__()  # no ordering on events and labels
+        check_comparator(self.comparator)
 
 
-def check_condition(comparator: Comparator, threshold: FeedValue) -> None:
-    """Raise ValueError unless a condition may compare ``threshold`` by ``comparator``."""
-    if comparator not in _ALLOWED:
+def check_comparator(comparator: Comparator) -> None:
+    """Raise ValueError on ``ne``: disjointness is decided over one interval
+    per condition, and ``ne`` holds on two."""
+    if comparator is Comparator.NE:
         raise ValueError("conditions take <, <=, =, >= or >")
-    if kind(threshold) != "number" and comparator is not Comparator.EQ:
-        raise ValueError("event and label conditions compare with equality only")
 
 
 _NEG = float("-inf")
@@ -293,7 +288,7 @@ class Oracle:
             raise ValueError("poll_interval must be positive")
         conditions = tuple(conditions)
         for condition in conditions:
-            source = self.sources[condition.source_id]
+            source = condition.source_in(self.sources)
             if not source.ssl:
                 raise NonSSLSourceError(f"{source.id} is not encrypted")
         check_disjoint(conditions)

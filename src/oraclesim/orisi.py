@@ -369,8 +369,10 @@ class OracleNode:
         pub = contract.oracle_pubs.get(self.oracle_id)
         if pub != self.keypair.pub:
             raise VerificationFailedError(f"{self.oracle_id}: not listed in the contract")
-        if contract.condition.source_id != self.source.id:
-            raise VerificationFailedError(f"{self.oracle_id}: cannot evaluate the condition")
+        try:
+            contract.condition.source_in({self.source.id: self.source})
+        except ValueError as exc:
+            raise VerificationFailedError(f"{self.oracle_id}: cannot evaluate: {exc}") from None
         safe_outpoint = contract.safe_outpoint
         funding_out = contract.funding_tx.outputs[0]
         if funding_out.lock != contract.safe_lock or funding_out.value != contract.amount:

@@ -47,7 +47,7 @@ class PastResolutionError(RealityKeysError):
 
 
 class UnknownSourceError(RealityKeysError):
-    pass
+    """A fact names a source, or a key of it, that the registry cannot read."""
 
 
 class TooEarlyError(RealityKeysError):
@@ -156,8 +156,10 @@ class FactRegistry:
     ) -> Fact:
         if resolution_time <= now:
             raise PastResolutionError(f"resolution {resolution_time} not after now {now}")
-        if condition.source_id not in self.sources:
-            raise UnknownSourceError(condition.source_id)
+        try:
+            condition.source_in(self.sources)
+        except ValueError as exc:
+            raise UnknownSourceError(str(exc)) from None
         fact_id = f"rk-{self._next_id}"
         self._next_id += 1
         yes_pair = self.keys.keygen(f"fact:{fact_id}:yes".encode())

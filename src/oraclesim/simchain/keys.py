@@ -39,7 +39,10 @@ class Signature:
 
 def write_signature(w: Writer, sig: Signature) -> None:
     """The 96-byte wire form: signer pub, digest signed, tag."""
-    w.raw(sig.signer_pub).raw(sig.digest_signed).raw(sig.tag)
+    put = w.put
+    put(sig.signer_pub)
+    put(sig.digest_signed)
+    put(sig.tag)
 
 
 def signature_from_reader(r: Reader) -> Signature:

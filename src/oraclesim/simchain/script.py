@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from ..codec import Reader, Writer, sha256
+from ..codec import Reader, Writer, pack_u8, pack_u32, pack_u64, sha256
 
 MAX_MULTISIG_KEYS = 15
 MAX_LOCK_DEPTH = 16  # nested TimeLocked/Either levels a lock may have
@@ -101,25 +101,34 @@ LockScript = Union[PayToKey, MultiSig, ScriptHash, DataCarrier, TimeLocked, Eith
 
 
 def write_lock(w: Writer, lock: LockScript) -> None:
+    put = w.put
     if isinstance(lock, PayToKey):
-        w.u8(_TAG_PAY_TO_KEY).raw(lock.pub)
+        put(pack_u8(_TAG_PAY_TO_KEY))
+        put(lock.pub)
     elif isinstance(lock, MultiSig):
-        w.u8(_TAG_MULTISIG).u8(lock.m).u8(len(lock.keys))
+        put(pack_u8(_TAG_MULTISIG))
+        put(pack_u8(lock.m))
+        put(pack_u8(len(lock.keys)))
         for k in lock.keys:
-            w.raw(k)
+            put(k)
         if lock.commitment is None:
-            w.u8(0)
+            put(pack_u8(0))
         else:
-            w.u8(1).raw(lock.commitment)
+            put(pack_u8(1))
+            put(lock.commitment)
     elif isinstance(lock, ScriptHash):
-        w.u8(_TAG_SCRIPT_HASH).raw(lock.h)
+        put(pack_u8(_TAG_SCRIPT_HASH))
+        put(lock.h)
     elif isinstance(lock, DataCarrier):
-        w.u8(_TAG_DATA_CARRIER).bytes(lock.payload)
+        put(pack_u8(_TAG_DATA_CARRIER))
+        put(pack_u32(len(lock.payload)))
+        put(lock.payload)
     elif isinstance(lock, TimeLocked):
-        w.u8(_TAG_TIME_LOCKED).u64(lock.unlock_height)
+        put(pack_u8(_TAG_TIME_LOCKED))
+        put(pack_u64(lock.unlock_height))
         write_lock(w, lock.inner)
     elif isinstance(lock, Either):
-        w.u8(_TAG_EITHER)
+        put(pack_u8(_TAG_EITHER))
         write_lock(w, lock.left)
         write_lock(w, lock.right)
     else:

@@ -2,14 +2,24 @@
 
 Two digests matter.  `txid` hashes the full canonical serialization,
 witnesses included, and is the transaction's identity.  `sighash` hashes
-the transaction with every witness blanked — that is what signatures
-commit to, so co-signers can add their signatures to a partially signed
-transaction without invalidating earlier ones.
+the same layout with every witness written blank (`Witness()`, the four
+bytes 00 00 00 00) — that is what signatures commit to, so co-signers can
+add their signatures to a partially signed transaction without
+invalidating earlier ones.  Both digests come from the one encoder,
+`serialize_tx`; for the sighash it writes the blank witnesses in place
+instead of encoding a witness-less copy.
 
 A `Transaction` is frozen, so each is serialized at most once: its
 canonical bytes are kept on the instance, and `txid`, `tx_size` and the
 chain's block encoding all read them.  `txid` and `sighash` keep their
-digests too.  `serialize_tx` itself is the pure reference encoder.
+digests too, and a transaction derived from another by its witnesses
+alone inherits the sighash.  `serialize_tx` itself is the pure encoder.
+
+Signing builds each transaction once.  `build_payment` hashes the unsigned
+transaction, signs that digest once, and constructs the signed transaction
+in one step, with the one `Witness` shared by every input and the sighash
+carried over.  `with_witness`, and so `sign_input` and `add_signature`,
+rebuilds the inputs tuple once.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..codec import Reader, Writer, sha256
+from ..codec import Reader, Writer, pack_u8, pack_u16, pack_u32, pack_u64, sha256
 from .keys import KeyPair, Signature, sign, signature_from_reader, write_signature
 from .script import LockScript, PayToKey, lock_from_reader, write_lock
 
@@ -37,6 +47,7 @@ class Witness:
 
 
 EMPTY_WITNESS = Witness()
+_BLANK_WITNESS = b"\x00\x00\x00\x00"  # EMPTY_WITNESS: no signatures, redeem or preimage
 
 
 @dataclass(frozen=True)
@@ -70,32 +81,35 @@ class Transaction:
     def with_witness(self, index: int, witness: Witness) -> "Transaction":
         """New transaction with input `index`'s witness replaced."""
         inputs = list(self.inputs)
-        inputs[index] = replace(inputs[index], witness=witness)
-        derived = replace(self, inputs=tuple(inputs))
+        inputs[index] = TxInput(inputs[index].outpoint, witness)
+        return self._rewitnessed(tuple(inputs))
+
+    def without_witnesses(self) -> "Transaction":
+        return self._rewitnessed(tuple(TxInput(i.outpoint) for i in self.inputs))
+
+    def _rewitnessed(self, inputs: tuple[TxInput, ...]) -> "Transaction":
+        """This transaction with `inputs`, which differ from its own in
+        witnesses only; the sighash blanks them, so it carries over."""
+        derived = Transaction(inputs, self.outputs, self.locktime)
         if self._sighash is not None:
-            # witnesses are blanked in the sighash, so the derived one is equal
             object.__setattr__(derived, "_sighash", self._sighash)
         return derived
 
-    def without_witnesses(self) -> "Transaction":
-        return replace(
-            self, inputs=tuple(replace(i, witness=EMPTY_WITNESS) for i in self.inputs)
-        )
-
 
 def _write_witness(w: Writer, wit: Witness) -> None:
-    w.u16(len(wit.signatures))
+    put = w.put
+    put(pack_u16(len(wit.signatures)))
     for sig in wit.signatures:
         write_signature(w, sig)
     if wit.redeem is None:
-        w.u8(0)
+        put(pack_u8(0))
     else:
-        w.u8(1)
+        put(pack_u8(1))
         write_lock(w, wit.redeem)
     if wit.expr_preimage is None:
-        w.u8(0)
+        put(pack_u8(0))
     else:
-        w.u8(1)
+        put(pack_u8(1))
         w.bytes(wit.expr_preimage)
 
 
@@ -106,17 +120,24 @@ def _witness_from_reader(r: Reader) -> Witness:
     return Witness(signatures=sigs, redeem=redeem, expr_preimage=preimage)
 
 
-def serialize_tx(tx: Transaction) -> bytes:
+def serialize_tx(tx: Transaction, *, _blank_witnesses: bool = False) -> bytes:
+    """The canonical bytes of `tx`; `sighash` passes `_blank_witnesses` to
+    have every witness written as `Witness()`, which gives its preimage."""
     w = Writer()
-    w.u16(len(tx.inputs))
+    put = w.put
+    put(pack_u16(len(tx.inputs)))
     for txin in tx.inputs:
-        w.raw(txin.outpoint[0]).u32(txin.outpoint[1])
-        _write_witness(w, txin.witness)
-    w.u16(len(tx.outputs))
+        put(txin.outpoint[0])
+        put(pack_u32(txin.outpoint[1]))
+        if _blank_witnesses:
+            put(_BLANK_WITNESS)
+        else:
+            _write_witness(w, txin.witness)
+    put(pack_u16(len(tx.outputs)))
     for txout in tx.outputs:
-        w.u64(txout.value)
+        put(pack_u64(txout.value))
         write_lock(w, txout.lock)
-    w.u64(tx.locktime)
+    put(pack_u64(tx.locktime))
     return w.getvalue()
 
 
@@ -150,7 +171,7 @@ def txid(tx: Transaction) -> bytes:
 
 def sighash(tx: Transaction) -> bytes:
     if tx._sighash is None:
-        object.__setattr__(tx, "_sighash", sha256(serialize_tx(tx.without_witnesses())))
+        object.__setattr__(tx, "_sighash", sha256(serialize_tx(tx, _blank_witnesses=True)))
     return tx._sighash
 
 
@@ -224,10 +245,6 @@ def build_payment(
         outputs=tuple(outs),
         locktime=locktime,
     )
-    digest = sighash(unsigned)
-    sig = sign(sender.secret, digest)
-    tx = unsigned
-    for i in range(len(selected)):
-        tx = tx.with_witness(i, Witness(signatures=(sig,)))
-    return tx
+    witness = Witness(signatures=(sign(sender.secret, sighash(unsigned)),))
+    return unsigned._rewitnessed(tuple(TxInput(op, witness) for op in selected))
 

@@ -1,0 +1,55 @@
+"""Canonical byte primitives: one fixed little-endian layout per width."""
+
+import struct
+import sys
+
+import pytest
+
+from oraclesim.codec import Reader, Writer
+
+# (width, value, bytes): 0, the largest value, and one value whose bytes
+# differ from their reverse, so a big-endian packer would fail it
+VECTORS = [
+    ("u8", 0, b"\x00"),
+    ("u8", 0xFF, b"\xff"),
+    ("u16", 0, b"\x00\x00"),
+    ("u16", 0xFFFF, b"\xff\xff"),
+    ("u16", 0x1234, b"\x34\x12"),
+    ("u32", 0, b"\x00" * 4),
+    ("u32", 2**32 - 1, b"\xff" * 4),
+    ("u32", 0x01020304, b"\x04\x03\x02\x01"),
+    ("u64", 0, b"\x00" * 8),
+    ("u64", 2**64 - 1, b"\xff" * 8),
+    ("u64", 0x0102030405060708, b"\x08\x07\x06\x05\x04\x03\x02\x01"),
+    ("i64", 0, b"\x00" * 8),
+    ("i64", 2**63 - 1, b"\xff" * 7 + b"\x7f"),
+    ("i64", -(2**63), b"\x00" * 7 + b"\x80"),
+    ("i64", -2, b"\xfe" + b"\xff" * 7),
+    ("f64", 0.0, b"\x00" * 8),
+    ("f64", sys.float_info.max, b"\xff" * 6 + b"\xef\x7f"),
+    ("f64", 1.0, b"\x00" * 6 + b"\xf0\x3f"),
+]
+
+
+@pytest.mark.parametrize("width, value, expected", VECTORS)
+def test_each_width_writes_its_little_endian_bytes(width, value, expected):
+    assert getattr(Writer(), width)(value).getvalue() == expected
+    assert getattr(Reader(expected), width)() == value
+
+
+@pytest.mark.parametrize(
+    "width, value",
+    [
+        ("u8", 256), ("u8", -1), ("u16", 2**16), ("u16", -1), ("u32", 2**32), ("u32", -1),
+        ("u64", 2**64), ("u64", -1), ("i64", 2**63), ("i64", -(2**63) - 1), ("f64", 2**1024),
+    ],
+)
+def test_an_out_of_range_value_raises(width, value):
+    with pytest.raises((struct.error, OverflowError)):
+        getattr(Writer(), width)(value)
+
+
+def test_methods_chain_and_put_appends_as_is():
+    w = Writer().u8(1).bytes(b"ab").string("é")
+    w.put(b"\x09")
+    assert w.getvalue() == b"\x01" + b"\x02\x00\x00\x00ab" + b"\x02\x00\x00\x00\xc3\xa9" + b"\x09"

@@ -8,9 +8,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, strategies as st
 
+from oraclesim import oraclize, orisi
 from oraclesim.datafeed import (
     AuthenticityProof,
     Comparator,
+    Condition,
     DataSource,
     NoDataError,
     compare,
@@ -166,3 +168,34 @@ def test_compare_is_the_operator_on_one_kind_and_false_across_kinds(cmp, value, 
     expected = same_kind and _OPERATORS[cmp](value, target)
     assert compare(cmp, value, target) is expected
 
+
+
+_ORDERINGS = (Comparator.LT, Comparator.LE, Comparator.GT, Comparator.GE)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda cmp, t: Condition("s", "k", cmp, t),
+        lambda cmp, t: orisi.Condition("s", "k", cmp, t, settle_time=0),
+        lambda cmp, t: oraclize.Condition("s", "k", cmp, t, beneficiary=bytes(32)),
+    ],
+    ids=["datafeed", "orisi", "oraclize"],
+)
+def test_every_condition_refuses_an_ordering_on_events_and_labels(build):
+    for threshold in (True, False, "sunny"):
+        for cmp in _ORDERINGS:
+            with pytest.raises(ValueError, match="not an ordering"):
+                build(cmp, threshold)
+        assert build(Comparator.EQ, threshold).holds(threshold)
+    for cmp in _ORDERINGS:  # numbers order
+        assert build(cmp, 10).holds(10) is (cmp in (Comparator.LE, Comparator.GE))
+
+
+def test_source_in_refuses_a_source_or_key_it_cannot_find(weather):
+    sources = {"weather": weather}
+    assert Condition("weather", "rain", Comparator.EQ, True).source_in(sources) is weather
+    with pytest.raises(ValueError, match="unknown source 'almanac'"):
+        Condition("almanac", "rain", Comparator.EQ, True).source_in(sources)
+    with pytest.raises(ValueError, match="source 'weather' has no key 'snow'"):
+        Condition("weather", "snow", Comparator.EQ, True).source_in(sources)

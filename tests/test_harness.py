@@ -529,6 +529,39 @@ def test_rk_fact_on_a_feed_of_another_kind_posts_no(comparator, threshold):
     assert (result.log.events[-1].module, result.log.events[-1].kind) == ("run", "end")
 
 
+_NO_ORDER = "event and label conditions take eq or ne, not an ordering"
+
+
+@pytest.mark.parametrize(
+    "stem, op, change, message",
+    [
+        ("realitykeys_stake", "rk_fact", {"key": "city.rain"},
+         "source 'weather' has no key 'city.rain'"),
+        ("realitykeys_stake", "rk_fact", {"source": "almanac"}, "unknown source 'almanac'"),
+        ("orisi_election", "orisi_propose", {"key": "election.turnout"},
+         "source 'returns' has no key 'election.turnout'"),
+        ("oraclize_milan", "oz_contract", {"key": "milan.wind"},
+         "source 'wolfram' has no key 'milan.wind'"),
+        ("realitykeys_stake", "rk_fact", {"comparator": "lt", "threshold": True}, _NO_ORDER),
+        ("orisi_election", "orisi_propose", {"comparator": "ge", "threshold": "candidate-a"},
+         _NO_ORDER),
+        ("oraclize_milan", "oz_contract", {"comparator": "le", "threshold": True}, _NO_ORDER),
+    ],
+    ids=["rk_key", "rk_source", "orisi_key", "oz_key", "rk_lt_event", "orisi_ge_label",
+         "oz_le_event"],
+)
+def test_cli_run_refuses_a_condition_when_the_scenario_is_parsed(
+    tmp_path, capsys, stem, op, change, message
+):
+    doc = _mutated(stem, lambda d: None)
+    index, action = next((i, a) for i, a in enumerate(doc["actions"]) if a["op"] == op)
+    (action["conditions"][0] if op == "oz_contract" else action).update(change)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+    assert f"parse error: scenario: actions[{index}]: {message}" in capsys.readouterr().err
+
+
 def test_cli_run_rejects_malformed_script(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{", encoding="utf-8")

@@ -200,7 +200,9 @@ def test_overlap_agrees_with_point_sampling():
 
 
 def test_build_contract_funds_escrow_and_presigns_refund():
-    chain, reg, oracle, alice, bob, carol = make_world(temp_entries=[(T0, 8)])
+    chain, reg, oracle, alice, bob, carol = make_world(
+        temp_entries=[(T0, 8)], rain_entries=[(T0, False)]
+    )
     contract = fund(chain, oracle, alice, bob, milan_conditions(bob.pub))
 
     escrow = chain.utxo[contract.funding_outpoint]
@@ -222,7 +224,9 @@ def test_build_contract_funds_escrow_and_presigns_refund():
 
 
 def test_zero_stake_agent_still_contributes_one_coin():
-    chain, reg, oracle, alice, bob, carol = make_world(temp_entries=[(T0, 8)])
+    chain, reg, oracle, alice, bob, carol = make_world(
+        temp_entries=[(T0, 8)], rain_entries=[(T0, False)]
+    )
     first_coin = chain.utxos_for(alice.pub)[0][0]
     contract = fund(
         chain, oracle, alice, bob, milan_conditions(bob.pub), stakes=(0, 3 * COIN // 10)
@@ -334,11 +338,13 @@ def test_poll_alignment_guards():
 
 
 def test_missing_series_surfaces_no_data():
-    chain, reg, oracle, alice, bob, carol = make_world(temp_entries=[(T0, 8)])
+    chain, reg, oracle, alice, bob, carol = make_world(temp_entries=[(T0 + 2 * HOUR, 8)])
     windy = (Condition("wolfram", "milan.wind", Comparator.GT, 50, bob.pub),)
-    contract = fund(chain, oracle, alice, bob, windy)
+    with pytest.raises(ValueError, match="has no key 'milan.wind'"):
+        fund(chain, oracle, alice, bob, windy)  # a key the source lacks is refused
+    contract = fund(chain, oracle, alice, bob, milan_conditions(bob.pub)[:1])
     with pytest.raises(NoDataError):
-        oracle.poll(contract, T0 + HOUR)
+        oracle.poll(contract, T0 + HOUR)  # the series starts after this poll
 
 
 # --------------------------------------------------------- proof gating
@@ -457,7 +463,9 @@ def test_threshold_witness_enumeration():
 
 
 def test_dead_oracle_refund_after_locktime():
-    chain, reg, oracle, alice, bob, carol = make_world(temp_entries=[(T0, 8)])
+    chain, reg, oracle, alice, bob, carol = make_world(
+        temp_entries=[(T0, 8)], rain_entries=[(T0, False)]
+    )
     contract = fund(
         chain, oracle, alice, bob, milan_conditions(bob.pub), refund_locktime=4
     )

@@ -301,6 +301,14 @@ def test_ack_rejects_unlisted_oracle_and_foreign_condition():
         blind.ack(contract)
 
 
+def test_ack_refuses_a_source_without_the_condition_key():
+    chain, contract, agents, nodes, *_ = build_world()
+    keyless = DataSource("election", entries=[("turnout", 0, 61)])
+    node = OracleNode(nodes[0].oracle_id, nodes[0].keypair, keyless)
+    with pytest.raises(VerificationFailedError, match="no key 'candidate_a_wins'"):
+        node.ack(contract)
+
+
 def activated_world(**kwargs):
     chain, contract, agents, nodes, alice, bob, project = build_world(**kwargs)
     for node in nodes:

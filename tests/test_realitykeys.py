@@ -81,6 +81,9 @@ def test_registration_guards():
     bad_ref = Condition("nowhere", "BTCUSD", Comparator.GE, 400)
     with pytest.raises(UnknownSourceError):
         registry.register_fact("where?", T_RES, bad_ref, now=T_NOW)
+    gap_ref = Condition("btc-price", "NO_SUCH", Comparator.GE, 400)
+    with pytest.raises(UnknownSourceError, match="no key 'NO_SUCH'"):
+        registry.register_fact("gap?", T_RES, gap_ref, now=T_NOW)
 
 
 @pytest.mark.parametrize("price,expected", [(405.0, Outcome.YES), (399.99, Outcome.NO), (400.0, Outcome.YES)])
@@ -101,10 +104,9 @@ def test_post_result_guards():
     with pytest.raises(StateError):
         registry.post_result(fact.id, now=T_RES)
 
-    gap_ref = Condition("btc-price", "NO_SUCH", Comparator.GE, 400)
-    orphan = registry.register_fact("gap?", T_RES, gap_ref, now=T_NOW)
+    early = registry.register_fact("before the first price?", T_RES - 1, REF, now=T_NOW)
     with pytest.raises(NoDataError):
-        registry.post_result(orphan.id, now=T_RES)
+        registry.post_result(early.id, now=T_RES - 1)
 
 
 def test_objection_tip_boundary_and_window():

@@ -4,6 +4,7 @@ import hashlib
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oraclesim.codec import TruncatedError, Writer
 from oraclesim.simchain import (
@@ -15,6 +16,7 @@ from oraclesim.simchain import (
     PayToKey,
     POLICY_TEST2013,
     ScriptHash,
+    Signature,
     SimChain,
     TimeLocked,
     Transaction,
@@ -371,3 +373,185 @@ def test_select_coins_walks_sorted_outpoints(funded_chain):
     assert select_coins(chain, alice.pub, coins[0][1].value + 1) == ([op for op, _ in coins], total)
     with pytest.raises(InsufficientFundsError, match=f"need {total + 1}, have {total}"):
         select_coins(chain, alice.pub, total + 1, at_least_one=True)
+
+
+# --------------------------------------------------------- encoder pinning
+# A field-by-field reference for the layouts in FORMATS.md, built from
+# struct.pack alone, so that no helper of the encoder under test is in it.
+
+
+def _reference_lock(lock) -> bytes:
+    if isinstance(lock, PayToKey):
+        return b"\x01" + lock.pub
+    if isinstance(lock, MultiSig):
+        out = struct.pack("<BBB", 2, lock.m, len(lock.keys)) + b"".join(lock.keys)
+        return out + (b"\x00" if lock.commitment is None else b"\x01" + lock.commitment)
+    if isinstance(lock, ScriptHash):
+        return b"\x03" + lock.h
+    if isinstance(lock, DataCarrier):
+        return b"\x04" + struct.pack("<I", len(lock.payload)) + lock.payload
+    if isinstance(lock, TimeLocked):
+        return b"\x05" + struct.pack("<Q", lock.unlock_height) + _reference_lock(lock.inner)
+    return b"\x06" + _reference_lock(lock.left) + _reference_lock(lock.right)
+
+
+def _reference_witness(wit: Witness) -> bytes:
+    out = struct.pack("<H", len(wit.signatures))
+    out += b"".join(s.signer_pub + s.digest_signed + s.tag for s in wit.signatures)
+    out += b"\x00" if wit.redeem is None else b"\x01" + _reference_lock(wit.redeem)
+    if wit.expr_preimage is None:
+        return out + b"\x00"
+    return out + b"\x01" + struct.pack("<I", len(wit.expr_preimage)) + wit.expr_preimage
+
+
+def _reference_tx(tx: Transaction) -> bytes:
+    out = struct.pack("<H", len(tx.inputs))
+    for txin in tx.inputs:
+        prev, index = txin.outpoint
+        out += prev + struct.pack("<I", index) + _reference_witness(txin.witness)
+    out += struct.pack("<H", len(tx.outputs))
+    for txout in tx.outputs:
+        out += struct.pack("<Q", txout.value) + _reference_lock(txout.lock)
+    return out + struct.pack("<Q", tx.locktime)
+
+
+_B32 = st.binary(min_size=32, max_size=32)
+_U64 = st.integers(0, 2**64 - 1)
+_MULTISIGS = st.lists(_B32, min_size=1, max_size=4).flatmap(
+    lambda keys: st.builds(
+        MultiSig, st.integers(1, len(keys)), st.just(tuple(keys)), st.none() | _B32
+    )
+)
+_LOCKS = st.recursive(
+    st.builds(PayToKey, _B32)
+    | _MULTISIGS
+    | st.builds(ScriptHash, _B32)
+    | st.builds(DataCarrier, st.binary(max_size=40)),
+    lambda inner: st.builds(TimeLocked, inner, _U64) | st.builds(Either, inner, inner),
+    max_leaves=5,
+)
+_WITNESSES = st.builds(
+    Witness,
+    st.lists(st.builds(Signature, _B32, _B32, _B32), max_size=3).map(tuple),
+    st.none() | _LOCKS,
+    st.none() | st.binary(max_size=40),
+)
+_TXS = st.builds(
+    Transaction,
+    st.lists(
+        st.builds(TxInput, st.tuples(_B32, st.integers(0, 2**32 - 1)), _WITNESSES), max_size=3
+    ).map(tuple),
+    st.lists(st.builds(TxOutput, _U64, _LOCKS), max_size=3).map(tuple),
+    _U64,
+)
+
+
+@given(_TXS)
+def test_serialize_tx_matches_the_reference_and_sighash_blanks_every_witness(tx):
+    assert serialize_tx(tx) == _reference_tx(tx)
+    assert deserialize_tx(serialize_tx(tx)) == tx
+    blanked = Transaction(
+        tuple(TxInput(txin.outpoint, Witness()) for txin in tx.inputs), tx.outputs, tx.locktime
+    )
+    assert sighash(tx) == hashlib.sha256(serialize_tx(blanked)).digest()
+    assert sighash(tx) == hashlib.sha256(_reference_tx(blanked)).digest()
+
+
+def test_build_payment_equals_the_chained_with_witness_loop():
+    reg = KeyRegistry()
+    alice = reg.keygen(b"alice")
+    bob = reg.keygen(b"bob")
+    chain = SimChain(
+        policy=POLICY_TEST2013,
+        genesis=[TxOutput(value=v, lock=PayToKey(alice.pub)) for v in (400, 300, 200, 100)],
+        keys=reg,
+    )
+    pay = TxOutput(value=950, lock=PayToKey(bob.pub))
+    tx = build_payment(chain, alice, [pay], fee=20, locktime=1)
+
+    # the builder before it signed once: one with_witness per input
+    coins = [outpoint for outpoint, _ in chain.utxos_for(alice.pub)]
+    unsigned = Transaction(
+        inputs=tuple(TxInput(outpoint=op) for op in coins),
+        outputs=(pay, TxOutput(value=30, lock=PayToKey(alice.pub))),
+        locktime=1,
+    )
+    sig = sign(alice.secret, sighash(unsigned))
+    chained = unsigned
+    for i in range(len(coins)):
+        chained = chained.with_witness(i, Witness(signatures=(sig,)))
+
+    assert len(tx.inputs) == 4
+    assert tx.inputs == chained.inputs
+    assert tx.outputs == chained.outputs
+    assert tx.locktime == chained.locktime
+    assert txid(tx) == txid(chained)
+    assert sighash(tx) == sighash(deserialize_tx(serialize_tx(tx))) == sighash(unsigned)
+    assert chain.validate(tx)
+
+
+# ------------------------------------------------------------ decoder fuzz
+
+
+def _rich_tx() -> Transaction:
+    redeem = Either(
+        left=MultiSig(m=2, keys=(PUB_A, PUB_B), commitment=PUB_C),
+        right=TimeLocked(inner=PayToKey(PUB_C), unlock_height=500),
+    )
+    sig = Signature(PUB_A, bytes(range(32)), PUB_B)
+    witness = Witness(signatures=(sig, sig), redeem=redeem, expr_preimage=b"if rain then bob")
+    return Transaction(
+        inputs=(TxInput(outpoint=(PUB_C, 7), witness=witness), TxInput(outpoint=(PUB_B, 0))),
+        outputs=(
+            TxOutput(value=1_000, lock=p2sh_lock(redeem)),
+            TxOutput(value=0, lock=DataCarrier(b"payload")),
+            TxOutput(value=5, lock=TimeLocked(inner=redeem, unlock_height=9)),
+        ),
+        locktime=12,
+    )
+
+
+_DECODERS = [
+    (deserialize_tx, serialize_tx, serialize_tx(_rich_tx())),
+    (deserialize_lock, serialize_lock, serialize_lock(_rich_tx().outputs[2].lock)),
+]
+
+
+@st.composite
+def _edits(draw, data: bytes) -> bytes:
+    """``data`` after one to three byte edits: replace, delete or insert."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if edit == "insert":
+            out.insert(draw(st.integers(0, len(out))), draw(st.integers(0, 255)))
+        elif out:
+            at = draw(st.integers(0, len(out) - 1))
+            if edit == "replace":
+                out[at] = draw(st.integers(0, 255))
+            else:
+                del out[at]
+    return bytes(out)
+
+
+def _refuses_or_round_trips(decode, encode, data: bytes) -> None:
+    try:
+        decoded = decode(data)
+    except ValueError:
+        return
+    assert encode(decoded) == data
+
+
+@pytest.mark.parametrize("decode, encode, _", _DECODERS, ids=["tx", "lock"])
+@settings(max_examples=500)
+@given(data=st.binary(max_size=200))
+def test_decoders_refuse_or_round_trip_arbitrary_bytes(decode, encode, _, data):
+    _refuses_or_round_trips(decode, encode, data)
+
+
+@pytest.mark.parametrize("decode, encode, valid", _DECODERS, ids=["tx", "lock"])
+@settings(max_examples=500)
+@given(data=st.data())
+def test_decoders_refuse_or_round_trip_edited_bytes(decode, encode, valid, data):
+    assert encode(decode(valid)) == valid
+    _refuses_or_round_trips(decode, encode, data.draw(_edits(valid)))
