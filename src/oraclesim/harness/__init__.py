@@ -6,7 +6,7 @@ Running one produces a line-delimited JSON event log whose digest is the
 unit of comparison: same scenario, same seed, same bytes.
 """
 
-from .events import Event, EventLog, verify_replay
+from .events import Event, EventLog, LogFormatError, verify_replay
 from .metrics import export_metrics
 from .scenario import (
     ParseError,
@@ -19,6 +19,7 @@ from .scenario import (
 __all__ = [
     "Event",
     "EventLog",
+    "LogFormatError",
     "ParseError",
     "RunResult",
     "Scenario",

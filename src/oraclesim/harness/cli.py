@@ -12,7 +12,7 @@ from pathlib import Path
 from ..counterparty import CounterpartyError, decode_payload, message_json
 from ..orisi import OrisiError, compute_safe_params
 from ..simchain import classify, deserialize_tx, policy_for
-from .events import EventLog, verify_replay
+from .events import EventLog, LogFormatError, verify_replay
 from .metrics import export_metrics
 from .scenario import ParseError, run_scenario
 
@@ -126,7 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except LogFormatError as exc:  # from `verify` and `metrics`
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

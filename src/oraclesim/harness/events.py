@@ -6,6 +6,9 @@ so two logs compare equal iff their files are byte-identical.
 
 A line is fixed when its event is appended: the log encodes each event
 once, then, and later changes to a payload's objects do not reach it.
+
+Reading is the inverse of `encode` and accepts nothing else: every line
+must be the canonical encoding of an event, or `LogFormatError` names it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..codec import sha256
+
+
+class LogFormatError(ValueError):
+    """The bytes are not a log that `EventLog.encode` writes."""
 
 
 @dataclass(frozen=True)
@@ -27,6 +34,9 @@ class Event:
 
 # One canonical encoder for every line; `json.dumps` would build a new one per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# Each event field and the JSON type that `read` requires of it.
+_FIELDS = (("tick", int), ("module", str), ("kind", str), ("payload", dict))
 
 
 def _encode(event: Event) -> str:
@@ -68,19 +78,35 @@ class EventLog:
 
     @classmethod
     def read(cls, path) -> "EventLog":
+        try:
+            return cls.decode(Path(path).read_bytes())
+        except LogFormatError as exc:
+            raise LogFormatError(f"{path}: {exc}") from None
+
+    @classmethod
+    def decode(cls, data: bytes) -> "EventLog":
+        """The log whose `encode()` is exactly `data`; LogFormatError if none is."""
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LogFormatError(f"not UTF-8: {exc}") from None
+        *lines, tail = text.split("\n")
+        if tail:
+            raise LogFormatError(f"line {len(lines) + 1}: no trailing newline")
         log = cls()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line:
-                continue
-            doc = json.loads(line)
-            log._add(
-                Event(
-                    tick=doc["tick"],
-                    module=doc["module"],
-                    kind=doc["kind"],
-                    payload=doc["payload"],
-                )
-            )
+        for number, line in enumerate(lines, 1):
+            try:
+                doc = json.loads(line)
+            except (ValueError, RecursionError):
+                raise LogFormatError(f"line {number}: not JSON") from None
+            if not isinstance(doc, dict):
+                raise LogFormatError(f"line {number}: not a JSON object")
+            for name, kind in _FIELDS:
+                if not isinstance(doc.get(name), kind) or isinstance(doc[name], bool):
+                    raise LogFormatError(f"line {number}: {name!r} missing or not {kind.__name__}")
+            log._add(Event(doc["tick"], doc["module"], doc["kind"], doc["payload"]))
+            if log._lines[-1] != line:
+                raise LogFormatError(f"line {number}: not the canonical encoding of its event")
         return log
 
     def matching(self, kind: str, where: dict | None = None) -> list[Event]:

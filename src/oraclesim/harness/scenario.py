@@ -28,7 +28,7 @@ from types import UnionType
 from typing import Any, Callable, Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from .. import counterparty, oraclize, orisi, realitykeys, truthcoin, will_oracle
-from ..datafeed import Comparator, Condition, DataSource, FeedValue
+from ..datafeed import Comparator, Condition, DataSource, FeedValue, NoDataError, query
 from ..simchain import (
     KeyPair,
     KeyRegistry,
@@ -260,8 +260,10 @@ class Scenario:
         for i, action in enumerate(self.actions):
             try:
                 for condition in _conditions(action):
-                    condition.source_in(sources)
-            except ValueError as exc:
+                    source = condition.source_in(sources)
+                    if action.op == "rk_fact":  # rk_post reads the key at resolution_time
+                        query(source, condition.key, action.args["resolution_time"])
+            except (ValueError, NoDataError) as exc:
                 raise ValueError(f"actions[{i}]: {exc}") from None
 
     @classmethod

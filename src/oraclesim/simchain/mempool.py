@@ -4,12 +4,18 @@ Every accepted tx is validated against the confirmed UTXO set, so pool
 entries never spend each other's outputs: a child must wait until its
 parent confirms. Standardness is recorded at submit time and consulted
 by miners, never by validation.
+
+Admission is one pass. The fee is the one `validate_tx` computed while
+checking the inputs, and each entry's mining rank, best fee rate first
+and earlier arrival on ties, is fixed when it is submitted. `entries`
+keeps arrival order, in which `arrival_height` never decreases, so expiry
+stops at the first entry that is young enough.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from operator import attrgetter
+from typing import TYPE_CHECKING, NamedTuple
 
 from .policy import StandardnessDecision, classify
 from .tx import Transaction, tx_size, txid
@@ -23,8 +29,7 @@ REASON_DUPLICATE = "duplicate"
 REASON_CONFLICT = "conflict"
 
 
-@dataclass(frozen=True)
-class SubmitResult:
+class SubmitResult(NamedTuple):
     txid: bytes
     accepted: bool
     standard: StandardnessDecision | None = None
@@ -35,8 +40,7 @@ class SubmitResult:
         return self.accepted
 
 
-@dataclass(frozen=True)
-class MempoolEntry:
+class MempoolEntry(NamedTuple):
     tx: Transaction
     txid: bytes
     fee: int
@@ -44,10 +48,10 @@ class MempoolEntry:
     arrival_height: int
     arrival_seq: int
     standard: StandardnessDecision
+    rank: tuple[float, int]  # (-(fee / size), arrival_seq): mining order, ascending
 
-    @property
-    def fee_rate(self) -> float:
-        return self.fee / self.size
+
+_rank = attrgetter("rank")
 
 
 class Mempool:
@@ -55,7 +59,7 @@ class Mempool:
         if expiry_blocks < 1:
             raise ValueError("expiry_blocks must be positive")
         self.expiry_blocks = expiry_blocks
-        self.entries: dict[bytes, MempoolEntry] = {}
+        self.entries: dict[bytes, MempoolEntry] = {}  # in arrival order
         self._claimed: dict[tuple[bytes, int], bytes] = {}
         self._next_seq = 0
 
@@ -68,52 +72,37 @@ class Mempool:
     def submit(self, chain: "SimChain", tx: Transaction) -> SubmitResult:
         tid = txid(tx)
         if tid in self.entries:
-            return SubmitResult(txid=tid, accepted=False, reason=REASON_DUPLICATE)
+            return SubmitResult(tid, False, reason=REASON_DUPLICATE)
         for txin in tx.inputs:
             if txin.outpoint in self._claimed:
-                return SubmitResult(txid=tid, accepted=False, reason=REASON_CONFLICT)
+                return SubmitResult(tid, False, reason=REASON_CONFLICT)
         verdict = chain.validate(tx)
         if not verdict:
-            return SubmitResult(
-                txid=tid, accepted=False, reason=REASON_INVALID, invalid_reason=verdict.reason
-            )
-        fee = sum(chain.utxo[txin.outpoint].value for txin in tx.inputs) - sum(
-            out.value for out in tx.outputs
-        )
+            return SubmitResult(tid, False, reason=REASON_INVALID, invalid_reason=verdict.reason)
         decision = classify(tx, chain.policy)
-        entry = MempoolEntry(
-            tx=tx,
-            txid=tid,
-            fee=fee,
-            size=tx_size(tx),
-            arrival_height=chain.height,
-            arrival_seq=self._next_seq,
-            standard=decision,
+        fee, size, seq = verdict.fee, tx_size(tx), self._next_seq
+        self._next_seq = seq + 1
+        self.entries[tid] = MempoolEntry(
+            tx, tid, fee, size, chain.height, seq, decision, (-(fee / size), seq)
         )
-        self._next_seq += 1
-        self.entries[tid] = entry
         for txin in tx.inputs:
             self._claimed[txin.outpoint] = tid
-        return SubmitResult(txid=tid, accepted=True, standard=decision)
+        return SubmitResult(tid, True, decision)
 
     def candidates(self, include_nonstandard: bool) -> list[MempoolEntry]:
         """Entries a miner will consider, best fee rate first, FIFO on ties."""
-        pool = [
-            e
-            for e in self.entries.values()
-            if include_nonstandard or e.standard.standard
-        ]
-        pool.sort(key=lambda e: (-e.fee_rate, e.arrival_seq))
+        pool = [e for e in self.entries.values() if include_nonstandard or e.standard.standard]
+        pool.sort(key=_rank)
         return pool
 
     def on_block(self, block: "Block", height: int) -> None:
         for tx in block.txs:
             self._remove(txid(tx))
-        expired = [
-            tid
-            for tid, entry in self.entries.items()
-            if height - entry.arrival_height >= self.expiry_blocks
-        ]
+        expired = []
+        for tid, entry in self.entries.items():
+            if height - entry.arrival_height < self.expiry_blocks:
+                break  # every later arrival is at least as young
+            expired.append(tid)
         for tid in expired:
             self._remove(tid)
 

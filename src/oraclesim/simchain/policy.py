@@ -6,6 +6,8 @@ relayed 80-byte data payloads, and the v0.9.0 rules that halved the cap to
 40 bytes.  Multisig is standard up to three keys; bigger key sets, bare
 non-payment templates, and witnesses carrying more than three signatures
 (the footprint of spending a large multisig) are all non-standard.
+
+`classify` returns shared decisions, one per outcome, and builds none.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .script import DataCarrier, Either, MultiSig, PayToKey, ScriptHash, TimeLocked
+from .script import DataCarrier, MultiSig, PayToKey, ScriptHash
 from .tx import Transaction
 
 MAX_STANDARD_MULTISIG_KEYS = 3  # in every era
@@ -58,26 +60,28 @@ class StandardnessDecision:
         return self.standard
 
 
+_STANDARD = StandardnessDecision(True)
+_NONSTANDARD = {reason: StandardnessDecision(False, reason) for reason in NonStandardReason}
+
+
 def classify(tx: Transaction, policy: StandardnessPolicy) -> StandardnessDecision:
     """Pure function of the transaction bytes and the policy."""
     for out in tx.outputs:
         lock = out.lock
         if isinstance(lock, DataCarrier):
             if len(lock.payload) > policy.max_data_payload:
-                return StandardnessDecision(False, NonStandardReason.DATA_PAYLOAD_TOO_LARGE)
+                return _NONSTANDARD[NonStandardReason.DATA_PAYLOAD_TOO_LARGE]
         elif isinstance(lock, MultiSig):
             if len(lock.keys) > MAX_STANDARD_MULTISIG_KEYS:
-                return StandardnessDecision(False, NonStandardReason.TOO_MANY_MULTISIG_KEYS)
+                return _NONSTANDARD[NonStandardReason.TOO_MANY_MULTISIG_KEYS]
             if lock.commitment is not None:
                 # hash-committed multisig is the hand-rolled contract script
-                return StandardnessDecision(False, NonStandardReason.NON_TEMPLATE_OUTPUT)
+                return _NONSTANDARD[NonStandardReason.NON_TEMPLATE_OUTPUT]
         elif isinstance(lock, (PayToKey, ScriptHash)):
             pass
-        elif isinstance(lock, (TimeLocked, Either)):
-            return StandardnessDecision(False, NonStandardReason.NON_TEMPLATE_OUTPUT)
-        else:
-            return StandardnessDecision(False, NonStandardReason.NON_TEMPLATE_OUTPUT)
+        else:  # TimeLocked, Either
+            return _NONSTANDARD[NonStandardReason.NON_TEMPLATE_OUTPUT]
     for txin in tx.inputs:
         if len(txin.witness.signatures) > MAX_STANDARD_MULTISIG_KEYS:
-            return StandardnessDecision(False, NonStandardReason.TOO_MANY_WITNESS_SIGS)
-    return StandardnessDecision(True)
+            return _NONSTANDARD[NonStandardReason.TOO_MANY_WITNESS_SIGS]
+    return _STANDARD

@@ -4,13 +4,16 @@ A transaction is valid when it has inputs (one without would be valid at
 every height, so its txid could be mined again and again), every input
 exists and is unspent, every witness satisfies its lock, the locktime has
 passed, and outputs do not exceed inputs.  Standardness plays no part here.
+
+A valid result carries the fee, inputs minus outputs, summed while the
+inputs are checked, so the mempool never sums them again.  Invalid results
+are shared, one per `InvalidReason`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .keys import KeyRegistry
 from .script import (
@@ -36,20 +39,16 @@ class InvalidReason(enum.Enum):
     UNSPENDABLE_INPUT = "unspendable_input"
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     ok: bool
     reason: InvalidReason | None = None
+    fee: int | None = None  # inputs minus outputs when ok
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-VALID = ValidationResult(True)
-
-
-def _invalid(reason: InvalidReason) -> ValidationResult:
-    return ValidationResult(False, reason)
+_INVALID = {reason: ValidationResult(False, reason) for reason in InvalidReason}
 
 
 def _satisfies(
@@ -99,26 +98,26 @@ def validate_tx(
 ) -> ValidationResult:
     """Validity of `tx` if included in a block at `height`."""
     if not tx.inputs:
-        return _invalid(InvalidReason.NO_INPUTS)
+        return _INVALID[InvalidReason.NO_INPUTS]
     if tx.locktime > height:
-        return _invalid(InvalidReason.PREMATURE)
+        return _INVALID[InvalidReason.PREMATURE]
 
     outpoints = [txin.outpoint for txin in tx.inputs]
     if len(set(outpoints)) != len(outpoints):
-        return _invalid(InvalidReason.DOUBLE_SPEND)
+        return _INVALID[InvalidReason.DOUBLE_SPEND]
 
     total_in = 0
     digest = sighash(tx)
     for txin in tx.inputs:
         source = utxo_set.get(txin.outpoint)
         if source is None:
-            return _invalid(InvalidReason.MISSING_INPUT)
+            return _INVALID[InvalidReason.MISSING_INPUT]
         failure = _satisfies(source.lock, txin.witness, digest, height, keys)
         if failure is not None:
-            return _invalid(failure)
+            return _INVALID[failure]
         total_in += source.value
 
     total_out = sum(o.value for o in tx.outputs)
     if total_out > total_in:
-        return _invalid(InvalidReason.OVERSPEND)
-    return VALID
+        return _INVALID[InvalidReason.OVERSPEND]
+    return ValidationResult(True, None, total_in - total_out)

@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from oraclesim.counterparty import Send, encode_message
 from oraclesim.datafeed import query
 from oraclesim.harness import (
     EventLog,
+    LogFormatError,
     ParseError,
     Scenario,
     bundled_scenarios,
@@ -32,6 +34,7 @@ from oraclesim.simchain import (
     serialize_tx,
 )
 from oraclesim.simchain.script import MAX_LOCK_DEPTH
+from test_script_tx import _edits
 
 T0 = 1_700_000_000
 
@@ -66,6 +69,56 @@ def test_write_read_round_trip(tmp_path):
     loaded = EventLog.read(path)
     assert loaded.digest() == log.digest()
     assert loaded.events[1].payload == {"actor": "alice", "qty": 10}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"not json\n", "line 1: not JSON"),
+        (b"[1]\n", "line 1: not a JSON object"),
+        (b'{"kind":"x","payload":{},"tick":1}\n', "line 1: 'module' missing or not str"),
+        (b'{"kind":"x","module":"m","payload":{},"tick":true}\n', "'tick' missing or not int"),
+        (b'{"kind":"x","module":"m","payload":[],"tick":1}\n', "'payload' missing or not dict"),
+        (b'{"tick":1,"kind":"x","module":"m","payload":{}}\n', "not the canonical encoding"),
+        (b'{"kind":"x","module":"m","payload":{},"tick":1,"z":0}\n', "not the canonical"),
+        (b'{"kind":"x","module":"m","payload":{},"tick":1}', "line 1: no trailing newline"),
+        (b"\n", "line 1: not JSON"),
+        (b"\xff\n", "not UTF-8"),
+    ],
+    ids=["json", "object", "missing", "bool_tick", "list_payload", "key_order", "extra_key",
+         "newline", "blank", "utf8"],
+)
+def test_read_refuses_what_encode_never_writes(tmp_path, data, message):
+    path = tmp_path / "bad.log"
+    path.write_bytes(data)
+    with pytest.raises(LogFormatError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+        EventLog.read(path)
+
+
+@pytest.fixture(scope="module")
+def bundled_log():
+    return run_scenario(_scenario_path("will_claim")).log.encode()
+
+
+def _log_refuses_or_round_trips(data: bytes) -> None:
+    try:
+        log = EventLog.decode(data)
+    except LogFormatError:
+        return
+    assert log.encode() == data
+
+
+@settings(max_examples=500)
+@given(data=st.binary(max_size=200))
+def test_read_refuses_or_round_trips_arbitrary_bytes(data):
+    _log_refuses_or_round_trips(data)
+
+
+@settings(max_examples=500)
+@given(data=st.data())
+def test_read_refuses_or_round_trips_edited_logs(bundled_log, data):
+    assert EventLog.decode(bundled_log).encode() == bundled_log
+    _log_refuses_or_round_trips(data.draw(_edits(bundled_log)))
 
 
 def test_matching_filters_kind_and_payload():
@@ -562,6 +615,20 @@ def test_cli_run_refuses_a_condition_when_the_scenario_is_parsed(
     assert f"parse error: scenario: actions[{index}]: {message}" in capsys.readouterr().err
 
 
+def test_cli_run_refuses_an_rk_fact_resolving_before_its_series(tmp_path, capsys):
+    def early(doc):
+        doc["sources"][0]["entries"] = [{"key": "city.snow", "time": 1700018000, "value": True}]
+        doc["actions"][1]["resolution_time"] = 1700007200
+
+    bad = tmp_path / "early.json"
+    bad.write_text(json.dumps(_mutated("realitykeys_stake", early)), encoding="utf-8")
+    assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: scenario: actions[1]: "
+        "weather: no entry for 'city.snow' at or before t=1700007200\n"
+    )
+
+
 def test_cli_run_rejects_malformed_script(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{", encoding="utf-8")
@@ -579,6 +646,18 @@ def test_cli_verify_compares_logs(tmp_path, capsys):
     twin.write_bytes(log.read_bytes() + b'{"kind":"x","module":"m","payload":{},"tick":9}\n')
     assert main(["verify", str(log), str(twin)]) == 1
     assert "differ" in capsys.readouterr().out
+
+
+def test_cli_verify_and_metrics_refuse_a_malformed_log(tmp_path, capsys):
+    main(["run", _scenario_path("will_claim"), "--out", str(tmp_path)])
+    log = tmp_path / "will_claim.log.jsonl"
+    capsys.readouterr()
+    for name, text in (("junk.log", "not json\n"), ("nomodule.log", '{"kind":"x","tick":0}\n')):
+        bad = tmp_path / name
+        bad.write_text(text, encoding="utf-8")
+        assert main(["verify", str(log), str(bad)]) == 2
+        assert main(["metrics", str(bad), str(tmp_path / "m.csv")]) == 2
+        assert f"error: {bad}: line 1: " in capsys.readouterr().err
 
 
 def test_cli_metrics_writes_csv(tmp_path, capsys):

@@ -23,6 +23,8 @@ from oraclesim.simchain import (
     TxOutput,
     block_hash,
     build_payment,
+    classify,
+    serialize_tx,
     txid,
     validate_tx,
 )
@@ -62,6 +64,31 @@ def test_submit_tags_standardness():
     assert ok.accepted and ok.standard.standard
     ns = chain.submit(nonstandard_pay(chain, bob, 0))
     assert ns.accepted and not ns.standard.standard
+
+
+def test_admission_shares_verdicts_and_keeps_immutable_records():
+    chain, alice, bob = make_chain(coins=1)
+    tx = pay(chain, alice, bob.pub, 1_000, fee=250)
+    verdict = chain.validate(tx)
+    assert (bool(verdict), verdict.reason, verdict.fee) == (True, None, 250)
+    empty = Transaction(inputs=(), outputs=())
+    assert validate_tx(empty, chain.utxo, 1, chain.keys) is chain.validate(empty)
+    assert not chain.validate(empty) and chain.validate(empty).fee is None
+    other = pay(chain, bob, alice.pub, 5)
+    assert classify(tx, POLICY_TEST2013) is classify(other, POLICY_TEST2013)
+    assert classify(nonstandard_pay(chain, alice, 0), POLICY_TEST2013) is classify(
+        nonstandard_pay(chain, bob, 0), POLICY_TEST2013
+    )
+
+    accepted, duplicate = chain.submit(tx), chain.submit(tx)
+    assert (bool(accepted), bool(duplicate)) == (True, False)
+    entry = chain.mempool.entries[accepted.txid]
+    assert (entry.fee, entry.rank) == (250, (-250 / entry.size, entry.arrival_seq))
+    for record, field in (
+        (verdict, "ok"), (accepted, "accepted"), (entry, "fee"), (accepted.standard, "standard")
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
 
 
 def test_submit_rejects_duplicate_conflict_and_invalid():
@@ -133,14 +160,29 @@ def test_compliant_miners_skip_nonstandard():
 
 def test_mempool_expiry_drops_stale_txs():
     chain, alice, _ = make_chain(expiry_blocks=5)
-    res = chain.submit(nonstandard_pay(chain, alice, 0))
     strict = [Miner("strict", 1.0, accepts_nonstandard=False)]
     rng = Random(2)
-    for _ in range(4):
+    big = DataCarrier(bytes(POLICY_TEST2013.max_data_payload + 1))
+    coins = iter(chain.utxos_for(alice.pub))
+    arrived = {}  # txid -> arrival height
+    # two arrive together and expire in one block; the later two each expire
+    # alone, while an entry behind them is still young
+    for arrival in (0, 0, 1, 3):
+        while chain.height < arrival:
+            chain.mine_next(strict, rng)
+        outpoint, _ = next(coins)
+        unsigned = Transaction(inputs=(TxInput(outpoint),), outputs=(TxOutput(0, big),))
+        res = chain.submit(sign_input(unsigned, 0, alice))
+        assert res.accepted and not res.standard
+        arrived[res.txid] = arrival
+    pools = []
+    while chain.height < 9:
         chain.mine_next(strict, rng)
-    assert res.txid in chain.mempool
-    chain.mine_next(strict, rng)
-    assert res.txid not in chain.mempool
+        assert set(chain.mempool.entries) == {
+            tid for tid, arrival in arrived.items() if chain.height - arrival < 5
+        }
+        pools.append(len(chain.mempool))
+    assert pools == [4, 2, 1, 1, 0, 0]  # at heights 4..9
 
 
 def test_blocks_fill_by_fee_rate():
@@ -216,11 +258,13 @@ class RelayTraffic(RuleBasedStateMachine):
     """Random relay traffic, mined with no validation at mining time.
 
     Payments (some time-locked, some nonstandard), rival spends of one coin,
-    transactions naming a coin twice, premature unlocks and re-sent confirmed
-    transactions go through `submit`; mining by strict, loose, mixed and
-    small-budget miners confirms some and lets the rest expire.  Every mined
-    block must validate tx by tx against the UTXO set before it, with the
-    block's earlier spends applied.
+    transactions naming a coin twice, premature unlocks, overspends and
+    re-sent confirmed transactions go through `submit`; mining by strict,
+    loose, mixed and small-budget miners confirms some and lets the rest
+    expire.  Every mined block must validate tx by tx against the UTXO set
+    before it, with the block's earlier spends applied, and must hold what a
+    greedy fill of the pool before it takes.  Fees, arrival order and expiry
+    are checked against what the machine itself recorded and the UTXO set.
     """
 
     def __init__(self):
@@ -238,6 +282,13 @@ class RelayTraffic(RuleBasedStateMachine):
             for pair in self.pairs
         ]
         self.chain = SimChain(policy=POLICY_TEST2013, genesis=genesis, keys=reg, expiry_blocks=4)
+        self.arrived = {}  # txid -> (height, order) of its latest accepted submit
+        self.accepted = 0
+
+    def submit(self, tx):
+        if self.chain.submit(tx):
+            self.arrived[txid(tx)] = (self.chain.height, self.accepted)
+            self.accepted += 1
 
     def pay_to(self, sender, lock, value, fee, **kwargs):
         try:
@@ -246,7 +297,7 @@ class RelayTraffic(RuleBasedStateMachine):
             )
         except InsufficientFundsError:
             return
-        self.chain.submit(tx)
+        self.submit(tx)
 
     @rule(
         sender=owner_index,
@@ -281,7 +332,7 @@ class RelayTraffic(RuleBasedStateMachine):
             inputs=(TxInput(outpoint=op),),
             outputs=(TxOutput(value=max(out.value - fee, 0), lock=PayToKey(owner.pub)),),
         )
-        self.chain.submit(sign_input(unsigned, 0, owner))
+        self.submit(sign_input(unsigned, 0, owner))
 
     @rule(sender=owner_index, fee=st.integers(1, 500))
     def double_spend(self, sender, fee):
@@ -296,12 +347,51 @@ class RelayTraffic(RuleBasedStateMachine):
     def resend_confirmed(self, pick):
         confirmed = [tx for block in self.chain.blocks[1:] for tx in block.txs]
         if confirmed:
-            self.chain.submit(confirmed[pick % len(confirmed)])
+            self.submit(confirmed[pick % len(confirmed)])
+
+    @rule(sender=owner_index, extra=st.integers(1, 1_000))
+    def overspend(self, sender, extra):
+        coins = self.chain.utxos_for(self.pairs[sender].pub)
+        if coins:
+            (op, out), *_ = coins
+            lock = PayToKey(self.pairs[sender].pub)
+            unsigned = Transaction((TxInput(op),), (TxOutput(out.value + extra, lock),))
+            self.submit(sign_input(unsigned, 0, self.pairs[sender]))
+
+    def reference_fee(self, tx):
+        return sum(self.chain.utxo[i.outpoint].value for i in tx.inputs) - sum(
+            o.value for o in tx.outputs
+        )
 
     @rule(miners=st.sampled_from(sorted(MINER_SETS)), seed=st.integers(0, 2**16))
     def mine(self, miners, seed):
         view = dict(self.chain.utxo)
+        pool = [entry.tx for entry in self.chain.mempool.entries.values()]
+        fees = {txid(tx): self.reference_fee(tx) for tx in pool}
         block = self.chain.mine_next(MINER_SETS[miners], Random(seed))
+
+        # a greedy fill by fee rate, earlier arrival on ties, under the budget
+        winner = next(m for m in MINER_SETS[miners] if m.miner_id == block.miner_id)
+        offered = [
+            tx for tx in pool if winner.accepts_nonstandard or classify(tx, self.chain.policy)
+        ]
+        size = {txid(tx): len(serialize_tx(tx)) for tx in offered}
+
+        def rank(tx):
+            tid = txid(tx)
+            return -(fees[tid] / size[tid]), self.arrived[tid][1]
+
+        reference, used = [], 0
+        for tx in sorted(offered, key=rank):
+            if used + size[txid(tx)] <= winner.block_size_budget:
+                reference.append(tx)
+                used += size[txid(tx)]
+        assert list(block.txs) == reference
+
+        mined = {txid(tx) for tx in block.txs}
+        for tx in pool:
+            if txid(tx) not in mined and txid(tx) not in self.chain.mempool:
+                assert block.height - self.arrived[txid(tx)][0] >= self.chain.mempool.expiry_blocks
         for tx in block.txs:
             assert validate_tx(tx, view, block.height, self.chain.keys), tx
             for txin in tx.inputs:
@@ -314,6 +404,19 @@ class RelayTraffic(RuleBasedStateMachine):
     def pool_entries_are_valid_at_the_next_height(self):
         for entry in self.chain.mempool.entries.values():
             assert self.chain.validate(entry.tx), entry
+
+    @invariant()
+    def pool_fees_are_inputs_minus_outputs(self):
+        for entry in self.chain.mempool.entries.values():
+            fee = self.reference_fee(entry.tx)
+            assert entry.fee == self.chain.validate(entry.tx).fee == fee >= 0, entry
+
+    @invariant()
+    def pool_holds_no_expired_entry(self):
+        height, expiry = self.chain.height, self.chain.mempool.expiry_blocks
+        for tid, entry in self.chain.mempool.entries.items():
+            assert (entry.arrival_height, entry.arrival_seq) == self.arrived[tid]
+            assert height - entry.arrival_height < expiry, entry
 
 
 RelayTraffic.TestCase.settings = settings(
