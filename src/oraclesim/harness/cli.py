@@ -35,16 +35,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
+class _Unreadable(Exception):
+    """A log file that cannot be read at all."""
+
+
+def _read_log(path: str) -> EventLog:
+    try:
+        return EventLog.read(path)
+    except OSError as exc:
+        raise _Unreadable(f"cannot read {path}: {exc}") from None
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    log_a = EventLog.read(args.log_a)
-    log_b = EventLog.read(args.log_b)
+    log_a = _read_log(args.log_a)
+    log_b = _read_log(args.log_b)
     same = verify_replay(log_a, log_b)
     print("identical" if same else "logs differ")
     return 0 if same else 1
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    log = EventLog.read(args.log)
+    log = _read_log(args.log)
     rows = export_metrics(log, args.out)
     print(f"{rows} rows -> {args.out}")
     return 0
@@ -128,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LogFormatError as exc:  # from `verify` and `metrics`
+    except (LogFormatError, _Unreadable) as exc:  # from `verify` and `metrics`
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

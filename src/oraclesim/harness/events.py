@@ -6,6 +6,9 @@ so two logs compare equal iff their files are byte-identical.
 
 A line is fixed when its event is appended: the log encodes each event
 once, then, and later changes to a payload's objects do not reach it.
+The encoder is built once, when the module is imported: the payload goes
+through the C JSON encoder, and the four-key envelope around it is written
+directly, in its sorted key order.
 
 Reading is the inverse of `encode` and accepts nothing else: every line
 must be the canonical encoding of an event, or `LogFormatError` names it.
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder
+from json.encoder import encode_basestring_ascii as _esc
 from pathlib import Path
 
 from ..codec import sha256
@@ -32,21 +37,29 @@ class Event:
     payload: dict
 
 
-# One canonical encoder for every line; `json.dumps` would build a new one per call.
+# The canonical settings: sorted keys, no spaces, ASCII escapes, NaN allowed.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The C encoder that `_ENCODER.encode` would build for every line, built once.
+# It keeps no circular-reference markers: a shared table would keep the entries
+# of a call that failed, so a circular payload raises RecursionError, not ValueError.
+_encode_payload = c_make_encoder(
+    None, _ENCODER.default, _esc, _ENCODER.indent, _ENCODER.key_separator,
+    _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
+)
 
 # Each event field and the JSON type that `read` requires of it.
 _FIELDS = (("tick", int), ("module", str), ("kind", str), ("payload", dict))
 
 
 def _encode(event: Event) -> str:
-    doc = {
-        "tick": event.tick,
-        "module": event.module,
-        "kind": event.kind,
-        "payload": event.payload,
-    }
-    return _ENCODER.encode(doc)
+    """``_ENCODER.encode`` of the event's fields as one object, written with
+    its keys already in order; a non-int tick or a non-str module or kind
+    raises TypeError."""
+    payload = "".join(_encode_payload(event.payload, 0))
+    return (
+        f'{{"kind":{_esc(event.kind)},"module":{_esc(event.module)},'
+        f'"payload":{payload},"tick":{int.__repr__(event.tick)}}}'
+    )
 
 
 @dataclass

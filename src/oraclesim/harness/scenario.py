@@ -10,7 +10,9 @@ wall time receives it.  Blocks are mined after each tick's actions
 ``mine_every`` is null).
 
 Each JSON object is declared by the parameters of the callable that takes
-it: ``Scenario``, an ``_op_*`` handler or a ``_check_*`` function.
+it: ``Scenario``, an ``_op_*`` handler or a ``_check_*`` function. One
+converter per declared type is built from those annotations when the module
+is imported, so binding a document only looks up keys and checks types.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ import operator
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cache
 from importlib import resources
 from inspect import formatannotation, signature
+from itertools import repeat
 from pathlib import Path
 from random import Random
 from types import UnionType
@@ -65,106 +69,123 @@ _CHECKS: dict[str, Callable[[Any, Any], bool]] = {
 
 
 # ----------------------------------------------------------------- binder
-# Binding raises ParseError(": <reason>"); each enclosing object or list
-# prefixes its step (".field" or "[index]"), and from_dict "scenario".
+# One converter per annotation, built when the module is imported; binding
+# raises ParseError(": <reason>"), each enclosing object or list prefixes
+# its step (".field" or "[index]"), and from_dict "scenario".
 
 _NONE = type(None)
+_JSON = (str, int, float, bool, _NONE, list, dict)
 # Exact types: a bool is not an int, but a float field takes an int as it is.
 _SCALARS = {str: (str,), int: (int,), float: (int, float), bool: (bool,), _NONE: (_NONE,)}
-_SCALARS[Any] = (str, int, float, bool, _NONE, list, dict)  # any JSON value
-_Spec = tuple[dict[str, tuple[str, Any, tuple[type, ...]]], set[str]]
+_SCALARS[Any] = _JSON
 
 
-def _spec(fn: Callable, skip: int = 0, **extra: Any) -> _Spec:
-    """The object declared by ``fn``'s parameters after ``skip``, and ``extra``:
-    key -> (parameter, annotation, its exact types if scalar); required keys."""
-    params = list(signature(fn).parameters.values())[skip:]
-    hints = {**get_type_hints(fn), **extra}
-    names = [p.name for p in params] + list(extra)
-    fields = {n.removesuffix("_"): (n, hints[n], _SCALARS.get(hints[n], ())) for n in names}
-    optional = {p.name.removesuffix("_") for p in params if p.default is not p.empty}
-    return fields, fields.keys() - optional
+class _Converter(dict):
+    """How one annotation binds a JSON value: ``self[type(value)]`` binds a value
+    of that type (None: as it is); a type the annotation does not take raises."""
+
+    def __init__(self, expected: Any, each: dict[type, Callable | None]) -> None:
+        super().__init__(each)
+        self.refusal = f": expected {formatannotation(expected)}, got "
+
+    def __missing__(self, kind: type) -> Any:
+        if object in self:  # one function binds values of every type
+            return self[object]
+        raise ParseError(self.refusal + kind.__name__)
 
 
-def _wrong(expected: Any, value: Any) -> ParseError:
-    return ParseError(f": expected {formatannotation(expected)}, got {type(value).__name__}")
-
-
-def _at(step: str | int, annotation: Any, value: Any) -> Any:
+def _item(step: str | int, converter: _Converter, value: Any) -> Any:
     try:
-        return _convert(annotation, value)
+        convert = converter[type(value)]
+        return value if convert is None else convert(value)
     except ParseError as exc:
         raise ParseError(f"[{step}]{exc}" if type(step) is int else f".{step}{exc}") from None
 
 
-def _bind(spec: _Spec, value: Any) -> dict[str, Any]:
-    """Keyword arguments for the declaring callable, from one JSON object."""
-    fields, required = spec
-    if type(value) is not dict:
-        raise _wrong(dict, value)
-    args = {}
-    for key, item in value.items():
-        if key not in fields:
-            raise ParseError(f": unknown field {key!r}")
-        name, annotation, exact = fields[key]
-        args[name] = item if type(item) in exact else _at(key, annotation, item)
-    if not required <= value.keys():
-        raise ParseError(f": missing field {min(required - value.keys())!r}")
-    return args
+def _fields(fn: Callable, make: Callable, skip: int = 0, **extra: Any) -> Callable[[dict], Any]:
+    """Binds a JSON object to keyword arguments, ``fn``'s parameters after
+    ``skip`` and ``extra``, and returns ``make(args)``."""
+    params = list(signature(fn).parameters.values())[skip:]
+    hints = {**get_type_hints(fn), **extra}
+    names = [p.name for p in params] + list(extra)
+    fields = {n.removesuffix("_"): (n, _converter(hints[n])) for n in names}
+    optional = {p.name.removesuffix("_") for p in params if p.default is not p.empty}
+    required = fields.keys() - optional
+
+    def bind(value: dict) -> Any:
+        args = {}
+        for key, item in value.items():
+            if key not in fields:
+                raise ParseError(f": unknown field {key!r}")
+            name, converter = fields[key]
+            args[name] = _item(key, converter, item)
+        if not required <= value.keys():
+            raise ParseError(f": missing field {min(required - value.keys())!r}")
+        try:
+            return make(args)
+        except ValueError as exc:
+            raise ParseError(f": {exc}") from None
+
+    return bind
 
 
-def _tagged(tag: str, specs: dict[str, _Spec], value: Any) -> dict[str, Any]:
-    """``value`` bound to the spec that its ``tag`` field names."""
-    name = value.get(tag) if type(value) is dict else None
-    if type(name) is str and name in specs:
-        return _bind(specs[name], value)
-    if type(value) is dict:
-        raise ParseError(f".{tag}: unknown {tag} {name!r}")
-    raise _wrong(dict, value)
-
-
-def _convert(annotation: Any, value: Any) -> Any:
-    """``value`` checked against ``annotation``, as its declarer receives it:
-    scalars as they are, enum members by name in any case, the rest anew."""
+@cache
+def _converter(annotation: Any) -> _Converter:
+    """Scalars as they are, enum members by name in any case, the rest anew."""
     if annotation in _SCALARS:
-        if type(value) in _SCALARS[annotation]:
-            return value
-        raise _wrong(annotation, value)
-    if annotation is Action:
-        args = _tagged("op", _ACTION_SPECS, value)
-        return Action(args.pop("tick"), args.pop("op"), args)
-    if annotation is Check:
-        args = _tagged("kind", _CHECK_SPECS, value)
-        return Check(args.pop("kind"), args)
+        return _Converter(annotation, dict.fromkeys(_SCALARS[annotation]))
+    if annotation in (Action, Check):
+        tag, binders = _TAGGED[annotation]
+
+        def tagged(value: dict) -> Any:
+            name = value.get(tag)
+            if type(name) is str and name in binders:
+                return binders[name](value)
+            raise ParseError(f".{tag}: unknown {tag} {name!r}")
+
+        return _Converter(dict, {dict: tagged})
     origin, args = get_origin(annotation), get_args(annotation)
-    if origin in (Union, UnionType):
-        for member in args:
-            with suppress(ParseError):
-                return _convert(member, value)
-        raise _wrong(annotation, value)
+    if origin in (Union, UnionType):  # a JSON type tries, in order, each member taking it
+        members = [_converter(member) for member in args]
+        tries = {kind: [m[kind] for m in members if kind in m] for kind in _JSON}
+        union = _Converter(annotation, {})
+
+        def convert(value: Any) -> Any:
+            for bind in tries[type(value)]:
+                with suppress(ParseError):
+                    return value if bind is None else bind(value)
+            raise ParseError(union.refusal + type(value).__name__)  # every member refused it
+
+        # None where the first member taking the type keeps it as it is
+        union.update({k: None if f[0] is None else convert for k, f in tries.items() if f})
+        return union
     if origin is Literal or isinstance(annotation, type) and issubclass(annotation, Enum):
         members = dict(zip(args, args)) if args else annotation.__members__
         named = {name.lower(): member for name, member in members.items()}
-        if type(value) is str and value.lower() in named:
-            return named[value.lower()]
-        raise ParseError(f": expected one of {', '.join(named)}, got {value!r}")
-    if origin is dict and type(value) is dict:  # JSON object keys are strings
-        return {key: _at(key, args[1], item) for key, item in value.items()}
-    if origin in (list, tuple) and type(value) is list:
-        if origin is list or args[-1] is Ellipsis:
-            args = (args[0],) * len(value)
-        elif len(value) != len(args):
-            raise ParseError(f": expected {len(args)} items, got {len(value)}")
-        out = [_at(i, a, item) for i, (a, item) in enumerate(zip(args, value))]
-        return out if origin is list else tuple(out)
-    if origin is not None:
-        raise _wrong(annotation, value)
-    build = _BUILDERS.get(annotation, annotation)
-    args = _bind(_SPECS[build], value)
-    try:
-        return build(**args)
-    except ValueError as exc:
-        raise ParseError(f": {exc}") from None
+
+        def choice(value: Any) -> Any:
+            if type(value) is str and value.lower() in named:
+                return named[value.lower()]
+            raise ParseError(f": expected one of {', '.join(named)}, got {value!r}")
+
+        return _Converter(annotation, dict.fromkeys((*_JSON, object), choice))
+    if origin is dict:  # JSON object keys are strings
+        each = _converter(args[1])
+        return _Converter(annotation, {dict: lambda v: {k: _item(k, each, v[k]) for k in v}})
+    if origin in (list, tuple):
+        variadic = origin is list or args[-1] is Ellipsis
+        items = [_converter(a) for a in (args[:1] if variadic else args)]
+
+        def sequence(value: list) -> list | tuple:
+            if not variadic and len(value) != len(items):
+                raise ParseError(f": expected {len(items)} items, got {len(value)}")
+            each = zip(value, repeat(items[0]) if variadic else items)
+            out = [_item(i, converter, v) for i, (v, converter) in enumerate(each)]
+            return out if origin is list else tuple(out)
+
+        return _Converter(annotation, {list: sequence})
+    build = _OBJECTS[annotation]
+    return _Converter(dict, {dict: _fields(build, lambda args: build(**args))})
 
 
 # --------------------------------------------------------------- document
@@ -271,7 +292,7 @@ class Scenario:
         """Check every object of ``doc`` against its declaration; the
         ParseError names the first object and field that does not fit."""
         try:
-            return _convert(Scenario, doc)
+            return _SCENARIO[type(doc)](doc)
         except ParseError as exc:
             raise ParseError(f"scenario{exc}") from None
 
@@ -1026,11 +1047,25 @@ def _check_last_event(
 # Every ``_check_<kind>`` above checks the assertion kind "<kind>".
 _ASSERTS = {name[7:]: fn for name, fn in globals().items() if name.startswith("_check_")}
 
-# Every callable whose parameters declare a JSON object, read once.
-_SPECS = {fn: _spec(fn) for fn in (Scenario, Grant, _Entry, _Condition, _miner, _source)}
-_ACTION_SPECS = {op: _spec(fn, 1, op=str, tick=int) for op, fn in _OPS.items()}
-_CHECK_SPECS = {kind: _spec(fn, 1, kind=str) for kind, fn in _ASSERTS.items()}
-_BUILDERS = {Miner: _miner, DataSource: _source}  # types declared by another signature
+# Each object type and the callable whose parameters declare it.
+_OBJECTS = {t: t for t in (Scenario, Grant, _Entry, _Condition)}
+_OBJECTS.update({Miner: _miner, DataSource: _source})
+
+
+def _new_action(args: dict[str, Any]) -> Action:
+    return Action(args.pop("tick"), args.pop("op"), args)
+
+
+def _new_check(args: dict[str, Any]) -> Check:
+    return Check(args.pop("kind"), args)
+
+
+# Each tagged type: its tag field, and a binder per tag value.
+_TAGGED = {
+    Action: ("op", {op: _fields(fn, _new_action, 1, op=str, tick=int) for op, fn in _OPS.items()}),
+    Check: ("kind", {kind: _fields(fn, _new_check, 1, kind=str) for kind, fn in _ASSERTS.items()}),
+}
+_SCENARIO = _converter(Scenario)  # builds every converter a document reaches
 
 
 # -------------------------------------------------------------------- run

@@ -58,6 +58,7 @@ from oraclesim.simchain import (
     build_payment,
     txid,
 )
+from test_script_tx import _edits
 
 XCP_UNIT = 10**8
 MINERS = [Miner("solo", 1.0, accepts_nonstandard=True)]
@@ -172,6 +173,29 @@ def test_truncated_and_padded_payloads_fail():
     padded = payload + bytes([0 ^ KEY_A[len(payload) % 32]])
     with pytest.raises(TruncatedPayloadError):
         decode_payload(padded, KEY_A)
+
+
+def _refuses_or_round_trips(payload: bytes, key: bytes) -> None:
+    try:
+        message = decode_payload(payload, key)
+    except (BadMagicError, TruncatedPayloadError, ValueError):  # what `replay` skips
+        return
+    assert encode_message(message, key) == payload
+
+
+@settings(max_examples=500)
+@given(key=st.sampled_from([KEY_A, KEY_B]), body=st.binary(max_size=120), sealed=st.booleans())
+def test_decode_payload_refuses_or_round_trips_arbitrary_bytes(key, body, sealed):
+    """Arbitrary bytes, as they are or as a body behind the magic under ``key``."""
+    _refuses_or_round_trips(_xor_stream(MAGIC + body, key) if sealed else body, key)
+
+
+@settings(max_examples=500)
+@given(message=st.sampled_from(ALL_MESSAGES), data=st.data())
+def test_decode_payload_refuses_or_round_trips_edited_payloads(message, data):
+    """One to three byte edits of a valid plaintext, sealed again under the key."""
+    plain = _xor_stream(encode_message(message, KEY_A), KEY_A)
+    _refuses_or_round_trips(_xor_stream(data.draw(_edits(plain)), KEY_A), KEY_A)
 
 
 def test_small_payloads_ride_a_data_carrier():

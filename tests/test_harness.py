@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oraclesim.codec import Writer
@@ -24,6 +24,7 @@ from oraclesim.harness import (
     verify_replay,
 )
 from oraclesim.harness.cli import main
+from oraclesim.harness.events import Event, _encode
 from oraclesim.simchain import (
     DataCarrier,
     PayToKey,
@@ -141,9 +142,76 @@ def test_line_is_fixed_when_its_event_is_appended():
 
 def test_append_rejects_unserializable_payload():
     log = EventLog()
-    with pytest.raises(TypeError):
-        log.append(0, "host", "block", raw=b"\x00")
+    for raw in (b"\x00", {1, 2}, [{"deep": {3}}]):
+        with pytest.raises(TypeError):
+            log.append(0, "host", "block", raw=raw)
     assert log.events == []
+    log.append(1, "host", "block", ok=[{}])  # a refused payload leaves nothing behind
+    assert log.lines() == ['{"kind":"block","module":"host","payload":{"ok":[{}]},"tick":1}']
+
+
+@pytest.mark.parametrize(
+    "tick, module, kind",
+    [("1", "host", "block"), (1.0, "host", "block"), (1, 5, "block"), (1, "host", None)],
+    ids=["str_tick", "float_tick", "int_module", "none_kind"],
+)
+def test_append_rejects_fields_that_read_would_refuse(tick, module, kind):
+    log = EventLog()
+    with pytest.raises(TypeError):
+        log.append(tick, module, kind, x=1)
+    assert log.events == []
+
+
+def test_append_rejects_a_circular_payload():
+    held = []
+    held.append(held)
+    log = EventLog()
+    with pytest.raises((ValueError, RecursionError)):
+        log.append(0, "host", "block", held=held)
+    assert log.events == []
+
+
+_ESCAPED = ["", '"', "\\", "\n", "\t", "\x00", "\x7f", "/", "é", "\u2028", "☃", "\U0001f600"]
+_TEXT = st.text(max_size=6) | st.sampled_from(_ESCAPED)
+_FLOATS = [-0.0, 0.0, 1e300, -1e300, 5e-324, float("nan"), float("inf"), float("-inf")]
+_SCALAR = (
+    st.none()
+    | st.booleans()
+    | _TEXT
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)  # far beyond 64 bits
+    | st.floats()
+    | st.sampled_from(_FLOATS)
+)
+_VALUE = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+_EVENT = st.builds(
+    Event,
+    tick=st.integers(min_value=-(2**70), max_value=2**70),
+    module=_TEXT,
+    kind=_TEXT,
+    payload=st.dictionaries(_TEXT, _VALUE, max_size=5),
+)
+
+
+@settings(max_examples=500)
+@given(_EVENT)
+def test_event_line_is_json_dumps_of_its_fields(event):
+    doc = {"tick": event.tick, "module": event.module, "kind": event.kind, "payload": event.payload}
+    assert _encode(event) == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=200)
+@given(st.lists(_EVENT, max_size=4))
+def test_appended_events_decode_to_the_same_bytes(events):
+    log = EventLog()
+    for event in events:
+        assume(not {"tick", "module", "kind"} & event.payload.keys())
+        log.append(event.tick, event.module, event.kind, **event.payload)
+    assert EventLog.decode(log.encode()).encode() == log.encode()
 
 
 def test_verify_replay_detects_any_difference():
@@ -211,6 +279,102 @@ def test_minimal_scenario_parses_and_runs():
 def test_malformed_scenarios_raise_parse_error(doc):
     with pytest.raises(ParseError):
         Scenario.from_dict(doc)
+
+
+def _rk_fact(comparator):
+    return {"tick": 0, "op": "rk_fact", "id": "f", "question": "q", "resolution_time": 1,
+            "source": "s", "key": "k", "comparator": comparator, "threshold": 1}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_minimal(mine_every="x"), ".mine_every: expected int | None, got str"),
+        (
+            _minimal(sources=[{"id": "s", "entries": [{"key": "k", "time": 1, "value": [1]}]}]),
+            ".sources[0].entries[0].value: expected Union[bool, int, float, str], got list",
+        ),
+        (
+            _minimal(actions=[{"tick": 0, "op": "balances", "actors": [1]}]),
+            ".actions[0].actors: expected list[str] | None, got list",
+        ),
+        (
+            _minimal(assertions=[{"kind": "count", "event": "e", "value": 1, "where": [1]}]),
+            ".assertions[0].where: expected dict[str, typing.Any] | None, got list",
+        ),
+        (
+            _minimal(actions=[_oz_contract(comparator="gt", threshold=None)]),
+            ".actions[0].conditions[0].threshold: expected Union[bool, int, float, str], "
+            "got NoneType",
+        ),
+        (_minimal(policy="v091"), ".policy: expected one of v090, test2013, got 'v091'"),
+        (
+            _minimal(actions=[_rk_fact("about")]),
+            ".actions[0].comparator: expected one of eq, ne, lt, le, gt, ge, got 'about'",
+        ),
+        (
+            _minimal(actions=[{"tick": 0, "op": "rk_object", "fact": "f", "tip": 1,
+                               "claimed": "maybe"}]),
+            ".actions[0].claimed: expected one of yes, no, got 'maybe'",
+        ),
+        (
+            _minimal(actions=[{**_oz_contract(comparator="gt", threshold=1), "stakes": [1, 2, 3]}]),
+            ".actions[0].stakes: expected 2 items, got 3",
+        ),
+        (
+            _minimal(actions=[{**_oz_contract(comparator="gt", threshold=1), "stakes": {"a": 1}}]),
+            ".actions[0].stakes: expected tuple[int, int], got dict",
+        ),
+        (
+            _minimal(actions=[{"tick": 0, "op": "tc_side_blocks", "count": 1,
+                               "veto_periods": [1, "x"]}]),
+            ".actions[0].veto_periods[1]: expected int, got str",
+        ),
+        (
+            _minimal(actions=[{"tick": 0, "op": "tc_init", "allocation": {"a": 1, "b": "x"}}]),
+            ".actions[0].allocation.b: expected int, got str",
+        ),
+        (
+            _minimal(actions=[{"tick": 0, "op": "no_such_op"}]),
+            ".actions[0].op: unknown op 'no_such_op'",
+        ),
+        (_minimal(actions=[{"tick": 0}]), ".actions[0].op: unknown op None"),
+        (_minimal(assertions=[{"kind": "wishful"}]), ".assertions[0].kind: unknown kind 'wishful'"),
+        (_minimal(actions=[1]), ".actions[0]: expected dict, got int"),
+        (
+            _minimal(miners=[{"id": "m", "hashrate": "1"}]),
+            ".miners[0].hashrate: expected float, got str",
+        ),
+        (
+            _minimal(actions=[_oz_contract(comparator="gt")]),
+            ".actions[0].conditions[0]: missing field 'threshold'",
+        ),
+        (
+            _minimal(actions=[_oz_contract(comparator="ne", threshold=10)]),
+            ".actions[0].conditions[0]: conditions take <, <=, =, >= or >",
+        ),
+        (_minimal(seed=True), ".seed: expected int, got bool"),
+        ([], ": expected dict, got list"),
+    ],
+)
+def test_parse_errors_name_the_path_and_the_declared_type(doc, message):
+    with pytest.raises(ParseError) as caught:
+        Scenario.from_dict(doc)
+    assert str(caught.value) == "scenario" + message
+
+
+def test_parsing_reads_no_annotation(monkeypatch):
+    """Every converter is built at import: binding a document never asks
+    what an annotation means."""
+    from oraclesim.harness import scenario
+
+    def refuse(annotation):
+        raise AssertionError(f"annotation {annotation!r} read while parsing")
+
+    monkeypatch.setattr(scenario, "get_origin", refuse)
+    monkeypatch.setattr(scenario, "get_args", refuse)
+    for doc in _BUNDLED:
+        assert isinstance(Scenario.from_dict(doc), Scenario)
 
 
 def test_a_float_field_takes_an_int_and_names_take_any_case():
@@ -658,6 +822,21 @@ def test_cli_verify_and_metrics_refuse_a_malformed_log(tmp_path, capsys):
         assert main(["verify", str(log), str(bad)]) == 2
         assert main(["metrics", str(bad), str(tmp_path / "m.csv")]) == 2
         assert f"error: {bad}: line 1: " in capsys.readouterr().err
+
+
+def test_cli_verify_refuses_an_unreadable_log(tmp_path, capsys):
+    main(["run", _scenario_path("will_claim"), "--out", str(tmp_path)])
+    capsys.readouterr()
+    missing = tmp_path / "nosuch.log"
+    assert main(["verify", str(missing), str(tmp_path / "will_claim.log.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
+
+def test_cli_metrics_refuses_an_unreadable_log(tmp_path, capsys):
+    missing = tmp_path / "nosuch.log"
+    assert main(["metrics", str(missing), str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_cli_metrics_writes_csv(tmp_path, capsys):

@@ -31,6 +31,7 @@ from oraclesim.orisi import (
     activate,
     check_pow,
     compute_safe_params,
+    decode_bus_payload,
     encode_bus_payload,
     finalize,
     mint_message,
@@ -53,6 +54,7 @@ from oraclesim.simchain import (
     sighash,
     sign,
 )
+from test_script_tx import _edits
 
 LOOSE = [Miner("loose", 1.0)]
 T_START = 1_400_000_000
@@ -355,6 +357,33 @@ def test_bus_garbage_and_spam_never_become_signatures():
     payload = encode_bus_payload(contract.contract_id, nodes[0].oracle_id, DraftKind.UNLOCK, forged)
     bus.post(mint_message(payload, bus.difficulty))
     assert contract.apply_bus(bus, chain.keys) == 0
+
+
+def _bus_refuses_or_round_trips(payload: bytes) -> None:
+    try:
+        decoded = decode_bus_payload(payload)
+    except ValueError:  # what `ContractState.apply_bus` skips
+        return
+    assert encode_bus_payload(*decoded) == payload
+
+
+_BUS_PAYLOADS = [
+    encode_bus_payload("c1", "o1", DraftKind.UNLOCK, sign(bytes(32), bytes(range(32)))),
+    encode_bus_payload("", "oracle-Ω", DraftKind.REFUND, sign(b"\x07" * 32, b"\xff" * 32)),
+]
+
+
+@settings(max_examples=500)
+@given(data=st.binary(max_size=200))
+def test_decode_bus_payload_refuses_or_round_trips_arbitrary_bytes(data):
+    _bus_refuses_or_round_trips(data)
+
+
+@settings(max_examples=500)
+@given(payload=st.sampled_from(_BUS_PAYLOADS), data=st.data())
+def test_decode_bus_payload_refuses_or_round_trips_edited_payloads(payload, data):
+    assert decode_bus_payload(payload)[2] in (DraftKind.UNLOCK, DraftKind.REFUND)
+    _bus_refuses_or_round_trips(data.draw(_edits(payload)))
 
 
 def settle_unlock(chain, contract, agents, nodes, m=4):
