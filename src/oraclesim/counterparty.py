@@ -12,9 +12,9 @@ transaction whose meta message breaks a rule (overspend, stale broadcast,
 wrong burn output) confirms on the host chain but is marked invalid in the
 meta log and changes nothing.
 
-XCP exists only through proof-of-burn: paying host coin to the configured
-vanity address (nobody holds its key) credits the sender at the configured
-rate.  Feeds are broadcast histories per address; bets escrow XCP at match
+XCP exists only through proof-of-burn: paying host coin to the vanity
+address `BURN_PUB` (nobody holds its key) credits the sender at
+`DEFAULT_BURN_RATE`.  Feeds are broadcast histories per address; bets escrow XCP at match
 time and settle on the first feed broadcast at or past their deadline.
 """
 
@@ -64,14 +64,6 @@ class BadMagicError(CounterpartyError):
 
 class TruncatedPayloadError(CounterpartyError):
     """Payload ended mid-field or carried trailing bytes."""
-
-
-class NoBroadcastYetError(CounterpartyError):
-    """The feed has not published any value yet."""
-
-
-class BadStarsError(CounterpartyError):
-    """Feed ratings take 1 to 5 stars."""
 
 
 # ----------------------------------------------------------------- messages
@@ -239,28 +231,13 @@ def compose_message_tx(
 
 
 def compose_burn_tx(
-    chain: "SimChain",
-    sender: KeyPair,
-    btc_qty: int,
-    *,
-    fee: int = 1000,
-    burn_pub: bytes = BURN_PUB,
+    chain: "SimChain", sender: KeyPair, btc_qty: int, *, fee: int = 1000
 ) -> Transaction:
     """Pay host coin to the unspendable vanity address, declaring the burn."""
-    burn_out = TxOutput(value=btc_qty, lock=PayToKey(burn_pub))
+    burn_out = TxOutput(value=btc_qty, lock=PayToKey(BURN_PUB))
     return compose_message_tx(
         chain, sender, Burn(btc_qty=btc_qty), fee=fee, extra_outputs=(burn_out,)
     )
-
-
-def burned_host_value(chain: "SimChain", burn_pub: bytes = BURN_PUB) -> int:
-    """Host coin sitting on the burn address, unspendable forever."""
-    return chain.balance(burn_pub)
-
-
-def circulating_host_supply(chain: "SimChain", burn_pub: bytes = BURN_PUB) -> int:
-    """Host supply minus coin provably parked on the burn address."""
-    return chain.supply() - burned_host_value(chain, burn_pub)
 
 
 # -------------------------------------------------------------- meta state
@@ -335,12 +312,6 @@ class MetaState:
     def balance(self, address: str, asset: str = XCP) -> int:
         return self.balances.get((address, asset), 0)
 
-    def latest_broadcast(self, feed: str) -> FeedEntry:
-        entries = self.feeds.get(feed)
-        if not entries:
-            raise NoBroadcastYetError(f"feed {feed} has not broadcast")
-        return entries[-1]
-
     def escrowed(self) -> int:
         return sum(m.escrow for m in self.matches)
 
@@ -410,43 +381,37 @@ def _source_address(chain: "SimChain", tx: Transaction) -> str | None:
     return None
 
 
-# chain -> {(burn_pub, burn_rate): (folded state, last folded block)}
+# chain -> (folded state, last folded block)
 _folds = weakref.WeakKeyDictionary()
 
 
-def replay(
-    chain: "SimChain",
-    *,
-    burn_pub: bytes = BURN_PUB,
-    burn_rate: int = DEFAULT_BURN_RATE,
-) -> MetaState:
+def replay(chain: "SimChain") -> MetaState:
     """Fold the host chain into the replicated meta state.
 
     Pure function of the chain contents: any replica gets a bit-identical
     state, compared via state_digest.
 
     The fold is incremental.  A private memo, held weakly per chain, keeps
-    the folded state and the last folded block for each (burn_pub,
-    burn_rate); a later call folds only the blocks appended since, with
-    `MetaState.apply_block`, the one fold path.  The host chain has no
-    reorgs, so blocks are only ever appended; if the memo's last block is
-    no longer at its height, the fold starts again from genesis.  The
-    returned state is a snapshot the caller owns: mutating it never
-    changes what a later call returns.  Every record in it is frozen and
-    shared with the memo (a fold replaces a changed bet or match in its
-    list slot, never edits it), so a snapshot copies containers only.
+    the folded state and the last folded block; a later call folds only
+    the blocks appended since, with `MetaState.apply_block`, the one fold
+    path.  The host chain has no reorgs, so blocks are only ever appended;
+    if the memo's last block is no longer at its height, the fold starts
+    again from genesis.  The returned state is a snapshot the caller owns:
+    mutating it never changes what a later call returns.  Every record in
+    it is frozen and shared with the memo (a fold replaces a changed bet or
+    match in its list slot, never edits it), so a snapshot copies
+    containers only.
     """
-    folds = _folds.setdefault(chain, {})
     # taken out while folding, so a fold that raises leaves no half-folded state
-    state, last = folds.pop((burn_pub, burn_rate), (None, None))
+    state, last = _folds.pop(chain, (None, None))
     blocks = chain.blocks
     if last is not None and last.height < len(blocks) and blocks[last.height] is last:
         start = last.height + 1
     else:
-        state, start = MetaState(burn_rate=burn_rate, burn_pub=burn_pub), 0
+        state, start = MetaState(), 0
     for block in blocks[start:]:
         state.apply_block(chain, block)
-    folds[(burn_pub, burn_rate)] = (state, blocks[-1])
+    _folds[chain] = (state, blocks[-1])
     return _snapshot(state)
 
 
@@ -572,40 +537,6 @@ def _apply_bet(state: MetaState, source: str, bet: Bet) -> tuple[bool, str | Non
         return True, None
     state.bets.append(BetRecord(len(state.bets) + 1, source, bet, BetStatus.OPEN))
     return True, None
-
-
-# ------------------------------------------------------------- feed ratings
-
-
-@dataclass(frozen=True)
-class FeedRating:
-    feed: str
-    rater: str
-    stars: int
-    comment: str = ""
-
-
-class RatingBook:
-    """Append-only reputation notes about feeds; never touches consensus."""
-
-    def __init__(self) -> None:
-        self._ratings: list[FeedRating] = []
-
-    def rate(self, feed: str, rater: str, stars: int, comment: str = "") -> FeedRating:
-        if not 1 <= stars <= 5:
-            raise BadStarsError(f"stars must be 1..5, got {stars}")
-        rating = FeedRating(feed, rater, stars, comment)
-        self._ratings.append(rating)
-        return rating
-
-    def for_feed(self, feed: str) -> tuple[FeedRating, ...]:
-        return tuple(r for r in self._ratings if r.feed == feed)
-
-    def average(self, feed: str) -> float | None:
-        ratings = self.for_feed(feed)
-        if not ratings:
-            return None
-        return sum(r.stars for r in ratings) / len(ratings)
 
 
 # ------------------------------------------------------------ state digest

@@ -127,15 +127,6 @@ def query(source: DataSource, key: str, time: int) -> Observation:
     )
 
 
-def verify_observation(obs: Observation, source: DataSource) -> bool:
-    """Check the source signature against a recomputed observation digest."""
-    if obs.source_signature is None:
-        return not source.signs_data
-    digest = observation_digest(obs.source_id, obs.key, obs.time, obs.value)
-    expected = sign(source.keypair.secret, digest)
-    return obs.source_signature == expected
-
-
 def make_proof(source: DataSource, key: str, time: int, attestor_id: str) -> AuthenticityProof:
     obs = query(source, key, time)
     response_digest = sha256(encode_value(obs.value))

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _esc
 from pathlib import Path
+from typing import NamedTuple
 
 from ..codec import sha256
 
@@ -29,8 +30,7 @@ class LogFormatError(ValueError):
     """The bytes are not a log that `EventLog.encode` writes."""
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     tick: int
     module: str
     kind: str
@@ -77,9 +77,6 @@ class EventLog:
     def append(self, tick: int, module: str, kind: str, **payload) -> Event:
         return self._add(Event(tick=tick, module=module, kind=kind, payload=payload))
 
-    def lines(self) -> list[str]:
-        return list(self._lines)
-
     def encode(self) -> bytes:
         return "".join(line + "\n" for line in self._lines).encode("utf-8")
 
@@ -122,15 +119,17 @@ class EventLog:
                 raise LogFormatError(f"line {number}: not the canonical encoding of its event")
         return log
 
-    def matching(self, kind: str, where: dict | None = None) -> list[Event]:
-        found = []
-        for event in self.events:
-            if event.kind != kind:
-                continue
-            if where and any(event.payload.get(k) != v for k, v in where.items()):
-                continue
-            found.append(event)
-        return found
+    def matching(self, event: str, where: dict | None = None) -> list[Event]:
+        """The events named ``event``, as "module/kind", in log order, whose
+        payload holds every item of ``where``."""
+        module, _, kind = event.partition("/")
+        return [
+            e
+            for e in self.events
+            if e.module == module
+            and e.kind == kind
+            and (not where or all(e.payload.get(k) == v for k, v in where.items()))
+        ]
 
 
 def verify_replay(log_a: EventLog, log_b: EventLog) -> bool:

@@ -696,6 +696,16 @@ def _op_tc_peg_in(w: World, actor: str, amount: int) -> None:
     w.emit("tc", "peg_in", actor=actor, amount=amount)
 
 
+def _op_tc_peg_out(w: World, actor: str, amount: int) -> None:
+    try:
+        w.tc.peg_out(actor, amount)
+    except (truthcoin.TruthcoinError, ValueError) as exc:  # an overdraw, a negative amount
+        w.emit("tc", "peg_out", actor=actor, amount=amount, accepted=False,
+               reason=type(exc).__name__)
+        return
+    w.emit("tc", "peg_out", actor=actor, amount=amount, accepted=True)
+
+
 def _op_tc_decision(
     w: World, id_: str, author: str, prompt: str, maturity_time: int,
     kind: Literal["binary", "scalar"] = "binary", min_: float = 0.0, max_: float = 1.0,
@@ -963,6 +973,19 @@ def _op_oz_default(w: World, id_: str, fee: int = _FEE) -> None:
     w.emit("oz", "default", id=id_)
 
 
+def _op_oz_arbitrate(
+    w: World, id_: str, arbitrator: str, condition: int | None, fee: int = _FEE
+) -> None:
+    contract = w.oz_contracts[id_]
+    try:
+        settlement = oraclize.arbitrate(contract, w.pair(arbitrator), condition, fee=fee)
+    except (oraclize.OraclizeError, ValueError) as exc:  # ValueError: a fee over the escrow
+        w.emit("oz", "arbitrated", id=id_, accepted=False, reason=type(exc).__name__)
+        return
+    w.oz_settlements[id_] = settlement
+    w.emit("oz", "arbitrated", id=id_, accepted=True, condition=condition)
+
+
 def _op_oz_cosign(w: World, id_: str, agent: str) -> None:
     settlement = w.oz_settlements[id_]
     tx = oraclize.co_sign_and_broadcast(w.chain, settlement, w.pair(agent))
@@ -1015,28 +1038,17 @@ def _check_balance(w: World, actor: str, value: int, op: CheckOp = "==") -> str 
     return _verdict(f"balance[{actor}]", w.chain.balance(w.pair(actor).pub), op, value)
 
 
-def _select(w: World, event: str, where: dict[str, Any] | None) -> list:
-    module, _, kind = event.partition("/")
-    return [
-        e
-        for e in w.log.events
-        if e.module == module
-        and e.kind == kind
-        and (not where or all(e.payload.get(k) == v for k, v in where.items()))
-    ]
-
-
 def _check_count(
     w: World, event: str, value: int, where: dict[str, Any] | None = None, op: CheckOp = "=="
 ) -> str | None:
-    return _verdict(f"count[{event}]", len(_select(w, event, where)), op, value)
+    return _verdict(f"count[{event}]", len(w.log.matching(event, where)), op, value)
 
 
 def _check_last_event(
     w: World, event: str, field_: str, value: Any, where: dict[str, Any] | None = None,
     op: CheckOp = "==",
 ) -> str | None:
-    events = _select(w, event, where)
+    events = w.log.matching(event, where)
     if not events:
         return f"no {event} event matched {where or {}}"
     if field_ not in events[-1].payload:

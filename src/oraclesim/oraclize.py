@@ -13,7 +13,9 @@ lets them recover the escrow without the oracle at all.
 
 An arbitrated variant puts a fourth party's key in the oracle's multisig
 slot; that contract is resolved by the arbitrator's scripted decision
-rather than by polling.
+rather than by polling.  A scenario settles it with ``oz_arbitrate``,
+which signs that decision, then ``oz_cosign``, which adds an agent's
+signature and broadcasts it.
 
 Conditions on the same (source, key) must be pairwise disjoint so at most
 one can fire on any value; conditions on different keys can be true at
@@ -217,7 +219,7 @@ class SignedSettlement:
 class AuditRecord:
     contract_id: str
     time: int
-    kind: str  # "condition" | "default" | "refused" | "arbitration"
+    kind: str  # "condition" | "default" | "refused"
     condition_index: int | None
     observation: Observation | None
     proof: AuthenticityProof | None
@@ -479,17 +481,22 @@ def arbitrate(
     a condition's beneficiary, or the default when given None."""
     if not contract.arbitrated:
         raise OraclizeError(f"{contract.contract_id} is oracle-resolved")
+    if arbitrator.pub != contract.third_pub:
+        raise OraclizeError(f"{contract.contract_id} names another arbitrator")
     if contract.state is not ContractState.ACTIVE:
         raise AlreadySettledError(contract.contract_id)
     if condition_index is None:
         beneficiary = contract.default_beneficiary
-        contract.state = ContractState.SETTLED_DEFAULT
-    else:
+    elif 0 <= condition_index < len(contract.conditions):
         beneficiary = contract.conditions[condition_index].beneficiary
-        contract.state = ContractState.SETTLED_CONDITION
-        contract.settled_condition = condition_index
-    tx = _escrow_spend(contract, beneficiary, fee)
+    else:
+        raise OraclizeError(f"{contract.contract_id} has no condition {condition_index}")
+    tx = _escrow_spend(contract, beneficiary, fee)  # a fee over the escrow raises first
     tx = sign_input(tx, 0, arbitrator)
+    contract.state = (
+        ContractState.SETTLED_DEFAULT if condition_index is None else ContractState.SETTLED_CONDITION
+    )
+    contract.settled_condition = condition_index
     return SignedSettlement(
         contract_id=contract.contract_id,
         tx=tx,

@@ -332,14 +332,3 @@ def demo_claim(
     released = KeyPair(secret=fact.released_secret, pub=sha256(fact.released_secret))
     return sign_input(unsigned, 0, claimant, released, redeem=contract.redeem)
 
-
-def demo_refund(
-    chain: SimChain, temp: KeyPair, outpoint: tuple[bytes, int], dest_pub: bytes, fee: int = 0
-) -> Transaction:
-    """Pull a party's stake back out of their own temporary address."""
-    value = chain.utxo[outpoint].value - fee
-    unsigned = Transaction(
-        inputs=(TxInput(outpoint=outpoint),),
-        outputs=(TxOutput(value=value, lock=PayToKey(dest_pub)),),
-    )
-    return sign_input(unsigned, 0, temp)

@@ -75,9 +75,6 @@ class KeyRegistry:
         self._secrets[pair.pub] = pair.secret
         return pair
 
-    def is_known(self, pub: bytes) -> bool:
-        return pub in self._secrets
-
     def verify(self, sig: Signature, pub: bytes, digest: bytes) -> bool:
         if pub not in self._secrets:
             raise UnknownKeyError(pub.hex())

@@ -25,7 +25,7 @@ rebuilds the inputs tuple once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..codec import Reader, Writer, pack_u8, pack_u16, pack_u32, pack_u64, sha256
 from .keys import KeyPair, Signature, sign, signature_from_reader, write_signature
@@ -193,16 +193,16 @@ def add_signature(tx: Transaction, index: int, sig: Signature) -> Transaction:
 
 
 def select_coins(
-    chain: "SimChain", pub: bytes, target: int, have: int = 0, at_least_one: bool = False
+    chain: "SimChain", pub: bytes, target: int, at_least_one: bool = False
 ) -> tuple[list[tuple[bytes, int]], int]:
     """Take the owner's pay-to-key outpoints, in sorted order, until `target` is covered.
 
-    `have` is value already gathered elsewhere.  Returns the outpoints taken
-    and the total gathered, `have` included.  With `at_least_one`, one coin
-    is taken even when `have` already covers `target`.  Raises
-    InsufficientFundsError when the owner's coins run out first.
+    Returns the outpoints taken and their total.  With `at_least_one`, one
+    coin is taken even when `target` is zero.  Raises InsufficientFundsError
+    when the owner's coins run out first.
     """
     picked: list[tuple[bytes, int]] = []
+    have = 0
     for outpoint, txout in chain.utxos_for(pub):
         if have >= target and (picked or not at_least_one):
             break
@@ -214,12 +214,7 @@ def select_coins(
 
 
 def build_payment(
-    chain: "SimChain",
-    sender: KeyPair,
-    outputs: Sequence[TxOutput],
-    fee: int = 0,
-    locktime: int = 0,
-    extra_inputs: Iterable[tuple[bytes, int]] = (),
+    chain: "SimChain", sender: KeyPair, outputs: Sequence[TxOutput], fee: int = 0
 ) -> Transaction:
     """Spend the sender's pay-to-key UTXOs into `outputs` plus change.
 
@@ -230,21 +225,14 @@ def build_payment(
     if fee < 0:
         raise ValueError("fee must be non-negative")
     target = sum(o.value for o in outputs) + fee
-    selected: list[tuple[bytes, int]] = list(extra_inputs)
-    coins, gathered = select_coins(
-        chain, sender.pub, target, have=sum(chain.utxo[op].value for op in selected)
-    )
-    selected += coins
+    selected, gathered = select_coins(chain, sender.pub, target)
 
     change = gathered - target
     outs = list(outputs)
     if change > 0:
         outs.append(TxOutput(value=change, lock=PayToKey(sender.pub)))
     unsigned = Transaction(
-        inputs=tuple(TxInput(outpoint=op) for op in selected),
-        outputs=tuple(outs),
-        locktime=locktime,
+        inputs=tuple(TxInput(outpoint=op) for op in selected), outputs=tuple(outs)
     )
     witness = Witness(signatures=(sign(sender.secret, sighash(unsigned)),))
     return unsigned._rewitnessed(tuple(TxInput(op, witness) for op in selected))
-

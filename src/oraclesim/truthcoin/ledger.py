@@ -238,9 +238,6 @@ class SideLedger:
             raise ValueError("amount must be nonnegative")
         self.csh[address] = self.csh.get(address, 0) + amount
 
-    def burn_csh(self, address: str, amount: int) -> None:
-        self.debit_csh(address, amount)
-
     def debit_csh(self, address: str, amount: int) -> None:
         if amount < 0:
             raise ValueError("amount must be nonnegative")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-__all__ = ["cost", "price", "prices", "charge"]
+__all__ = ["cost", "prices", "charge"]
 
 
 def _check_b(b: float) -> None:
@@ -44,11 +44,6 @@ def prices(q: Sequence[float], b: float) -> tuple[float, ...]:
     weights = [math.exp(s - top) for s in scaled]
     total = math.fsum(weights)
     return tuple(w / total for w in weights)
-
-
-def price(q: Sequence[float], b: float, state: int) -> float:
-    """Price of one state; equals dC/dq_state."""
-    return prices(q, b)[state]
 
 
 def charge(q: Sequence[float], b: float, state: int, delta: float) -> float:

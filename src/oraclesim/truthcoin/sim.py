@@ -95,7 +95,7 @@ class TruthcoinSim:
 
     def peg_out(self, address: str, amount: int) -> None:
         """Burn CSH, releasing the host-chain coin it was pegged to."""
-        self.ledger.burn_csh(address, amount)
+        self.ledger.debit_csh(address, amount)
 
     def vtc_supply(self) -> int:
         return self.ledger.vtc_supply()
@@ -156,10 +156,6 @@ class TruthcoinSim:
         )
         self.markets[market_id] = market
         return market
-
-    def prices(self, market_id: str) -> tuple[float, ...]:
-        market = self.markets[market_id]
-        return lmsr.prices(market.q, market.b)
 
     def trade(self, market_id: str, trader: str, state: int, delta: float) -> int:
         """Buy (delta > 0) or sell (delta < 0) shares of one market state.

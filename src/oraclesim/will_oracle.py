@@ -56,10 +56,6 @@ class WillContract:
     funding_outpoint: tuple[bytes, int]
     amount: int
 
-    @property
-    def lock(self) -> MultiSig:
-        return will_lock(self.oracle_pub, self.heir_pub, self.expr_hash)
-
 
 def create_will(
     chain: SimChain,

@@ -15,27 +15,21 @@ from hypothesis import strategies as st
 from oraclesim.counterparty import (
     BURN_PUB,
     BadMagicError,
-    BadStarsError,
     Bet,
     BetStatus,
     Broadcast,
     Burn,
     CHUNK,
     DATA_CARRIER_LIMIT,
-    DEFAULT_BURN_RATE,
     FEE_FRACTION_UNIT,
     MAGIC,
     MetaState,
-    NoBroadcastYetError,
-    RatingBook,
     Send,
     TruncatedPayloadError,
     XCP,
     _xor_stream,
-    burned_host_value,
     carried_ciphertexts,
     carrier_output,
-    circulating_host_supply,
     compose_burn_tx,
     compose_message_tx,
     decode_payload,
@@ -241,16 +235,16 @@ def burn_and_mine(chain, pair, sats, seed):
 
 def test_burn_issues_at_the_configured_rate():
     chain, people = make_chain()
-    supply_before = circulating_host_supply(chain)
+    supply_before = chain.supply()
     tx = burn_and_mine(chain, people["alice"], 10**8, seed=2)  # one host coin
     state = replay(chain)
     assert state.balance(addr(people["alice"])) == 1000 * XCP_UNIT
     assert state.burned == 10**8
     assert state.issued == 1000 * XCP_UNIT
-    # the burned coin still sits in the utxo set but is out of circulation
-    assert burned_host_value(chain) == 10**8
+    # the burned coin still sits in the utxo set, on a key nobody holds
+    assert chain.balance(BURN_PUB) == 10**8
     fee = 1000
-    assert circulating_host_supply(chain) == supply_before - 10**8 - fee
+    assert chain.supply() - chain.balance(BURN_PUB) == supply_before - 10**8 - fee
     assert chain.is_confirmed(txid(tx))
 
 
@@ -529,9 +523,6 @@ def test_stale_broadcast_is_invalid_and_ignored():
     reasons = [e.reason for e in state.log]
     assert reasons == [None, "stale broadcast", "stale broadcast"]
     assert [e.value for e in state.feeds[addr(claire)]] == [1]
-    assert state.latest_broadcast(addr(claire)).value == 1
-    with pytest.raises(NoBroadcastYetError):
-        state.latest_broadcast("00" * 32)
 
 
 def test_conservation_and_determinism_over_random_traffic():
@@ -573,8 +564,8 @@ def test_conservation_and_determinism_over_random_traffic():
     assert state_digest(replay(chain)) == state_digest(replay(chain))
 
 
-def full_fold(chain, burn_rate=DEFAULT_BURN_RATE):
-    state = MetaState(burn_rate=burn_rate)
+def full_fold(chain):
+    state = MetaState()
     for block in chain.blocks:
         state.apply_block(chain, block)
     return state
@@ -609,9 +600,9 @@ FUNDING = ((0, 300_000),) * 3  # every actor burns for 3 XCP first
 # height 6 settles the match and expires the open bet
 @example(
     [((3, 1), None, (3, 2)), (None, (3, 0), None), (None,) * 3, (None,) * 3, (None, None, (2, 0))],
-    [False] * 9,
+    [True] * 9,
 )
-def test_incremental_replay_equals_a_fresh_fold_at_every_height(blocks, other_rate_at):
+def test_incremental_replay_equals_a_fresh_fold_at_every_height(blocks, replay_at):
     chain, people = make_chain(coins_each=10, value=5 * 10**8)
     pairs = list(people.values())
     names = [addr(p) for p in pairs]
@@ -623,6 +614,8 @@ def test_incremental_replay_equals_a_fresh_fold_at_every_height(blocks, other_ra
             if op is not None
         ]
         mine(chain, *txs, seed=height)
+        if not replay_at[height - 1]:
+            continue  # the next replay folds several blocks at once
         expected = state_digest(full_fold(chain))
         state = replay(chain)
         assert state_digest(state) == expected
@@ -643,10 +636,6 @@ def test_incremental_replay_equals_a_fresh_fold_at_every_height(blocks, other_ra
         wrecked.balances[(names[0], XCP)] = -1
         wrecked.log.clear()
         assert state_digest(replay(chain)) == expected
-        # a replica at another burn rate, folding several blocks at a time
-        if other_rate_at[height - 1]:
-            other = replay(chain, burn_rate=7)
-            assert state_digest(other) == state_digest(full_fold(chain, burn_rate=7))
     assert state_digest(replay(chain)) == state_digest(full_fold(chain))
     # no later settle, expiry, cancel or match rewrote a record an earlier snapshot shares
     for state, expected in kept:
@@ -691,28 +680,3 @@ def test_multisig_embedded_message_survives_mining():
     mine(chain, tx, seed=48)
     state = replay(chain)
     assert state.feeds[addr(claire)][0].text == "x" * 60
-
-
-# ------------------------------------------------------------------ ratings
-
-
-def test_ratings_average_and_bounds():
-    book = RatingBook()
-    book.rate("feed-1", "alice", 5, "reliable")
-    assert book.average("feed-1") == 5.0
-    book.rate("feed-1", "bob", 4)
-    assert book.average("feed-1") == 4.5
-    assert book.average("feed-2") is None
-    with pytest.raises(BadStarsError):
-        book.rate("feed-1", "mallory", 0)
-    with pytest.raises(BadStarsError):
-        book.rate("feed-1", "mallory", 6)
-
-
-def test_ratings_never_touch_consensus_state():
-    chain, people = make_chain()
-    burn_and_mine(chain, people["alice"], 100_000, seed=49)
-    before = state_digest(replay(chain))
-    book = RatingBook()
-    book.rate(addr(people["claire"]), addr(people["alice"]), 5, "nice feed")
-    assert state_digest(replay(chain)) == before

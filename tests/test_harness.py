@@ -46,9 +46,9 @@ T0 = 1_700_000_000
 def test_event_line_is_canonical_json():
     log = EventLog()
     log.append(3, "host", "block", height=1, txs=2)
-    assert log.lines() == [
-        '{"kind":"block","module":"host","payload":{"height":1,"txs":2},"tick":3}'
-    ]
+    assert log.encode() == (
+        b'{"kind":"block","module":"host","payload":{"height":1,"txs":2},"tick":3}\n'
+    )
 
 
 def test_digest_hashes_exact_bytes():
@@ -127,9 +127,9 @@ def test_matching_filters_kind_and_payload():
     log.append(0, "cp", "balance", actor="alice", qty=10)
     log.append(1, "cp", "balance", actor="bob", qty=20)
     log.append(2, "cp", "replay", issued=30)
-    assert len(log.matching("balance")) == 2
-    assert log.matching("balance", {"actor": "bob"})[0].payload["qty"] == 20
-    assert log.matching("balance", {"actor": "zoe"}) == []
+    assert len(log.matching("cp/balance")) == 2
+    assert log.matching("cp/balance", {"actor": "bob"})[0].payload["qty"] == 20
+    assert log.matching("cp/balance", {"actor": "zoe"}) == []
 
 
 def test_line_is_fixed_when_its_event_is_appended():
@@ -137,7 +137,7 @@ def test_line_is_fixed_when_its_event_is_appended():
     held = [1, 2]
     log.append(0, "host", "block", txs=held)
     held.append(3)
-    assert log.lines() == ['{"kind":"block","module":"host","payload":{"txs":[1,2]},"tick":0}']
+    assert log.encode() == b'{"kind":"block","module":"host","payload":{"txs":[1,2]},"tick":0}\n'
 
 
 def test_append_rejects_unserializable_payload():
@@ -147,7 +147,7 @@ def test_append_rejects_unserializable_payload():
             log.append(0, "host", "block", raw=raw)
     assert log.events == []
     log.append(1, "host", "block", ok=[{}])  # a refused payload leaves nothing behind
-    assert log.lines() == ['{"kind":"block","module":"host","payload":{"ok":[{}]},"tick":1}']
+    assert log.encode() == b'{"kind":"block","module":"host","payload":{"ok":[{}]},"tick":1}\n'
 
 
 @pytest.mark.parametrize(
@@ -567,8 +567,8 @@ def test_clock_follows_tick_seconds():
     )
     result = run_scenario(doc)
     log = result.log
-    assert [e.tick for e in log.matching("refused")] == [1]
-    assert [e.tick for e in log.matching("claimed")] == [2]
+    assert [e.tick for e in log.matching("will/refused")] == [1]
+    assert [e.tick for e in log.matching("will/claimed")] == [2]
 
 
 def test_assertion_ops_compare_with_the_requested_operator():
@@ -723,13 +723,125 @@ def test_cli_seed_flag_equals_editing_the_seed_in_the_file(tmp_path):
 
 
 def test_oz_contract_takes_an_arbitrator():
-    def arbitrated(doc):
+    # what each holds after staking from 2e8; the escrow pays 1e8 less two fees
+    left = {"alice": 200_000_000 - 60_000_000, "bob": 200_000_000 - 40_000_000}
+    for condition, winner in ((0, "bob"), (1, "bob"), (None, "alice")):
+
+        def arbitrated(doc):
+            doc["actors"].append("carol")
+            create = next(a for a in doc["actions"] if a["op"] == "oz_contract")
+            doc["actions"] = [
+                dict(create, arbitrator="carol"),
+                {"tick": 1, "op": "oz_arbitrate", "id": "z1", "arbitrator": "carol",
+                 "condition": condition},
+                {"tick": 1, "op": "oz_cosign", "id": "z1", "agent": winner},
+            ]
+            doc["assertions"] = [
+                {"kind": "count", "event": "oz/contract", "value": 1},
+                {"kind": "last_event", "event": "oz/arbitrated", "field": "condition",
+                 "value": condition},
+                {"kind": "count", "event": "oz/cosigned", "value": 1},
+                {"kind": "balance", "actor": winner,
+                 "value": left[winner] + 100_000_000 - 2 * 1000},
+            ]
+
+        result = run_scenario(_mutated("oraclize_milan", arbitrated))
+        assert result.passed, result.failures
+
+
+@pytest.mark.parametrize(
+    "arbitrated, decision, reason",
+    [
+        (False, {}, "OraclizeError"),  # the oracle resolves this contract
+        (True, {"arbitrator": "bob"}, "OraclizeError"),  # not the contract's arbitrator
+        (True, {"condition": 2}, "OraclizeError"),  # the contract has two conditions
+        (True, {"condition": -1}, "OraclizeError"),
+        (True, {"fee": 200_000_000}, "ValueError"),  # more than the escrow holds
+    ],
+    ids=["oracle_resolved", "wrong_arbitrator", "past_the_last", "negative", "fee_over_escrow"],
+)
+def test_oz_arbitrate_refusal_is_an_event(arbitrated, decision, reason):
+    def refused(doc):
         doc["actors"].append("carol")
         create = next(a for a in doc["actions"] if a["op"] == "oz_contract")
-        doc["actions"] = [dict(create, arbitrator="carol")]
-        doc["assertions"] = [{"kind": "count", "event": "oz/contract", "value": 1}]
+        if arbitrated:
+            create["arbitrator"] = "carol"
+        arbitrate = {"op": "oz_arbitrate", "id": "z1", "arbitrator": "carol", "condition": 0}
+        doc["actions"] = [create, dict(arbitrate, tick=1, **decision)]
+        cosign = {"tick": 2, "op": "oz_cosign", "id": "z1", "agent": "bob"}
+        if arbitrated:  # a refused decision settles nothing: the arbitrator decides again
+            doc["actions"] += [dict(arbitrate, tick=2), cosign]
+        refusal = {"accepted": False, "reason": reason}
+        doc["assertions"] = [
+            {"kind": "count", "event": "oz/arbitrated", "where": refusal, "value": 1},
+            {"kind": "count", "event": "oz/cosigned", "value": int(arbitrated)},
+        ]
 
-    assert run_scenario(_mutated("oraclize_milan", arbitrated)).passed
+    result = run_scenario(_mutated("oraclize_milan", refused))
+    assert result.passed, result.failures
+    assert (result.log.events[-1].module, result.log.events[-1].kind) == ("run", "end")
+
+
+def test_scalar_decision_resolves_to_the_stake_weighted_median():
+    stakes = {"v1": 2000, "v2": 3000, "v3": 5000}
+    # the median by stake (10) is neither the plain median (50) nor the mean (39)
+    reports = {"v1": 50.0, "v2": 80.0, "v3": 10.0}
+
+    def scalar(doc):
+        decision = next(a for a in doc["actions"] if a["op"] == "tc_decision")
+        decision.update(kind="scalar", min=0.0, max=100.0)
+        for action in doc["actions"]:
+            if action["op"] == "tc_commit":
+                action["reports"] = {"d1": reports[action["actor"]]}
+        doc["assertions"] = [
+            {"kind": "last_event", "event": "tc/outcome", "field": "unresolvable",
+             "value": False},
+            {"kind": "last_event", "event": "tc/veto", "field": "outcome", "value": "confirmed"},
+        ]
+
+    result = run_scenario(_mutated("truthcoin_market", scalar))
+    assert result.passed, result.failures
+    ordered = sorted(stakes, key=reports.get)
+    median = next(
+        reports[v] for i, v in enumerate(ordered)
+        if 2 * sum(stakes[u] for u in ordered[: i + 1]) >= sum(stakes.values())
+    )
+    [outcome] = result.log.matching("tc/outcome", {"decision": "d1"})
+    assert outcome.payload["outcome"] == median == 10.0
+    # two long shares of a scalar pay (outcome - min) / (max - min) each
+    [redeem] = result.log.matching("tc/redeem")
+    assert redeem.payload["payout"] == int(2 * 0.1 * 10**8)
+    # the voter farthest from the outcome loses stake to the closest
+    staked = {e.payload["actor"]: e.payload["stake"] for e in result.log.matching("tc/stake")}
+    assert staked["v2"] < stakes["v2"] and staked["v3"] > stakes["v3"]
+    assert sum(staked.values()) == sum(stakes.values())
+
+
+def test_tc_peg_out_burns_the_amount_and_refuses_an_overdraw():
+    def pegged_out(doc):
+        doc["actions"] += [
+            {"tick": 5, "op": "tc_peg_out", "actor": "trader", "amount": 300_000_000},
+            {"tick": 5, "op": "tc_peg_out", "actor": "maker", "amount": 10**12},
+            {"tick": 5, "op": "tc_peg_out", "actor": "maker", "amount": -1},
+            {"tick": 5, "op": "tc_snapshot"},
+        ]
+        doc["assertions"] = [
+            {"kind": "count", "event": "tc/peg_out", "where": {"accepted": True}, "value": 1},
+            {"kind": "count", "event": "tc/peg_out", "where": {"actor": "maker",
+             "reason": "InsufficientCSHError"}, "value": 1},
+            {"kind": "last_event", "event": "tc/peg_out", "field": "reason",
+             "value": "ValueError"},
+        ]
+
+    result = run_scenario(_mutated("truthcoin_market", pegged_out))
+    assert result.passed, result.failures
+    accounts = result.log.matching("tc/account")
+    half = len(accounts) // 2
+    before = {e.payload["actor"]: e.payload["csh"] for e in accounts[:half]}
+    after = {e.payload["actor"]: e.payload["csh"] for e in accounts[half:]}
+    # nothing trades between the two snapshots, so the supply falls by the balances
+    assert sum(after.values()) == sum(before.values()) - 300_000_000
+    assert after == dict(before, trader=before["trader"] - 300_000_000)
 
 
 @pytest.mark.parametrize("comparator, threshold", [("gt", 0.5), ("eq", 1)])

@@ -76,4 +76,4 @@ def test_keygen_is_deterministic_per_seed():
     a1 = reg.keygen(b"alice")
     a2 = reg.keygen(b"alice")
     assert a1 == a2
-    assert reg.is_known(a1.pub)
+    assert reg.verify(sign(a1.secret, bytes(32)), a1.pub, bytes(32))

@@ -28,7 +28,7 @@ from oraclesim.simchain import (
     txid,
     validate_tx,
 )
-from oraclesim.simchain.tx import sign_input
+from oraclesim.simchain.tx import select_coins, sign_input
 
 ALL_COMPLIANT = [Miner("big", 0.93, accepts_nonstandard=False), Miner("small", 0.07)]
 SOLO = [Miner("solo", 1.0)]
@@ -290,14 +290,21 @@ class RelayTraffic(RuleBasedStateMachine):
             self.arrived[txid(tx)] = (self.chain.height, self.accepted)
             self.accepted += 1
 
-    def pay_to(self, sender, lock, value, fee, **kwargs):
+    def pay_to(self, sender, lock, value, fee):
         try:
             tx = build_payment(
-                self.chain, self.pairs[sender], [TxOutput(value=value, lock=lock)], fee=fee, **kwargs
+                self.chain, self.pairs[sender], [TxOutput(value=value, lock=lock)], fee=fee
             )
         except InsufficientFundsError:
             return
         self.submit(tx)
+
+    def signed(self, sender, outpoints, outputs, locktime=0):
+        """A transaction spending `outpoints`, every input signed by `sender`."""
+        tx = Transaction(tuple(TxInput(op) for op in outpoints), tuple(outputs), locktime)
+        for index in range(len(outpoints)):
+            tx = sign_input(tx, index, self.pairs[sender])
+        return tx
 
     @rule(
         sender=owner_index,
@@ -311,7 +318,15 @@ class RelayTraffic(RuleBasedStateMachine):
         # coin selection takes the first coins, so a second payment from one
         # sender conflicts; a locktime past the next height is premature
         lock = DataCarrier(bytes(81)) if nonstandard else PayToKey(self.pairs[recipient].pub)
-        self.pay_to(sender, lock, value, fee, locktime=self.chain.height + delay)
+        change = PayToKey(self.pairs[sender].pub)
+        try:
+            coins, gathered = select_coins(self.chain, change.pub, value + fee)
+        except InsufficientFundsError:
+            return
+        outputs = [TxOutput(value, lock)]
+        if gathered > value + fee:
+            outputs.append(TxOutput(gathered - value - fee, change))
+        self.submit(self.signed(sender, coins, outputs, locktime=self.chain.height + delay))
 
     @rule(sender=owner_index, unlock_in=st.integers(0, 4), value=st.integers(0, 15_000))
     def lock(self, sender, unlock_in, value):
@@ -334,14 +349,13 @@ class RelayTraffic(RuleBasedStateMachine):
         )
         self.submit(sign_input(unsigned, 0, owner))
 
-    @rule(sender=owner_index, fee=st.integers(1, 500))
-    def double_spend(self, sender, fee):
+    @rule(sender=owner_index)
+    def double_spend(self, sender):
         coins = self.chain.utxos_for(self.pairs[sender].pub)
         if coins:
-            # the extra input is also the first coin selected, so it is named twice
             (first, out), *_ = coins
             lock = PayToKey(self.pairs[sender].pub)
-            self.pay_to(sender, lock, out.value, fee, extra_inputs=[first])
+            self.submit(self.signed(sender, [first, first], [TxOutput(out.value, lock)]))
 
     @rule(pick=st.integers(0, 50))
     def resend_confirmed(self, pick):

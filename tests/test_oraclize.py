@@ -18,6 +18,7 @@ from oraclesim.oraclize import (
     EmptyTimeframeError,
     NonSSLSourceError,
     Oracle,
+    OraclizeError,
     OverlappingConditionsError,
     ProofInvalidError,
     SignedSettlement,
@@ -555,6 +556,29 @@ def test_arbitrated_default_and_oracle_key_exclusion():
     )
     assert not chain.submit(forged).accepted
     co_sign_and_broadcast(chain, settlement, alice)
+
+
+@pytest.mark.parametrize("index", [-1, 2, 7])
+def test_arbitration_refuses_a_condition_the_contract_lacks(index):
+    chain, reg, oracle, alice, bob, carol = make_world(
+        temp_entries=[(T0, 12)], rain_entries=[(T0, False)]
+    )
+    contract = fund(chain, oracle, alice, bob, milan_conditions(bob.pub), arbitrator=carol)
+    assert len(contract.conditions) == 2
+    with pytest.raises(OraclizeError, match=f"has no condition {index}"):
+        arbitrate(contract, carol, index)
+    # a refused decision settles nothing: the arbitrator can still decide
+    assert contract.state is ContractState.ACTIVE
+    arbitrate(contract, carol, 1)
+    assert contract.settled_condition == 1
+
+
+def test_arbitration_takes_only_the_named_arbitrator():
+    chain, reg, oracle, alice, bob, carol = make_world(temp_entries=[(T0, 8)])
+    contract = fund(chain, oracle, alice, bob, milan_conditions(bob.pub)[:1], arbitrator=carol)
+    with pytest.raises(OraclizeError, match="names another arbitrator"):
+        arbitrate(contract, bob, 0)
+    assert contract.state is ContractState.ACTIVE
 
 
 def test_poll_records_a_condition_audit_row():

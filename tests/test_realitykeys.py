@@ -27,7 +27,6 @@ from oraclesim.realitykeys import (
     demo_claim,
     demo_contract,
     demo_countersign,
-    demo_refund,
     demo_setup,
 )
 from oraclesim.simchain import (
@@ -330,12 +329,3 @@ def test_demo_claim_no_branch_for_bob():
     assert chain.submit(spend).accepted
     chain.mine_next(SOLO, Random(4))
     assert chain.balance(bob.pub) == 100_000
-
-
-def test_demo_refund_returns_a_party_stake(demo_env):
-    chain, registry, alice, bob, alice_temp, bob_temp, temps = demo_env
-    back = chain.keys.keygen(b"alice-back")
-    refund = demo_refund(chain, alice_temp, temps[0], back.pub, fee=100)
-    assert chain.submit(refund).accepted
-    chain.mine_next(SOLO, Random(5))
-    assert chain.balance(back.pub) == 69_900

@@ -356,7 +356,6 @@ def test_select_coins_zero_target_edge(funded_chain):
     first = chain.utxos_for(alice.pub)[0]
     # build_payment's rule: a covered target takes no coin
     assert select_coins(chain, alice.pub, 0) == ([], 0)
-    assert select_coins(chain, alice.pub, 10, have=10) == ([], 10)
     # the escrow funders' rule: at least one coin, even for a zero stake
     assert select_coins(chain, alice.pub, 0, at_least_one=True) == ([first[0]], first[1].value)
     assert select_coins(chain, bob.pub, 0) == ([], 0)
@@ -467,14 +466,13 @@ def test_build_payment_equals_the_chained_with_witness_loop():
         keys=reg,
     )
     pay = TxOutput(value=950, lock=PayToKey(bob.pub))
-    tx = build_payment(chain, alice, [pay], fee=20, locktime=1)
+    tx = build_payment(chain, alice, [pay], fee=20)
 
     # the builder before it signed once: one with_witness per input
     coins = [outpoint for outpoint, _ in chain.utxos_for(alice.pub)]
     unsigned = Transaction(
         inputs=tuple(TxInput(outpoint=op) for op in coins),
         outputs=(pay, TxOutput(value=30, lock=PayToKey(alice.pub))),
-        locktime=1,
     )
     sig = sign(alice.secret, sighash(unsigned))
     chained = unsigned

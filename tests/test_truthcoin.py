@@ -58,7 +58,7 @@ def test_ten_share_charge_matches_reference():
 
 def test_empty_market_prices_are_even():
     assert lmsr.prices((0.0, 0.0), 100.0) == (0.5, 0.5)
-    assert lmsr.price((0.0, 0.0, 0.0, 0.0), 7.0, 2) == pytest.approx(0.25)
+    assert lmsr.prices((0.0, 0.0, 0.0, 0.0), 7.0)[2] == pytest.approx(0.25)
 
 
 def test_prices_sum_to_one_everywhere():
@@ -372,7 +372,7 @@ def test_full_binary_lifecycle():
 
     paid = sim.trade(market.market_id, "trader", 1, 10.0)
     assert paid == 512_494_796  # ceil of the reference charge in base units
-    assert sim.prices(market.market_id)[1] > 0.5
+    assert lmsr.prices(market.q, market.b)[1] > 0.5
 
     sim.advance(200)
     ballot = sim.open_ballot()
@@ -726,7 +726,7 @@ def test_randomized_trading_stays_solvent():
             else:
                 delta = rng.uniform(0.1, 15.0)
             sim.trade(market.market_id, t, state, delta)
-            prices = sim.prices(market.market_id)
+            prices = lmsr.prices(market.q, market.b)
             assert math.fsum(prices) == pytest.approx(1.0, abs=1e-9)
         sim.advance(20)
         ballot = sim.open_ballot()
