@@ -207,6 +207,20 @@ class Action(NamedTuple):
     args: dict[str, Any]
 
 
+# The values each codec width holds (FORMATS.md), and the op fields that a
+# counterparty message or a transaction carries at a fixed width.
+_WIDTHS = {"u8": range(2**8), "u16": range(2**16), "u32": range(2**32), "u64": range(2**64),
+           "i64": range(-(2**63), 2**63)}
+_FIELD_WIDTHS = {
+    "xcp_burn": {"sats": "u64"},
+    "xcp_send": {"qty": "u64"},
+    "xcp_broadcast": {"timestamp": "u64", "value": "i64", "fee_fraction": "u32"},
+    "xcp_bet": {"target": "i64", "deadline": "u64", "wager": "u64", "counterwager": "u64",
+                "side": "u8"},
+    "oz_contract": {"refund_locktime": "u64"},
+}
+
+
 def _conditions(action: Action) -> list[Condition]:
     """The feed conditions that an ``rk_fact``, ``orisi_propose`` or
     ``oz_contract`` action registers; building one applies its kind rule."""
@@ -267,12 +281,24 @@ class Scenario:
         if self.mine_every is not None and self.mine_every < 1:
             raise ValueError("mine_every must be null or at least 1")
         check_miners(self.miners)
+        for i, name in enumerate(self.actors):
+            if not name:  # key derivation takes no empty seed
+                raise ValueError(f"actors[{i}] is empty")
+        coins = 0
         for i, grant in enumerate(self.genesis):
             if grant.value < 0 or grant.coins < 0:
                 raise ValueError(f"genesis[{i}] has a negative value or coins")
+            coins += grant.coins
+            if grant.value not in _WIDTHS["u64"] or coins not in _WIDTHS["u16"]:
+                raise ValueError(f"genesis[{i}]: the genesis transaction holds at most "
+                                 "65535 outputs of a u64 value each")
         for i, action in enumerate(self.actions):
             if not 0 <= action.tick < self.ticks:
                 raise ValueError(f"actions[{i}].tick {action.tick} is outside 0..{self.ticks - 1}")
+            for name, width in _FIELD_WIDTHS.get(action.op, {}).items():
+                value = action.args.get(name, 0)
+                if value not in _WIDTHS[width]:
+                    raise ValueError(f"actions[{i}].{name} {value} does not fit {width}")
         for what, names in (("actor", self.actors), ("source", [s.id for s in self.sources])):
             if len(set(names)) < len(names):
                 repeated = next(n for i, n in enumerate(names) if n in names[:i])
@@ -349,7 +375,7 @@ class World:
         # protocol slots, created on first use
         self.wills: dict[str, will_oracle.WillContract] = {}
         self.will_servers: dict[str, will_oracle.OracleServer] = {}
-        self.rk_registry: realitykeys.FactRegistry | None = None
+        self._rk_registry: realitykeys.FactRegistry | None = None
         self.rk_facts: dict[str, str] = {}
         self.rk_temps: dict[str, tuple] = {}
         self.rk_contracts: dict[str, realitykeys.DemoContract] = {}
@@ -357,7 +383,7 @@ class World:
         self.orisi_agents: dict[str, tuple[KeyPair, ...]] = {}
         self.orisi_nodes: dict[str, list[orisi.OracleNode]] = {}
         self.bus = orisi.MessageBus()
-        self.tc: truthcoin.TruthcoinSim | None = None
+        self._tc: truthcoin.TruthcoinSim | None = None
         self.tc_decisions: dict[str, str] = {}
         self.tc_markets: dict[str, str] = {}
         self.tc_reveals: dict[tuple[int, str], tuple[dict[str, float], bytes]] = {}
@@ -366,6 +392,18 @@ class World:
         self.oz_settlements: dict[str, oraclize.SignedSettlement] = {}
 
     # --- helpers ---------------------------------------------------------
+
+    @property
+    def rk_registry(self) -> realitykeys.FactRegistry:
+        if self._rk_registry is None:  # refuses an op before rk_registry, or after it refused
+            raise LookupError("no fact registry: rk_registry has not run")
+        return self._rk_registry
+
+    @property
+    def tc(self) -> truthcoin.TruthcoinSim:
+        if self._tc is None:
+            raise LookupError("no sidechain: tc_init has not run")
+        return self._tc
 
     def pair(self, name: str) -> KeyPair:
         try:
@@ -481,7 +519,7 @@ def _op_rk_registry(
     def human(fact, claimed):
         return claimed if human_agrees else None
 
-    w.rk_registry = realitykeys.FactRegistry(
+    w._rk_registry = realitykeys.FactRegistry(
         sources=w.sources,
         keys=w.keys,
         objection_window=objection_window,
@@ -560,19 +598,14 @@ def _op_rk_finalize(w: World, fact: str) -> None:
 def _op_rk_claim(w: World, id_: str, claimant: str, fee: int = _FEE) -> None:
     contract = w.rk_contracts[id_]
     pair = w.pair(claimant)
-    try:
-        tx = realitykeys.demo_claim(
-            w.chain,
-            w.rk_registry,
-            contract,
-            claimant=pair,
-            dest_pub=pair.pub,
-            fee=fee,
-        )
-    except realitykeys.RealityKeysError as exc:
-        w.emit("rk", "claimed", id=id_, claimant=claimant, accepted=False,
-               reason=type(exc).__name__)
-        return
+    tx = realitykeys.demo_claim(
+        w.chain,
+        w.rk_registry,
+        contract,
+        claimant=pair,
+        dest_pub=pair.pub,
+        fee=fee,
+    )
     accepted = w.submit(tx, "rk")
     w.emit("rk", "claimed", id=id_, claimant=claimant, accepted=accepted)
 
@@ -658,11 +691,7 @@ def _op_orisi_poll(w: World, id_: str) -> None:
 
 def _op_orisi_finalize(w: World, id_: str) -> None:
     contract = w.orisi_contracts[id_]
-    try:
-        tx = orisi.finalize(w.chain, contract, w.orisi_agents[id_])
-    except orisi.OrisiError as exc:
-        w.emit("orisi", "settled", id=id_, accepted=False, reason=type(exc).__name__)
-        return
+    tx = orisi.finalize(w.chain, contract, w.orisi_agents[id_])
     w.submit_tick[txid(tx)] = w.tick
     w.emit("orisi", "settled", id=id_, accepted=True, state=contract.state.value)
 
@@ -686,8 +715,8 @@ def _op_tc_init(
     severity: float = truthcoin.DEFAULT_SEVERITY, waiting_period: int = truthcoin.WEEK_SECONDS,
     veto_window: int = truthcoin.DEFAULT_VETO_WINDOW,
 ) -> None:
-    w.tc = truthcoin.TruthcoinSim(allocation, now=w.now, quorum=quorum, severity=severity,
-                                  waiting_period=waiting_period, veto_window=veto_window)
+    w._tc = truthcoin.TruthcoinSim(allocation, now=w.now, quorum=quorum, severity=severity,
+                                   waiting_period=waiting_period, veto_window=veto_window)
     w.emit("tc", "init", vtc_supply=w.tc.vtc_supply())
 
 
@@ -697,13 +726,8 @@ def _op_tc_peg_in(w: World, actor: str, amount: int) -> None:
 
 
 def _op_tc_peg_out(w: World, actor: str, amount: int) -> None:
-    try:
-        w.tc.peg_out(actor, amount)
-    except (truthcoin.TruthcoinError, ValueError) as exc:  # an overdraw, a negative amount
-        w.emit("tc", "peg_out", actor=actor, amount=amount, accepted=False,
-               reason=type(exc).__name__)
-        return
-    w.emit("tc", "peg_out", actor=actor, amount=amount, accepted=True)
+    w.tc.peg_out(actor, amount)
+    w.emit("tc", "peg_out", actor=actor, amount=amount)
 
 
 def _op_tc_decision(
@@ -977,13 +1001,8 @@ def _op_oz_arbitrate(
     w: World, id_: str, arbitrator: str, condition: int | None, fee: int = _FEE
 ) -> None:
     contract = w.oz_contracts[id_]
-    try:
-        settlement = oraclize.arbitrate(contract, w.pair(arbitrator), condition, fee=fee)
-    except (oraclize.OraclizeError, ValueError) as exc:  # ValueError: a fee over the escrow
-        w.emit("oz", "arbitrated", id=id_, accepted=False, reason=type(exc).__name__)
-        return
-    w.oz_settlements[id_] = settlement
-    w.emit("oz", "arbitrated", id=id_, accepted=True, condition=condition)
+    w.oz_settlements[id_] = oraclize.arbitrate(contract, w.pair(arbitrator), condition, fee=fee)
+    w.emit("oz", "arbitrated", id=id_, condition=condition)
 
 
 def _op_oz_cosign(w: World, id_: str, agent: str) -> None:
@@ -1082,15 +1101,22 @@ _SCENARIO = _converter(Scenario)  # builds every converter a document reaches
 
 # -------------------------------------------------------------------- run
 
+# What a protocol refuses an op with: each module's error base, a bad argument
+# (ValueError, so InsufficientFundsError too) and an id or datum that is not
+# there (LookupError: KeyError, NoDataError). Anything else is a harness bug.
+_REFUSALS = (will_oracle.WillError, realitykeys.RealityKeysError, orisi.OrisiError,
+             truthcoin.TruthcoinError, oraclize.OraclizeError, ValueError, LookupError)
+
 
 def run_scenario(
     source: Scenario | dict | str | Path, seed_override: int | None = None
 ) -> RunResult:
     """Execute one scenario start to finish and check its assertions.
 
-    Failed assertions are collected into ``RunResult.failures`` rather
-    than raised, so callers can report all of them; ``ParseError`` still
-    raises because a malformed script has no meaningful result.
+    An op refused with one of ``_REFUSALS`` logs ``run/refused`` and the run
+    goes on. Failed assertions are collected into ``RunResult.failures``
+    rather than raised, so callers can report all of them; ``ParseError``
+    still raises because a malformed script has no meaningful result.
     """
     if isinstance(source, Scenario):
         scenario = source
@@ -1110,10 +1136,13 @@ def run_scenario(
     for tick in range(scenario.ticks):
         world.tick = tick
         world.now = scenario.start_time + tick * scenario.tick_seconds
-        if world.tc is not None and world.now > world.tc.now:
+        if world._tc is not None and world.now > world.tc.now:
             world.tc.advance(world.now - world.tc.now)
         for action in by_tick.get(tick, ()):
-            _OPS[action.op](world, **action.args)
+            try:
+                _OPS[action.op](world, **action.args)
+            except _REFUSALS as exc:  # what the op did before it refused stays done
+                world.emit("run", "refused", op=action.op, reason=type(exc).__name__)
         if scenario.mine_every is not None and (tick + 1) % scenario.mine_every == 0:
             world.mine()
         if scenario.track_balances:

@@ -23,6 +23,7 @@ from oraclesim.harness import (
     run_scenario,
     verify_replay,
 )
+from oraclesim.harness import scenario as scenario_module
 from oraclesim.harness.cli import main
 from oraclesim.harness.events import Event, _encode
 from oraclesim.simchain import (
@@ -432,6 +433,12 @@ def test_from_dict_is_total_on_any_json_value(doc):
     _parses_or_refuses(doc)
 
 
+def _at(value, path):
+    for step in path:
+        value = value[step]
+    return value
+
+
 def _paths(value, path=()):
     yield path
     if isinstance(value, dict):
@@ -472,6 +479,42 @@ def test_from_dict_is_total_on_mutated_bundled_scenarios(node, mutation, sample)
         else:
             doc = sample
     _parses_or_refuses(doc)
+
+
+def _same_type_edits(value, names):
+    """The leaf edits of the mutation sweep: each keeps the value's JSON type."""
+    if type(value) is bool:
+        return [not value]
+    if type(value) is int:
+        return [0, value + 1, value - 1, value * 2, value // 2, -value, 10**6]
+    return ["", value + "_x", value.upper(), *names]
+
+
+# Every int, str and bool leaf but the top-level ticks, which may run unbounded.
+_LEAVES = [
+    [p for p in _paths(doc) if p != ("ticks",) and type(_at(doc, p)) in (int, str, bool)]
+    for doc in _BUNDLED
+]
+_NAMES = [sorted({_at(doc, p) for p in leaves if type(_at(doc, p)) is str})
+          for doc, leaves in zip(_BUNDLED, _LEAVES)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_run_is_total_on_leaf_edits_of_bundled_scenarios(data):
+    """Replace one or two leaves of a bundled document by a value of the same
+    type: the run ends at run/end, or the document raises ParseError."""
+    index = data.draw(st.integers(0, len(_BUNDLED) - 1))
+    doc = copy.deepcopy(_BUNDLED[index])
+    for path in data.draw(st.lists(st.sampled_from(_LEAVES[index]), min_size=1, max_size=2)):
+        holder = _at(doc, path[:-1])
+        holder[path[-1]] = data.draw(st.sampled_from(_same_type_edits(holder[path[-1]],
+                                                                      _NAMES[index])))
+    try:
+        result = run_scenario(doc)
+    except ParseError:
+        return
+    assert (result.log.events[-1].module, result.log.events[-1].kind) == ("run", "end")
 
 
 def test_load_rejects_bad_json(tmp_path):
@@ -689,6 +732,22 @@ def _mutated(stem, mutate):
             "scenario: miner hashrates must sum to 1, got 0.5",
         ),
         (lambda d: d.update(miners=[]), "scenario: cannot mine without miners"),
+        (lambda d: d["actors"].__setitem__(2, ""), "scenario: actors[2] is empty"),
+        (lambda d: d["genesis"][0].update(value=2**64), "scenario: genesis[0]: the genesis"),
+        (lambda d: d["genesis"][0].update(coins=0x10000), "scenario: genesis[0]: the genesis"),
+        (lambda d: d["genesis"].append(dict(d["genesis"][0], coins=0xFFFF)),
+         "scenario: genesis[1]: the genesis transaction holds at most 65535 outputs"),
+        (lambda d: d["actions"].insert(0, {"tick": 0, "op": "xcp_broadcast", "actor": "owner",
+                                           "timestamp": -1, "value": 0}),
+         "scenario: actions[0].timestamp -1 does not fit u64"),
+        (lambda d: d["actions"].insert(0, {"tick": 0, "op": "xcp_bet", "actor": "owner",
+                                           "feed": "owner", "comparator": "ge", "target": 0,
+                                           "deadline": 0, "wager": 1, "counterwager": 1,
+                                           "side": 256}),
+         "scenario: actions[0].side 256 does not fit u8"),
+        (lambda d: d["actions"].insert(0, dict(_oz_contract(comparator="eq", threshold=1),
+                                                refund_locktime=-1)),
+         "scenario: actions[0].refund_locktime -1 does not fit u64"),
     ],
     ids=[
         "claim_without_heir",
@@ -702,6 +761,13 @@ def _mutated(stem, mutate):
         "source_without_id",
         "hashrates_sum_to_half",
         "no_miners",
+        "empty_actor",
+        "genesis_value_past_u64",
+        "genesis_coins_past_u16",
+        "genesis_coins_summed_past_u16",
+        "xcp_broadcast_timestamp_negative",
+        "xcp_bet_side_past_u8",
+        "oz_refund_locktime_negative",
     ],
 )
 def test_cli_run_names_the_field_of_a_malformed_scenario(tmp_path, capsys, mutate, message):
@@ -771,9 +837,11 @@ def test_oz_arbitrate_refusal_is_an_event(arbitrated, decision, reason):
         cosign = {"tick": 2, "op": "oz_cosign", "id": "z1", "agent": "bob"}
         if arbitrated:  # a refused decision settles nothing: the arbitrator decides again
             doc["actions"] += [dict(arbitrate, tick=2), cosign]
-        refusal = {"accepted": False, "reason": reason}
+        refusal = {"op": "oz_arbitrate", "reason": reason}
         doc["assertions"] = [
-            {"kind": "count", "event": "oz/arbitrated", "where": refusal, "value": 1},
+            {"kind": "count", "event": "run/refused", "where": refusal, "value": 1},
+            {"kind": "count", "event": "run/refused", "value": 1},
+            {"kind": "count", "event": "oz/arbitrated", "value": int(arbitrated)},
             {"kind": "count", "event": "oz/cosigned", "value": int(arbitrated)},
         ]
 
@@ -826,11 +894,13 @@ def test_tc_peg_out_burns_the_amount_and_refuses_an_overdraw():
             {"tick": 5, "op": "tc_snapshot"},
         ]
         doc["assertions"] = [
-            {"kind": "count", "event": "tc/peg_out", "where": {"accepted": True}, "value": 1},
-            {"kind": "count", "event": "tc/peg_out", "where": {"actor": "maker",
+            {"kind": "count", "event": "tc/peg_out", "value": 1},
+            {"kind": "last_event", "event": "tc/peg_out", "field": "actor", "value": "trader"},
+            {"kind": "count", "event": "run/refused", "where": {"op": "tc_peg_out",
              "reason": "InsufficientCSHError"}, "value": 1},
-            {"kind": "last_event", "event": "tc/peg_out", "field": "reason",
+            {"kind": "last_event", "event": "run/refused", "field": "reason",
              "value": "ValueError"},
+            {"kind": "count", "event": "run/refused", "value": 2},
         ]
 
     result = run_scenario(_mutated("truthcoin_market", pegged_out))
@@ -842,6 +912,71 @@ def test_tc_peg_out_burns_the_amount_and_refuses_an_overdraw():
     # nothing trades between the two snapshots, so the supply falls by the balances
     assert sum(after.values()) == sum(before.values()) - 300_000_000
     assert after == dict(before, trader=before["trader"] - 300_000_000)
+
+
+def _last(op, **change):
+    return lambda doc: [a for a in doc["actions"] if a["op"] == op][-1].update(change)
+
+
+def _cosign_by_outsider(doc):
+    doc["actors"].append("carol")
+    _last("oz_cosign", agent="carol")(doc)
+
+
+@pytest.mark.parametrize(
+    "stem, mutate, refused",
+    [
+        # the tick-1 poll comes before milan.temp's first entry
+        ("oraclize_milan", lambda d: d["sources"][0]["entries"][0].update(time=1700010000),
+         [("oz_poll", "NoDataError")]),
+        # the escrow cannot pay the fee; the cosign then finds no settlement
+        ("oraclize_milan", _last("oz_poll", fee=10**9),
+         [("oz_poll", "ValueError"), ("oz_cosign", "KeyError")]),
+        ("oraclize_milan", _cosign_by_outsider, [("oz_cosign", "BadWitnessError")]),
+        ("oraclize_dead_oracle",
+         lambda d: d["actions"].append({"tick": 6, "op": "oz_default", "id": "z1", "fee": 10**9}),
+         [("oz_default", "ValueError")]),
+        # the maker then cannot fund the market, so nothing trades in it
+        ("truthcoin_market", lambda d: d["actions"][1].update(amount=-5),
+         [("tc_peg_in", "ValueError"), ("tc_market", "InsufficientCSHError"),
+          ("tc_trade", "KeyError"), ("tc_redeem", "KeyError")]),
+        # ops that need the registry or the sidechain, before the op that makes it
+        ("will_claim", lambda d: d["actions"].insert(0, {"tick": 0, "op": "rk_post", "fact": "f"}),
+         [("rk_post", "LookupError")]),
+        ("will_claim", lambda d: d["actions"].insert(0, {"tick": 0, "op": "tc_ballot"}),
+         [("tc_ballot", "LookupError")]),
+    ],
+    ids=["oz_poll_before_data", "oz_poll_fee", "oz_cosign_outsider", "oz_default_fee",
+         "tc_peg_in_negative", "rk_before_registry", "tc_before_init"],
+)
+def test_a_refused_op_is_logged_and_the_run_goes_on(stem, mutate, refused):
+    result = run_scenario(_mutated(stem, mutate))
+    assert (result.log.events[-1].module, result.log.events[-1].kind) == ("run", "end")
+    logged = [(e.payload["op"], e.payload["reason"]) for e in result.log.matching("run/refused")]
+    assert logged == refused
+
+
+def test_a_refused_op_keeps_what_it_did_before_the_refusal():
+    def unfunded(doc):  # bob cannot fund his stake, after alice's is broadcast
+        next(a for a in doc["actions"] if a["op"] == "rk_temps")["stakes"][1] = 10**12
+
+    log = run_scenario(_mutated("realitykeys_stake", unfunded)).log
+    assert log.matching("run/refused")[0].payload == {
+        "op": "rk_temps", "reason": "InsufficientFundsError"
+    }
+    [stake] = log.matching("rk/tx_submitted")
+    [block] = log.matching("host/block", {"height": 1})
+    assert (stake.tick, block.payload["txs"]) == (0, 1)
+
+
+@pytest.mark.parametrize("error", [TypeError, AttributeError])
+def test_an_op_raising_a_harness_error_is_not_refused(monkeypatch, error):
+    def broken(w, blocks=1):
+        raise error("a bug in the harness")
+
+    monkeypatch.setitem(scenario_module._OPS, "mine", broken)
+    with pytest.raises(error):
+        run_scenario(_minimal(actions=[{"tick": 0, "op": "mine"}]))
 
 
 @pytest.mark.parametrize("comparator, threshold", [("gt", 0.5), ("eq", 1)])
