@@ -299,8 +299,6 @@ class AppliedMessage:
 
 @dataclass
 class MetaState:
-    burn_rate: int = DEFAULT_BURN_RATE
-    burn_pub: bytes = BURN_PUB
     balances: dict[tuple[str, str], int] = field(default_factory=dict)
     feeds: dict[str, list[FeedEntry]] = field(default_factory=dict)
     bets: list[BetRecord] = field(default_factory=list)
@@ -444,11 +442,11 @@ def _apply(
         paid = sum(
             out.value
             for out in tx.outputs
-            if isinstance(out.lock, PayToKey) and out.lock.pub == state.burn_pub
+            if isinstance(out.lock, PayToKey) and out.lock.pub == BURN_PUB
         )
         if paid != message.btc_qty or paid == 0:
             return False, R_WRONG_BURN
-        issued = message.btc_qty * state.burn_rate
+        issued = message.btc_qty * DEFAULT_BURN_RATE
         state._credit(source, issued)
         state.burned += message.btc_qty
         state.issued += issued
@@ -549,8 +547,8 @@ def message_json(message: MetaMessage) -> dict:
 
 def state_to_json(state: MetaState) -> dict:
     return {
-        "burn_rate": state.burn_rate,
-        "burn_pub": state.burn_pub.hex(),
+        "burn_rate": DEFAULT_BURN_RATE,
+        "burn_pub": BURN_PUB.hex(),
         "burned": state.burned,
         "issued": state.issued,
         "balances": {

@@ -19,17 +19,18 @@ from __future__ import annotations
 
 import json
 import operator
-from contextlib import suppress
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cache
+from functools import cache, reduce
 from importlib import resources
 from inspect import formatannotation, signature
 from itertools import repeat
 from pathlib import Path
 from random import Random
 from types import UnionType
-from typing import Any, Callable, Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Any, Callable, Literal, NamedTuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 from .. import counterparty, oraclize, orisi, realitykeys, truthcoin, will_oracle
 from ..datafeed import Comparator, Condition, DataSource, FeedValue, NoDataError, query
@@ -53,6 +54,10 @@ from .events import EventLog
 
 class ParseError(Exception):
     """The scenario document is not a runnable script."""
+
+
+class _Unfit(ParseError):
+    """A value of the declared type that the field's rule refuses."""
 
 
 _FEE = 1000  # satoshi; what every op that builds a transaction pays unless told otherwise
@@ -80,13 +85,40 @@ _SCALARS = {str: (str,), int: (int,), float: (int, float), bool: (bool,), _NONE:
 _SCALARS[Any] = _JSON
 
 
+# A field's rule rides on its annotation: an int that a transaction or a
+# message carries fits its codec width (FORMATS.md), and a name is one that
+# the document declares under ``actors`` or ``sources``.
+U8 = Annotated[int, "u8", range(2**8)]
+U16 = Annotated[int, "u16", range(2**16)]
+U32 = Annotated[int, "u32", range(2**32)]
+U64 = Annotated[int, "u64", range(2**64)]
+I64 = Annotated[int, "i64", range(-(2**63), 2**63)]
+Actor = Annotated[str, "actor"]
+SourceId = Annotated[str, "source"]
+
+# The names the document being bound declares, by kind; a kind whose raw list
+# is malformed is missing, so that the list's own refusal is the one raised.
+_DECLARED: ContextVar[dict[str, frozenset[str]]] = ContextVar("_DECLARED", default={})
+
+
+def _plain(annotation: Any) -> Any:
+    """``annotation`` without its rules, as a refusal names it."""
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin is Annotated:
+        return args[0]
+    plain = tuple(map(_plain, args))
+    if plain == args:
+        return annotation
+    return reduce(operator.or_, plain) if origin in (Union, UnionType) else origin[plain]
+
+
 class _Converter(dict):
     """How one annotation binds a JSON value: ``self[type(value)]`` binds a value
     of that type (None: as it is); a type the annotation does not take raises."""
 
     def __init__(self, expected: Any, each: dict[type, Callable | None]) -> None:
         super().__init__(each)
-        self.refusal = f": expected {formatannotation(expected)}, got "
+        self.refusal = f": expected {formatannotation(_plain(expected))}, got "
 
     def __missing__(self, kind: type) -> Any:
         if object in self:  # one function binds values of every type
@@ -99,14 +131,14 @@ def _item(step: str | int, converter: _Converter, value: Any) -> Any:
         convert = converter[type(value)]
         return value if convert is None else convert(value)
     except ParseError as exc:
-        raise ParseError(f"[{step}]{exc}" if type(step) is int else f".{step}{exc}") from None
+        raise type(exc)(f"[{step}]{exc}" if type(step) is int else f".{step}{exc}") from None
 
 
 def _fields(fn: Callable, make: Callable, skip: int = 0, **extra: Any) -> Callable[[dict], Any]:
     """Binds a JSON object to keyword arguments, ``fn``'s parameters after
     ``skip`` and ``extra``, and returns ``make(args)``."""
     params = list(signature(fn).parameters.values())[skip:]
-    hints = {**get_type_hints(fn), **extra}
+    hints = {**get_type_hints(fn, include_extras=True), **extra}
     names = [p.name for p in params] + list(extra)
     fields = {n.removesuffix("_"): (n, _converter(hints[n])) for n in names}
     optional = {p.name.removesuffix("_") for p in params if p.default is not p.empty}
@@ -152,13 +184,27 @@ def _converter(annotation: Any) -> _Converter:
 
         def convert(value: Any) -> Any:
             for bind in tries[type(value)]:
-                with suppress(ParseError):
+                try:
                     return value if bind is None else bind(value)
+                except _Unfit:  # a member took the value's type, and its rule refused it
+                    raise
+                except ParseError:
+                    pass
             raise ParseError(union.refusal + type(value).__name__)  # every member refused it
 
         # None where the first member taking the type keeps it as it is
         union.update({k: None if f[0] is None else convert for k, f in tries.items() if f})
         return union
+    if origin is Annotated:  # the base type's converter, then the rule
+        base, rule, *fits = args  # a codec width and the values it holds, or a kind of name
+
+        def check(value: Any) -> Any:
+            allowed = fits[0] if fits else _DECLARED.get().get(rule)
+            if allowed is None or value in allowed:
+                return value
+            raise _Unfit(f": {value} does not fit {rule}" if fits else f": unknown {rule} {value!r}")
+
+        return _Converter(base, dict.fromkeys(_converter(base), check))
     if origin is Literal or isinstance(annotation, type) and issubclass(annotation, Enum):
         members = dict(zip(args, args)) if args else annotation.__members__
         named = {name.lower(): member for name, member in members.items()}
@@ -194,9 +240,9 @@ def _converter(annotation: Any) -> _Converter:
 class Grant(NamedTuple):
     """``coins`` genesis outputs of ``value`` satoshi each, paid to ``actor``."""
 
-    actor: str
-    value: int
-    coins: int = 1
+    actor: Actor
+    value: U64
+    coins: U16 = 1
 
 
 class Action(NamedTuple):
@@ -205,20 +251,6 @@ class Action(NamedTuple):
     tick: int
     op: str
     args: dict[str, Any]
-
-
-# The values each codec width holds (FORMATS.md), and the op fields that a
-# counterparty message or a transaction carries at a fixed width.
-_WIDTHS = {"u8": range(2**8), "u16": range(2**16), "u32": range(2**32), "u64": range(2**64),
-           "i64": range(-(2**63), 2**63)}
-_FIELD_WIDTHS = {
-    "xcp_burn": {"sats": "u64"},
-    "xcp_send": {"qty": "u64"},
-    "xcp_broadcast": {"timestamp": "u64", "value": "i64", "fee_fraction": "u32"},
-    "xcp_bet": {"target": "i64", "deadline": "u64", "wager": "u64", "counterwager": "u64",
-                "side": "u8"},
-    "oz_contract": {"refund_locktime": "u64"},
-}
 
 
 def _conditions(action: Action) -> list[Condition]:
@@ -271,7 +303,7 @@ class Scenario:
     actors: tuple[str, ...] = ()
     genesis: tuple[Grant, ...] = ()
     sources: tuple[DataSource, ...] = ()
-    track_balances: tuple[str, ...] = ()
+    track_balances: tuple[Actor, ...] = ()
     actions: tuple[Action, ...] = ()
     assertions: tuple[Check, ...] = ()
 
@@ -286,19 +318,13 @@ class Scenario:
                 raise ValueError(f"actors[{i}] is empty")
         coins = 0
         for i, grant in enumerate(self.genesis):
-            if grant.value < 0 or grant.coins < 0:
-                raise ValueError(f"genesis[{i}] has a negative value or coins")
             coins += grant.coins
-            if grant.value not in _WIDTHS["u64"] or coins not in _WIDTHS["u16"]:
+            if coins > 0xFFFF:  # the u16 output count of the one genesis transaction
                 raise ValueError(f"genesis[{i}]: the genesis transaction holds at most "
-                                 "65535 outputs of a u64 value each")
+                                 "65535 outputs")
         for i, action in enumerate(self.actions):
             if not 0 <= action.tick < self.ticks:
                 raise ValueError(f"actions[{i}].tick {action.tick} is outside 0..{self.ticks - 1}")
-            for name, width in _FIELD_WIDTHS.get(action.op, {}).items():
-                value = action.args.get(name, 0)
-                if value not in _WIDTHS[width]:
-                    raise ValueError(f"actions[{i}].{name} {value} does not fit {width}")
         for what, names in (("actor", self.actors), ("source", [s.id for s in self.sources])):
             if len(set(names)) < len(names):
                 repeated = next(n for i, n in enumerate(names) if n in names[:i])
@@ -317,10 +343,13 @@ class Scenario:
     def from_dict(cls, doc: Any) -> "Scenario":
         """Check every object of ``doc`` against its declaration; the
         ParseError names the first object and field that does not fit."""
+        declared = _DECLARED.set(_declared(doc))
         try:
             return _SCENARIO[type(doc)](doc)
         except ParseError as exc:
             raise ParseError(f"scenario{exc}") from None
+        finally:
+            _DECLARED.reset(declared)
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
@@ -329,6 +358,17 @@ class Scenario:
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot load {path}: {exc}") from exc
         return cls.from_dict(doc)
+
+
+def _declared(doc: Any) -> dict[str, frozenset[str]]:
+    """The actor names and source ids a raw document declares, for each kind
+    whose list is well formed."""
+    doc = doc if type(doc) is dict else {}
+    sources = doc.get("sources", [])
+    lists = {"actor": doc.get("actors", []),
+             "source": type(sources) is list and [type(s) is dict and s.get("id") for s in sources]}
+    return {kind: frozenset(names) for kind, names in lists.items()
+            if type(names) is list and all(type(n) is str for n in names)}
 
 
 @dataclass
@@ -361,7 +401,7 @@ class World:
         }
         genesis: list[TxOutput] = []
         for grant in scenario.genesis:
-            pair = self.pair(grant.actor)
+            pair = self.actors[grant.actor]
             for _ in range(grant.coins):
                 genesis.append(TxOutput(value=grant.value, lock=PayToKey(pair.pub)))
         policy = policy_for(scenario.policy)
@@ -370,7 +410,7 @@ class World:
         self.log = EventLog()
         self.tick = 0
         self.now = scenario.start_time
-        self.submit_tick: dict[bytes, int] = {}
+        self.submit_tick: dict[bytes, int] = {}  # each mempool entry's txid: tick it arrived
 
         # protocol slots, created on first use
         self.wills: dict[str, will_oracle.WillContract] = {}
@@ -405,34 +445,30 @@ class World:
             raise LookupError("no sidechain: tc_init has not run")
         return self._tc
 
-    def pair(self, name: str) -> KeyPair:
-        try:
-            return self.actors[name]
-        except KeyError:
-            raise ParseError(f"unknown actor {name!r}") from None
-
-    def source(self, source_id: str) -> DataSource:
-        try:
-            return self.sources[source_id]
-        except KeyError:
-            raise ParseError(f"unknown source {source_id!r}") from None
-
     def emit(self, module: str, kind: str, **payload: Any) -> None:
         self.log.append(self.tick, module, kind, **payload)
 
     def submit(self, tx: Transaction, module: str) -> bool:
         result = self.chain.submit(tx)
         if result.accepted:
-            self.submit_tick[result.txid] = self.tick
             self.emit(module, "tx_submitted", txid=result.txid.hex())
         else:
             self.emit(module, "tx_rejected", txid=result.txid.hex(), reason=result.reason)
         return result.accepted
 
+    def stamp(self) -> None:
+        """Stamp this tick on the mempool entries that arrived since the last
+        stamp; the pool keeps arrival order, so they are its newest."""
+        for tid in reversed(self.chain.mempool.entries):
+            if tid in self.submit_tick:
+                break
+            self.submit_tick[tid] = self.tick
+
     def mine(self) -> None:
         block = self.chain.mine_next(self.scenario.miners, self.rng)
-        ids = [txid(tx) for tx in block.txs]
-        delays = [self.tick - self.submit_tick[i] for i in ids if i in self.submit_tick]
+        delays = [self.tick - self.submit_tick[txid(tx)] for tx in block.txs]
+        # keep the stamps of what stays pooled, so an expired tx sent again is stamped anew
+        self.submit_tick = {tid: self.submit_tick[tid] for tid in self.chain.mempool.entries}
         self.emit(
             "host",
             "block",
@@ -455,9 +491,9 @@ def _op_mine(w: World, blocks: int = 1) -> None:
         w.mine()
 
 
-def _op_pay(w: World, from_: str, to: str, value: int, fee: int = _FEE) -> None:
-    out = TxOutput(value=value, lock=PayToKey(w.pair(to).pub))
-    tx = build_payment(w.chain, w.pair(from_), [out], fee=fee)
+def _op_pay(w: World, from_: Actor, to: Actor, value: U64, fee: U64 = _FEE) -> None:
+    out = TxOutput(value=value, lock=PayToKey(w.actors[to].pub))
+    tx = build_payment(w.chain, w.actors[from_], [out], fee=fee)
     w.submit(tx, "host")
 
 
@@ -465,33 +501,32 @@ def _op_pay(w: World, from_: str, to: str, value: int, fee: int = _FEE) -> None:
 
 
 def _op_will_create(
-    w: World, id_: str, creator: str, oracle: str, heir: str, source: str, expression: str,
-    amount: int, fee: int = _FEE,
+    w: World, id_: str, creator: Actor, oracle: Actor, heir: Actor, source: SourceId,
+    expression: str, amount: U64, fee: U64 = _FEE,
 ) -> None:
     server = w.will_servers.get(oracle)
     if server is None:
-        server = will_oracle.OracleServer(w.pair(oracle), w.source(source))
+        server = will_oracle.OracleServer(w.actors[oracle], w.sources[source])
         w.will_servers[oracle] = server
     contract, funding = will_oracle.create_will(
         w.chain,
-        creator=w.pair(creator),
+        creator=w.actors[creator],
         oracle_pub=server.pub,
-        heir_pub=w.pair(heir).pub,
+        heir_pub=w.actors[heir].pub,
         expression=expression,
         amount=amount,
         fee=fee,
     )
     w.wills[id_] = contract
-    w.submit_tick[contract.funding_outpoint[0]] = w.tick
     w.emit("will", "created", id=id_, amount=contract.amount)
 
 
 def _op_will_claim(
-    w: World, id_: str, oracle: str, heir: str, expression: str, fee: int = _FEE
+    w: World, id_: str, oracle: str, heir: Actor, expression: str, fee: U64 = _FEE
 ) -> None:
     contract = w.wills[id_]
     server = w.will_servers[oracle]
-    partial = will_oracle.build_claim(w.chain, contract, w.pair(heir), fee=fee)
+    partial = will_oracle.build_claim(w.chain, contract, w.actors[heir], fee=fee)
     try:
         sig = server.sign_request(w.chain, expression, partial, w.now)
     except will_oracle.WillError as exc:
@@ -502,9 +537,9 @@ def _op_will_claim(
     w.emit("will", "claimed", id=id_, accepted=accepted)
 
 
-def _op_will_claim_alone(w: World, id_: str, heir: str, fee: int = _FEE) -> None:
+def _op_will_claim_alone(w: World, id_: str, heir: Actor, fee: U64 = _FEE) -> None:
     contract = w.wills[id_]
-    partial = will_oracle.build_claim(w.chain, contract, w.pair(heir), fee=fee)
+    partial = will_oracle.build_claim(w.chain, contract, w.actors[heir], fee=fee)
     accepted = w.submit(partial, "will")
     w.emit("will", "claim_alone", id=id_, accepted=accepted)
 
@@ -544,7 +579,7 @@ def _op_rk_fact(
 
 
 def _op_rk_temps(
-    w: World, id_: str, alice: str, bob: str, stakes: tuple[int, int], fee: int = _FEE
+    w: World, id_: str, alice: Actor, bob: Actor, stakes: tuple[U64, U64], fee: U64 = _FEE
 ) -> None:
     temp_a = w.keys.keygen(f"rk-temp:{id_}:a".encode())
     temp_b = w.keys.keygen(f"rk-temp:{id_}:b".encode())
@@ -552,7 +587,7 @@ def _op_rk_temps(
     for payer, temp, stake in ((alice, temp_a, stakes[0]), (bob, temp_b, stakes[1])):
         tx = build_payment(
             w.chain,
-            w.pair(payer),
+            w.actors[payer],
             [TxOutput(value=stake, lock=PayToKey(temp.pub))],
             fee=fee,
         )
@@ -562,11 +597,11 @@ def _op_rk_temps(
     w.emit("rk", "temps_funded", id=id_)
 
 
-def _op_rk_contract(w: World, id_: str, fact: str, fee: int = _FEE) -> None:
+def _op_rk_contract(w: World, id_: str, fact: str, fee: U64 = _FEE) -> None:
     temp_a, temp_b, outpoints, stakes, alice, bob = w.rk_temps[id_]
     registered = w.rk_registry.facts[w.rk_facts[fact]]
     contract = realitykeys.demo_contract(
-        registered, w.pair(alice).pub, w.pair(bob).pub, stakes, outpoints
+        registered, w.actors[alice].pub, w.actors[bob].pub, stakes, outpoints
     )
     partial = realitykeys.demo_setup(w.chain, contract, temp_a, fee=fee)
     complete = realitykeys.demo_countersign(w.chain, contract, temp_b, partial, fee=fee)
@@ -595,9 +630,9 @@ def _op_rk_finalize(w: World, fact: str) -> None:
     w.emit("rk", "finalized", fact=fact, outcome=released.value)
 
 
-def _op_rk_claim(w: World, id_: str, claimant: str, fee: int = _FEE) -> None:
+def _op_rk_claim(w: World, id_: str, claimant: Actor, fee: U64 = _FEE) -> None:
     contract = w.rk_contracts[id_]
-    pair = w.pair(claimant)
+    pair = w.actors[claimant]
     tx = realitykeys.demo_claim(
         w.chain,
         w.rk_registry,
@@ -614,9 +649,9 @@ def _op_rk_claim(w: World, id_: str, claimant: str, fee: int = _FEE) -> None:
 
 
 def _op_orisi_propose(
-    w: World, id_: str, alice: str, bob: str, oracles: list[str], m: int, source: str,
-    key: str, comparator: Comparator, threshold: FeedValue, settle_time: int, amount: int,
-    project: str, oracle_fee: int = _FEE, project_fee: int = _FEE,
+    w: World, id_: str, alice: Actor, bob: Actor, oracles: list[Actor], m: int,
+    source: SourceId, key: str, comparator: Comparator, threshold: FeedValue, settle_time: int,
+    amount: U64, project: Actor, oracle_fee: U64 = _FEE, project_fee: U64 = _FEE,
 ) -> None:
     condition = orisi.Condition(
         source_id=source,
@@ -628,14 +663,14 @@ def _op_orisi_propose(
     fees = orisi.OrisiFees(
         oracle_fee=oracle_fee,
         project_fee=project_fee,
-        project_pub=w.pair(project).pub,
+        project_pub=w.actors[project].pub,
     )
     contract, agent_pairs = orisi.propose(
         w.chain,
         id_,
-        alice=w.pair(alice),
-        bob_pub=w.pair(bob).pub,
-        oracles=[(name, w.pair(name).pub) for name in oracles],
+        alice=w.actors[alice],
+        bob_pub=w.actors[bob].pub,
+        oracles=[(name, w.actors[name].pub) for name in oracles],
         m=m,
         condition=condition,
         amount=amount,
@@ -644,7 +679,7 @@ def _op_orisi_propose(
     w.orisi_contracts[id_] = contract
     w.orisi_agents[id_] = agent_pairs
     w.orisi_nodes[id_] = [
-        orisi.OracleNode(oracle_id=name, keypair=w.pair(name), source=w.source(source))
+        orisi.OracleNode(oracle_id=name, keypair=w.actors[name], source=w.sources[source])
         for name in oracles
     ]
     w.emit(
@@ -667,7 +702,6 @@ def _op_orisi_ack(w: World, id_: str) -> None:
 def _op_orisi_activate(w: World, id_: str) -> None:
     contract = w.orisi_contracts[id_]
     orisi.activate(w.chain, contract)
-    w.submit_tick[contract.safe_outpoint[0]] = w.tick
     w.emit("orisi", "active", id=id_, amount=contract.amount)
 
 
@@ -691,18 +725,17 @@ def _op_orisi_poll(w: World, id_: str) -> None:
 
 def _op_orisi_finalize(w: World, id_: str) -> None:
     contract = w.orisi_contracts[id_]
-    tx = orisi.finalize(w.chain, contract, w.orisi_agents[id_])
-    w.submit_tick[txid(tx)] = w.tick
+    orisi.finalize(w.chain, contract, w.orisi_agents[id_])
     w.emit("orisi", "settled", id=id_, accepted=True, state=contract.state.value)
 
 
-def _op_orisi_theft(w: World, id_: str, dest: str) -> None:
+def _op_orisi_theft(w: World, id_: str, dest: Actor) -> None:
     """All n oracles collude: their signatures alone stay below the
     n+1 threshold, so the spend must bounce."""
     contract = w.orisi_contracts[id_]
-    loot = TxOutput(value=contract.amount - _FEE, lock=PayToKey(w.pair(dest).pub))
+    loot = TxOutput(value=contract.amount - _FEE, lock=PayToKey(w.actors[dest].pub))
     theft = Transaction(inputs=(TxInput(outpoint=contract.safe_outpoint),), outputs=(loot,))
-    colluders = [w.pair(name) for name in sorted(contract.oracle_pubs)]
+    colluders = [w.actors[name] for name in sorted(contract.oracle_pubs)]
     result = w.chain.submit(sign_input(theft, 0, *colluders))
     w.emit("orisi", "theft", id=id_, accepted=result.accepted, signatures=len(colluders))
 
@@ -843,20 +876,20 @@ def _op_tc_snapshot(w: World) -> None:
 # --- embedded meta-protocol --------------------------------------------
 
 
-def _op_xcp_burn(w: World, actor: str, sats: int, fee: int = _FEE) -> None:
-    tx = counterparty.compose_burn_tx(w.chain, w.pair(actor), sats, fee=fee)
+def _op_xcp_burn(w: World, actor: Actor, sats: U64, fee: U64 = _FEE) -> None:
+    tx = counterparty.compose_burn_tx(w.chain, w.actors[actor], sats, fee=fee)
     w.submit(tx, "cp")
 
 
-def _op_xcp_send(w: World, actor: str, to: str, qty: int, fee: int = _FEE) -> None:
-    message = counterparty.Send(asset=counterparty.XCP, qty=qty, dest=w.pair(to).pub.hex())
-    tx = counterparty.compose_message_tx(w.chain, w.pair(actor), message, fee=fee)
+def _op_xcp_send(w: World, actor: Actor, to: Actor, qty: U64, fee: U64 = _FEE) -> None:
+    message = counterparty.Send(asset=counterparty.XCP, qty=qty, dest=w.actors[to].pub.hex())
+    tx = counterparty.compose_message_tx(w.chain, w.actors[actor], message, fee=fee)
     w.submit(tx, "cp")
 
 
 def _op_xcp_broadcast(
-    w: World, actor: str, timestamp: int, value: int, fee_fraction: int = 0, text: str = "",
-    fee: int = _FEE,
+    w: World, actor: Actor, timestamp: U64, value: I64, fee_fraction: U32 = 0, text: str = "",
+    fee: U64 = _FEE,
 ) -> None:
     message = counterparty.Broadcast(
         timestamp=timestamp,
@@ -864,16 +897,16 @@ def _op_xcp_broadcast(
         fee_fraction=fee_fraction,
         text=text,
     )
-    tx = counterparty.compose_message_tx(w.chain, w.pair(actor), message, fee=fee)
+    tx = counterparty.compose_message_tx(w.chain, w.actors[actor], message, fee=fee)
     w.submit(tx, "cp")
 
 
 def _op_xcp_bet(
-    w: World, actor: str, feed: str, comparator: Comparator, target: int, deadline: int,
-    wager: int, counterwager: int, side: int, fee: int = _FEE,
+    w: World, actor: Actor, feed: Actor, comparator: Comparator, target: I64, deadline: U64,
+    wager: U64, counterwager: U64, side: U8, fee: U64 = _FEE,
 ) -> None:
     message = counterparty.Bet(
-        feed=w.pair(feed).pub.hex(),
+        feed=w.actors[feed].pub.hex(),
         comparator=comparator,
         target=target,
         deadline=deadline,
@@ -881,7 +914,7 @@ def _op_xcp_bet(
         counterwager=counterwager,
         side=side,
     )
-    tx = counterparty.compose_message_tx(w.chain, w.pair(actor), message, fee=fee)
+    tx = counterparty.compose_message_tx(w.chain, w.actors[actor], message, fee=fee)
     w.submit(tx, "cp")
 
 
@@ -920,11 +953,11 @@ def _op_xcp_replay(w: World) -> None:
 
 @dataclass(frozen=True)
 class _Condition:  # an oraclize.Condition naming its beneficiary
-    source: str
+    source: SourceId
     key: str
     comparator: Comparator
     threshold: FeedValue
-    beneficiary: str
+    beneficiary: Actor
 
     def __post_init__(self) -> None:
         oraclize.check_comparator(self.comparator)
@@ -937,38 +970,37 @@ def _oz(w: World) -> oraclize.Oracle:
 
 
 def _op_oz_contract(
-    w: World, id_: str, alice: str, bob: str, stakes: tuple[int, int],
-    conditions: list[_Condition], default: str, start: int, end: int, refund_locktime: int,
+    w: World, id_: str, alice: Actor, bob: Actor, stakes: tuple[U64, U64],
+    conditions: list[_Condition], default: Actor, start: int, end: int, refund_locktime: U64,
     poll_interval: int = oraclize.DEFAULT_POLL_INTERVAL, proofshield: bool = False,
-    arbitrator: str | None = None, fee: int = _FEE,
+    arbitrator: Actor | None = None, fee: U64 = _FEE,
 ) -> None:
     oracle = _oz(w)
     contract = oracle.build_contract(
         w.chain,
-        alice=w.pair(alice),
-        bob=w.pair(bob),
+        alice=w.actors[alice],
+        bob=w.actors[bob],
         stakes=stakes,
         conditions=tuple(
             oraclize.Condition(
-                c.source, c.key, c.comparator, c.threshold, w.pair(c.beneficiary).pub
+                c.source, c.key, c.comparator, c.threshold, w.actors[c.beneficiary].pub
             )
             for c in conditions
         ),
-        default_beneficiary=w.pair(default).pub,
+        default_beneficiary=w.actors[default].pub,
         start=start,
         end=end,
         refund_locktime=refund_locktime,
         poll_interval=poll_interval,
         proofshield=proofshield,
-        arbitrator=None if arbitrator is None else w.pair(arbitrator),
+        arbitrator=None if arbitrator is None else w.actors[arbitrator],
         fee=fee,
     )
     w.oz_contracts[id_] = contract
-    w.submit_tick[contract.funding_outpoint[0]] = w.tick
     w.emit("oz", "contract", id=id_, escrow=contract.escrow_value)
 
 
-def _op_oz_poll(w: World, id_: str, fee: int = _FEE) -> None:
+def _op_oz_poll(w: World, id_: str, fee: U64 = _FEE) -> None:
     oracle = _oz(w)
     contract = w.oz_contracts[id_]
     try:
@@ -990,7 +1022,7 @@ def _op_oz_poll(w: World, id_: str, fee: int = _FEE) -> None:
     )
 
 
-def _op_oz_default(w: World, id_: str, fee: int = _FEE) -> None:
+def _op_oz_default(w: World, id_: str, fee: U64 = _FEE) -> None:
     oracle = _oz(w)
     contract = w.oz_contracts[id_]
     w.oz_settlements[id_] = oracle.settle_default(contract, w.now, fee=fee)
@@ -998,24 +1030,22 @@ def _op_oz_default(w: World, id_: str, fee: int = _FEE) -> None:
 
 
 def _op_oz_arbitrate(
-    w: World, id_: str, arbitrator: str, condition: int | None, fee: int = _FEE
+    w: World, id_: str, arbitrator: Actor, condition: int | None, fee: U64 = _FEE
 ) -> None:
     contract = w.oz_contracts[id_]
-    w.oz_settlements[id_] = oraclize.arbitrate(contract, w.pair(arbitrator), condition, fee=fee)
+    w.oz_settlements[id_] = oraclize.arbitrate(contract, w.actors[arbitrator], condition, fee=fee)
     w.emit("oz", "arbitrated", id=id_, condition=condition)
 
 
-def _op_oz_cosign(w: World, id_: str, agent: str) -> None:
+def _op_oz_cosign(w: World, id_: str, agent: Actor) -> None:
     settlement = w.oz_settlements[id_]
-    tx = oraclize.co_sign_and_broadcast(w.chain, settlement, w.pair(agent))
-    w.submit_tick[txid(tx)] = w.tick
+    oraclize.co_sign_and_broadcast(w.chain, settlement, w.actors[agent])
     w.emit("oz", "cosigned", id=id_, agent=agent)
 
 
 def _op_oz_refund(w: World, id_: str) -> None:
     contract = w.oz_contracts[id_]
-    tx = oraclize.refund_expiry(w.chain, contract)
-    w.submit_tick[txid(tx)] = w.tick
+    oraclize.refund_expiry(w.chain, contract)
     w.emit("oz", "refund", id=id_)
 
 
@@ -1032,9 +1062,9 @@ def _op_oz_tamper(w: World, on: bool = True) -> None:
     w.emit("oz", "tamper", on=on)
 
 
-def _op_balances(w: World, actors: list[str] | None = None) -> None:
+def _op_balances(w: World, actors: list[Actor] | None = None) -> None:
     names = actors or sorted(w.actors)
-    balances = {name: w.chain.balance(w.pair(name).pub) for name in names}
+    balances = {name: w.chain.balance(w.actors[name].pub) for name in names}
     w.emit("host", "balances", balances=balances)
 
 
@@ -1053,8 +1083,8 @@ def _verdict(label: str, actual: Any, op: CheckOp, value: Any) -> str | None:
     return None if held else f"{label} = {actual!r}, wanted {op} {value!r}"
 
 
-def _check_balance(w: World, actor: str, value: int, op: CheckOp = "==") -> str | None:
-    return _verdict(f"balance[{actor}]", w.chain.balance(w.pair(actor).pub), op, value)
+def _check_balance(w: World, actor: Actor, value: int, op: CheckOp = "==") -> str | None:
+    return _verdict(f"balance[{actor}]", w.chain.balance(w.actors[actor].pub), op, value)
 
 
 def _check_count(
@@ -1143,6 +1173,7 @@ def run_scenario(
                 _OPS[action.op](world, **action.args)
             except _REFUSALS as exc:  # what the op did before it refused stays done
                 world.emit("run", "refused", op=action.op, reason=type(exc).__name__)
+            world.stamp()
         if scenario.mine_every is not None and (tick + 1) % scenario.mine_every == 0:
             world.mine()
         if scenario.track_balances:

@@ -236,7 +236,7 @@ class OrisiContract:
         if pub is None or sig.signer_pub != pub:
             return False
         digest = sighash(self.draft(kind))
-        if not keys.verify_known(sig, pub, digest):
+        if not keys.verify(sig, pub, digest):
             return False
         self.signatures[kind][oracle_id] = sig
         return True

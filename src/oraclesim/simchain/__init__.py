@@ -13,7 +13,6 @@ from .keys import (
     KeyPair,
     KeyRegistry,
     Signature,
-    UnknownKeyError,
     derive_pair,
     sign,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "Transaction",
     "TxInput",
     "TxOutput",
-    "UnknownKeyError",
     "ValidationResult",
     "Witness",
     "block_hash",

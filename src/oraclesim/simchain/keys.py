@@ -20,10 +20,6 @@ class InvalidSeedError(ValueError):
     """keygen was given an empty seed."""
 
 
-class UnknownKeyError(KeyError):
-    """Verification was asked about a pubkey this registry never issued."""
-
-
 @dataclass(frozen=True)
 class KeyPair:
     secret: bytes  # 32 bytes
@@ -76,14 +72,8 @@ class KeyRegistry:
         return pair
 
     def verify(self, sig: Signature, pub: bytes, digest: bytes) -> bool:
-        if pub not in self._secrets:
-            raise UnknownKeyError(pub.hex())
-        if sig.signer_pub != pub or sig.digest_signed != digest:
+        """False for a pub this registry never issued."""
+        secret = self._secrets.get(pub)
+        if secret is None or sig.signer_pub != pub or sig.digest_signed != digest:
             return False
-        return sig.tag == sha256(self._secrets[pub] + digest)
-
-    def verify_known(self, sig: Signature, pub: bytes, digest: bytes) -> bool:
-        """Like verify() but treats an unknown pub as a failed check."""
-        if pub not in self._secrets:
-            return False
-        return self.verify(sig, pub, digest)
+        return sig.tag == sha256(secret + digest)

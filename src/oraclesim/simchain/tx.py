@@ -62,8 +62,8 @@ class TxOutput:
     lock: LockScript
 
     def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("output value must be non-negative")
+        if not 0 <= self.value < 2**64:
+            raise ValueError("output value must fit u64")
 
 
 @dataclass(frozen=True)

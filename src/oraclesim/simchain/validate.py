@@ -61,14 +61,14 @@ def _satisfies(
     """None when the witness satisfies the lock, else the failure reason."""
     if isinstance(lock, PayToKey):
         for sig in witness.signatures:
-            if sig.signer_pub == lock.pub and keys.verify_known(sig, lock.pub, digest):
+            if sig.signer_pub == lock.pub and keys.verify(sig, lock.pub, digest):
                 return None
         return InvalidReason.BAD_WITNESS
     if isinstance(lock, MultiSig):
         # commitment is a published hash, not a spend condition
         satisfied = set()
         for sig in witness.signatures:
-            if sig.signer_pub in lock.keys and keys.verify_known(sig, sig.signer_pub, digest):
+            if sig.signer_pub in lock.keys and keys.verify(sig, sig.signer_pub, digest):
                 satisfied.add(sig.signer_pub)
         return None if len(satisfied) >= lock.m else InvalidReason.BAD_WITNESS
     if isinstance(lock, ScriptHash):

@@ -240,6 +240,12 @@ def _oz_contract(**condition):
             "end": 1, "refund_locktime": 2}
 
 
+def _declaring(*actions):
+    """A minimal document that declares the actors and the source that
+    ``_oz_contract`` names."""
+    return _minimal(actors=["a", "b"], sources=[{"id": "s"}], actions=list(actions))
+
+
 def test_minimal_scenario_parses_and_runs():
     result = run_scenario(_minimal())
     assert result.passed
@@ -271,10 +277,10 @@ def test_minimal_scenario_parses_and_runs():
         _minimal(actions=[{"tick": 0, "op": "mine", "blocks": 1.0}]),
         _minimal(actions=[{"tick": 0, "blocks": 1}]),
         _minimal(sources=[{"id": "s"}, {"id": "s"}]),
-        _minimal(actions=[{"tick": 0, "op": "rk_temps", "id": "c", "alice": "a", "bob": "b",
-                           "stakes": [1, 2, 3]}]),
-        _minimal(actions=[_oz_contract(comparator="ne", threshold=10)]),
-        _minimal(actions=[_oz_contract(comparator="gt", threshold="sunny")]),
+        _declaring({"tick": 0, "op": "rk_temps", "id": "c", "alice": "a", "bob": "b",
+                    "stakes": [1, 2, 3]}),
+        _declaring(_oz_contract(comparator="ne", threshold=10)),
+        _declaring(_oz_contract(comparator="gt", threshold="sunny")),
     ],
 )
 def test_malformed_scenarios_raise_parse_error(doc):
@@ -304,7 +310,7 @@ def _rk_fact(comparator):
             ".assertions[0].where: expected dict[str, typing.Any] | None, got list",
         ),
         (
-            _minimal(actions=[_oz_contract(comparator="gt", threshold=None)]),
+            _declaring(_oz_contract(comparator="gt", threshold=None)),
             ".actions[0].conditions[0].threshold: expected Union[bool, int, float, str], "
             "got NoneType",
         ),
@@ -319,11 +325,11 @@ def _rk_fact(comparator):
             ".actions[0].claimed: expected one of yes, no, got 'maybe'",
         ),
         (
-            _minimal(actions=[{**_oz_contract(comparator="gt", threshold=1), "stakes": [1, 2, 3]}]),
+            _declaring({**_oz_contract(comparator="gt", threshold=1), "stakes": [1, 2, 3]}),
             ".actions[0].stakes: expected 2 items, got 3",
         ),
         (
-            _minimal(actions=[{**_oz_contract(comparator="gt", threshold=1), "stakes": {"a": 1}}]),
+            _declaring({**_oz_contract(comparator="gt", threshold=1), "stakes": {"a": 1}}),
             ".actions[0].stakes: expected tuple[int, int], got dict",
         ),
         (
@@ -347,11 +353,11 @@ def _rk_fact(comparator):
             ".miners[0].hashrate: expected float, got str",
         ),
         (
-            _minimal(actions=[_oz_contract(comparator="gt")]),
+            _declaring(_oz_contract(comparator="gt")),
             ".actions[0].conditions[0]: missing field 'threshold'",
         ),
         (
-            _minimal(actions=[_oz_contract(comparator="ne", threshold=10)]),
+            _declaring(_oz_contract(comparator="ne", threshold=10)),
             ".actions[0].conditions[0]: conditions take <, <=, =, >= or >",
         ),
         (_minimal(seed=True), ".seed: expected int, got bool"),
@@ -482,17 +488,20 @@ def test_from_dict_is_total_on_mutated_bundled_scenarios(node, mutation, sample)
 
 
 def _same_type_edits(value, names):
-    """The leaf edits of the mutation sweep: each keeps the value's JSON type."""
+    """The leaf edits of the mutation sweep, and the codec boundaries -1, 2**63
+    and 2**64: each keeps the value's JSON type."""
     if type(value) is bool:
         return [not value]
     if type(value) is int:
-        return [0, value + 1, value - 1, value * 2, value // 2, -value, 10**6]
+        return [0, value + 1, value - 1, value * 2, value // 2, -value, 10**6, -1, 2**63, 2**64]
     return ["", value + "_x", value.upper(), *names]
 
 
-# Every int, str and bool leaf but the top-level ticks, which may run unbounded.
+# Every int, str and bool leaf but those that size a loop, the top-level ticks
+# and a tc_side_blocks count, which may run unbounded.
 _LEAVES = [
-    [p for p in _paths(doc) if p != ("ticks",) and type(_at(doc, p)) in (int, str, bool)]
+    [p for p in _paths(doc)
+     if p != ("ticks",) and p[-1:] != ("count",) and type(_at(doc, p)) in (int, str, bool)]
     for doc in _BUNDLED
 ]
 _NAMES = [sorted({_at(doc, p) for p in leaves if type(_at(doc, p)) is str})
@@ -503,7 +512,8 @@ _NAMES = [sorted({_at(doc, p) for p in leaves if type(_at(doc, p)) is str})
 @given(st.data())
 def test_run_is_total_on_leaf_edits_of_bundled_scenarios(data):
     """Replace one or two leaves of a bundled document by a value of the same
-    type: the run ends at run/end, or the document raises ParseError."""
+    type: the document raises ParseError when it is parsed, or the run ends at
+    run/end; the run itself raises nothing."""
     index = data.draw(st.integers(0, len(_BUNDLED) - 1))
     doc = copy.deepcopy(_BUNDLED[index])
     for path in data.draw(st.lists(st.sampled_from(_LEAVES[index]), min_size=1, max_size=2)):
@@ -511,9 +521,10 @@ def test_run_is_total_on_leaf_edits_of_bundled_scenarios(data):
         holder[path[-1]] = data.draw(st.sampled_from(_same_type_edits(holder[path[-1]],
                                                                       _NAMES[index])))
     try:
-        result = run_scenario(doc)
+        scenario = Scenario.from_dict(doc)
     except ParseError:
         return
+    result = run_scenario(scenario)
     assert (result.log.events[-1].module, result.log.events[-1].kind) == ("run", "end")
 
 
@@ -530,8 +541,8 @@ def test_unknown_actor_reference_raises_parse_error():
         genesis=[{"actor": "alice", "coins": 1, "value": 10_000_000}],
         actions=[{"tick": 0, "op": "pay", "from": "alice", "to": "nobody", "value": 1000}],
     )
-    with pytest.raises(ParseError):
-        run_scenario(doc)
+    with pytest.raises(ParseError, match=r"^scenario\.actions\[0\]\.to: unknown actor 'nobody'$"):
+        Scenario.from_dict(doc)
 
 
 # ------------------------------------------------------ bundled scenarios
@@ -709,6 +720,14 @@ def test_cli_run_reports_assertion_failures(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def _will_oz(condition, **fields):
+    """An oz_contract action naming what will_claim declares."""
+    condition = {"comparator": "eq", "threshold": 1, "source": "registry",
+                 "beneficiary": "heir", **condition}
+    return {**_oz_contract(**condition), "alice": "owner", "bob": "heir", "default": "owner",
+            **fields}
+
+
 def _mutated(stem, mutate):
     doc = json.loads(Path(_scenario_path(stem)).read_text(encoding="utf-8"))
     mutate(doc)
@@ -719,7 +738,7 @@ def _mutated(stem, mutate):
     "mutate, message",
     [
         (lambda d: d["actions"][1].pop("heir"), "scenario.actions[1]: missing field 'heir'"),
-        (lambda d: d["genesis"][0].update(value=-1), "scenario: genesis[0] has a negative"),
+        (lambda d: d["genesis"][0].update(value=-1), "scenario.genesis[0].value: -1 does not fit u64"),
         (lambda d: d.update(tick_seconds="x"), "scenario.tick_seconds: expected int, got str"),
         (lambda d: d["assertions"][0].pop("event"), "scenario.assertions[0]: missing field"),
         (lambda d: d.update(miners=[{"hashrate": 1.0}]), "scenario.miners[0]: missing field 'id'"),
@@ -732,22 +751,47 @@ def _mutated(stem, mutate):
             "scenario: miner hashrates must sum to 1, got 0.5",
         ),
         (lambda d: d.update(miners=[]), "scenario: cannot mine without miners"),
-        (lambda d: d["actors"].__setitem__(2, ""), "scenario: actors[2] is empty"),
-        (lambda d: d["genesis"][0].update(value=2**64), "scenario: genesis[0]: the genesis"),
-        (lambda d: d["genesis"][0].update(coins=0x10000), "scenario: genesis[0]: the genesis"),
+        (lambda d: d["actors"].append(""), "scenario: actors[3] is empty"),
+        (lambda d: d["genesis"][0].update(value=2**64),
+         f"scenario.genesis[0].value: {2**64} does not fit u64"),
+        (lambda d: d["genesis"][0].update(coins=0x10000),
+         "scenario.genesis[0].coins: 65536 does not fit u16"),
         (lambda d: d["genesis"].append(dict(d["genesis"][0], coins=0xFFFF)),
          "scenario: genesis[1]: the genesis transaction holds at most 65535 outputs"),
         (lambda d: d["actions"].insert(0, {"tick": 0, "op": "xcp_broadcast", "actor": "owner",
                                            "timestamp": -1, "value": 0}),
-         "scenario: actions[0].timestamp -1 does not fit u64"),
+         "scenario.actions[0].timestamp: -1 does not fit u64"),
         (lambda d: d["actions"].insert(0, {"tick": 0, "op": "xcp_bet", "actor": "owner",
                                            "feed": "owner", "comparator": "ge", "target": 0,
                                            "deadline": 0, "wager": 1, "counterwager": 1,
                                            "side": 256}),
-         "scenario: actions[0].side 256 does not fit u8"),
-        (lambda d: d["actions"].insert(0, dict(_oz_contract(comparator="eq", threshold=1),
-                                                refund_locktime=-1)),
-         "scenario: actions[0].refund_locktime -1 does not fit u64"),
+         "scenario.actions[0].side: 256 does not fit u8"),
+        (lambda d: d["actions"].insert(0, _will_oz({}, refund_locktime=-1)),
+         "scenario.actions[0].refund_locktime: -1 does not fit u64"),
+        (lambda d: d["actions"][1].update(heir="carol"),
+         "scenario.actions[1].heir: unknown actor 'carol'"),
+        (lambda d: d["actions"][0].update(source="almanac"),
+         "scenario.actions[0].source: unknown source 'almanac'"),
+        (lambda d: d["actions"].insert(0, _will_oz({"beneficiary": "carol"})),
+         "scenario.actions[0].conditions[0].beneficiary: unknown actor 'carol'"),
+        (lambda d: d["actions"].insert(0, _will_oz({"source": "almanac"})),
+         "scenario.actions[0].conditions[0].source: unknown source 'almanac'"),
+        (lambda d: d["actions"].insert(0, _will_oz({}, arbitrator="carol")),
+         "scenario.actions[0].arbitrator: unknown actor 'carol'"),
+        (lambda d: d["actions"].append({"tick": 0, "op": "balances", "actors": ["heir", "carol"]}),
+         "scenario.actions[3].actors[1]: unknown actor 'carol'"),
+        (lambda d: d["genesis"][0].update(actor="carol"),
+         "scenario.genesis[0].actor: unknown actor 'carol'"),
+        (lambda d: d.update(track_balances=["carol"]),
+         "scenario.track_balances[0]: unknown actor 'carol'"),
+        (lambda d: d["assertions"].insert(0, {"kind": "balance", "actor": "carol", "value": 0}),
+         "scenario.assertions[0].actor: unknown actor 'carol'"),
+        (lambda d: d.update(actors=["owner", "heir", 1]),
+         "scenario.actors[2]: expected str, got int"),
+        (lambda d: d.update(genesis=[{"actor": "owner", "coins": 3, "value": 2**63}],
+                            actions=[{"tick": 0, "op": "pay", "from": "owner", "to": "heir",
+                                      "value": 2**64}]),
+         f"scenario.actions[0].value: {2**64} does not fit u64"),
     ],
     ids=[
         "claim_without_heir",
@@ -768,6 +812,17 @@ def _mutated(stem, mutate):
         "xcp_broadcast_timestamp_negative",
         "xcp_bet_side_past_u8",
         "oz_refund_locktime_negative",
+        "unknown_actor",
+        "unknown_source",
+        "unknown_beneficiary",
+        "unknown_condition_source",
+        "unknown_arbitrator",
+        "unknown_actor_in_a_list",
+        "unknown_grant_actor",
+        "unknown_tracked_actor",
+        "unknown_balance_actor",
+        "malformed_actors_report_themselves",
+        "pay_past_u64",
     ],
 )
 def test_cli_run_names_the_field_of_a_malformed_scenario(tmp_path, capsys, mutate, message):
@@ -967,6 +1022,23 @@ def test_a_refused_op_keeps_what_it_did_before_the_refusal():
     [stake] = log.matching("rk/tx_submitted")
     [block] = log.matching("host/block", {"height": 1})
     assert (stake.tick, block.payload["txs"]) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "stem, op, refused",
+    [("oraclize_milan", "oz_contract", "oz_contract"), ("realitykeys_stake", "rk_temps", "rk_contract")],
+)
+def test_an_escrow_past_u64_is_refused(stem, op, refused):
+    """Each stake fits u64, but the escrow output that holds both does not."""
+
+    def rich(doc):
+        for grant in doc["genesis"]:
+            grant.update(value=2**64 - 1, coins=2)
+        next(a for a in doc["actions"] if a["op"] == op)["stakes"] = [2**64 - 1, 2**64 - 1]
+
+    log = run_scenario(_mutated(stem, rich)).log
+    assert log.matching("run/refused")[0].payload == {"op": refused, "reason": "ValueError"}
+    assert (log.events[-1].module, log.events[-1].kind) == ("run", "end")
 
 
 @pytest.mark.parametrize("error", [TypeError, AttributeError])

@@ -7,7 +7,6 @@ import pytest
 from oraclesim.simchain import (
     InvalidSeedError,
     KeyRegistry,
-    UnknownKeyError,
     derive_pair,
     sign,
 )
@@ -54,9 +53,7 @@ def test_registry_verifies_only_known_keys():
 
     stranger = derive_pair(b"stranger")
     stray = sign(stranger.secret, digest)
-    with pytest.raises(UnknownKeyError):
-        reg.verify(stray, stranger.pub, digest)
-    assert not reg.verify_known(stray, stranger.pub, digest)
+    assert not reg.verify(stray, stranger.pub, digest)
 
 
 def test_verify_rejects_wrong_digest_and_tampered_tag():

@@ -66,6 +66,13 @@ def test_lock_digests_are_pairwise_distinct():
     assert len(set(digests)) == len(digests)
 
 
+@pytest.mark.parametrize("value", [-1, 2**64])
+def test_output_value_must_fit_u64(value):
+    with pytest.raises(ValueError, match="output value must fit u64"):
+        TxOutput(value=value, lock=PayToKey(PUB_A))
+    TxOutput(value=2**64 - 1, lock=PayToKey(PUB_A))
+
+
 def test_multisig_constraints():
     with pytest.raises(ValueError):
         MultiSig(m=0, keys=(PUB_A,))
