@@ -98,7 +98,8 @@ SourceId = Annotated[str, "source"]
 
 # The names the document being bound declares, by kind; a kind whose raw list
 # is malformed is missing, so that the list's own refusal is the one raised.
-_DECLARED: ContextVar[dict[str, frozenset[str]]] = ContextVar("_DECLARED", default={})
+# Only from_dict sets it, so binding a name outside from_dict raises LookupError.
+_DECLARED: ContextVar[dict[str, frozenset[str]]] = ContextVar("_DECLARED")
 
 
 def _plain(annotation: Any) -> Any:

@@ -487,21 +487,21 @@ def test_from_dict_is_total_on_mutated_bundled_scenarios(node, mutation, sample)
     _parses_or_refuses(doc)
 
 
-def _same_type_edits(value, names):
+def _same_type_edits(value, names, sizes_loop):
     """The leaf edits of the mutation sweep, and the codec boundaries -1, 2**63
-    and 2**64: each keeps the value's JSON type."""
+    and 2**64: each keeps the value's JSON type. A leaf that sizes a loop, a
+    tc_side_blocks count, takes no value past 2**63, which would run unbounded."""
     if type(value) is bool:
         return [not value]
     if type(value) is int:
-        return [0, value + 1, value - 1, value * 2, value // 2, -value, 10**6, -1, 2**63, 2**64]
+        edits = [0, value + 1, value - 1, value * 2, value // 2, -value, 10**6, -1]
+        return edits if sizes_loop else [*edits, 2**63, 2**64]
     return ["", value + "_x", value.upper(), *names]
 
 
-# Every int, str and bool leaf but those that size a loop, the top-level ticks
-# and a tc_side_blocks count, which may run unbounded.
+# Every int, str and bool leaf but the top-level ticks, which may run unbounded.
 _LEAVES = [
-    [p for p in _paths(doc)
-     if p != ("ticks",) and p[-1:] != ("count",) and type(_at(doc, p)) in (int, str, bool)]
+    [p for p in _paths(doc) if p != ("ticks",) and type(_at(doc, p)) in (int, str, bool)]
     for doc in _BUNDLED
 ]
 _NAMES = [sorted({_at(doc, p) for p in leaves if type(_at(doc, p)) is str})
@@ -518,8 +518,8 @@ def test_run_is_total_on_leaf_edits_of_bundled_scenarios(data):
     doc = copy.deepcopy(_BUNDLED[index])
     for path in data.draw(st.lists(st.sampled_from(_LEAVES[index]), min_size=1, max_size=2)):
         holder = _at(doc, path[:-1])
-        holder[path[-1]] = data.draw(st.sampled_from(_same_type_edits(holder[path[-1]],
-                                                                      _NAMES[index])))
+        edits = _same_type_edits(holder[path[-1]], _NAMES[index], path[-1] == "count")
+        holder[path[-1]] = data.draw(st.sampled_from(edits))
     try:
         scenario = Scenario.from_dict(doc)
     except ParseError:
@@ -543,6 +543,13 @@ def test_unknown_actor_reference_raises_parse_error():
     )
     with pytest.raises(ParseError, match=r"^scenario\.actions\[0\]\.to: unknown actor 'nobody'$"):
         Scenario.from_dict(doc)
+
+
+def test_a_name_binds_only_inside_from_dict():
+    """No document declares names outside Scenario.from_dict, so a name bound
+    there raises rather than passing unchecked."""
+    with pytest.raises(LookupError):
+        scenario_module._converter(scenario_module.Actor)[str]("alice")
 
 
 # ------------------------------------------------------ bundled scenarios
