@@ -279,14 +279,6 @@ class MatchRecord:
 
 
 @dataclass(frozen=True)
-class FeedEntry:
-    timestamp: int
-    value: int
-    fee_fraction: int
-    text: str
-
-
-@dataclass(frozen=True)
 class AppliedMessage:
     height: int
     tx_index: int
@@ -300,7 +292,7 @@ class AppliedMessage:
 @dataclass
 class MetaState:
     balances: dict[tuple[str, str], int] = field(default_factory=dict)
-    feeds: dict[str, list[FeedEntry]] = field(default_factory=dict)
+    feeds: dict[str, list[Broadcast]] = field(default_factory=dict)
     bets: list[BetRecord] = field(default_factory=list)
     matches: list[MatchRecord] = field(default_factory=list)
     log: list[AppliedMessage] = field(default_factory=list)
@@ -462,9 +454,7 @@ def _apply_broadcast(
     entries = state.feeds.setdefault(source, [])
     if entries and message.timestamp <= entries[-1].timestamp:
         return False, R_STALE
-    entries.append(
-        FeedEntry(message.timestamp, message.value, message.fee_fraction, message.text)
-    )
+    entries.append(message)
     _settle_feed(state, source, message)
     return True, None
 

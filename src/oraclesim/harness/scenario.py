@@ -56,10 +56,6 @@ class ParseError(Exception):
     """The scenario document is not a runnable script."""
 
 
-class _Unfit(ParseError):
-    """A value of the declared type that the field's rule refuses."""
-
-
 _FEE = 1000  # satoshi; what every op that builds a transaction pays unless told otherwise
 
 CheckOp = Literal["==", "!=", "<", "<=", ">", ">="]
@@ -132,7 +128,7 @@ def _item(step: str | int, converter: _Converter, value: Any) -> Any:
         convert = converter[type(value)]
         return value if convert is None else convert(value)
     except ParseError as exc:
-        raise type(exc)(f"[{step}]{exc}" if type(step) is int else f".{step}{exc}") from None
+        raise ParseError(f"[{step}]{exc}" if type(step) is int else f".{step}{exc}") from None
 
 
 def _fields(fn: Callable, make: Callable, skip: int = 0, **extra: Any) -> Callable[[dict], Any]:
@@ -178,24 +174,11 @@ def _converter(annotation: Any) -> _Converter:
 
         return _Converter(dict, {dict: tagged})
     origin, args = get_origin(annotation), get_args(annotation)
-    if origin in (Union, UnionType):  # a JSON type tries, in order, each member taking it
-        members = [_converter(member) for member in args]
-        tries = {kind: [m[kind] for m in members if kind in m] for kind in _JSON}
-        union = _Converter(annotation, {})
-
-        def convert(value: Any) -> Any:
-            for bind in tries[type(value)]:
-                try:
-                    return value if bind is None else bind(value)
-                except _Unfit:  # a member took the value's type, and its rule refused it
-                    raise
-                except ParseError:
-                    pass
-            raise ParseError(union.refusal + type(value).__name__)  # every member refused it
-
-        # None where the first member taking the type keeps it as it is
-        union.update({k: None if f[0] is None else convert for k, f in tries.items() if f})
-        return union
+    if origin in (Union, UnionType):  # a JSON type binds with the first member taking it
+        first: dict[type, Callable | None] = {}
+        for member in map(_converter, args):
+            first = {**member, **first}
+        return _Converter(annotation, first)
     if origin is Annotated:  # the base type's converter, then the rule
         base, rule, *fits = args  # a codec width and the values it holds, or a kind of name
 
@@ -203,7 +186,8 @@ def _converter(annotation: Any) -> _Converter:
             allowed = fits[0] if fits else _DECLARED.get().get(rule)
             if allowed is None or value in allowed:
                 return value
-            raise _Unfit(f": {value} does not fit {rule}" if fits else f": unknown {rule} {value!r}")
+            reason = f"{value} does not fit {rule}" if fits else f"unknown {rule} {value!r}"
+            raise ParseError(f": {reason}")
 
         return _Converter(base, dict.fromkeys(_converter(base), check))
     if origin is Literal or isinstance(annotation, type) and issubclass(annotation, Enum):
@@ -430,7 +414,7 @@ class World:
         self.tc_reveals: dict[tuple[int, str], tuple[dict[str, float], bytes]] = {}
         self.oz: oraclize.Oracle | None = None
         self.oz_contracts: dict[str, oraclize.ConditionalContract] = {}
-        self.oz_settlements: dict[str, oraclize.SignedSettlement] = {}
+        self.oz_settlements: dict[str, oraclize.Settlement] = {}
 
     # --- helpers ---------------------------------------------------------
 

@@ -25,7 +25,7 @@ once, and the earliest poll resolves ties by list order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import datafeed
 from .datafeed import (
@@ -205,34 +205,50 @@ def poll_times(contract: ConditionalContract) -> range:
 
 
 @dataclass(frozen=True)
-class SignedSettlement:
+class Settlement:
+    """One signing decision: a signed escrow payout, or a shielded refusal."""
+
     contract_id: str
-    tx: Transaction
+    tx: Transaction | None  # None on a refusal
     condition_index: int | None  # None on the default path
+    time: int | None  # None on an arbitrated decision
+    kind: str  # "condition" | "default" | "refused" | "arbitrated"
     observation: Observation | None
     proof: AuthenticityProof | None
     proof_ok: bool | None
     verified_before_signing: bool
 
-
-@dataclass(frozen=True)
-class AuditRecord:
-    contract_id: str
-    time: int
-    kind: str  # "condition" | "default" | "refused"
-    condition_index: int | None
-    observation: Observation | None
-    proof: AuthenticityProof | None
-    proof_ok: bool | None
-    signed: bool
-    verified_before_signing: bool
+    @property
+    def signed(self) -> bool:
+        return self.tx is not None
 
 
-def _escrow_spend(contract: ConditionalContract, beneficiary: bytes, fee: int) -> Transaction:
-    return Transaction(
+def _settle(
+    contract: ConditionalContract, key: KeyPair, fee: int, decision: Settlement
+) -> Settlement:
+    """Sign the escrow spend to the decided beneficiary (the default one when
+    no condition is named) and settle the contract."""
+    index = decision.condition_index
+    beneficiary = (
+        contract.default_beneficiary if index is None else contract.conditions[index].beneficiary
+    )
+    tx = Transaction(  # a fee over the escrow raises before anything settles
         inputs=(TxInput(outpoint=contract.funding_outpoint),),
         outputs=(TxOutput(value=contract.escrow_value - fee, lock=PayToKey(beneficiary)),),
     )
+    tx = sign_input(tx, 0, key)
+    contract.state = (
+        ContractState.SETTLED_DEFAULT if index is None else ContractState.SETTLED_CONDITION
+    )
+    contract.settled_condition = index
+    return replace(decision, tx=tx)
+
+
+def _broadcast(chain: SimChain, tx: Transaction, what: str) -> Transaction:
+    result = chain.submit(tx)
+    if not result.accepted:
+        raise BadWitnessError(f"{what} rejected: {result.reason}")
+    return tx
 
 
 class Oracle:
@@ -255,7 +271,7 @@ class Oracle:
         self.pair: KeyPair = keys.keygen(f"oracle:{oracle_id}".encode())
         self.sources = sources
         self.proof_hook = proof_hook
-        self.audit: list[AuditRecord] = []
+        self.audit: list[Settlement] = []
         self._next_id = 1
 
     # --- construction ----------------------------------------------------
@@ -312,9 +328,7 @@ class Oracle:
         )
         for index in range(len(funding.inputs)):
             funding = sign_input(funding, index, alice if index < len(coins_a) else bob)
-        result = chain.submit(funding)
-        if not result.accepted:
-            raise BadWitnessError(f"funding rejected: {result.reason}")
+        _broadcast(chain, funding, "funding")
 
         contract_id = f"oc-{self._next_id}"
         self._next_id += 1
@@ -354,7 +368,7 @@ class Oracle:
 
     def poll(
         self, contract: ConditionalContract, now: int, fee: int = 1000
-    ) -> SignedSettlement | None:
+    ) -> Settlement | None:
         """One scheduled check; first satisfied condition wins, list order
         breaking ties.  Returns the oracle-signed settlement, or None."""
         if contract.arbitrated:
@@ -375,39 +389,20 @@ class Oracle:
             if self.proof_hook is not None:
                 proof = self.proof_hook(proof)
             proof_ok = verify_proof(proof, observation)
+            decision = Settlement(
+                contract.contract_id, None, index, now, "condition",
+                observation, proof, proof_ok, contract.proofshield,
+            )
             if contract.proofshield and not proof_ok:
-                self.audit.append(
-                    AuditRecord(
-                        contract.contract_id, now, "refused", index, observation,
-                        proof, proof_ok, signed=False, verified_before_signing=True,
-                    )
-                )
+                self.audit.append(replace(decision, kind="refused"))
                 raise ProofInvalidError(f"{contract.contract_id}: proof failed verification")
-            tx = _escrow_spend(contract, condition.beneficiary, fee)
-            tx = sign_input(tx, 0, self.pair)
-            contract.state = ContractState.SETTLED_CONDITION
-            contract.settled_condition = index
-            self.audit.append(
-                AuditRecord(
-                    contract.contract_id, now, "condition", index, observation,
-                    proof, proof_ok, signed=True,
-                    verified_before_signing=contract.proofshield,
-                )
-            )
-            return SignedSettlement(
-                contract_id=contract.contract_id,
-                tx=tx,
-                condition_index=index,
-                observation=observation,
-                proof=proof,
-                proof_ok=proof_ok,
-                verified_before_signing=contract.proofshield,
-            )
+            self.audit.append(_settle(contract, self.pair, fee, decision))
+            return self.audit[-1]
         return None
 
     def settle_default(
         self, contract: ConditionalContract, now: int, fee: int = 1000
-    ) -> SignedSettlement:
+    ) -> Settlement:
         """After the window, co-sign the payout to the default beneficiary."""
         if contract.arbitrated:
             raise ArbitrationRequiredError(contract.contract_id)
@@ -415,42 +410,24 @@ class Oracle:
             raise AlreadySettledError(contract.contract_id)
         if now <= contract.end:
             raise TooEarlyError(f"window open until {contract.end}")
-        tx = _escrow_spend(contract, contract.default_beneficiary, fee)
-        tx = sign_input(tx, 0, self.pair)
-        contract.state = ContractState.SETTLED_DEFAULT
-        self.audit.append(
-            AuditRecord(
-                contract.contract_id, now, "default", None, None, None, None,
-                signed=True, verified_before_signing=contract.proofshield,
-            )
+        decision = Settlement(
+            contract.contract_id, None, None, now, "default", None, None, None, contract.proofshield
         )
-        return SignedSettlement(
-            contract_id=contract.contract_id,
-            tx=tx,
-            condition_index=None,
-            observation=None,
-            proof=None,
-            proof_ok=None,
-            verified_before_signing=contract.proofshield,
-        )
+        self.audit.append(_settle(contract, self.pair, fee, decision))
+        return self.audit[-1]
 
 
 # ---------------------------------------------------- agent-side operations
 
 
-def co_sign_and_broadcast(
-    chain: SimChain, settlement: SignedSettlement, agent: KeyPair
-) -> Transaction:
+def co_sign_and_broadcast(chain: SimChain, settlement: Settlement, agent: KeyPair) -> Transaction:
     """Second signature over the oracle's settlement, then broadcast.
 
     The escrow script only counts keys; it cannot see which beneficiary
     the agents meant, so any two of the three holders can move the funds.
     """
     tx = add_signature(settlement.tx, 0, sign(agent.secret, sighash(settlement.tx)))
-    result = chain.submit(tx)
-    if not result.accepted:
-        raise BadWitnessError(f"settlement rejected: {result.reason}")
-    return tx
+    return _broadcast(chain, tx, "settlement")
 
 
 def refund_expiry(chain: SimChain, contract: ConditionalContract) -> Transaction:
@@ -464,9 +441,7 @@ def refund_expiry(chain: SimChain, contract: ConditionalContract) -> Transaction
         raise TooEarlyError(
             f"refund minable at height {contract.refund_locktime}, next is {chain.height + 1}"
         )
-    result = chain.submit(contract.refund_draft)
-    if not result.accepted:
-        raise BadWitnessError(f"refund rejected: {result.reason}")
+    _broadcast(chain, contract.refund_draft, "refund")
     contract.state = ContractState.REFUNDED
     return contract.refund_draft
 
@@ -476,7 +451,7 @@ def arbitrate(
     arbitrator: KeyPair,
     condition_index: int | None,
     fee: int = 1000,
-) -> SignedSettlement:
+) -> Settlement:
     """The fourth party's scripted decision on an arbitrated contract:
     a condition's beneficiary, or the default when given None."""
     if not contract.arbitrated:
@@ -485,24 +460,9 @@ def arbitrate(
         raise OraclizeError(f"{contract.contract_id} names another arbitrator")
     if contract.state is not ContractState.ACTIVE:
         raise AlreadySettledError(contract.contract_id)
-    if condition_index is None:
-        beneficiary = contract.default_beneficiary
-    elif 0 <= condition_index < len(contract.conditions):
-        beneficiary = contract.conditions[condition_index].beneficiary
-    else:
+    if condition_index is not None and not 0 <= condition_index < len(contract.conditions):
         raise OraclizeError(f"{contract.contract_id} has no condition {condition_index}")
-    tx = _escrow_spend(contract, beneficiary, fee)  # a fee over the escrow raises first
-    tx = sign_input(tx, 0, arbitrator)
-    contract.state = (
-        ContractState.SETTLED_DEFAULT if condition_index is None else ContractState.SETTLED_CONDITION
+    decision = Settlement(
+        contract.contract_id, None, condition_index, None, "arbitrated", None, None, None, False
     )
-    contract.settled_condition = condition_index
-    return SignedSettlement(
-        contract_id=contract.contract_id,
-        tx=tx,
-        condition_index=condition_index,
-        observation=None,
-        proof=None,
-        proof_ok=None,
-        verified_before_signing=False,
-    )
+    return _settle(contract, arbitrator, fee, decision)

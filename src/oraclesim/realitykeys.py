@@ -15,7 +15,7 @@ reconstructs and byte-compares before signing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .codec import sha256
 from .datafeed import Condition, DataSource, query
@@ -113,7 +113,6 @@ class Fact:
     human_override: Outcome | None = None
     released_outcome: Outcome | None = None
     released_secret: bytes | None = None
-    objections: list = field(default_factory=list)
 
 
 class FactRegistry:
@@ -200,7 +199,6 @@ class FactRegistry:
         if tip < self.min_tip:
             raise TipTooSmallError(f"tip {tip} below {self.min_tip}")
         self.tips_collected += tip
-        fact.objections.append({"tip": tip, "claimed": claimed.value, "time": now})
         if self.human_check is not None:
             decision = self.human_check(fact, claimed)
             if decision is not None:

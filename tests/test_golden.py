@@ -1,7 +1,8 @@
 """Golden digests of the bundled scenarios.
 
-Each scenario's event-log digest is pinned here, as is the combined digest:
-sha256 over the 12 raw digests in file-name order.  A change that moves any
+Each scenario's event-log digest is pinned in `perfbench/suite_digests.json`,
+as is the combined digest: sha256 over the 12 raw digests in file-name order;
+the benchmark's `suite` workload checks the same file.  A change that moves any
 byte of any log fails this file.  The combined digest must also come out the
 same under different string-hash seeds, so no dict or set iteration order
 that depends on `PYTHONHASHSEED` can reach a log, and under each other
@@ -9,6 +10,7 @@ supported Python found on `PATH`.
 """
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -20,21 +22,9 @@ import pytest
 import oraclesim
 from oraclesim.harness import bundled_scenarios, run_scenario
 
-DIGESTS = {
-    "counterparty_bet.json": "2662b1272af8e470c67670374639de109ba38c23ff61234fc0947a1033f9cb8d",
-    "counterparty_overspend.json": "4414bce24af2bb791f180f8c909d368554a575390d7179420fc16c0150d18096",
-    "oraclize_dead_oracle.json": "32094267e5eaad6a0d547af64ac6f2dc5eabbd1ce758928d6a3314914f43e360",
-    "oraclize_milan.json": "38c252a35f2c8b73f040da8f6ef22b3dcaab18a01b200e08561943b5c9ab1015",
-    "orisi_election.json": "a6a7c175306c31d2198f4e05787d85cf45503aa134c046b811bdb4d138f170ef",
-    "orisi_theft.json": "e80a64d1bc62a5fe77f3fb806ee5ff4527c1705bd4f7f2bc3dd5d7ed9932fd91",
-    "realitykeys_objection.json": "65fc94bdce3e36ccd676b5e8524de99a61865c82977b0c87670e4f4dd23a0397",
-    "realitykeys_stake.json": "08a5fb17885aa8caab53347467c1b3ed6728184a7f61fbbdc0cf95095f263219",
-    "truthcoin_capture.json": "19e7150ab3e7b9fba47e144138a71af71764d98390984971671ff3e3d3afbce3",
-    "truthcoin_market.json": "2ac69daa9ff80551e832c7e7846f7e634a852ee70713a2a520b2f81f7d8a58e9",
-    "will_claim.json": "79adaf8f731429a4c77ce789368a8a24491437f7b474d05793be87b7ad3d0acb",
-    "will_refusal.json": "15531ce2517478aa428938f9b0152b4272439cbb6c8ba503b09efff393fa475d",
-}
-COMBINED = "82c71b94fe783517687198c9af8199fcac609378156c29b5077746ae1f3258ea"
+PINNED = json.loads((Path(__file__).parents[1] / "perfbench" / "suite_digests.json").read_text())
+DIGESTS = PINNED["scenarios"]
+COMBINED = PINNED["combined"]
 
 # Runs every bundled scenario and prints the combined digest.
 SUITE_SCRIPT = """

@@ -303,7 +303,7 @@ def _rk_fact(comparator):
         ),
         (
             _minimal(actions=[{"tick": 0, "op": "balances", "actors": [1]}]),
-            ".actions[0].actors: expected list[str] | None, got list",
+            ".actions[0].actors[0]: expected str, got int",
         ),
         (
             _minimal(assertions=[{"kind": "count", "event": "e", "value": 1, "where": [1]}]),

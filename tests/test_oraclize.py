@@ -21,7 +21,6 @@ from oraclesim.oraclize import (
     OraclizeError,
     OverlappingConditionsError,
     ProofInvalidError,
-    SignedSettlement,
     TooEarlyError,
     arbitrate,
     check_disjoint,
@@ -432,15 +431,7 @@ def test_threshold_witness_enumeration():
     contract = fund(chain, oracle, alice, bob, milan_conditions(bob.pub))
     settlement = oracle.poll(contract, T0 + HOUR)
 
-    lone = SignedSettlement(
-        contract_id=contract.contract_id,
-        tx=settlement.tx.without_witnesses(),
-        condition_index=0,
-        observation=None,
-        proof=None,
-        proof_ok=None,
-        verified_before_signing=False,
-    )
+    lone = replace(settlement, tx=settlement.tx.without_witnesses())
     with pytest.raises(BadWitnessError):
         co_sign_and_broadcast(chain, lone, bob)  # bob alone is 1 of 2
 
@@ -529,6 +520,8 @@ def test_arbitrated_contract_resolves_by_the_fourth_party():
 
     settlement = arbitrate(contract, carol, 0)
     assert contract.state is ContractState.SETTLED_CONDITION
+    assert settlement.kind == "arbitrated" and settlement.time is None
+    assert oracle.audit == []  # the oracle made no decision here
     tx = co_sign_and_broadcast(chain, settlement, bob)
     chain.mine_next(MINERS, Random(9))
     assert tx.outputs[0].lock == PayToKey(bob.pub)
@@ -582,12 +575,27 @@ def test_arbitration_takes_only_the_named_arbitrator():
 
 
 def test_poll_records_a_condition_audit_row():
-    chain, reg, oracle, alice, bob, carol = make_world(
-        temp_entries=[(T0, 12)], rain_entries=[(T0, False)]
-    )
-    contract = fund(chain, oracle, alice, bob, milan_conditions(bob.pub))
-    oracle.poll(contract, T0 + HOUR)
-    (record,) = oracle.audit
-    assert record.kind == "condition"
-    assert record.contract_id == contract.contract_id
-    assert record.signed and record.proof_ok
+    for refused_first in (False, True):
+        chain, reg, oracle, alice, bob, carol = make_world(
+            temp_entries=[(T0, 12)], rain_entries=[(T0, False)]
+        )
+        contract = fund(
+            chain, oracle, alice, bob, milan_conditions(bob.pub), proofshield=refused_first
+        )
+        refusals = []
+        if refused_first:
+            oracle.proof_hook = corrupting_hook
+            with pytest.raises(ProofInvalidError):
+                oracle.poll(contract, T0 + HOUR)
+            oracle.proof_hook = None
+            refusals = list(oracle.audit)
+            (refused,) = refusals
+            assert refused.kind == "refused" and refused.time == T0 + HOUR
+            assert refused.tx is None and not refused.signed
+        returned = oracle.poll(contract, T0 + (1 + refused_first) * HOUR)
+        assert oracle.audit == [*refusals, returned]
+        record = oracle.audit[-1]
+        assert record is returned
+        assert record.kind == "condition"
+        assert record.contract_id == contract.contract_id
+        assert record.signed and record.proof_ok
