@@ -24,6 +24,7 @@ import json
 import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from .codec import Reader, TruncatedError, Writer, sha256
@@ -221,10 +222,10 @@ def compose_message_tx(
     extra_outputs: tuple[TxOutput, ...] = (),
 ) -> Transaction:
     """Build and sign a host transaction carrying one protocol message."""
-    coins = chain.utxos_for(sender.pub)
-    if not coins:
+    order, _ = chain._owned(sender.pub)
+    if not order:
         raise ValueError("sender has no spendable coins")
-    key_txid = coins[0][0][0]  # coin selection takes outpoints in sorted order
+    key_txid = order[0][0]  # coin selection takes outpoints in this order
     payload = encode_message(message, key_txid)
     outputs = [carrier_output(payload, sender.pub), *extra_outputs]
     return build_payment(chain, sender, outputs, fee=fee)
@@ -289,8 +290,29 @@ class AppliedMessage:
     reason: str | None = None
 
 
+_SETTLE, _EXPIRE = 0, 1  # kinds of entry in a feed's `_due` heap: a match, an open bet
+
+
 @dataclass
 class MetaState:
+    """The replicated state, and the indexes that spare a fold its history.
+
+    `bets` and `matches` hold every record ever made, in id order; a record
+    is frozen, and a fold replaces it in its slot.  Beside them the fold
+    keeps three indexes, so that no message walks the history:
+
+    - `_open`: the open bets by their terms (feed, comparator, target,
+      deadline, side, wager, counterwager), each bucket a tuple of `bets`
+      slots in bet-id order.  A bet looks up the one bucket it can match,
+      and cancels and matches from its front, in the order a walk over
+      every bet would take.
+    - `_due`: per feed, a heap of `(deadline, kind, slot)` for each
+      unsettled match and each bet opened on it.  A broadcast pops only
+      what it settles or expires; a popped bet that is no longer open is
+      passed over.
+    - `_escrowed`: the stakes held by unsettled matches.
+    """
+
     balances: dict[tuple[str, str], int] = field(default_factory=dict)
     feeds: dict[str, list[Broadcast]] = field(default_factory=dict)
     bets: list[BetRecord] = field(default_factory=list)
@@ -298,12 +320,17 @@ class MetaState:
     log: list[AppliedMessage] = field(default_factory=list)
     burned: int = 0
     issued: int = 0
+    _open: dict[tuple, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)
+    _due: dict[str, list[tuple[int, int, int]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _escrowed: int = field(default=0, repr=False, compare=False)
 
     def balance(self, address: str, asset: str = XCP) -> int:
         return self.balances.get((address, asset), 0)
 
     def escrowed(self) -> int:
-        return sum(m.escrow for m in self.matches)
+        return self._escrowed
 
     def _credit(self, address: str, qty: int, asset: str = XCP) -> None:
         self.balances[(address, asset)] = self.balance(address, asset) + qty
@@ -387,10 +414,12 @@ def replay(chain: "SimChain") -> MetaState:
     path.  The host chain has no reorgs, so blocks are only ever appended;
     if the memo's last block is no longer at its height, the fold starts
     again from genesis.  The returned state is a snapshot the caller owns:
-    mutating it never changes what a later call returns.  Every record in
-    it is frozen and shared with the memo (a fold replaces a changed bet or
-    match in its list slot, never edits it), so a snapshot copies
-    containers only.
+    mutating it, or folding further blocks into it, never changes what a
+    later call returns.  Every record in it is frozen and shared with the
+    memo (a fold replaces a changed bet or match in its list slot, never
+    edits it), so a snapshot copies containers only: the record lists, the
+    balances, the feeds, the `_open` map (its buckets are tuples, shared)
+    and each `_due` heap.
     """
     # taken out while folding, so a fold that raises leaves no half-folded state
     state, last = _folds.pop(chain, (None, None))
@@ -414,6 +443,8 @@ def _snapshot(state: MetaState) -> MetaState:
         bets=list(state.bets),
         matches=list(state.matches),
         log=list(state.log),
+        _open=dict(state._open),
+        _due={feed: list(due) for feed, due in state._due.items()},
     )
 
 
@@ -460,22 +491,35 @@ def _apply_broadcast(
 
 
 def _settle_feed(state: MetaState, feed: str, broadcast: Broadcast) -> None:
-    # first broadcast at or past a deadline settles every match behind it
-    for i, match in enumerate(state.matches):
-        if match.settled or match.feed != feed or match.deadline > broadcast.timestamp:
-            continue
+    # the first broadcast at or past a deadline settles every match behind it
+    # and expires every bet still open behind it
+    due, bets = state._due.get(feed), state.bets
+    settled = []
+    while due and due[0][0] <= broadcast.timestamp:
+        _, kind, i = heappop(due)
+        if kind == _SETTLE:
+            settled.append(i)
+        elif bets[i].status is BetStatus.OPEN:
+            record = bets[i]
+            bets[i] = replace(record, status=BetStatus.EXPIRED)
+            state._open.pop(_terms(record.bet), None)  # its bucket shares the deadline
+    for i in sorted(settled):  # credits go out in match-id order
+        match = state.matches[i]
         pot = match.yes_escrow + match.no_escrow
         fee = pot * broadcast.fee_fraction // FEE_FRACTION_UNIT
         holds = compare(match.comparator, broadcast.value, match.target)
         winner_side = "yes" if holds else "no"
         winner = match.yes_owner if winner_side == "yes" else match.no_owner
         state.matches[i] = replace(match, settled=True, winner=winner_side, fee_paid=fee)
+        state._escrowed -= pot
         state._credit(feed, fee)
         state._credit(winner, pot - fee)
-    for i, record in enumerate(state.bets):
-        if record.status is BetStatus.OPEN and record.bet.feed == feed:
-            if record.bet.deadline <= broadcast.timestamp:
-                state.bets[i] = replace(record, status=BetStatus.EXPIRED)
+
+
+def _terms(bet: Bet) -> tuple:
+    """The `_open` bucket an open bet is filed under."""
+    return (bet.feed, bet.comparator, bet.target, bet.deadline, bet.side, bet.wager,
+            bet.counterwager)
 
 
 def _apply_bet(state: MetaState, source: str, bet: Bet) -> tuple[bool, str | None]:
@@ -483,32 +527,29 @@ def _apply_bet(state: MetaState, source: str, bet: Bet) -> tuple[bool, str | Non
         return False, R_ZERO_WAGER
     if bet.side not in (0, 1):
         return False, R_BAD_SIDE
-    for i, record in enumerate(state.bets):
-        if record.status is not BetStatus.OPEN:
-            continue
+    bets = state.bets
+    # the open bets this one can take, oldest first: the other side, wagers swapped
+    wanted = (bet.feed, bet.comparator, bet.target, bet.deadline, 1 - bet.side,
+              bet.counterwager, bet.wager)
+    makers = state._open.pop(wanted, ())
+    for n, i in enumerate(makers):
+        record = bets[i]
         other = record.bet
-        if (
-            other.feed != bet.feed
-            or other.comparator != bet.comparator
-            or other.target != bet.target
-            or other.deadline != bet.deadline
-            or other.side == bet.side
-            or other.wager != bet.counterwager
-            or other.counterwager != bet.wager
-        ):
-            continue
         if state.balance(record.owner) < other.wager:
             # maker spent the stake meanwhile
-            state.bets[i] = replace(record, status=BetStatus.CANCELLED)
+            bets[i] = replace(record, status=BetStatus.CANCELLED)
             continue
         if state.balance(source) < bet.wager:
+            state._open[wanted] = makers[n:]
             return False, R_BALANCE
+        if n + 1 < len(makers):
+            state._open[wanted] = makers[n + 1 :]
         state._debit(record.owner, other.wager)
         state._debit(source, bet.wager)
-        state.bets[i] = replace(record, status=BetStatus.MATCHED)
-        taker = BetRecord(len(state.bets) + 1, source, bet, BetStatus.MATCHED)
-        state.bets.append(taker)
+        bets[i] = replace(record, status=BetStatus.MATCHED)
+        bets.append(BetRecord(len(bets) + 1, source, bet, BetStatus.MATCHED))
         yes_first = bet.side == 1
+        heappush(state._due.setdefault(bet.feed, []), (bet.deadline, _SETTLE, len(state.matches)))
         state.matches.append(
             MatchRecord(
                 match_id=len(state.matches) + 1,
@@ -522,8 +563,12 @@ def _apply_bet(state: MetaState, source: str, bet: Bet) -> tuple[bool, str | Non
                 no_escrow=other.wager if yes_first else bet.wager,
             )
         )
+        state._escrowed += bet.wager + other.wager
         return True, None
-    state.bets.append(BetRecord(len(state.bets) + 1, source, bet, BetStatus.OPEN))
+    terms = _terms(bet)
+    state._open[terms] = state._open.get(terms, ()) + (len(bets),)
+    heappush(state._due.setdefault(bet.feed, []), (bet.deadline, _EXPIRE, len(bets)))
+    bets.append(BetRecord(len(bets) + 1, source, bet, BetStatus.OPEN))
     return True, None
 
 

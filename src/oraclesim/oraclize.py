@@ -425,7 +425,11 @@ def co_sign_and_broadcast(chain: SimChain, settlement: Settlement, agent: KeyPai
 
     The escrow script only counts keys; it cannot see which beneficiary
     the agents meant, so any two of the three holders can move the funds.
+    Raises ProofInvalidError for a shielded refusal, which holds no
+    transaction to co-sign.
     """
+    if settlement.tx is None:
+        raise ProofInvalidError(f"{settlement.contract_id}: the oracle refused to sign")
     tx = add_signature(settlement.tx, 0, sign(agent.secret, sighash(settlement.tx)))
     return _broadcast(chain, tx, "settlement")
 

@@ -6,9 +6,12 @@ genesis allocation and only ever decreases by fees (burned) or by being
 locked behind unspendable scripts.
 
 `chain.utxo` is read-only outside `_apply_block`.  That method is the only
-place the UTXO set changes, and it keeps two indexes beside it: the
-pay-to-key coins of each owner and each owner's running balance, which
-`utxos_for` and `balance` read without scanning the set.
+place the UTXO set changes, and it keeps indexes beside it: the pay-to-key
+coins of each owner, each owner's running balance, and each owner's
+outpoints in sorted order.  `utxos_for`, `balance` and coin selection read
+them without scanning the set or sorting.  An owner's order is built on its
+first read and kept from then on, so an owner nobody reads (a payer of
+presigned transactions) costs no sorted insert or delete.
 
 `serialize_block` writes the header, then each transaction's bytes as kept
 when its txid was taken, so a block never encodes a transaction again.
@@ -16,6 +19,7 @@ when its txid was taken, so a block never encodes a transaction again.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,9 +71,11 @@ class SimChain:
         self.keys = keys if keys is not None else KeyRegistry()
         self.mempool = Mempool(expiry_blocks=expiry_blocks)
         self.utxo: dict[tuple[bytes, int], TxOutput] = {}
-        # pay-to-key outpoints per owner pub, and their summed value
+        # pay-to-key outpoints per owner pub, their summed value, and the
+        # outpoints in sorted order for each owner read since its coins appeared
         self._coins: dict[bytes, dict[tuple[bytes, int], TxOutput]] = {}
         self._balances: dict[bytes, int] = {}
+        self._order: dict[bytes, list[tuple[bytes, int]]] = {}
         self.blocks: list[Block] = []
         self.txs_by_id: dict[bytes, Transaction] = {}
 
@@ -88,10 +94,22 @@ class SimChain:
 
     def utxos_for(self, pub: bytes) -> list[tuple[tuple[bytes, int], TxOutput]]:
         """The owner's pay-to-key coins in sorted outpoint order."""
+        order, coins = self._owned(pub)
+        return [(op, coins[op]) for op in order]
+
+    def _owned(self, pub: bytes) -> tuple[list[tuple[bytes, int]], dict]:
+        """The owner's pay-to-key outpoints in sorted order, and their outputs.
+
+        Both are the chain's own, for reading only; the order is sorted on
+        the owner's first read and kept by `_apply_block` after that.
+        """
         coins = self._coins.get(pub)
         if coins is None:
-            return []
-        return [(op, coins[op]) for op in sorted(coins)]
+            return [], {}
+        order = self._order.get(pub)
+        if order is None:
+            order = self._order[pub] = sorted(coins)
+        return order, coins
 
     def balance(self, pub: bytes) -> int:
         return self._balances.get(pub, 0)
@@ -124,19 +142,24 @@ class SimChain:
         return mine_next(self, miners, rng)
 
     def _apply_block(self, block: Block) -> None:
-        coins, balances = self._coins, self._balances
+        coins, balances, orders = self._coins, self._balances, self._order
         for tx in block.txs:
             tid = txid(tx)
             for txin in tx.inputs:
-                out = self.utxo.pop(txin.outpoint)
+                outpoint = txin.outpoint
+                out = self.utxo.pop(outpoint)
                 if isinstance(out.lock, PayToKey):
                     owner = out.lock.pub
                     owned = coins[owner]
-                    del owned[txin.outpoint]
+                    del owned[outpoint]
                     if owned:
                         balances[owner] -= out.value
+                        order = orders.get(owner)
+                        if order is not None:
+                            del order[bisect_left(order, outpoint)]
                     else:
                         del coins[owner], balances[owner]
+                        orders.pop(owner, None)
             for idx, out in enumerate(tx.outputs):
                 outpoint = (tid, idx)
                 self.utxo[outpoint] = out
@@ -144,6 +167,9 @@ class SimChain:
                     owner = out.lock.pub
                     coins.setdefault(owner, {})[outpoint] = out
                     balances[owner] = balances.get(owner, 0) + out.value
+                    order = orders.get(owner)
+                    if order is not None:
+                        insort(order, outpoint)
             self.txs_by_id[tid] = tx
         self.blocks.append(block)
         self.mempool.on_block(block, self.height)

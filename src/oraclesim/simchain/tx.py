@@ -197,17 +197,20 @@ def select_coins(
 ) -> tuple[list[tuple[bytes, int]], int]:
     """Take the owner's pay-to-key outpoints, in sorted order, until `target` is covered.
 
-    Returns the outpoints taken and their total.  With `at_least_one`, one
-    coin is taken even when `target` is zero.  Raises InsufficientFundsError
-    when the owner's coins run out first.
+    Walks the chain's kept order of the owner's outpoints and stops at the
+    first coins that cover `target`, so neither the set nor the owner's
+    coins are scanned or sorted.  Returns the outpoints taken and their
+    total.  With `at_least_one`, one coin is taken even when `target` is
+    zero.  Raises InsufficientFundsError when the owner's coins run out first.
     """
+    order, coins = chain._owned(pub)
     picked: list[tuple[bytes, int]] = []
     have = 0
-    for outpoint, txout in chain.utxos_for(pub):
+    for outpoint in order:
         if have >= target and (picked or not at_least_one):
             break
         picked.append(outpoint)
-        have += txout.value
+        have += coins[outpoint].value
     if have < target or (at_least_one and not picked):
         raise InsufficientFundsError(f"need {target}, have {have}")
     return picked, have

@@ -6,16 +6,28 @@ scan of `chain.utxo`, and every memoised digest and the kept bytes must equal
 a fresh serialization, also for transactions derived from a memoised one.
 The block hash is recomputed from the block layout and `serialize_tx`, never
 from the kept bytes.
+
+An owner's coin order is kept only from its first read on, so the owners
+are read in three ways: from height 0, first at a drawn step, and not
+until the end; the last only ever receives.
 """
 
 import sys
 from dataclasses import replace
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oraclesim.codec import Writer, sha256
+from oraclesim.counterparty import (
+    XCP,
+    Send,
+    carried_ciphertexts,
+    compose_message_tx,
+    decode_payload,
+)
 from oraclesim.simchain import (
     DataCarrier,
     InsufficientFundsError,
@@ -24,6 +36,7 @@ from oraclesim.simchain import (
     MultiSig,
     PayToKey,
     POLICY_TEST2013,
+    POLICY_V090,
     SimChain,
     TimeLocked,
     Transaction,
@@ -60,10 +73,14 @@ def assert_digests_fresh(tx: Transaction) -> None:
     assert sighash(tx) == sha256(serialize_tx(tx.without_witnesses()))
 
 
-def check_chain(chain, owners, stranger):
+def check_chain(chain, owners, stranger, reading):
+    """Check the tip; read the coins of the owners in `reading` only."""
     for pub in [*owners, stranger]:
         coins = scanned_coins(chain, pub)
-        assert chain.utxos_for(pub) == coins
+        if pub in reading:
+            assert chain.utxos_for(pub) == coins
+        else:
+            assert pub not in chain._order  # an owner nobody read keeps no order
         assert chain.balance(pub) == sum(out.value for _, out in coins)
     tip = chain.blocks[-1]
     w = Writer().u64(tip.height).string(tip.miner_id).raw(tip.parent).u32(len(tip.txs))
@@ -111,11 +128,12 @@ def unlock_tx(chain, pairs, pick: int, fee: int):
 
 
 owner = st.integers(0, OWNERS - 1)
+spender = st.integers(0, OWNERS - 2)  # the last owner only receives
 ACTION = st.one_of(
-    st.tuples(st.just("pay"), owner, owner, st.integers(0, 40_000), st.integers(0, 300)),
+    st.tuples(st.just("pay"), spender, owner, st.integers(0, 40_000), st.integers(0, 300)),
     st.tuples(
         st.just("lock"),
-        owner,
+        spender,
         st.sampled_from(["multisig", "p2sh", "timelock", "carrier"]),
         st.integers(0, 20_000),
         st.integers(0, 300),
@@ -126,8 +144,8 @@ ACTION = st.one_of(
 
 
 @settings(max_examples=40, deadline=None)
-@given(actions=st.lists(ACTION, max_size=40), coins=st.integers(1, 4))
-def test_owner_index_and_digests_match_brute_force(actions, coins):
+@given(actions=st.lists(ACTION, max_size=40), coins=st.integers(1, 4), late=st.integers(0, 40))
+def test_owner_index_and_digests_match_brute_force(actions, coins, late):
     reg = KeyRegistry()
     keypairs = [reg.keygen(b"owner-%d" % i) for i in range(OWNERS)]
     owners = [pair.pub for pair in keypairs]
@@ -137,17 +155,22 @@ def test_owner_index_and_digests_match_brute_force(actions, coins):
     genesis.append(TxOutput(value=7_000, lock=MultiSig(m=1, keys=(owners[0],))))
     chain = SimChain(policy=POLICY_TEST2013, genesis=genesis, keys=reg)
     rng = Random(0)
-    check_chain(chain, owners, stranger)
-    for action in [*actions, ("mine",)]:
+    # owners 0 and 1 are read from height 0, owner 2 from step `late` on
+    reading = set(owners[:2])
+    check_chain(chain, owners, stranger, reading)
+    for step, action in enumerate([*actions, ("mine",)]):
+        if step == late:
+            reading.add(owners[2])
         kind = action[0]
         if kind == "mine":
             chain.mine_next(SOLO, rng)
-            check_chain(chain, owners, stranger)
+            check_chain(chain, owners, stranger, reading)
             continue
         if kind == "unlock":
             tx = unlock_tx(chain, pairs, action[1], action[2])
         else:
-            sender = keypairs[action[1]]
+            # selecting coins reads them, so owner 2 sends nothing before it is read
+            sender = keypairs[action[1] if owners[action[1]] in reading else 0]
             if kind == "pay":
                 lock, value, fee = PayToKey(owners[action[2]]), action[3], action[4]
             else:
@@ -158,6 +181,29 @@ def test_owner_index_and_digests_match_brute_force(actions, coins):
                 tx = None
         if tx is not None:
             chain.submit(tx)
+    check_chain(chain, owners, stranger, {*owners, stranger})
+
+
+def test_compose_message_tx_keys_the_payload_by_the_first_coin():
+    reg = KeyRegistry()
+    rich, poor = reg.keygen(b"rich"), reg.keygen(b"poor")
+    genesis = [TxOutput(value=25_000, lock=PayToKey(rich.pub)) for _ in range(3)]
+    chain = SimChain(policy=POLICY_V090, genesis=genesis, keys=reg)
+    message = Send(XCP, 1, "dest")
+    with pytest.raises(ValueError, match="^sender has no spendable coins$") as caught:
+        compose_message_tx(chain, poor, message, fee=0)
+    assert type(caught.value) is ValueError
+    [(first, _), *_] = chain.utxos_for(rich.pub)
+    # the payload is keyed by the first coin in outpoint order, and coin
+    # selection spends that coin first
+    tx = compose_message_tx(chain, rich, message, fee=30_000)
+    assert [txin.outpoint for txin in tx.inputs] == [op for op, _ in chain.utxos_for(rich.pub)[:2]]
+    assert decode_payload(carried_ciphertexts(tx)[0], first[0]) == message
+    # with no fee and no extra outputs nothing needs covering: no inputs at
+    # all, and the payload is still keyed by the first coin
+    tx = compose_message_tx(chain, rich, message, fee=0)
+    assert tx.inputs == ()
+    assert decode_payload(carried_ciphertexts(tx)[0], first[0]) == message
 
 
 def test_submitting_and_mining_encodes_each_tx_once(monkeypatch):

@@ -7,15 +7,18 @@ import struct
 import weakref
 from dataclasses import FrozenInstanceError, replace
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oraclesim import counterparty
 from oraclesim.counterparty import (
     BURN_PUB,
     BadMagicError,
     Bet,
+    BetRecord,
     BetStatus,
     Broadcast,
     Burn,
@@ -23,7 +26,11 @@ from oraclesim.counterparty import (
     DATA_CARRIER_LIMIT,
     FEE_FRACTION_UNIT,
     MAGIC,
+    MatchRecord,
     MetaState,
+    R_BAD_SIDE,
+    R_BALANCE,
+    R_ZERO_WAGER,
     Send,
     TruncatedPayloadError,
     XCP,
@@ -39,7 +46,7 @@ from oraclesim.counterparty import (
     state_to_json,
     xcp_in_circulation,
 )
-from oraclesim.datafeed import Comparator
+from oraclesim.datafeed import Comparator, compare
 from oraclesim.simchain import (
     DataCarrier,
     KeyRegistry,
@@ -638,6 +645,178 @@ def test_incremental_replay_equals_a_fresh_fold_at_every_height(blocks, replay_a
         assert state_digest(replay(chain)) == expected
     assert state_digest(replay(chain)) == state_digest(full_fold(chain))
     # no later settle, expiry, cancel or match rewrote a record an earlier snapshot shares
+    for state, expected in kept:
+        assert state_digest(state) == expected
+
+
+def scanning_settle_feed(state, feed, broadcast):
+    """The broadcast's settlement as a walk over every match and every bet."""
+    for i, match in enumerate(state.matches):
+        if match.settled or match.feed != feed or match.deadline > broadcast.timestamp:
+            continue
+        pot = match.yes_escrow + match.no_escrow
+        fee = pot * broadcast.fee_fraction // FEE_FRACTION_UNIT
+        yes = compare(match.comparator, broadcast.value, match.target)
+        state.matches[i] = replace(match, settled=True, winner="yes" if yes else "no", fee_paid=fee)
+        state._credit(feed, fee)
+        state._credit(match.yes_owner if yes else match.no_owner, pot - fee)
+    for i, record in enumerate(state.bets):
+        bet = record.bet
+        if record.status is BetStatus.OPEN and bet.feed == feed and bet.deadline <= broadcast.timestamp:
+            state.bets[i] = replace(record, status=BetStatus.EXPIRED)
+
+
+def scanning_apply_bet(state, source, bet):
+    """A bet's matching as a walk over every bet in bet-id order."""
+    if bet.wager == 0 or bet.counterwager == 0:
+        return False, R_ZERO_WAGER
+    if bet.side not in (0, 1):
+        return False, R_BAD_SIDE
+    wanted = (bet.feed, bet.comparator, bet.target, bet.deadline, 1 - bet.side,
+              bet.counterwager, bet.wager)
+    for i, record in enumerate(state.bets):
+        other = record.bet
+        if record.status is not BetStatus.OPEN or terms_of(other) != wanted:
+            continue
+        if state.balance(record.owner) < other.wager:
+            state.bets[i] = replace(record, status=BetStatus.CANCELLED)
+            continue
+        if state.balance(source) < bet.wager:
+            return False, R_BALANCE
+        state._debit(record.owner, other.wager)
+        state._debit(source, bet.wager)
+        state.bets[i] = replace(record, status=BetStatus.MATCHED)
+        state.bets.append(BetRecord(len(state.bets) + 1, source, bet, BetStatus.MATCHED))
+        yes, no = (source, bet.wager), (record.owner, other.wager)
+        if bet.side == 0:
+            yes, no = no, yes
+        state.matches.append(MatchRecord(
+            len(state.matches) + 1, bet.feed, bet.comparator, bet.target, bet.deadline, *yes, *no
+        ))
+        return True, None
+    state.bets.append(BetRecord(len(state.bets) + 1, source, bet))
+    return True, None
+
+
+def scanning_fold(chain):
+    """A full fold that walks every bet and match, as the fold did before it
+    kept indexes: the reference the indexed fold must equal byte for byte."""
+    with patch.object(counterparty, "_apply_bet", scanning_apply_bet), patch.object(
+        counterparty, "_settle_feed", scanning_settle_feed
+    ):
+        return full_fold(chain)
+
+
+def terms_of(bet):
+    return (bet.feed, bet.comparator, bet.target, bet.deadline, bet.side, bet.wager,
+            bet.counterwager)
+
+
+def open_buckets(bets):
+    """The open bets by their terms, in bet-id order, from a scan of every bet."""
+    buckets = {}
+    for i, record in enumerate(bets):
+        if record.status is BetStatus.OPEN:
+            terms = terms_of(record.bet)
+            buckets[terms] = buckets.get(terms, ()) + (i,)
+    return buckets
+
+
+DEADLINES = (12, 30, 36)  # broadcasts at height h carry timestamps 6h to 6h + 5
+TERMS = ((1, 1), (1, 2), (2, 1))
+
+
+def bet_traffic_tx(chain, pair, names, height, op, param):
+    """Mostly bets, on bob's and claire's feeds, over three deadlines and
+    three pairs of stakes, so that identical open bets pile up."""
+    if op == 0:
+        return compose_burn_tx(chain, pair, 1 + param % 500_000)
+    if op == 1:  # all but 0.05 of a funded actor's 3 XCP: its open bets can no longer be taken
+        return compose_message_tx(chain, pair, Send(XCP, 295 * XCP_UNIT // 100, names[param % 3]))
+    if op == 2:
+        broadcast = Broadcast(6 * height + param % 6, param % 10 * 100 * XCP_UNIT, 10**6, "")
+        return compose_message_tx(chain, pair, broadcast)
+    wager, counterwager = TERMS[param // 12 % 3]
+    stake = XCP_UNIT // 10
+    bet = make_bet(param // 6 % 2, wager * stake, counterwager * stake, names[1 + param % 2],
+                   deadline=DEADLINES[param // 2 % 3])
+    return compose_message_tx(chain, pair, bet)
+
+
+def bet_param(feed, deadline, side, terms):
+    """The `bet_traffic_tx` parameter of a bet on feed 0 (bob's) or 1 (claire's)."""
+    return feed + 2 * DEADLINES.index(deadline) + 6 * side + 12 * TERMS.index(terms)
+
+
+BET_OP = st.none() | st.tuples(st.sampled_from((0, 1, 2, 3, 3, 3)), st.integers(0, 2**10))
+YES_1_2 = (3, bet_param(0, 30, 1, (1, 2)))  # wager 0.1 on bob's feed, asks 0.2, deadline 30
+NO_2_1 = (3, bet_param(0, 30, 0, (2, 1)))  # the bet that takes YES_1_2
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.tuples(BET_OP, BET_OP, BET_OP), min_size=1, max_size=8),
+    st.lists(st.booleans(), min_size=9, max_size=9),
+)
+# alice and bob open the same bet (ids 1 and 2) and claire opens another
+# (id 3); alice sends her stake away; claire's taker cancels bet 1 and
+# matches bet 2; bob's broadcast at timestamp 30, their deadline, settles
+# that match and expires bet 3, while alice's bet on claire's feed stays open
+@example(
+    [
+        (YES_1_2, YES_1_2, (3, bet_param(0, 30, 1, (1, 1)))),
+        ((1, 1), None, None),
+        (None, None, NO_2_1),
+        ((3, bet_param(1, 36, 0, (1, 1))), (2, 0), None),
+    ],
+    [True] * 9,
+)
+# as above, but claire has sent her own stake away too, so her first taker
+# cancels bet 1 and is refused, leaving bet 2 open; after a burn her second
+# taker matches it, and alice's later copy of bet 1 expires with the settlement
+@example(
+    [
+        (YES_1_2, YES_1_2, (1, 1)),
+        ((1, 1), None, None),
+        (None, None, NO_2_1),
+        (None, None, (0, 299_999)),
+        (YES_1_2, None, NO_2_1),
+        (None, (2, 0), None),
+    ],
+    [True, False, True, False, True, True, True, True, True],
+)
+def test_indexed_fold_equals_a_scanning_fold_under_bet_heavy_traffic(blocks, replay_at):
+    chain, people = make_chain(coins_each=10, value=5 * 10**8)
+    pairs = list(people.values())
+    names = [addr(p) for p in pairs]
+    kept, forked = [], None
+    for height, ops in enumerate([FUNDING, *blocks], start=1):
+        txs = [
+            bet_traffic_tx(chain, pair, names, height, *op)
+            for pair, op in zip(pairs, ops)
+            if op is not None
+        ]
+        block = mine(chain, *txs, seed=height)
+        if forked is not None:
+            forked.apply_block(chain, block)
+        if not replay_at[height - 1]:
+            continue
+        expected = state_digest(scanning_fold(chain))
+        state = replay(chain)
+        assert state_digest(state) == expected
+        assert state._open == open_buckets(state.bets)
+        assert state.escrowed() == sum(m.escrow for m in state.matches)
+        kept.append((state, expected))
+        if forked is None:
+            # a second snapshot, folded onward block by block from here on
+            forked = replay(chain)
+        else:
+            assert state_digest(forked) == expected
+        # folding into a snapshot leaves the memo as it was
+        assert state_digest(replay(chain)) == expected
+    expected = state_digest(scanning_fold(chain))
+    assert state_digest(replay(chain)) == expected
+    assert forked is None or state_digest(forked) == expected
     for state, expected in kept:
         assert state_digest(state) == expected
 

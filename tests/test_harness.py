@@ -363,6 +363,31 @@ def _rk_fact(comparator):
         (_minimal(seed=True), ".seed: expected int, got bool"),
         ([], ": expected dict, got list"),
     ],
+    # the ids the cases were first collected under, written out, so that
+    # editing an expected message renames no test
+    ids=[
+        "doc0-.mine_every: expected int | None, got str",
+        "doc1-.sources[0].entries[0].value: expected Union[bool, int, float, str], got list",
+        "doc2-.actions[0].actors[0]: expected str, got int",
+        "doc3-.assertions[0].where: expected dict[str, typing.Any] | None, got list",
+        "doc4-.actions[0].conditions[0].threshold: expected Union[bool, int, float, str], got NoneType",
+        "doc5-.policy: expected one of v090, test2013, got 'v091'",
+        "doc6-.actions[0].comparator: expected one of eq, ne, lt, le, gt, ge, got 'about'",
+        "doc7-.actions[0].claimed: expected one of yes, no, got 'maybe'",
+        "doc8-.actions[0].stakes: expected 2 items, got 3",
+        "doc9-.actions[0].stakes: expected tuple[int, int], got dict",
+        "doc10-.actions[0].veto_periods[1]: expected int, got str",
+        "doc11-.actions[0].allocation.b: expected int, got str",
+        "doc12-.actions[0].op: unknown op 'no_such_op'",
+        "doc13-.actions[0].op: unknown op None",
+        "doc14-.assertions[0].kind: unknown kind 'wishful'",
+        "doc15-.actions[0]: expected dict, got int",
+        "doc16-.miners[0].hashrate: expected float, got str",
+        "doc17-.actions[0].conditions[0]: missing field 'threshold'",
+        "doc18-.actions[0].conditions[0]: conditions take <, <=, =, >= or >",
+        "doc19-.seed: expected int, got bool",
+        "doc20-: expected dict, got list",
+    ],
 )
 def test_parse_errors_name_the_path_and_the_declared_type(doc, message):
     with pytest.raises(ParseError) as caught:

@@ -374,6 +374,21 @@ def test_tampered_proof_with_shield_on_blocks_signature():
     assert settlement.verified_before_signing is True
 
 
+def test_co_signing_a_refusal_is_refused_and_broadcasts_nothing():
+    chain, reg, oracle, alice, bob, carol = make_world(temp_entries=[(T0, 12)])
+    oracle.proof_hook = corrupting_hook
+    contract = fund(
+        chain, oracle, alice, bob, milan_conditions(bob.pub)[:1], proofshield=True
+    )
+    with pytest.raises(ProofInvalidError):
+        oracle.poll(contract, T0 + HOUR)
+    pooled = len(chain.mempool)
+    with pytest.raises(ProofInvalidError, match="refused to sign"):
+        co_sign_and_broadcast(chain, oracle.audit[0], bob)
+    assert len(chain.mempool) == pooled
+    assert contract.state is ContractState.ACTIVE
+
+
 def test_tampered_proof_with_shield_off_signs_and_flags():
     chain, reg, oracle, alice, bob, carol = make_world(temp_entries=[(T0, 12)])
     oracle.proof_hook = corrupting_hook
