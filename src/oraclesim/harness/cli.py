@@ -12,7 +12,7 @@ from pathlib import Path
 from ..counterparty import CounterpartyError, decode_payload, message_json
 from ..orisi import OrisiError, compute_safe_params
 from ..simchain import classify, deserialize_tx, policy_for
-from .events import EventLog, LogFormatError, verify_replay
+from .events import EventLog, LogFormatError, first_difference
 from .metrics import export_metrics
 from .scenario import ParseError, run_scenario
 
@@ -47,11 +47,22 @@ def _read_log(path: str) -> EventLog:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    log_a = _read_log(args.log_a)
-    log_b = _read_log(args.log_b)
-    same = verify_replay(log_a, log_b)
-    print("identical" if same else "logs differ")
-    return 0 if same else 1
+    paths = (args.log_a, args.log_b)
+    logs = [_read_log(path) for path in paths]
+    index = first_difference(*logs)
+    if index is None:
+        print("identical")
+        return 0
+    # the logs that have line `index`: both, or only the longer one
+    sides = [(path, log) for path, log in zip(paths, logs) if index < len(log.events)]
+    if len(sides) == 2:
+        print(f"logs differ at line {index + 1}")
+    else:
+        print(f"logs differ: {sides[0][0]} is longer, from line {index + 1}")
+    for path, log in sides:
+        event = log.events[index]
+        print(f"{path}: tick {event.tick} {event.module}/{event.kind}: {log.line(index)}")
+    return 1
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -107,7 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=".", help="directory for the event log")
     p_run.set_defaults(func=_cmd_run)
 
-    p_verify = sub.add_parser("verify", help="compare two event logs byte for byte")
+    p_verify = sub.add_parser(
+        "verify", help="compare two event logs byte for byte; name the first line that differs"
+    )
     p_verify.add_argument("log_a")
     p_verify.add_argument("log_b")
     p_verify.set_defaults(func=_cmd_verify)

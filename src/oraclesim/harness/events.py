@@ -77,6 +77,10 @@ class EventLog:
     def append(self, tick: int, module: str, kind: str, **payload) -> Event:
         return self._add(Event(tick=tick, module=module, kind=kind, payload=payload))
 
+    def line(self, index: int) -> str:
+        """The encoded line of event `index`, without its newline."""
+        return self._lines[index]
+
     def encode(self) -> bytes:
         return "".join(line + "\n" for line in self._lines).encode("utf-8")
 
@@ -135,3 +139,15 @@ class EventLog:
 def verify_replay(log_a: EventLog, log_b: EventLog) -> bool:
     """Two runs replicated iff their logs hash identically."""
     return log_a.digest() == log_b.digest()
+
+
+def first_difference(log_a: EventLog, log_b: EventLog) -> int | None:
+    """The 0-based index of the first line the two logs do not share, which
+    is the shorter log's length when it is a prefix of the other; None when
+    the logs are identical."""
+    for index, (a, b) in enumerate(zip(log_a._lines, log_b._lines)):
+        if a != b:
+            return index
+    if len(log_a._lines) == len(log_b._lines):
+        return None
+    return min(len(log_a._lines), len(log_b._lines))

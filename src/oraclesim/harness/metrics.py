@@ -39,8 +39,10 @@ def export_metrics(log: EventLog, out_path: str | Path) -> int:
 
     balances: dict[str, int] = {}
     stakes: dict[str, int] = {}
-    delays: list[int] = []
-    confirmed_total = 0
+    # running sum and count of every inclusion delay so far; the delays are
+    # ints, so the sum is exact and the mean is what the whole history gives
+    delay_sum = 0
+    delay_count = 0
 
     with Path(out_path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -54,13 +56,14 @@ def export_metrics(log: EventLog, out_path: str | Path) -> int:
                     submitted += 1
                 elif event.module == "host" and event.kind == "block":
                     confirmed += event.payload.get("txs", 0)
-                    delays.extend(event.payload.get("delays", []))
+                    delays = event.payload.get("delays", [])
+                    delay_sum += sum(delays)
+                    delay_count += len(delays)
                 elif event.module == "host" and event.kind == "balances":
                     balances.update(event.payload.get("balances", {}))
                 elif event.module == "tc" and event.kind == "stake":
                     stakes[event.payload["actor"]] = event.payload["stake"]
-            confirmed_total += confirmed
-            mean_delay = f"{sum(delays) / len(delays):.4f}" if delays else ""
+            mean_delay = f"{delay_sum / delay_count:.4f}" if delay_count else ""
             row = [tick, len(events), submitted, confirmed, mean_delay]
             row += [balances.get(name, "") for name in bal_cols]
             row += [stakes.get(name, "") for name in stake_cols]

@@ -20,7 +20,7 @@ when its txid was taken, so a block never encodes a transaction again.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..codec import Writer, sha256
@@ -34,14 +34,15 @@ from .validate import ValidationResult, validate_tx
 GENESIS_PARENT = bytes(32)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     height: int
     miner_id: str
     txs: tuple[Transaction, ...]
     parent: bytes
 
-    _hash = None  # memoised by block_hash; not a dataclass field
+    # memoised by block_hash; a field only for its slot, as Transaction's memos
+    _hash: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def serialize_block(block: Block) -> bytes:

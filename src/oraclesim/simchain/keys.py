@@ -20,13 +20,13 @@ class InvalidSeedError(ValueError):
     """keygen was given an empty seed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPair:
     secret: bytes  # 32 bytes
     pub: bytes  # 32 bytes, sha256(secret)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     signer_pub: bytes
     digest_signed: bytes

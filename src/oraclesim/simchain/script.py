@@ -12,7 +12,7 @@ standardness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from ..codec import Reader, Writer, pack_u8, pack_u32, pack_u64, sha256
@@ -28,7 +28,7 @@ _TAG_TIME_LOCKED = 5
 _TAG_EITHER = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PayToKey:
     pub: bytes
 
@@ -38,7 +38,7 @@ class PayToKey:
             raise ValueError("pay-to-key pub must be 32 bytes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiSig:
     m: int
     keys: tuple[bytes, ...]
@@ -56,7 +56,7 @@ class MultiSig:
             raise ValueError("commitment must be 32 bytes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScriptHash:
     h: bytes  # sha256 of the serialized redeem script
 
@@ -65,7 +65,7 @@ class ScriptHash:
             raise ValueError("script hash must be 32 bytes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataCarrier:
     payload: bytes
 
@@ -79,19 +79,21 @@ def _nest(lock, *inner) -> None:
     object.__setattr__(lock, "_depth", depth)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeLocked:
     inner: "LockScript"
     unlock_height: int
+    _depth: int | None = field(default=None, init=False, repr=False, compare=False)  # set by _nest
 
     def __post_init__(self) -> None:
         _nest(self, self.inner)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Either:
     left: "LockScript"
     right: "LockScript"
+    _depth: int | None = field(default=None, init=False, repr=False, compare=False)  # set by _nest
 
     def __post_init__(self) -> None:
         _nest(self, self.left, self.right)

@@ -15,6 +15,11 @@ chain's block encoding all read them.  `txid` and `sighash` keep their
 digests too, and a transaction derived from another by its witnesses
 alone inherits the sighash.  `serialize_tx` itself is the pure encoder.
 
+Every record here is a slotted frozen dataclass: no instance carries a
+`__dict__`.  So that the three memos have slots, they are declared fields,
+left out of `__init__`, `==`, `hash` and `repr`; `dataclasses.fields()`
+lists them, and nothing else sees them.
+
 Signing builds each transaction once.  `build_payment` hashes the unsigned
 transaction, signs that digest once, and constructs the signed transaction
 in one step, with the one `Witness` shared by every input and the sighash
@@ -24,7 +29,7 @@ rebuilds the inputs tuple once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 from ..codec import Reader, Writer, pack_u8, pack_u16, pack_u32, pack_u64, sha256
@@ -39,7 +44,7 @@ class InsufficientFundsError(ValueError):
     """Payment builder could not cover outputs plus fee."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     signatures: tuple[Signature, ...] = ()
     redeem: LockScript | None = None
@@ -50,13 +55,13 @@ EMPTY_WITNESS = Witness()
 _BLANK_WITNESS = b"\x00\x00\x00\x00"  # EMPTY_WITNESS: no signatures, redeem or preimage
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxInput:
     outpoint: tuple[bytes, int]  # (txid, output index)
     witness: Witness = EMPTY_WITNESS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxOutput:
     value: int  # satoshi
     lock: LockScript
@@ -66,17 +71,17 @@ class TxOutput:
             raise ValueError("output value must fit u64")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     inputs: tuple[TxInput, ...]
     outputs: tuple[TxOutput, ...]
     locktime: int = 0  # block height; 0 = no lock
 
-    # Memoised by _serialized, txid and sighash.  Not dataclass fields, so
-    # they take no part in equality, repr or `replace`, which starts them afresh.
-    _bytes = None
-    _txid = None
-    _sighash = None
+    # Memoised by _serialized, txid and sighash; fields only for their slots,
+    # so they take no part in equality, hash or repr, and `replace` starts them afresh.
+    _bytes: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _txid: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _sighash: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def with_witness(self, index: int, witness: Witness) -> "Transaction":
         """New transaction with input `index`'s witness replaced."""

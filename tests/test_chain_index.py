@@ -89,9 +89,13 @@ def check_chain(chain, owners, stranger, reading):
     assert chain.tip_hash == block_hash(tip) == sha256(w.getvalue())
     for tx in tip.txs:
         assert_digests_fresh(tx)
-        derived = [replace(tx, locktime=tx.locktime + 1)]
+        moved = replace(tx, locktime=tx.locktime + 1)
+        assert (moved._bytes, moved._txid, moved._sighash) == (None, None, None)
+        derived = [moved]
         if tx.inputs:
-            derived.append(tx.with_witness(0, Witness(expr_preimage=b"other")))
+            rewitnessed = tx.with_witness(0, Witness(expr_preimage=b"other"))
+            assert rewitnessed._sighash is tx._sighash is not None  # carried over
+            derived.append(rewitnessed)
         for other in derived:
             assert_digests_fresh(other)
 

@@ -25,7 +25,7 @@ from oraclesim.harness import (
 )
 from oraclesim.harness import scenario as scenario_module
 from oraclesim.harness.cli import main
-from oraclesim.harness.events import Event, _encode
+from oraclesim.harness.events import Event, _encode, first_difference
 from oraclesim.simchain import (
     DataCarrier,
     PayToKey,
@@ -220,8 +220,12 @@ def test_verify_replay_detects_any_difference():
     a.append(0, "m", "k", v=1)
     b.append(0, "m", "k", v=1)
     assert verify_replay(a, b)
+    assert first_difference(a, b) is None
     b.append(1, "m", "k", v=2)
     assert not verify_replay(a, b)
+    assert first_difference(a, b) == first_difference(b, a) == 1  # a ends first
+    a.append(1, "m", "k", v=3)
+    assert first_difference(a, b) == 1 and b.line(1) == _encode(b.events[1])
 
 
 # --------------------------------------------------------------- parsing
@@ -715,6 +719,47 @@ def test_metrics_row_count_matches_ticks(tmp_path):
     assert data[2][header.index("mean_delay")] == "0.0000"
 
 
+def test_metrics_mean_delay_is_the_mean_of_every_delay_so_far(tmp_path):
+    # an 80-byte broadcast is a nonstandard carrier: the strict miner leaves it
+    # waiting while bob's payments confirm at once, so the mean is not 0
+    doc = _minimal(
+        seed=3,
+        ticks=10,
+        actors=["alice", "bob"],
+        genesis=[
+            {"actor": "alice", "value": 50_000_000},
+            {"actor": "bob", "coins": 3, "value": 50_000_000},
+        ],
+        miners=[
+            {"id": "strict", "hashrate": 0.8, "accepts_nonstandard": False},
+            {"id": "lax", "hashrate": 0.2},
+        ],
+        actions=[
+            {"tick": 0, "op": "xcp_broadcast", "actor": "alice", "timestamp": 1, "value": 1,
+             "text": "x" * 80},
+            {"tick": 1, "op": "pay", "from": "bob", "to": "alice", "value": 1000},
+            {"tick": 3, "op": "pay", "from": "bob", "to": "alice", "value": 1000},
+        ],
+    )
+    log = run_scenario(doc).log
+    out = tmp_path / "metrics.csv"
+    export_metrics(log, out)
+    with out.open(newline="", encoding="utf-8") as handle:
+        header, *data = list(csv.reader(handle))
+    column = header.index("mean_delay")
+
+    delays: list[int] = []
+    expected = []
+    for tick in range(len(data)):
+        for block in log.matching("host/block"):
+            if block.tick == tick:
+                delays += block.payload["delays"]
+        expected.append(f"{sum(delays) / len(delays):.4f}" if delays else "")
+    assert [row[column] for row in data] == expected
+    assert expected[0] == "" and expected[1] == "0.0000"
+    assert sorted(set(delays)) == [0, 7] and expected[-1] == "2.3333"
+
+
 def test_metrics_carries_stake_columns(tmp_path):
     path = next(p for p in bundled_scenarios() if p.stem == "truthcoin_capture")
     result = run_scenario(path)
@@ -1157,10 +1202,32 @@ def test_cli_verify_compares_logs(tmp_path, capsys):
     log = tmp_path / "will_claim.log.jsonl"
     twin = tmp_path / "twin.jsonl"
     twin.write_bytes(log.read_bytes())
+    capsys.readouterr()
     assert main(["verify", str(log), str(twin)]) == 0
-    twin.write_bytes(log.read_bytes() + b'{"kind":"x","module":"m","payload":{},"tick":9}\n')
+    assert capsys.readouterr().out == "identical\n"
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+
+    # the twin runs on past the log: it is longer, and its first extra line is named
+    extra = '{"kind":"x","module":"m","payload":{},"tick":9}\n'
+    twin.write_text("".join(lines) + extra, encoding="utf-8")
+    n = len(lines) + 1
+    for pair in ([log, twin], [twin, log]):
+        assert main(["verify", *map(str, pair)]) == 1
+        assert capsys.readouterr().out == (
+            f"logs differ: {twin} is longer, from line {n}\n"
+            f"{twin}: tick 9 m/x: {extra}"
+        )
+
+    # line 3 differs: both versions of it are printed, with its tick and module/kind
+    changed = lines[2].replace('"delays":[0]', '"delays":[1]')
+    assert changed != lines[2] and lines[2].startswith('{"kind":"block","module":"host"')
+    twin.write_text("".join(lines[:2] + [changed] + lines[3:5]), encoding="utf-8")
     assert main(["verify", str(log), str(twin)]) == 1
-    assert "differ" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "logs differ at line 3\n"
+        f"{log}: tick 0 host/block: {lines[2]}"
+        f"{twin}: tick 0 host/block: {changed}"
+    )
 
 
 def test_cli_verify_and_metrics_refuse_a_malformed_log(tmp_path, capsys):

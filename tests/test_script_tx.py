@@ -2,15 +2,18 @@
 
 import hashlib
 import struct
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oraclesim.codec import TruncatedError, Writer
 from oraclesim.simchain import (
+    Block,
     DataCarrier,
     Either,
     InsufficientFundsError,
+    KeyPair,
     KeyRegistry,
     MultiSig,
     PayToKey,
@@ -23,6 +26,7 @@ from oraclesim.simchain import (
     TxInput,
     TxOutput,
     Witness,
+    block_hash,
     build_payment,
     deserialize_tx,
     p2sh_lock,
@@ -167,6 +171,42 @@ def test_sighash_ignores_witnesses_txid_does_not():
     assert signed.inputs[0].witness.signatures[0].digest_signed == sighash(base)
 
 
+def test_records_are_slotted_and_their_memos_are_invisible():
+    alice = KeyRegistry().keygen(b"alice")
+    unsigned = Transaction(
+        inputs=(TxInput(outpoint=(PUB_A, 0)),),
+        outputs=(TxOutput(value=1, lock=PayToKey(PUB_B)),),
+    )
+    tx = sign_input(unsigned, 0, alice)
+    block = Block(height=1, miner_id="m", txs=(tx,), parent=bytes(32))
+    sig = tx.inputs[0].witness.signatures[0]
+    records = [alice, sig, tx, tx.inputs[0], tx.inputs[0].witness, tx.outputs[0], block]
+    records += sample_locks()
+    assert {type(r) for r in records} == {
+        KeyPair, Signature, Transaction, TxInput, Witness, TxOutput, Block,
+        PayToKey, MultiSig, ScriptHash, DataCarrier, TimeLocked, Either,
+    }
+    for record in records:
+        assert "__slots__" in vars(type(record)) and not hasattr(record, "__dict__")
+
+    # memoised on one of two equal objects only, and seen by neither ==, hash nor repr
+    twin_tx = Transaction(tx.inputs, tx.outputs, tx.locktime)
+    twin_block = Block(block.height, block.miner_id, (twin_tx,), block.parent)
+    txid(tx), block_hash(block)
+    assert None not in (tx._bytes, tx._txid, tx._sighash, block._hash)
+    assert (twin_tx._bytes, twin_tx._txid, twin_tx._sighash, twin_block._hash) == (None,) * 4
+    for memoised, fresh in ((tx, twin_tx), (block, twin_block)):
+        assert memoised == fresh and hash(memoised) == hash(fresh)
+        assert repr(memoised) == repr(fresh)
+    assert "_hash" not in repr(block) and "_txid" not in repr(tx)
+    deep = Either(left=PayToKey(PUB_A), right=TimeLocked(inner=PayToKey(PUB_B), unlock_height=7))
+    assert deep._depth == 2 and "_depth" not in repr(deep)
+    # the memos are the only fields left out of __init__, and what fields() adds
+    assert [f.name for f in fields(Transaction) if not f.init] == ["_bytes", "_txid", "_sighash"]
+    assert [f.name for f in fields(Block) if not f.init] == ["_hash"]
+    assert [f.name for f in fields(Either) if not f.init] == ["_depth"]
+
+
 def test_cosigning_preserves_existing_signatures():
     reg = KeyRegistry()
     alice = reg.keygen(b"alice")
@@ -309,6 +349,7 @@ def test_locks_refuse_construction_past_the_limit(wrap):
     for _ in range(MAX_LOCK_DEPTH):
         lock = wrap(lock)
     assert deserialize_lock(serialize_lock(lock)) == lock
+    assert lock._depth == MAX_LOCK_DEPTH
     tx = Transaction(inputs=(), outputs=(TxOutput(value=0, lock=lock),))
     assert deserialize_tx(serialize_tx(tx)) == tx
     with pytest.raises(ValueError, match="nested deeper than"):
