@@ -16,14 +16,13 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-# Precompiled little-endian packers, one per fixed width; `struct.pack`
-# would look its format up again on every call.
-pack_u8 = struct.Struct("<B").pack
-pack_u16 = struct.Struct("<H").pack
-pack_u32 = struct.Struct("<I").pack
-pack_u64 = struct.Struct("<Q").pack
-pack_i64 = struct.Struct("<q").pack
-pack_f64 = struct.Struct("<d").pack  # IEEE-754 binary64; bit-exact across platforms
+# One precompiled little-endian struct per fixed width; `struct.pack` would
+# look its format up again on every call.
+_U8, _U16, _U32, _U64, _I64 = (struct.Struct(f) for f in ("<B", "<H", "<I", "<Q", "<q"))
+_F64 = struct.Struct("<d")  # IEEE-754 binary64; bit-exact across platforms
+pack_u8, pack_u16, pack_u32, pack_u64, pack_i64, pack_f64 = (
+    s.pack for s in (_U8, _U16, _U32, _U64, _I64, _F64)
+)
 
 
 class Writer:
@@ -90,17 +89,24 @@ class Reader:
         self._data = data
         self._pos = 0
 
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
+    def _advance(self, n: int) -> int:
+        """The offset of the next `n` bytes, which are consumed."""
+        pos = self._pos
+        if pos + n > len(self._data):
             raise TruncatedError(
-                f"need {n} bytes at offset {self._pos}, have {len(self._data) - self._pos}"
+                f"need {n} bytes at offset {pos}, have {len(self._data) - pos}"
             )
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
+        self._pos = pos + n
+        return pos
 
+    def _take(self, n: int) -> bytes:
+        pos = self._advance(n)
+        return self._data[pos : pos + n]
+
+    # each number is read by its precompiled struct at the current offset,
+    # without slicing its bytes out first
     def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
+        return _U8.unpack_from(self._data, self._advance(1))[0]
 
     def flag(self) -> bool:
         # a presence flag is exactly 0 or 1, so one value has one encoding
@@ -110,19 +116,19 @@ class Reader:
         return value == 1
 
     def u16(self) -> int:
-        return struct.unpack("<H", self._take(2))[0]
+        return _U16.unpack_from(self._data, self._advance(2))[0]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+        return _U32.unpack_from(self._data, self._advance(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
+        return _U64.unpack_from(self._data, self._advance(8))[0]
 
     def i64(self) -> int:
-        return struct.unpack("<q", self._take(8))[0]
+        return _I64.unpack_from(self._data, self._advance(8))[0]
 
     def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
+        return _F64.unpack_from(self._data, self._advance(8))[0]
 
     def raw(self, n: int) -> bytes:
         return self._take(n)

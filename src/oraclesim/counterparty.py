@@ -21,13 +21,15 @@ time and settle on the first feed broadcast at or past their deadline.
 from __future__ import annotations
 
 import json
+import struct
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .codec import Reader, TruncatedError, Writer, sha256
+from .codec import sha256
 from .datafeed import Comparator, compare
 from .simchain import (
     DataCarrier,
@@ -103,8 +105,6 @@ class Burn:
 
 MetaMessage = Send | Broadcast | Bet | Burn
 
-_SEND, _BROADCAST, _BET, _BURN = 1, 2, 3, 4
-
 
 def _xor_stream(data: bytes, key: bytes) -> bytes:
     if not key:
@@ -115,27 +115,106 @@ def _xor_stream(data: bytes, key: bytes) -> bytes:
     return mixed.to_bytes(size, "big")
 
 
-def _write_body(message: MetaMessage) -> bytes:
-    w = Writer()
-    if isinstance(message, Send):
-        w.u8(_SEND).string(message.asset).u64(message.qty).string(message.dest)
-    elif isinstance(message, Broadcast):
-        w.u8(_BROADCAST).u64(message.timestamp).i64(message.value)
-        w.u32(message.fee_fraction).string(message.text)
-    elif isinstance(message, Bet):
-        w.u8(_BET).string(message.feed).u8(int(message.comparator)).i64(message.target)
-        w.u64(message.deadline).u64(message.wager).u64(message.counterwager)
-        w.u8(message.side)
-    elif isinstance(message, Burn):
-        w.u8(_BURN).u64(message.btc_qty)
-    else:
-        raise TypeError(f"not a protocol message: {message!r}")
-    return w.getvalue()
+_STRING = "string"  # in a body layout: a u32 length-prefixed UTF-8 string field
+_LENGTH = struct.Struct("<I")
+
+
+class _Body:
+    """One message kind's body layout, which both directions read.
+
+    The body is the kind's `u8` tag, then its fields in declaration order:
+    each `_STRING` one string field, and each run of fixed-width fields one
+    precompiled little-endian struct, packed and unpacked in one call.
+    """
+
+    def __init__(self, tag: int, kind: type, layout: tuple[str, ...], make=None) -> None:
+        self.tag, self.kind = tag, kind
+        self.head = MAGIC + bytes((tag,))
+        names = tuple(f.name for f in fields(kind))
+        get = attrgetter(*names)
+        # the message -> its field values in order, and back
+        self.values = get if len(names) > 1 else lambda message: (get(message),)
+        self.make = make or kind
+        steps, at = [], 0
+        for part in layout:
+            run = None if part is _STRING else struct.Struct("<" + part)
+            width = 1 if run is None else len(part)
+            steps.append((run, at, at + width))
+            at += width
+        if at != len(names):
+            raise TypeError(f"{kind.__name__} layout covers {at} of {len(names)} fields")
+        self.steps = tuple(steps)
+
+    def encode(self, message: MetaMessage) -> bytes:
+        """The magic, then the body of `message`, before the cipher."""
+        values = self.values(message)
+        parts = [self.head]
+        for run, at, stop in self.steps:
+            if run is None:
+                text = values[at].encode("utf-8")
+                parts += (_LENGTH.pack(len(text)), text)
+            else:
+                parts.append(run.pack(*values[at:stop]))
+        return b"".join(parts)
+
+    def decode(self, plain: bytes, pos: int) -> MetaMessage:
+        """The message whose fields start at offset `pos` of `plain` and
+        run to its end."""
+        end, values = len(plain), []
+        for run, _, _ in self.steps:
+            if run is not None:
+                if pos + run.size > end:
+                    raise _truncated(pos, run.size, end)
+                values += run.unpack_from(plain, pos)
+                pos += run.size
+            else:
+                if pos + _LENGTH.size > end:
+                    raise _truncated(pos, _LENGTH.size, end)
+                (size,) = _LENGTH.unpack_from(plain, pos)
+                pos += _LENGTH.size
+                if pos + size > end:
+                    raise _truncated(pos, size, end)
+                values.append(plain[pos : pos + size].decode("utf-8"))
+                pos += size
+        if pos != end:
+            raise TruncatedPayloadError("trailing bytes after message")
+        return self.make(*values)
+
+
+def _truncated(pos: int, size: int, end: int) -> TruncatedPayloadError:
+    # offsets count from the tag, the first byte after the magic
+    at = pos - len(MAGIC)
+    return TruncatedPayloadError(f"need {size} bytes at offset {at}, have {end - pos}")
+
+
+_COMPARATORS = {int(c): c for c in Comparator}
+
+
+def _bet(feed: str, comparator: int, *terms: int) -> Bet:
+    if comparator not in _COMPARATORS:
+        raise ValueError(f"{comparator} is not a valid Comparator")
+    return Bet(feed, _COMPARATORS[comparator], *terms)
+
+
+# The one declaration of every body; FORMATS.md tabulates the same layouts.
+_BODIES = {
+    body.kind: body
+    for body in (
+        _Body(1, Send, (_STRING, "Q", _STRING)),
+        _Body(2, Broadcast, ("QqI", _STRING)),
+        _Body(3, Bet, (_STRING, "BqQQQB"), make=_bet),
+        _Body(4, Burn, ("Q",)),
+    )
+}
+_BODY_BY_TAG = {body.tag: body for body in _BODIES.values()}
 
 
 def encode_message(message: MetaMessage, key_txid: bytes) -> bytes:
     """Serialized, obfuscated payload: XOR(magic || body, first-input txid)."""
-    return _xor_stream(MAGIC + _write_body(message), key_txid)
+    body = _BODIES.get(type(message))
+    if body is None:
+        raise TypeError(f"not a protocol message: {message!r}")
+    return _xor_stream(body.encode(message), key_txid)
 
 
 def decode_payload(payload: bytes, key_txid: bytes) -> MetaMessage:
@@ -143,34 +222,13 @@ def decode_payload(payload: bytes, key_txid: bytes) -> MetaMessage:
     plain = _xor_stream(payload, key_txid)
     if not plain.startswith(MAGIC):
         raise BadMagicError("payload magic missing after decryption")
-    r = Reader(plain[len(MAGIC):])
-    try:
-        tag = r.u8()
-        if tag == _SEND:
-            message: MetaMessage = Send(asset=r.string(), qty=r.u64(), dest=r.string())
-        elif tag == _BROADCAST:
-            message = Broadcast(
-                timestamp=r.u64(), value=r.i64(), fee_fraction=r.u32(), text=r.string()
-            )
-        elif tag == _BET:
-            message = Bet(
-                feed=r.string(),
-                comparator=Comparator(r.u8()),
-                target=r.i64(),
-                deadline=r.u64(),
-                wager=r.u64(),
-                counterwager=r.u64(),
-                side=r.u8(),
-            )
-        elif tag == _BURN:
-            message = Burn(btc_qty=r.u64())
-        else:
-            raise ValueError(f"unknown message tag {tag}")
-        if not r.done():
-            raise TruncatedPayloadError("trailing bytes after message")
-    except TruncatedError as exc:
-        raise TruncatedPayloadError(str(exc)) from exc
-    return message
+    pos = len(MAGIC)
+    if pos == len(plain):
+        raise _truncated(pos, 1, pos)
+    body = _BODY_BY_TAG.get(plain[pos])
+    if body is None:
+        raise ValueError(f"unknown message tag {plain[pos]}")
+    return body.decode(plain, pos + 1)
 
 
 # ----------------------------------------------------- host transaction glue
@@ -183,15 +241,17 @@ def carrier_output(payload: bytes, owner_pub: bytes) -> TxOutput:
     over the spare keys of a 1-of-N multisig whose first key stays the
     owner's, 31 payload bytes per key behind a length byte.
     """
-    if len(payload) <= DATA_CARRIER_LIMIT:
+    size = len(payload)
+    if size <= DATA_CARRIER_LIMIT:
         return TxOutput(value=0, lock=DataCarrier(payload))
-    chunks = [payload[i : i + CHUNK] for i in range(0, len(payload), CHUNK)]
-    if len(chunks) + 1 > 15:
-        raise ValueError(f"payload of {len(payload)} bytes exceeds multisig capacity")
-    data_keys = tuple(
-        bytes([len(chunk)]) + chunk + b"\0" * (CHUNK - len(chunk)) for chunk in chunks
+    count = -(-size // CHUNK)
+    if count + 1 > 15:
+        raise ValueError(f"payload of {size} bytes exceeds multisig capacity")
+    padded = payload + bytes(count * CHUNK - size)  # the last chunk's zero padding
+    keys = (owner_pub,) + tuple(
+        bytes((min(CHUNK, size - i),)) + padded[i : i + CHUNK] for i in range(0, size, CHUNK)
     )
-    return TxOutput(value=0, lock=MultiSig(m=1, keys=(owner_pub, *data_keys)))
+    return TxOutput(value=0, lock=MultiSig(m=1, keys=keys))
 
 
 def carried_ciphertexts(tx: Transaction) -> list[bytes]:
@@ -419,7 +479,10 @@ def replay(chain: "SimChain") -> MetaState:
     memo (a fold replaces a changed bet or match in its list slot, never
     edits it), so a snapshot copies containers only: the record lists, the
     balances, the feeds, the `_open` map (its buckets are tuples, shared)
-    and each `_due` heap.
+    and each `_due` heap.  `_snapshot` constructs the new `MetaState` from
+    those copies and the three counts, one argument per field, with no
+    generic copy in between; a field added to `MetaState` needs its own
+    argument there, and the snapshot test fails until it has one.
     """
     # taken out while folding, so a fold that raises leaves no half-folded state
     state, last = _folds.pop(chain, (None, None))
@@ -436,15 +499,17 @@ def replay(chain: "SimChain") -> MetaState:
 
 def _snapshot(state: MetaState) -> MetaState:
     # every record is frozen and shared; only the containers are the caller's
-    return replace(
-        state,
+    return MetaState(
         balances=dict(state.balances),
         feeds={feed: list(entries) for feed, entries in state.feeds.items()},
         bets=list(state.bets),
         matches=list(state.matches),
         log=list(state.log),
+        burned=state.burned,
+        issued=state.issued,
         _open=dict(state._open),
         _due={feed: list(due) for feed, due in state._due.items()},
+        _escrowed=state._escrowed,
     )
 
 

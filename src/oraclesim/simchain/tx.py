@@ -5,9 +5,10 @@ witnesses included, and is the transaction's identity.  `sighash` hashes
 the same layout with every witness written blank (`Witness()`, the four
 bytes 00 00 00 00) — that is what signatures commit to, so co-signers can
 add their signatures to a partially signed transaction without
-invalidating earlier ones.  Both digests come from the one encoder,
-`serialize_tx`; for the sighash it writes the blank witnesses in place
-instead of encoding a witness-less copy.
+invalidating earlier ones.  `serialize_tx` writes the canonical bytes;
+`_blank_digest` writes the sighash preimage from a transaction's parts
+(outpoints, outputs, locktime), with the blank witness in each input's
+place, and both write the outputs and locktime with one helper.
 
 A `Transaction` is frozen, so each is serialized at most once: its
 canonical bytes are kept on the instance, and `txid`, `tx_size` and the
@@ -20,11 +21,12 @@ Every record here is a slotted frozen dataclass: no instance carries a
 left out of `__init__`, `==`, `hash` and `repr`; `dataclasses.fields()`
 lists them, and nothing else sees them.
 
-Signing builds each transaction once.  `build_payment` hashes the unsigned
-transaction, signs that digest once, and constructs the signed transaction
-in one step, with the one `Witness` shared by every input and the sighash
-carried over.  `with_witness`, and so `sign_input` and `add_signature`,
-rebuilds the inputs tuple once.
+Signing builds each transaction once.  `build_payment` builds no unsigned
+twin: it hashes the selected outpoints, the outputs and the locktime with
+`_blank_digest`, signs that digest once, and constructs the signed
+transaction in one step, with the one `Witness` shared by every input and
+the digest set as its sighash.  `with_witness`, and so `sign_input` and
+`add_signature`, rebuilds the inputs tuple once.
 """
 
 from __future__ import annotations
@@ -125,25 +127,43 @@ def _witness_from_reader(r: Reader) -> Witness:
     return Witness(signatures=sigs, redeem=redeem, expr_preimage=preimage)
 
 
-def serialize_tx(tx: Transaction, *, _blank_witnesses: bool = False) -> bytes:
-    """The canonical bytes of `tx`; `sighash` passes `_blank_witnesses` to
-    have every witness written as `Witness()`, which gives its preimage."""
+def serialize_tx(tx: Transaction) -> bytes:
+    """The canonical bytes of `tx`."""
     w = Writer()
     put = w.put
     put(pack_u16(len(tx.inputs)))
     for txin in tx.inputs:
         put(txin.outpoint[0])
         put(pack_u32(txin.outpoint[1]))
-        if _blank_witnesses:
-            put(_BLANK_WITNESS)
-        else:
-            _write_witness(w, txin.witness)
-    put(pack_u16(len(tx.outputs)))
-    for txout in tx.outputs:
+        _write_witness(w, txin.witness)
+    _write_outputs(w, tx.outputs, tx.locktime)
+    return w.getvalue()
+
+
+def _blank_digest(
+    outpoints: Sequence[tuple[bytes, int]], outputs: Sequence[TxOutput], locktime: int
+) -> bytes:
+    """The sighash of a transaction with these inputs, outputs and locktime:
+    the hash of its canonical bytes with every witness written `Witness()`."""
+    w = Writer()
+    put = w.put
+    put(pack_u16(len(outpoints)))
+    for spent, index in outpoints:
+        put(spent)
+        put(pack_u32(index))
+        put(_BLANK_WITNESS)
+    _write_outputs(w, outputs, locktime)
+    return sha256(w.getvalue())
+
+
+def _write_outputs(w: Writer, outputs: Sequence[TxOutput], locktime: int) -> None:
+    """The layout after the inputs, the same in the txid and the sighash."""
+    put = w.put
+    put(pack_u16(len(outputs)))
+    for txout in outputs:
         put(pack_u64(txout.value))
         write_lock(w, txout.lock)
-    put(pack_u64(tx.locktime))
-    return w.getvalue()
+    put(pack_u64(locktime))
 
 
 def deserialize_tx(data: bytes) -> Transaction:
@@ -176,7 +196,8 @@ def txid(tx: Transaction) -> bytes:
 
 def sighash(tx: Transaction) -> bytes:
     if tx._sighash is None:
-        object.__setattr__(tx, "_sighash", sha256(serialize_tx(tx, _blank_witnesses=True)))
+        digest = _blank_digest([txin.outpoint for txin in tx.inputs], tx.outputs, tx.locktime)
+        object.__setattr__(tx, "_sighash", digest)
     return tx._sighash
 
 
@@ -236,11 +257,11 @@ def build_payment(
     selected, gathered = select_coins(chain, sender.pub, target)
 
     change = gathered - target
-    outs = list(outputs)
+    outs = tuple(outputs)
     if change > 0:
-        outs.append(TxOutput(value=change, lock=PayToKey(sender.pub)))
-    unsigned = Transaction(
-        inputs=tuple(TxInput(outpoint=op) for op in selected), outputs=tuple(outs)
-    )
-    witness = Witness(signatures=(sign(sender.secret, sighash(unsigned)),))
-    return unsigned._rewitnessed(tuple(TxInput(op, witness) for op in selected))
+        outs += (TxOutput(value=change, lock=PayToKey(sender.pub)),)
+    digest = _blank_digest(selected, outs, 0)
+    witness = Witness(signatures=(sign(sender.secret, digest),))
+    tx = Transaction(tuple(TxInput(op, witness) for op in selected), outs)
+    object.__setattr__(tx, "_sighash", digest)
+    return tx

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from oraclesim.codec import Reader, Writer
+from oraclesim.codec import Reader, TruncatedError, Writer
 
 # (width, value, bytes): 0, the largest value, and one value whose bytes
 # differ from their reverse, so a big-endian packer would fail it
@@ -35,6 +35,19 @@ VECTORS = [
 def test_each_width_writes_its_little_endian_bytes(width, value, expected):
     assert getattr(Writer(), width)(value).getvalue() == expected
     assert getattr(Reader(expected), width)() == value
+
+
+@pytest.mark.parametrize("width, value, expected", VECTORS)
+def test_a_read_starts_at_the_offset_and_a_short_one_names_it(width, value, expected):
+    size = len(expected)
+    r = Reader(b"\x07" + expected + expected[:-1])
+    assert r.u8() == 7
+    assert getattr(r, width)() == value
+    message = f"need {size} bytes at offset {1 + size}, have {size - 1}"
+    for _ in range(2):  # a short read consumes nothing
+        with pytest.raises(TruncatedError) as raised:
+            getattr(r, width)()
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize(

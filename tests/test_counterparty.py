@@ -5,7 +5,7 @@ import hashlib
 import json
 import struct
 import weakref
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from random import Random
 from unittest.mock import patch
 
@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oraclesim import counterparty
+from oraclesim.codec import Reader, TruncatedError, Writer
 from oraclesim.counterparty import (
     BURN_PUB,
     BadMagicError,
@@ -197,6 +198,110 @@ def test_decode_payload_refuses_or_round_trips_edited_payloads(message, data):
     """One to three byte edits of a valid plaintext, sealed again under the key."""
     plain = _xor_stream(encode_message(message, KEY_A), KEY_A)
     _refuses_or_round_trips(_xor_stream(data.draw(_edits(plain)), KEY_A), KEY_A)
+
+
+# The Writer/Reader codec the body table replaced, kept as the reference the
+# table must agree with byte for byte and verdict for verdict.
+
+
+def _reference_encode(message, key: bytes) -> bytes:
+    w = Writer()
+    if isinstance(message, Send):
+        w.u8(1).string(message.asset).u64(message.qty).string(message.dest)
+    elif isinstance(message, Broadcast):
+        w.u8(2).u64(message.timestamp).i64(message.value)
+        w.u32(message.fee_fraction).string(message.text)
+    elif isinstance(message, Bet):
+        w.u8(3).string(message.feed).u8(int(message.comparator)).i64(message.target)
+        w.u64(message.deadline).u64(message.wager).u64(message.counterwager)
+        w.u8(message.side)
+    else:
+        w.u8(4).u64(message.btc_qty)
+    return _xor_stream(MAGIC + w.getvalue(), key)
+
+
+def _reference_decode(payload: bytes, key: bytes):
+    plain = _xor_stream(payload, key)
+    if not plain.startswith(MAGIC):
+        raise BadMagicError("payload magic missing after decryption")
+    r = Reader(plain[len(MAGIC):])
+    try:
+        tag = r.u8()
+        if tag == 1:
+            message = Send(asset=r.string(), qty=r.u64(), dest=r.string())
+        elif tag == 2:
+            message = Broadcast(
+                timestamp=r.u64(), value=r.i64(), fee_fraction=r.u32(), text=r.string()
+            )
+        elif tag == 3:
+            message = Bet(
+                feed=r.string(), comparator=Comparator(r.u8()), target=r.i64(),
+                deadline=r.u64(), wager=r.u64(), counterwager=r.u64(), side=r.u8(),
+            )
+        elif tag == 4:
+            message = Burn(btc_qty=r.u64())
+        else:
+            raise ValueError(f"unknown message tag {tag}")
+        if not r.done():
+            raise TruncatedPayloadError("trailing bytes after message")
+    except TruncatedError as exc:
+        raise TruncatedPayloadError(str(exc)) from exc
+    return message
+
+
+def _width(lo: int, hi: int):
+    """Integers of one codec width, its ends and their neighbours included."""
+    return st.one_of(st.sampled_from((lo, lo + 1, hi - 1, hi)), st.integers(lo, hi))
+
+
+_U8, _U32, _U64 = _width(0, 2**8 - 1), _width(0, 2**32 - 1), _width(0, 2**64 - 1)
+_I64 = _width(-(2**63), 2**63 - 1)
+_TEXT = st.text(max_size=40)  # non-ASCII and empty included; no lone surrogates
+
+MESSAGES = st.one_of(
+    st.builds(Send, asset=_TEXT, qty=_U64, dest=_TEXT),
+    st.builds(Broadcast, timestamp=_U64, value=_I64, fee_fraction=_U32, text=_TEXT),
+    st.builds(
+        Bet, feed=_TEXT, comparator=st.sampled_from(Comparator), target=_I64,
+        deadline=_U64, wager=_U64, counterwager=_U64, side=_U8,
+    ),
+    st.builds(Burn, btc_qty=_U64),
+)
+
+
+def _decodes_as_the_reference_does(payload: bytes, key: bytes) -> None:
+    try:
+        expected = _reference_decode(payload, key)
+    except (BadMagicError, TruncatedPayloadError, ValueError):
+        # what the reference refuses is refused with an exception `replay` skips
+        with pytest.raises((BadMagicError, TruncatedPayloadError, ValueError)):
+            decode_payload(payload, key)
+        return
+    decoded = decode_payload(payload, key)
+    assert decoded == expected
+    assert repr(decoded) == repr(expected)  # the comparator is a Comparator, not an int
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    message=MESSAGES,
+    key=st.binary(min_size=1, max_size=40),
+    tag=st.one_of(st.sampled_from((1, 2, 3, 4)), st.integers(0, 255)),
+    body=st.binary(max_size=100),
+    data=st.data(),
+)
+def test_the_body_table_agrees_with_the_writer_reader_reference(message, key, tag, body, data):
+    payload = encode_message(message, key)
+    assert payload == _reference_encode(message, key)
+    decoded = decode_payload(payload, key)
+    assert decoded == message == _reference_decode(payload, key)
+    assert repr(decoded) == repr(message)
+
+    plain = _xor_stream(payload, key)
+    for cut in range(len(payload)):
+        _decodes_as_the_reference_does(payload[:cut], key)
+    _decodes_as_the_reference_does(_xor_stream(data.draw(_edits(plain)), key), key)
+    _decodes_as_the_reference_does(_xor_stream(MAGIC + bytes((tag,)) + body, key), key)
 
 
 def test_small_payloads_ride_a_data_carrier():
@@ -837,6 +942,43 @@ def test_a_fold_that_raises_leaves_nothing_half_folded(monkeypatch):
         replay(chain)
     monkeypatch.undo()
     assert state_digest(replay(chain)) == state_digest(full_fold(chain))
+
+
+def _containers(value):
+    """Every list, dict and set in `value`, through nested containers and
+    tuples; frozen records are shared by design and not entered."""
+    if isinstance(value, (list, dict, set)):
+        yield value
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    if isinstance(value, (list, tuple, set)):
+        for item in value:
+            yield from _containers(item)
+
+
+def test_a_snapshot_copies_every_field_and_shares_no_container():
+    chain, people = make_chain()
+    alice, bob, claire = people["alice"], people["bob"], people["claire"]
+    feed = addr(claire)
+    seeded_bettors(chain, people)
+    broadcast = Broadcast(timestamp=10, value=1, fee_fraction=0, text="")
+    mine(chain, compose_message_tx(chain, claire, broadcast), seed=60)
+    # a matched pair holds an escrow; a bet on other terms stays open
+    mine(chain, compose_message_tx(chain, alice, make_bet(1, 10 * XCP_UNIT, 5 * XCP_UNIT, feed)), seed=61)
+    mine(chain, compose_message_tx(chain, bob, make_bet(0, 5 * XCP_UNIT, 10 * XCP_UNIT, feed)), seed=62)
+    mine(chain, compose_message_tx(chain, bob, make_bet(1, XCP_UNIT, XCP_UNIT, feed)), seed=63)
+    snapshot = replay(chain)
+    memo = counterparty._folds[chain][0]
+    assert snapshot is not memo
+
+    for f in fields(MetaState):  # `compare=False` fields included
+        kept, copied = getattr(memo, f.name), getattr(snapshot, f.name)
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        # so that a field the snapshot leaves out, and so at its default, shows
+        assert kept != default, f"{f.name}: the traffic above must reach this field"
+        assert copied == kept, f.name
+        shared = {id(c) for c in _containers(kept)} & {id(c) for c in _containers(copied)}
+        assert not shared, f"{f.name}: the snapshot shares a container with the memo"
 
 
 def test_replay_memo_does_not_keep_a_chain_alive():

@@ -38,7 +38,7 @@ from oraclesim.simchain import (
     txid,
 )
 from oraclesim.simchain.script import MAX_LOCK_DEPTH, deserialize_lock
-from oraclesim.simchain.tx import add_signature, select_coins, sign_input
+from oraclesim.simchain.tx import _serialized, add_signature, select_coins, sign_input
 
 PUB_A = bytes([0x11]) * 32
 PUB_B = bytes([0x22]) * 32
@@ -504,35 +504,41 @@ def test_serialize_tx_matches_the_reference_and_sighash_blanks_every_witness(tx)
     assert sighash(tx) == hashlib.sha256(_reference_tx(blanked)).digest()
 
 
-def test_build_payment_equals_the_chained_with_witness_loop():
+# alice holds 400, 300, 200 and 100, spent in that order: `coins` of them
+# cover paid + fee and leave `change`
+@pytest.mark.parametrize(
+    "paid, fee, coins, change",
+    [
+        (350, 20, 1, 30), (400, 0, 1, 0),
+        (500, 10, 2, 190), (700, 0, 2, 0),
+        (880, 0, 3, 20), (880, 20, 3, 0),
+        (950, 20, 4, 30), (1000, 0, 4, 0),
+    ],
+)
+def test_build_payment_equals_its_unsigned_twin_signed_input_by_input(paid, fee, coins, change):
     reg = KeyRegistry()
-    alice = reg.keygen(b"alice")
-    bob = reg.keygen(b"bob")
+    alice, bob = reg.keygen(b"alice"), reg.keygen(b"bob")
     chain = SimChain(
         policy=POLICY_TEST2013,
         genesis=[TxOutput(value=v, lock=PayToKey(alice.pub)) for v in (400, 300, 200, 100)],
         keys=reg,
     )
-    pay = TxOutput(value=950, lock=PayToKey(bob.pub))
-    tx = build_payment(chain, alice, [pay], fee=20)
+    pay = TxOutput(value=paid, lock=PayToKey(bob.pub))
+    tx = build_payment(chain, alice, [pay], fee=fee)
 
-    # the builder before it signed once: one with_witness per input
-    coins = [outpoint for outpoint, _ in chain.utxos_for(alice.pub)]
-    unsigned = Transaction(
-        inputs=tuple(TxInput(outpoint=op) for op in coins),
-        outputs=(pay, TxOutput(value=30, lock=PayToKey(alice.pub))),
-    )
-    sig = sign(alice.secret, sighash(unsigned))
-    chained = unsigned
-    for i in range(len(coins)):
-        chained = chained.with_witness(i, Witness(signatures=(sig,)))
+    outputs = (pay, TxOutput(value=change, lock=PayToKey(alice.pub))) if change else (pay,)
+    spent = [outpoint for outpoint, _ in chain.utxos_for(alice.pub)][:coins]
+    twin = Transaction(inputs=tuple(TxInput(op) for op in spent), outputs=outputs)
+    for index in range(coins):
+        twin = sign_input(twin, index, alice)
 
-    assert len(tx.inputs) == 4
-    assert tx.inputs == chained.inputs
-    assert tx.outputs == chained.outputs
-    assert tx.locktime == chained.locktime
-    assert txid(tx) == txid(chained)
-    assert sighash(tx) == sighash(deserialize_tx(serialize_tx(tx))) == sighash(unsigned)
+    assert tx == twin
+    assert _serialized(tx) == _serialized(twin)
+    assert txid(tx) == txid(twin)
+    assert tx._sighash is not None  # set when it was built
+    assert sighash(tx) == sighash(twin) == sighash(deserialize_tx(_serialized(tx)))
+    assert [i.witness for i in tx.inputs] == [i.witness for i in twin.inputs]
+    assert tx.with_witness(0, Witness())._sighash == sighash(twin)
     assert chain.validate(tx)
 
 
