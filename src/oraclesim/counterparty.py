@@ -41,6 +41,7 @@ from .simchain import (
     build_payment,
     txid,
 )
+from .simchain.tx import select_coins
 
 if TYPE_CHECKING:
     from .simchain import Block, SimChain
@@ -281,12 +282,10 @@ def compose_message_tx(
     fee: int = 1000,
     extra_outputs: tuple[TxOutput, ...] = (),
 ) -> Transaction:
-    """Build and sign a host transaction carrying one protocol message."""
-    order, _ = chain._owned(sender.pub)
-    if not order:
-        raise ValueError("sender has no spendable coins")
-    key_txid = order[0][0]  # coin selection takes outpoints in this order
-    payload = encode_message(message, key_txid)
+    """Build and sign a host transaction carrying one protocol message,
+    keyed by the first coin that any spend by the sender takes."""
+    coins, _ = select_coins(chain, sender.pub, 0)
+    payload = encode_message(message, coins[0][0])
     outputs = [carrier_output(payload, sender.pub), *extra_outputs]
     return build_payment(chain, sender, outputs, fee=fee)
 

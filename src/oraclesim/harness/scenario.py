@@ -602,10 +602,12 @@ def _op_rk_post(w: World, fact: str) -> None:
 
 def _op_rk_object(w: World, fact: str, tip: int, claimed: realitykeys.Outcome) -> None:
     try:
-        flipped = w.rk_registry.object(w.rk_facts[fact], tip=tip, claimed=claimed, now=w.now)
+        w.rk_registry.object(w.rk_facts[fact], tip=tip, claimed=claimed, now=w.now)
     except realitykeys.RealityKeysError as exc:
         w.emit("rk", "objection", fact=fact, accepted=False, reason=type(exc).__name__)
         return
+    registered = w.rk_registry.facts[w.rk_facts[fact]]
+    flipped = registered.human_override not in (None, registered.posted_result)
     w.emit("rk", "objection", fact=fact, accepted=True, flipped=flipped)
 
 

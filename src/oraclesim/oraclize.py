@@ -295,11 +295,13 @@ class Oracle:
     ) -> ConditionalContract:
         """Escrow both stakes behind the 2-of-3 lock and pre-sign the refund.
 
-        The funding transaction is broadcast; the refund draft spends the
-        escrow back to the agents (split pro rata, fees from the pot) and
-        carries the locktime, so it only becomes minable if the oracle
-        goes dark past that height.
+        The refund draft spends the escrow back to the agents (split pro
+        rata, fees from the pot) and carries the locktime, so it only
+        becomes minable if the oracle goes dark past that height.  The
+        funding is broadcast last, so a refused contract broadcasts nothing.
         """
+        if sum(stakes) == 0:
+            raise ValueError("the stakes total zero")
         if end <= start:
             raise EmptyTimeframeError(f"window [{start}, {end}] has no duration")
         if poll_interval <= 0:
@@ -315,8 +317,8 @@ class Oracle:
         lock = MultiSig(m=2, keys=(alice.pub, bob.pub, third))
         escrow_value = sum(stakes) - fee
 
-        coins_a, total_a = select_coins(chain, alice.pub, stakes[0], at_least_one=True)
-        coins_b, total_b = select_coins(chain, bob.pub, stakes[1], at_least_one=True)
+        coins_a, total_a = select_coins(chain, alice.pub, stakes[0])
+        coins_b, total_b = select_coins(chain, bob.pub, stakes[1])
         outputs = [TxOutput(value=escrow_value, lock=lock)]
         if total_a > stakes[0]:
             outputs.append(TxOutput(value=total_a - stakes[0], lock=PayToKey(alice.pub)))
@@ -328,10 +330,6 @@ class Oracle:
         )
         for index in range(len(funding.inputs)):
             funding = sign_input(funding, index, alice if index < len(coins_a) else bob)
-        _broadcast(chain, funding, "funding")
-
-        contract_id = f"oc-{self._next_id}"
-        self._next_id += 1
         funding_outpoint = (txid(funding), 0)
 
         refund_value = escrow_value - fee
@@ -346,6 +344,9 @@ class Oracle:
         )
         refund = sign_input(refund, 0, alice, bob)
 
+        _broadcast(chain, funding, "funding")
+        contract_id = f"oc-{self._next_id}"
+        self._next_id += 1
         return ConditionalContract(
             contract_id=contract_id,
             alice_pub=alice.pub,

@@ -9,7 +9,7 @@ destroys the losing one: after that point no registry API can produce it.
 The demo contract is the two-party stake: a P2SH whose redeem script is
 (alice AND yes-key) OR (bob AND no-key), funded from both parties' purpose
 made temporary addresses in a single co-signed transaction that each party
-reconstructs and byte-compares before signing.
+reconstructs before signing, comparing the blank-witness digests they sign.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from .simchain import (
     Transaction,
     TxOutput,
     p2sh_lock,
-    serialize_tx,
+    sighash,
     txid,
 )
 from .simchain.chain import SimChain
-from .simchain.tx import TxInput, sign_input
+from .simchain.tx import TxInput, _blank_digest, sign_input
 
 DEFAULT_OBJECTION_WINDOW = 86_400  # seconds
 MIN_OBJECTION_TIP = 1_000_000  # satoshi (10 mBTC)
@@ -295,11 +295,13 @@ def demo_setup(
 def demo_countersign(
     chain: SimChain, contract: DemoContract, bob_temp: KeyPair, partial: Transaction, fee: int = 0
 ) -> Transaction:
-    """Bob rebuilds the spend independently and byte-compares before signing."""
+    """Bob rebuilds the spend and signs his rebuild only if the partner's
+    transaction, recomputed from its parts, has the same blank-witness digest."""
     rebuilt = _setup_unsigned(chain, contract, fee)
-    if serialize_tx(partial.without_witnesses()) != serialize_tx(rebuilt):
+    outpoints = [txin.outpoint for txin in partial.inputs]
+    if _blank_digest(outpoints, partial.outputs, partial.locktime) != sighash(rebuilt):
         raise ReconstructionMismatchError("partner's transaction differs from the rebuilt one")
-    complete = sign_input(partial, 1, bob_temp)
+    complete = sign_input(rebuilt.with_witness(0, partial.inputs[0].witness), 1, bob_temp)
     contract.funding_outpoint = (txid(complete), 0)
     return complete
 

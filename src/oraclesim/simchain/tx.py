@@ -27,6 +27,10 @@ twin: it hashes the selected outpoints, the outputs and the locktime with
 transaction in one step, with the one `Witness` shared by every input and
 the digest set as its sighash.  `with_witness`, and so `sign_input` and
 `add_signature`, rebuilds the inputs tuple once.
+
+`select_coins` is the one coin-selection rule of every host spend: the
+owner's coins in outpoint order until the target is covered, and always at
+least one, since a transaction without inputs is never valid.
 """
 
 from __future__ import annotations
@@ -86,20 +90,11 @@ class Transaction:
     _sighash: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def with_witness(self, index: int, witness: Witness) -> "Transaction":
-        """New transaction with input `index`'s witness replaced."""
+        """New transaction with input `index`'s witness replaced; the sighash carries over."""
         inputs = list(self.inputs)
         inputs[index] = TxInput(inputs[index].outpoint, witness)
-        return self._rewitnessed(tuple(inputs))
-
-    def without_witnesses(self) -> "Transaction":
-        return self._rewitnessed(tuple(TxInput(i.outpoint) for i in self.inputs))
-
-    def _rewitnessed(self, inputs: tuple[TxInput, ...]) -> "Transaction":
-        """This transaction with `inputs`, which differ from its own in
-        witnesses only; the sighash blanks them, so it carries over."""
-        derived = Transaction(inputs, self.outputs, self.locktime)
-        if self._sighash is not None:
-            object.__setattr__(derived, "_sighash", self._sighash)
+        derived = Transaction(tuple(inputs), self.outputs, self.locktime)
+        object.__setattr__(derived, "_sighash", self._sighash)
         return derived
 
 
@@ -218,26 +213,25 @@ def add_signature(tx: Transaction, index: int, sig: Signature) -> Transaction:
     return tx.with_witness(index, replace(wit, signatures=wit.signatures + (sig,)))
 
 
-def select_coins(
-    chain: "SimChain", pub: bytes, target: int, at_least_one: bool = False
-) -> tuple[list[tuple[bytes, int]], int]:
-    """Take the owner's pay-to-key outpoints, in sorted order, until `target` is covered.
+def select_coins(chain: "SimChain", pub: bytes, target: int) -> tuple[list[tuple[bytes, int]], int]:
+    """Take the owner's pay-to-key outpoints, in sorted order, until `target`
+    is covered, and always at least one: a transaction without inputs is
+    never valid, so the first coin taken is the same for every target.
 
     Walks the chain's kept order of the owner's outpoints and stops at the
     first coins that cover `target`, so neither the set nor the owner's
     coins are scanned or sorted.  Returns the outpoints taken and their
-    total.  With `at_least_one`, one coin is taken even when `target` is
-    zero.  Raises InsufficientFundsError when the owner's coins run out first.
+    total.  Raises InsufficientFundsError when the owner's coins run out first.
     """
     order, coins = chain._owned(pub)
     picked: list[tuple[bytes, int]] = []
     have = 0
     for outpoint in order:
-        if have >= target and (picked or not at_least_one):
+        if picked and have >= target:
             break
         picked.append(outpoint)
         have += coins[outpoint].value
-    if have < target or (at_least_one and not picked):
+    if have < target or not picked:
         raise InsufficientFundsError(f"need {target}, have {have}")
     return picked, have
 
@@ -247,9 +241,9 @@ def build_payment(
 ) -> Transaction:
     """Spend the sender's pay-to-key UTXOs into `outputs` plus change.
 
-    Coin selection is deterministic (outpoints in sorted order).  Raises
-    InsufficientFundsError when the sender's spendable value cannot cover
-    outputs plus fee.
+    Coins are taken by `select_coins`, so the payment has at least one
+    input.  Raises InsufficientFundsError when the sender's spendable value
+    cannot cover outputs plus fee.
     """
     if fee < 0:
         raise ValueError("fee must be non-negative")

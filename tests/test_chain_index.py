@@ -23,10 +23,12 @@ from hypothesis import strategies as st
 from oraclesim.codec import Writer, sha256
 from oraclesim.counterparty import (
     XCP,
+    Broadcast,
     Send,
     carried_ciphertexts,
     compose_message_tx,
     decode_payload,
+    replay,
 )
 from oraclesim.simchain import (
     DataCarrier,
@@ -70,7 +72,8 @@ def assert_digests_fresh(tx: Transaction) -> None:
     assert _serialized(tx) == data
     assert txid(tx) == sha256(data)
     assert tx_size(tx) == len(data)
-    assert sighash(tx) == sha256(serialize_tx(tx.without_witnesses()))
+    blank = Transaction(tuple(TxInput(txin.outpoint) for txin in tx.inputs), tx.outputs, tx.locktime)
+    assert sighash(tx) == sha256(serialize_tx(blank))
 
 
 def check_chain(chain, owners, stranger, reading):
@@ -194,20 +197,25 @@ def test_compose_message_tx_keys_the_payload_by_the_first_coin():
     genesis = [TxOutput(value=25_000, lock=PayToKey(rich.pub)) for _ in range(3)]
     chain = SimChain(policy=POLICY_V090, genesis=genesis, keys=reg)
     message = Send(XCP, 1, "dest")
-    with pytest.raises(ValueError, match="^sender has no spendable coins$") as caught:
+    # a sender with no coin cannot spend, so it cannot compose either
+    with pytest.raises(InsufficientFundsError, match="^need 0, have 0$"):
         compose_message_tx(chain, poor, message, fee=0)
-    assert type(caught.value) is ValueError
     [(first, _), *_] = chain.utxos_for(rich.pub)
     # the payload is keyed by the first coin in outpoint order, and coin
     # selection spends that coin first
     tx = compose_message_tx(chain, rich, message, fee=30_000)
     assert [txin.outpoint for txin in tx.inputs] == [op for op, _ in chain.utxos_for(rich.pub)[:2]]
     assert decode_payload(carried_ciphertexts(tx)[0], first[0]) == message
-    # with no fee and no extra outputs nothing needs covering: no inputs at
-    # all, and the payload is still keyed by the first coin
-    tx = compose_message_tx(chain, rich, message, fee=0)
-    assert tx.inputs == ()
-    assert decode_payload(carried_ciphertexts(tx)[0], first[0]) == message
+    # with no fee and no extra outputs the spend still takes that one coin,
+    # keys the payload by it, and replays as a valid message
+    feed = Broadcast(timestamp=1, value=0, fee_fraction=0, text="t")
+    tx = compose_message_tx(chain, rich, feed, fee=0)
+    assert [txin.outpoint for txin in tx.inputs] == [first]
+    assert decode_payload(carried_ciphertexts(tx)[0], first[0]) == feed
+    assert chain.submit(tx).accepted
+    assert chain.mine_next(SOLO, Random(1)).txs == (tx,)
+    [entry] = replay(chain).log
+    assert (entry.txid, entry.message, entry.valid) == (txid(tx), feed, True)
 
 
 def test_submitting_and_mining_encodes_each_tx_once(monkeypatch):

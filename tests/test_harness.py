@@ -1055,37 +1055,50 @@ def _cosign_by_outsider(doc):
     _last("oz_cosign", agent="carol")(doc)
 
 
+_OZ_WITHOUT_CONTRACT = [("oz_poll", "KeyError")] * 3 + [("oz_cosign", "KeyError")]
+
+
 @pytest.mark.parametrize(
-    "stem, mutate, refused",
+    "stem, mutate, refused, txs_at_1",
     [
         # the tick-1 poll comes before milan.temp's first entry
         ("oraclize_milan", lambda d: d["sources"][0]["entries"][0].update(time=1700010000),
-         [("oz_poll", "NoDataError")]),
+         [("oz_poll", "NoDataError")], 1),
         # the escrow cannot pay the fee; the cosign then finds no settlement
         ("oraclize_milan", _last("oz_poll", fee=10**9),
-         [("oz_poll", "ValueError"), ("oz_cosign", "KeyError")]),
-        ("oraclize_milan", _cosign_by_outsider, [("oz_cosign", "BadWitnessError")]),
+         [("oz_poll", "ValueError"), ("oz_cosign", "KeyError")], 1),
+        ("oraclize_milan", _cosign_by_outsider, [("oz_cosign", "BadWitnessError")], 1),
         ("oraclize_dead_oracle",
          lambda d: d["actions"].append({"tick": 6, "op": "oz_default", "id": "z1", "fee": 10**9}),
-         [("oz_default", "ValueError")]),
+         [("oz_default", "ValueError")], 1),
+        # a refused contract broadcasts nothing: no funding reaches block 1,
+        # and every later op on it finds no contract
+        ("oraclize_milan", _last("oz_contract", stakes=[0, 0], fee=0),
+         [("oz_contract", "ValueError"), *_OZ_WITHOUT_CONTRACT], 0),
+        # the escrow covers its own fee but not the refund's
+        ("oraclize_milan", _last("oz_contract", stakes=[1500, 1000], fee=1500),
+         [("oz_contract", "ValueError"), *_OZ_WITHOUT_CONTRACT], 0),
         # the maker then cannot fund the market, so nothing trades in it
         ("truthcoin_market", lambda d: d["actions"][1].update(amount=-5),
          [("tc_peg_in", "ValueError"), ("tc_market", "InsufficientCSHError"),
-          ("tc_trade", "KeyError"), ("tc_redeem", "KeyError")]),
+          ("tc_trade", "KeyError"), ("tc_redeem", "KeyError")], 0),
         # ops that need the registry or the sidechain, before the op that makes it
         ("will_claim", lambda d: d["actions"].insert(0, {"tick": 0, "op": "rk_post", "fact": "f"}),
-         [("rk_post", "LookupError")]),
+         [("rk_post", "LookupError")], 1),
         ("will_claim", lambda d: d["actions"].insert(0, {"tick": 0, "op": "tc_ballot"}),
-         [("tc_ballot", "LookupError")]),
+         [("tc_ballot", "LookupError")], 1),
     ],
     ids=["oz_poll_before_data", "oz_poll_fee", "oz_cosign_outsider", "oz_default_fee",
-         "tc_peg_in_negative", "rk_before_registry", "tc_before_init"],
+         "oz_zero_stakes", "oz_refund_short", "tc_peg_in_negative", "rk_before_registry",
+         "tc_before_init"],
 )
-def test_a_refused_op_is_logged_and_the_run_goes_on(stem, mutate, refused):
+def test_a_refused_op_is_logged_and_the_run_goes_on(stem, mutate, refused, txs_at_1):
     result = run_scenario(_mutated(stem, mutate))
     assert (result.log.events[-1].module, result.log.events[-1].kind) == ("run", "end")
     logged = [(e.payload["op"], e.payload["reason"]) for e in result.log.matching("run/refused")]
     assert logged == refused
+    [block] = result.log.matching("host/block", {"height": 1})
+    assert block.payload["txs"] == txs_at_1
 
 
 def test_a_refused_op_keeps_what_it_did_before_the_refusal():
@@ -1099,6 +1112,22 @@ def test_a_refused_op_keeps_what_it_did_before_the_refusal():
     [stake] = log.matching("rk/tx_submitted")
     [block] = log.matching("host/block", {"height": 1})
     assert (stake.tick, block.payload["txs"]) == (0, 1)
+
+
+@pytest.mark.parametrize("human_agrees", [True, False, None], ids=["agrees", "disagrees", "absent"])
+def test_an_objection_is_flipped_only_when_the_finalized_outcome_moves(human_agrees):
+    def judge(doc):
+        registry = next(a for a in doc["actions"] if a["op"] == "rk_registry")
+        del registry["human_agrees"]
+        if human_agrees is not None:
+            registry["human_agrees"] = human_agrees
+
+    log = run_scenario(_mutated("realitykeys_objection", judge)).log
+    [objection] = log.matching("rk/objection", {"accepted": True})
+    [posted] = log.matching("rk/result")
+    [final] = log.matching("rk/finalized")
+    moved = final.payload["outcome"] != posted.payload["outcome"]
+    assert objection.payload["flipped"] is moved is (human_agrees is True)
 
 
 @pytest.mark.parametrize(

@@ -446,7 +446,8 @@ def test_threshold_witness_enumeration():
     contract = fund(chain, oracle, alice, bob, milan_conditions(bob.pub))
     settlement = oracle.poll(contract, T0 + HOUR)
 
-    lone = replace(settlement, tx=settlement.tx.without_witnesses())
+    # the settlement with the oracle's signature taken off its one input
+    lone = replace(settlement, tx=settlement.tx.with_witness(0, Witness()))
     with pytest.raises(BadWitnessError):
         co_sign_and_broadcast(chain, lone, bob)  # bob alone is 1 of 2
 

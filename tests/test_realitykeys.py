@@ -1,6 +1,7 @@
 """Fact lifecycle, selective key release, and the two-party demo contract."""
 
 import hashlib
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -36,6 +37,7 @@ from oraclesim.simchain import (
     PayToKey,
     POLICY_V090,
     SimChain,
+    TxInput,
     TxOutput,
     Witness,
     build_payment,
@@ -243,6 +245,28 @@ def test_demo_countersign_rejects_altered_rebuild(demo_env):
     )
     with pytest.raises(ReconstructionMismatchError):
         demo_countersign(chain, contract, bob_temp, greedy)
+
+    # one outpoint, one output value or the locktime off: each is refused,
+    # also when the partner's memoised sighash claims the agreed digest
+    [(spent, index), other] = [txin.outpoint for txin in partial.inputs]
+    [escrow] = partial.outputs
+    altered = [
+        replace(partial, inputs=(TxInput((spent, index + 1), partial.inputs[0].witness),
+                                 TxInput(other))),
+        replace(partial, outputs=(replace(escrow, value=escrow.value - 1),)),
+        replace(partial, locktime=1),
+    ]
+    for tx in altered:
+        for forged in (False, True):
+            if forged:
+                object.__setattr__(tx, "_sighash", sighash(partial))
+            with pytest.raises(ReconstructionMismatchError):
+                demo_countersign(chain, contract, bob_temp, tx)
+    # a forged memo on the agreed transaction changes nothing: Bob signs his rebuild
+    agreed = replace(partial)
+    object.__setattr__(agreed, "_sighash", bytes(32))
+    complete = demo_countersign(chain, contract, bob_temp, agreed)
+    assert chain.submit(complete).accepted
 
 
 def test_demo_setup_requires_agreed_stakes(demo_env):

@@ -3,6 +3,7 @@
 import hashlib
 import struct
 from dataclasses import fields
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from oraclesim.simchain import (
     InsufficientFundsError,
     KeyPair,
     KeyRegistry,
+    Miner,
     MultiSig,
     PayToKey,
     POLICY_TEST2013,
@@ -402,24 +404,27 @@ def test_build_payment_insufficient_funds(funded_chain):
 def test_select_coins_zero_target_edge(funded_chain):
     chain, alice, bob = funded_chain
     first = chain.utxos_for(alice.pub)[0]
-    # build_payment's rule: a covered target takes no coin
-    assert select_coins(chain, alice.pub, 0) == ([], 0)
-    # the escrow funders' rule: at least one coin, even for a zero stake
-    assert select_coins(chain, alice.pub, 0, at_least_one=True) == ([first[0]], first[1].value)
-    assert select_coins(chain, bob.pub, 0) == ([], 0)
-    with pytest.raises(InsufficientFundsError):
-        select_coins(chain, bob.pub, 0, at_least_one=True)
+    # one rule for every spend: at least one coin, even for a zero target
+    assert select_coins(chain, alice.pub, 0) == ([first[0]], first[1].value)
+    # so an owner with no coins cannot cover even a zero target
+    with pytest.raises(InsufficientFundsError, match="^need 0, have 0$"):
+        select_coins(chain, bob.pub, 0)
+    # a payment of nothing, with no fee, spends one coin and confirms
     free = build_payment(chain, alice, [TxOutput(value=0, lock=PayToKey(bob.pub))])
-    assert free.inputs == ()
+    assert [txin.outpoint for txin in free.inputs] == [first[0]]
+    assert chain.submit(free).accepted
+    block = chain.mine_next([Miner("solo", 1.0)], Random(1))
+    assert block.txs == (free,)
 
 
 def test_select_coins_walks_sorted_outpoints(funded_chain):
     chain, alice, bob = funded_chain
     coins = chain.utxos_for(alice.pub)
     total = sum(out.value for _, out in coins)
+    assert select_coins(chain, alice.pub, coins[0][1].value) == ([coins[0][0]], coins[0][1].value)
     assert select_coins(chain, alice.pub, coins[0][1].value + 1) == ([op for op, _ in coins], total)
     with pytest.raises(InsufficientFundsError, match=f"need {total + 1}, have {total}"):
-        select_coins(chain, alice.pub, total + 1, at_least_one=True)
+        select_coins(chain, alice.pub, total + 1)
 
 
 # --------------------------------------------------------- encoder pinning
