@@ -23,11 +23,11 @@ from __future__ import annotations
 import json
 import struct
 import weakref
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from heapq import heappop, heappush
-from operator import attrgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .codec import sha256
 from .datafeed import Comparator, compare
@@ -41,6 +41,7 @@ from .simchain import (
     build_payment,
     txid,
 )
+from .simchain.script import MAX_MULTISIG_KEYS
 from .simchain.tx import select_coins
 
 if TYPE_CHECKING:
@@ -49,6 +50,7 @@ if TYPE_CHECKING:
 MAGIC = b"CNTRPRTY"
 DATA_CARRIER_LIMIT = 40  # larger payloads fall back to multisig embedding
 CHUNK = 31  # payload bytes per embedded multisig key (1 length byte + 31)
+_FULL_CHUNK = bytes((CHUNK,))  # the length byte of every chunk but the last
 DEFAULT_BURN_RATE = 1000  # XCP base units issued per satoshi burned
 FEE_FRACTION_UNIT = 10**8  # fee_fraction is a fraction in 1e-8 steps
 
@@ -73,23 +75,42 @@ class TruncatedPayloadError(CounterpartyError):
 # ----------------------------------------------------------------- messages
 
 
-@dataclass(frozen=True)
-class Send:
+def _record(kind: type) -> type:
+    """Make a `NamedTuple` a record: equal only to a record of its own kind.
+
+    A record is its field values as a tuple, built in one call and immutable;
+    its fields in declaration order are what the codec writes, and
+    `_asdict()` is its JSON form.  Tuple equality alone would make two kinds
+    with equal values, or a record and the plain tuple of its values, equal.
+    """
+
+    def same(self, other) -> bool:
+        return type(other) is kind and tuple.__eq__(self, other)
+
+    def differs(self, other) -> bool:
+        return type(other) is not kind or tuple.__ne__(self, other)
+
+    kind.__eq__, kind.__ne__ = same, differs
+    return kind
+
+
+@_record
+class Send(NamedTuple):
     asset: str
     qty: int
     dest: str
 
 
-@dataclass(frozen=True)
-class Broadcast:
+@_record
+class Broadcast(NamedTuple):
     timestamp: int
     value: int  # fixed point, 1e-8 steps
     fee_fraction: int  # of FEE_FRACTION_UNIT
     text: str
 
 
-@dataclass(frozen=True)
-class Bet:
+@_record
+class Bet(NamedTuple):
     feed: str
     comparator: Comparator
     target: int  # fixed point, 1e-8 steps
@@ -99,8 +120,8 @@ class Bet:
     side: int  # 1 bets the comparison holds, 0 bets against
 
 
-@dataclass(frozen=True)
-class Burn:
+@_record
+class Burn(NamedTuple):
     btc_qty: int  # satoshi the host transaction pays to the burn address
 
 
@@ -123,39 +144,36 @@ _LENGTH = struct.Struct("<I")
 class _Body:
     """One message kind's body layout, which both directions read.
 
-    The body is the kind's `u8` tag, then its fields in declaration order:
-    each `_STRING` one string field, and each run of fixed-width fields one
-    precompiled little-endian struct, packed and unpacked in one call.
+    The body is the kind's `u8` tag, then the record's fields in declaration
+    order: each `_STRING` one string field, and each run of fixed-width
+    fields one precompiled little-endian struct, packed and unpacked in one
+    call.  Encoding reads the values straight from the record; decoding
+    builds the record from the values read, in one call.
     """
 
     def __init__(self, tag: int, kind: type, layout: tuple[str, ...], make=None) -> None:
         self.tag, self.kind = tag, kind
         self.head = MAGIC + bytes((tag,))
-        names = tuple(f.name for f in fields(kind))
-        get = attrgetter(*names)
-        # the message -> its field values in order, and back
-        self.values = get if len(names) > 1 else lambda message: (get(message),)
-        self.make = make or kind
+        self.make = make or partial(tuple.__new__, kind)  # the values read -> the record
         steps, at = [], 0
         for part in layout:
             run = None if part is _STRING else struct.Struct("<" + part)
             width = 1 if run is None else len(part)
             steps.append((run, at, at + width))
             at += width
-        if at != len(names):
-            raise TypeError(f"{kind.__name__} layout covers {at} of {len(names)} fields")
+        if at != len(kind._fields):
+            raise TypeError(f"{kind.__name__} layout covers {at} of {len(kind._fields)} fields")
         self.steps = tuple(steps)
 
     def encode(self, message: MetaMessage) -> bytes:
         """The magic, then the body of `message`, before the cipher."""
-        values = self.values(message)
         parts = [self.head]
         for run, at, stop in self.steps:
             if run is None:
-                text = values[at].encode("utf-8")
+                text = message[at].encode("utf-8")
                 parts += (_LENGTH.pack(len(text)), text)
             else:
-                parts.append(run.pack(*values[at:stop]))
+                parts.append(run.pack(*message[at:stop]))
         return b"".join(parts)
 
     def decode(self, plain: bytes, pos: int) -> MetaMessage:
@@ -179,7 +197,7 @@ class _Body:
                 pos += size
         if pos != end:
             raise TruncatedPayloadError("trailing bytes after message")
-        return self.make(*values)
+        return self.make(values)
 
 
 def _truncated(pos: int, size: int, end: int) -> TruncatedPayloadError:
@@ -191,10 +209,12 @@ def _truncated(pos: int, size: int, end: int) -> TruncatedPayloadError:
 _COMPARATORS = {int(c): c for c in Comparator}
 
 
-def _bet(feed: str, comparator: int, *terms: int) -> Bet:
-    if comparator not in _COMPARATORS:
-        raise ValueError(f"{comparator} is not a valid Comparator")
-    return Bet(feed, _COMPARATORS[comparator], *terms)
+def _bet(values: list) -> Bet:
+    comparator = _COMPARATORS.get(values[1])
+    if comparator is None:
+        raise ValueError(f"{values[1]} is not a valid Comparator")
+    values[1] = comparator
+    return tuple.__new__(Bet, values)
 
 
 # The one declaration of every body; FORMATS.md tabulates the same layouts.
@@ -246,13 +266,13 @@ def carrier_output(payload: bytes, owner_pub: bytes) -> TxOutput:
     if size <= DATA_CARRIER_LIMIT:
         return TxOutput(value=0, lock=DataCarrier(payload))
     count = -(-size // CHUNK)
-    if count + 1 > 15:
+    if count + 1 > MAX_MULTISIG_KEYS:
         raise ValueError(f"payload of {size} bytes exceeds multisig capacity")
-    padded = payload + bytes(count * CHUNK - size)  # the last chunk's zero padding
-    keys = (owner_pub,) + tuple(
-        bytes((min(CHUNK, size - i),)) + padded[i : i + CHUNK] for i in range(0, size, CHUNK)
-    )
-    return TxOutput(value=0, lock=MultiSig(m=1, keys=keys))
+    tail = (count - 1) * CHUNK  # where the last chunk starts
+    keys = [owner_pub]
+    keys += [_FULL_CHUNK + payload[i : i + CHUNK] for i in range(0, tail, CHUNK)]
+    keys.append(bytes((size - tail,)) + payload[tail:].ljust(CHUNK, b"\0"))
+    return TxOutput(value=0, lock=MultiSig(m=1, keys=tuple(keys)))
 
 
 def carried_ciphertexts(tx: Transaction) -> list[bytes]:
@@ -266,10 +286,9 @@ def carried_ciphertexts(tx: Transaction) -> list[bytes]:
             chunks = []
             for key in lock.keys[1:]:
                 if key[0] > CHUNK:
-                    chunks = None  # not a payload key: the output carries nothing
-                    break
+                    break  # not a payload key: the output carries nothing
                 chunks.append(key[1 : 1 + key[0]])
-            if chunks:
+            else:
                 found.append(b"".join(chunks))
     return found
 
@@ -310,16 +329,16 @@ class BetStatus(Enum):
     CANCELLED = "cancelled"  # owner could not fund the escrow at match time
 
 
-@dataclass(frozen=True)
-class BetRecord:
+@_record
+class BetRecord(NamedTuple):
     bet_id: int
     owner: str
     bet: Bet
     status: BetStatus = BetStatus.OPEN
 
 
-@dataclass(frozen=True)
-class MatchRecord:
+@_record
+class MatchRecord(NamedTuple):
     match_id: int
     feed: str
     comparator: Comparator
@@ -338,8 +357,8 @@ class MatchRecord:
         return self.yes_escrow + self.no_escrow if not self.settled else 0
 
 
-@dataclass(frozen=True)
-class AppliedMessage:
+@_record
+class AppliedMessage(NamedTuple):
     height: int
     tx_index: int
     txid: bytes
@@ -356,9 +375,12 @@ _SETTLE, _EXPIRE = 0, 1  # kinds of entry in a feed's `_due` heap: a match, an o
 class MetaState:
     """The replicated state, and the indexes that spare a fold its history.
 
-    `bets` and `matches` hold every record ever made, in id order; a record
-    is frozen, and a fold replaces it in its slot.  Beside them the fold
-    keeps three indexes, so that no message walks the history:
+    `bets` and `matches` hold every record ever made, in id order.  A record
+    (`BetRecord`, `MatchRecord`, `AppliedMessage`, and the messages they
+    hold) is a tuple-backed `NamedTuple`, immutable and built in one call;
+    a fold replaces a changed record in its slot with the record's own
+    `_replace`.  Beside them the fold keeps three indexes, so that no
+    message walks the history:
 
     - `_open`: the open bets by their terms (feed, comparator, target,
       deadline, side, wager, counterwager), each bucket a tuple of `bets`
@@ -418,21 +440,21 @@ class MetaState:
                 continue
             source = _source_address(chain, tx)
             if source is None:
-                entry = AppliedMessage(
-                    block.height, tx_index, txid(tx), "", message, False, R_NO_SOURCE
-                )
+                source, valid, reason = "", False, R_NO_SOURCE
             else:
-                valid, reason = _apply(self, source, message, tx)
-                entry = AppliedMessage(
-                    block.height, tx_index, txid(tx), source, message, valid, reason
-                )
-            self.log.append(entry)
+                valid, reason = _FOLD[type(message)](self, source, message, tx)
+            self.log.append(
+                AppliedMessage(block.height, tx_index, txid(tx), source, message, valid, reason)
+            )
 
 
 def xcp_in_circulation(state: MetaState) -> int:
     """Balances plus live escrows; equals issuance at every height."""
-    held = sum(qty for (_, asset), qty in state.balances.items() if asset == XCP)
-    return held + state.escrowed()
+    held = state.escrowed()
+    for (_, asset), qty in state.balances.items():
+        if asset == XCP:
+            held += qty
+    return held
 
 
 # invalid-message reasons, fixed strings so digests are comparable
@@ -474,14 +496,15 @@ def replay(chain: "SimChain") -> MetaState:
     if the memo's last block is no longer at its height, the fold starts
     again from genesis.  The returned state is a snapshot the caller owns:
     mutating it, or folding further blocks into it, never changes what a
-    later call returns.  Every record in it is frozen and shared with the
-    memo (a fold replaces a changed bet or match in its list slot, never
-    edits it), so a snapshot copies containers only: the record lists, the
-    balances, the feeds, the `_open` map (its buckets are tuples, shared)
-    and each `_due` heap.  `_snapshot` constructs the new `MetaState` from
-    those copies and the three counts, one argument per field, with no
-    generic copy in between; a field added to `MetaState` needs its own
-    argument there, and the snapshot test fails until it has one.
+    later call returns.  Every record in it is an immutable tuple shared
+    with the memo (a fold replaces a changed bet or match in its list slot
+    with the record's `_replace`, never edits it), so a snapshot copies
+    containers only: the record lists, the balances, the feeds, the `_open`
+    map (its buckets are tuples, shared) and each `_due` heap.  `_snapshot`
+    constructs the new `MetaState` from those copies and the three counts,
+    one argument per field, with no generic copy in between; a field added
+    to `MetaState` needs its own argument there, and the snapshot test fails
+    until it has one.
     """
     # taken out while folding, so a fold that raises leaves no half-folded state
     state, last = _folds.pop(chain, (None, None))
@@ -497,7 +520,7 @@ def replay(chain: "SimChain") -> MetaState:
 
 
 def _snapshot(state: MetaState) -> MetaState:
-    # every record is frozen and shared; only the containers are the caller's
+    # every record is an immutable tuple, shared; only the containers are the caller's
     return MetaState(
         balances=dict(state.balances),
         feeds={feed: list(entries) for feed, entries in state.feeds.items()},
@@ -512,38 +535,37 @@ def _snapshot(state: MetaState) -> MetaState:
     )
 
 
-def _apply(
-    state: MetaState, source: str, message: MetaMessage, tx: Transaction
-) -> tuple[bool, str | None]:
-    if isinstance(message, Send):
-        if state.balance(source, message.asset) < message.qty:
-            return False, R_BALANCE
-        state._debit(source, message.qty, message.asset)
-        state._credit(message.dest, message.qty, message.asset)
-        return True, None
-    if isinstance(message, Broadcast):
-        return _apply_broadcast(state, source, message)
-    if isinstance(message, Bet):
-        return _apply_bet(state, source, message)
-    if isinstance(message, Burn):
-        paid = sum(
-            out.value
-            for out in tx.outputs
-            if isinstance(out.lock, PayToKey) and out.lock.pub == BURN_PUB
-        )
-        if paid != message.btc_qty or paid == 0:
-            return False, R_WRONG_BURN
-        issued = message.btc_qty * DEFAULT_BURN_RATE
-        state._credit(source, issued)
-        state.burned += message.btc_qty
-        state.issued += issued
-        return True, None
-    raise TypeError(f"not a protocol message: {message!r}")
+# Each fold step takes (state, source, message, host transaction) and returns
+# (valid, reason); `_FOLD`, after the steps, maps each message kind to its own.
+_Verdict = tuple[bool, str | None]
+
+
+def _apply_send(state: MetaState, source: str, message: Send, tx: Transaction) -> _Verdict:
+    asset, qty, dest = message
+    if state.balance(source, asset) < qty:
+        return False, R_BALANCE
+    state._debit(source, qty, asset)
+    state._credit(dest, qty, asset)
+    return True, None
+
+
+def _apply_burn(state: MetaState, source: str, message: Burn, tx: Transaction) -> _Verdict:
+    paid = 0
+    for out in tx.outputs:
+        if isinstance(out.lock, PayToKey) and out.lock.pub == BURN_PUB:
+            paid += out.value
+    if paid != message.btc_qty or paid == 0:
+        return False, R_WRONG_BURN
+    issued = paid * DEFAULT_BURN_RATE
+    state._credit(source, issued)
+    state.burned += paid
+    state.issued += issued
+    return True, None
 
 
 def _apply_broadcast(
-    state: MetaState, source: str, message: Broadcast
-) -> tuple[bool, str | None]:
+    state: MetaState, source: str, message: Broadcast, tx: Transaction
+) -> _Verdict:
     if message.fee_fraction > FEE_FRACTION_UNIT:
         return False, R_FEE_FRACTION
     entries = state.feeds.setdefault(source, [])
@@ -557,15 +579,17 @@ def _apply_broadcast(
 def _settle_feed(state: MetaState, feed: str, broadcast: Broadcast) -> None:
     # the first broadcast at or past a deadline settles every match behind it
     # and expires every bet still open behind it
-    due, bets = state._due.get(feed), state.bets
-    settled = []
+    due = state._due.get(feed)
+    if not due:
+        return
+    bets, settled = state.bets, []
     while due and due[0][0] <= broadcast.timestamp:
         _, kind, i = heappop(due)
         if kind == _SETTLE:
             settled.append(i)
         elif bets[i].status is BetStatus.OPEN:
             record = bets[i]
-            bets[i] = replace(record, status=BetStatus.EXPIRED)
+            bets[i] = record._replace(status=BetStatus.EXPIRED)
             state._open.pop(_terms(record.bet), None)  # its bucket shares the deadline
     for i in sorted(settled):  # credits go out in match-id order
         match = state.matches[i]
@@ -574,7 +598,7 @@ def _settle_feed(state: MetaState, feed: str, broadcast: Broadcast) -> None:
         holds = compare(match.comparator, broadcast.value, match.target)
         winner_side = "yes" if holds else "no"
         winner = match.yes_owner if winner_side == "yes" else match.no_owner
-        state.matches[i] = replace(match, settled=True, winner=winner_side, fee_paid=fee)
+        state.matches[i] = match._replace(settled=True, winner=winner_side, fee_paid=fee)
         state._escrowed -= pot
         state._credit(feed, fee)
         state._credit(winner, pot - fee)
@@ -582,58 +606,51 @@ def _settle_feed(state: MetaState, feed: str, broadcast: Broadcast) -> None:
 
 def _terms(bet: Bet) -> tuple:
     """The `_open` bucket an open bet is filed under."""
-    return (bet.feed, bet.comparator, bet.target, bet.deadline, bet.side, bet.wager,
-            bet.counterwager)
+    feed, comparator, target, deadline, wager, counterwager, side = bet
+    return feed, comparator, target, deadline, side, wager, counterwager
 
 
-def _apply_bet(state: MetaState, source: str, bet: Bet) -> tuple[bool, str | None]:
-    if bet.wager == 0 or bet.counterwager == 0:
+def _apply_bet(state: MetaState, source: str, bet: Bet, tx: Transaction) -> _Verdict:
+    feed, comparator, target, deadline, wager, counterwager, side = bet
+    if wager == 0 or counterwager == 0:
         return False, R_ZERO_WAGER
-    if bet.side not in (0, 1):
+    if side not in (0, 1):
         return False, R_BAD_SIDE
     bets = state.bets
     # the open bets this one can take, oldest first: the other side, wagers swapped
-    wanted = (bet.feed, bet.comparator, bet.target, bet.deadline, 1 - bet.side,
-              bet.counterwager, bet.wager)
+    wanted = (feed, comparator, target, deadline, 1 - side, counterwager, wager)
     makers = state._open.pop(wanted, ())
     for n, i in enumerate(makers):
         record = bets[i]
-        other = record.bet
-        if state.balance(record.owner) < other.wager:
+        maker, stake = record.owner, counterwager  # a maker's wager is this bet's counterwager
+        if state.balance(maker) < stake:
             # maker spent the stake meanwhile
-            bets[i] = replace(record, status=BetStatus.CANCELLED)
+            bets[i] = record._replace(status=BetStatus.CANCELLED)
             continue
-        if state.balance(source) < bet.wager:
+        if state.balance(source) < wager:
             state._open[wanted] = makers[n:]
             return False, R_BALANCE
         if n + 1 < len(makers):
             state._open[wanted] = makers[n + 1 :]
-        state._debit(record.owner, other.wager)
-        state._debit(source, bet.wager)
-        bets[i] = replace(record, status=BetStatus.MATCHED)
+        state._debit(maker, stake)
+        state._debit(source, wager)
+        bets[i] = record._replace(status=BetStatus.MATCHED)
         bets.append(BetRecord(len(bets) + 1, source, bet, BetStatus.MATCHED))
-        yes_first = bet.side == 1
-        heappush(state._due.setdefault(bet.feed, []), (bet.deadline, _SETTLE, len(state.matches)))
-        state.matches.append(
-            MatchRecord(
-                match_id=len(state.matches) + 1,
-                feed=bet.feed,
-                comparator=bet.comparator,
-                target=bet.target,
-                deadline=bet.deadline,
-                yes_owner=source if yes_first else record.owner,
-                yes_escrow=bet.wager if yes_first else other.wager,
-                no_owner=record.owner if yes_first else source,
-                no_escrow=other.wager if yes_first else bet.wager,
-            )
-        )
-        state._escrowed += bet.wager + other.wager
+        matches = state.matches
+        heappush(state._due.setdefault(feed, []), (deadline, _SETTLE, len(matches)))
+        # (yes_owner, yes_escrow, no_owner, no_escrow)
+        sides = (source, wager, maker, stake) if side == 1 else (maker, stake, source, wager)
+        matches.append(MatchRecord(len(matches) + 1, feed, comparator, target, deadline, *sides))
+        state._escrowed += wager + stake
         return True, None
     terms = _terms(bet)
     state._open[terms] = state._open.get(terms, ()) + (len(bets),)
-    heappush(state._due.setdefault(bet.feed, []), (bet.deadline, _EXPIRE, len(bets)))
+    heappush(state._due.setdefault(feed, []), (deadline, _EXPIRE, len(bets)))
     bets.append(BetRecord(len(bets) + 1, source, bet, BetStatus.OPEN))
     return True, None
+
+
+_FOLD = {Send: _apply_send, Broadcast: _apply_broadcast, Bet: _apply_bet, Burn: _apply_burn}
 
 
 # ------------------------------------------------------------ state digest
@@ -641,7 +658,7 @@ def _apply_bet(state: MetaState, source: str, bet: Bet) -> tuple[bool, str | Non
 
 def message_json(message: MetaMessage) -> dict:
     """The JSON form of a message: its kind, then its fields."""
-    return {"type": type(message).__name__.lower(), **vars(message)}
+    return {"type": type(message).__name__.lower(), **message._asdict()}
 
 
 def state_to_json(state: MetaState) -> dict:
@@ -655,7 +672,7 @@ def state_to_json(state: MetaState) -> dict:
             for (address, asset), qty in sorted(state.balances.items())
         },
         "feeds": {
-            feed: [dict(vars(e)) for e in entries]
+            feed: [e._asdict() for e in entries]
             for feed, entries in sorted(state.feeds.items())
         },
         "bets": [
@@ -667,7 +684,7 @@ def state_to_json(state: MetaState) -> dict:
             }
             for r in state.bets
         ],
-        "matches": [dict(vars(m)) for m in state.matches],
+        "matches": [m._asdict() for m in state.matches],
         "log": [
             {
                 "height": e.height,

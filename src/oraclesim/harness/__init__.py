@@ -6,7 +6,7 @@ Running one produces a line-delimited JSON event log whose digest is the
 unit of comparison: same scenario, same seed, same bytes.
 """
 
-from .events import Event, EventLog, LogFormatError, verify_replay
+from .events import Event, EventLog, LogFormatError
 from .metrics import export_metrics
 from .scenario import (
     ParseError,
@@ -26,5 +26,4 @@ __all__ = [
     "bundled_scenarios",
     "export_metrics",
     "run_scenario",
-    "verify_replay",
 ]

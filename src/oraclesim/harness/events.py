@@ -136,11 +136,6 @@ class EventLog:
         ]
 
 
-def verify_replay(log_a: EventLog, log_b: EventLog) -> bool:
-    """Two runs replicated iff their logs hash identically."""
-    return log_a.digest() == log_b.digest()
-
-
 def first_difference(log_a: EventLog, log_b: EventLog) -> int | None:
     """The 0-based index of the first line the two logs do not share, which
     is the shorter log's length when it is a prefix of the other; None when

@@ -376,10 +376,11 @@ class Oracle:
             raise ArbitrationRequiredError(contract.contract_id)
         if contract.state is not ContractState.ACTIVE:
             raise AlreadySettledError(contract.contract_id)
-        if not contract.start < now <= contract.end:
-            raise ValueError(f"poll at {now} outside ({contract.start}, {contract.end}]")
-        if (now - contract.start) % contract.poll_interval != 0:
-            raise ValueError(f"poll at {now} is off the schedule")
+        if now not in poll_times(contract):
+            raise ValueError(
+                f"poll at {now} is off the schedule: every {contract.poll_interval}"
+                f" after {contract.start}, up to {contract.end}"
+            )
 
         for index, condition in enumerate(contract.conditions):
             source = self.sources[condition.source_id]

@@ -93,11 +93,6 @@ class FactState(enum.Enum):
     FINALIZED = "finalized"
 
 
-SECRET_HELD = "held"
-SECRET_RELEASED = "released"
-SECRET_DESTROYED = "destroyed"
-
-
 @dataclass
 class Fact:
     id: str
@@ -221,14 +216,6 @@ class FactRegistry:
         fact.released_secret = released
         fact.state = FactState.FINALIZED
         return released
-
-    # --- inspection -------------------------------------------------------
-
-    def secret_status(self, fact_id: str, outcome: Outcome) -> str:
-        fact = self.facts[fact_id]
-        if fact.state is FactState.FINALIZED:
-            return SECRET_RELEASED if outcome is fact.released_outcome else SECRET_DESTROYED
-        return SECRET_HELD
 
 
 # --- demo contract ----------------------------------------------------------

@@ -125,9 +125,6 @@ class SimChain:
             return None
         return tx.outputs[outpoint[1]]
 
-    def is_confirmed(self, tx_id: bytes) -> bool:
-        return tx_id in self.txs_by_id
-
     def validate(self, tx: Transaction) -> ValidationResult:
         """Validity if the tx were included at the next height."""
         return validate_tx(tx, self.utxo, self.height + 1, self.keys)

