@@ -360,6 +360,7 @@ def _declared(doc: Any) -> dict[str, frozenset[str]]:
 class RunResult:
     scenario: Scenario
     log: EventLog
+    world: World  # the state the run ended in, for reading
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -1172,7 +1173,7 @@ def run_scenario(
         message = _ASSERTS[check.kind](world, **check.args)
         if message is not None:
             failures.append(message)
-    return RunResult(scenario=scenario, log=world.log, failures=failures)
+    return RunResult(scenario=scenario, log=world.log, world=world, failures=failures)
 
 
 def bundled_scenarios() -> list[Path]:

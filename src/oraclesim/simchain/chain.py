@@ -20,7 +20,7 @@ when its txid was taken, so a block never encodes a transaction again.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..codec import Writer, sha256
@@ -41,9 +41,6 @@ class Block:
     txs: tuple[Transaction, ...]
     parent: bytes
 
-    # memoised by block_hash; a field only for its slot, as Transaction's memos
-    _hash: bytes | None = field(default=None, init=False, repr=False, compare=False)
-
 
 def serialize_block(block: Block) -> bytes:
     w = Writer()
@@ -55,9 +52,7 @@ def serialize_block(block: Block) -> bytes:
 
 
 def block_hash(block: Block) -> bytes:
-    if block._hash is None:
-        object.__setattr__(block, "_hash", sha256(serialize_block(block)))
-    return block._hash
+    return sha256(serialize_block(block))
 
 
 class SimChain:

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-__all__ = ["cost", "charge"]
-
 
 def _check_b(b: float) -> None:
     if not b > 0:

@@ -1,9 +1,15 @@
 """The traced benchmark reads call counts by function name: each name it
 declares must still name a function of the program."""
 
+import enum
+import importlib
+import inspect
 import json
+import pkgutil
 import types
 from pathlib import Path
+
+from oraclesim import truthcoin
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,3 +29,43 @@ def test_every_traced_call_count_names_a_function_the_tracer_finds():
     assert "counterparty.decode_payload" in counted
     found = {name for name, _, _ in _layertrace().discover()}
     assert [name for name in counted if name not in found] == []
+
+
+def _function(owner, attr):
+    """The plain function a discovered (owner, attribute) binds."""
+    member = vars(owner)[attr]
+    return member.__func__ if isinstance(member, (classmethod, staticmethod)) else member
+
+
+def test_the_tracer_finds_each_function_under_one_name():
+    """A submodule left bound beside its package's names would be walked
+    again, so each of its functions would be counted under two names."""
+    found = _layertrace().discover()
+    names = [name for name, _, _ in found]
+    assert len(names) == len(set(names))
+    functions = [_function(owner, attr) for _, owner, attr in found]
+    assert len(functions) == len({id(f) for f in functions})
+
+
+def test_the_tracer_finds_every_public_truthcoin_function_and_method():
+    """A public function defined anywhere in the truthcoin package is traced,
+    and so is each public method of its classes that are no exception or enum."""
+    found = {id(_function(owner, attr)) for _, owner, attr in _layertrace().discover()}
+    modules = [truthcoin] + [importlib.import_module(f"{truthcoin.__name__}.{m.name}")
+                             for m in pkgutil.iter_modules(truthcoin.__path__)]
+    expected = []
+    for module in modules:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                expected.append((name, obj))
+            elif inspect.isclass(obj) and not issubclass(obj, (BaseException, enum.Enum)):
+                expected += [
+                    (f"{name}.{attr}", _function(obj, attr))
+                    for attr, member in vars(obj).items()
+                    if not attr.startswith("_")
+                    and (inspect.isfunction(member) or isinstance(member, (classmethod, staticmethod)))
+                ]
+    assert {"cost", "resolve_votes", "TruthcoinSim.trade", "SideLedger.mint_csh"} <= dict(expected).keys()
+    assert [name for name, f in expected if id(f) not in found] == []

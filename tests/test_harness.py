@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oraclesim import counterparty
 from oraclesim.codec import Writer
 from oraclesim.counterparty import Send, encode_message
 from oraclesim.datafeed import query
@@ -542,6 +543,15 @@ _NAMES = [sorted({_at(doc, p) for p in leaves if type(_at(doc, p)) is str})
           for doc, leaves in zip(_BUNDLED, _LEAVES)]
 
 
+def _edit_leaves(data, index, doc, min_size):
+    """Replace up to two leaves of bundled document `index`, copied as `doc`,
+    by values of the same type."""
+    for path in data.draw(st.lists(st.sampled_from(_LEAVES[index]), min_size=min_size, max_size=2)):
+        holder = _at(doc, path[:-1])
+        edits = _same_type_edits(holder[path[-1]], _NAMES[index], path[-1] == "count")
+        holder[path[-1]] = data.draw(st.sampled_from(edits))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_run_is_total_on_leaf_edits_of_bundled_scenarios(data):
@@ -550,16 +560,90 @@ def test_run_is_total_on_leaf_edits_of_bundled_scenarios(data):
     run/end; the run itself raises nothing."""
     index = data.draw(st.integers(0, len(_BUNDLED) - 1))
     doc = copy.deepcopy(_BUNDLED[index])
-    for path in data.draw(st.lists(st.sampled_from(_LEAVES[index]), min_size=1, max_size=2)):
-        holder = _at(doc, path[:-1])
-        edits = _same_type_edits(holder[path[-1]], _NAMES[index], path[-1] == "count")
-        holder[path[-1]] = data.draw(st.sampled_from(edits))
+    _edit_leaves(data, index, doc, min_size=1)
     try:
         scenario = Scenario.from_dict(doc)
     except ParseError:
         return
     result = run_scenario(scenario)
     assert (result.log.events[-1].module, result.log.events[-1].kind) == ("run", "end")
+
+
+def _edit_actions(data, doc):
+    """Drop an action, duplicate one, move one to another tick, or swap the
+    actions of two ticks: which ops run, and in what order."""
+    actions, ticks = doc["actions"], range(doc["ticks"])
+    edit = data.draw(st.sampled_from(["drop", "duplicate", "move", "swap"]))
+    if edit == "swap":
+        a, b = data.draw(st.sampled_from(ticks)), data.draw(st.sampled_from(ticks))
+        for action in actions:
+            if action["tick"] in (a, b):
+                action["tick"] = a + b - action["tick"]
+        return
+    if not actions:
+        return
+    i = data.draw(st.integers(0, len(actions) - 1))
+    if edit == "drop":
+        del actions[i]
+    elif edit == "duplicate":
+        actions.insert(i + 1, copy.deepcopy(actions[i]))
+    else:
+        actions[i]["tick"] = data.draw(st.sampled_from(ticks))
+
+
+def _fees(chain):
+    """What every mined transaction paid: its inputs' value less its outputs'."""
+    return sum(
+        sum(chain.output_at(txin.outpoint).value for txin in tx.inputs)
+        - sum(out.value for out in tx.outputs)
+        for block in chain.blocks[1:]
+        for tx in block.txs
+    )
+
+
+def _books_balance(result):
+    """Host coin, Counterparty XCP and both Truthcoin coins are conserved,
+    and no balance is negative, in the state a run ended in."""
+    world, events = result.world, result.log.events
+    genesis = sum(grant.coins * grant.value for grant in result.scenario.genesis)
+    assert world.chain.supply() + _fees(world.chain) == genesis
+
+    state = counterparty.replay(world.chain)
+    assert counterparty.xcp_in_circulation(state) == state.issued
+    assert min(state.balances.values(), default=0) >= 0
+
+    if world._tc is None:
+        return
+    init = max(i for i, e in enumerate(events) if (e.module, e.kind) == ("tc", "init"))
+    pegged = {"peg_in": 0, "peg_out": 0}
+    for event in events[init + 1:]:
+        if event.module == "tc" and event.kind in pegged:
+            pegged[event.kind] += event.payload["amount"]
+    assert world.tc.vtc_supply() == events[init].payload["vtc_supply"]
+    assert world.tc.csh_supply() == pegged["peg_in"] - pegged["peg_out"]
+    ledger = world.tc.ledger
+    assert min([*ledger.csh.values(), *ledger.vtc.values(), *ledger.frozen_vtc.values()],
+               default=0) >= 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_books_balance_on_structural_and_leaf_edits_of_bundled_scenarios(data):
+    """Reorder, drop and repeat the actions of a bundled document, and edit up
+    to two of its leaves: every run that parses conserves each coin, leaves no
+    balance negative, and gives the same digest when run again."""
+    index = data.draw(st.integers(0, len(_BUNDLED) - 1))
+    doc = copy.deepcopy(_BUNDLED[index])
+    _edit_leaves(data, index, doc, min_size=0)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _edit_actions(data, doc)
+    try:
+        scenario = Scenario.from_dict(doc)
+    except ParseError:
+        return
+    result = run_scenario(scenario)
+    _books_balance(result)
+    assert run_scenario(scenario).log.digest() == result.log.digest()
 
 
 def test_load_rejects_bad_json(tmp_path):

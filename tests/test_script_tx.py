@@ -205,17 +205,17 @@ def test_records_are_slotted_and_their_memos_are_invisible():
     twin_tx = Transaction(tx.inputs, tx.outputs, tx.locktime)
     twin_block = Block(block.height, block.miner_id, (twin_tx,), block.parent)
     txid(tx), block_hash(block)
-    assert None not in (tx._bytes, tx._txid, tx._sighash, block._hash)
-    assert (twin_tx._bytes, twin_tx._txid, twin_tx._sighash, twin_block._hash) == (None,) * 4
+    assert None not in (tx._bytes, tx._txid, tx._sighash)
+    assert (twin_tx._bytes, twin_tx._txid, twin_tx._sighash) == (None,) * 3
     for memoised, fresh in ((tx, twin_tx), (block, twin_block)):
         assert memoised == fresh and hash(memoised) == hash(fresh)
         assert repr(memoised) == repr(fresh)
-    assert "_hash" not in repr(block) and "_txid" not in repr(tx)
+    assert "_txid" not in repr(tx)
     deep = Either(left=PayToKey(PUB_A), right=TimeLocked(inner=PayToKey(PUB_B), unlock_height=7))
     assert deep._depth == 2 and "_depth" not in repr(deep)
     # the memos are the only fields left out of __init__, and what fields() adds
     assert [f.name for f in fields(Transaction) if not f.init] == ["_bytes", "_txid", "_sighash"]
-    assert [f.name for f in fields(Block) if not f.init] == ["_hash"]
+    assert [f.name for f in fields(Block) if not f.init] == []
     assert [f.name for f in fields(Either) if not f.init] == ["_depth"]
 
 

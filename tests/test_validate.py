@@ -11,12 +11,16 @@ from oraclesim.simchain import (
     KeyRegistry,
     MultiSig,
     PayToKey,
+    SimChain,
     TimeLocked,
     Transaction,
     TxInput,
     TxOutput,
     Witness,
+    build_payment,
+    deserialize_tx,
     p2sh_lock,
+    serialize_tx,
     sighash,
     sign,
     validate_tx,
@@ -182,3 +186,23 @@ def test_commitment_never_gates_spending(reg):
     lock = MultiSig(m=1, keys=(alice.pub,), commitment=bytes([0xFF]) * 32)
     tx, utxo = spend_of(lock)
     assert validate_tx(signed_by(tx, [alice]), utxo, height=1, keys=reg)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: admission trusts the _sighash memo")
+def test_admission_refuses_a_signature_carried_over_by_a_forged_sighash_memo(reg):
+    """A 990-sat payment wearing the witness of alice's signed 10-sat payment,
+    with that payment's digest written into its `_sighash` memo, is refused
+    as its byte-identical twin read back from the wire is."""
+    alice = reg.keygen(b"alice")
+    bob = reg.keygen(b"bob")
+    chain = SimChain(genesis=(TxOutput(value=1000, lock=PayToKey(alice.pub)),), keys=reg)
+    signed = build_payment(chain, alice, [TxOutput(value=10, lock=PayToKey(bob.pub))])
+    forged = Transaction(
+        inputs=(TxInput(outpoint=signed.inputs[0].outpoint, witness=signed.inputs[0].witness),),
+        outputs=(TxOutput(value=990, lock=PayToKey(bob.pub)),),
+    )
+    object.__setattr__(forged, "_sighash", sighash(signed))
+
+    twin = chain.submit(deserialize_tx(serialize_tx(forged)))
+    assert twin.invalid_reason is InvalidReason.BAD_WITNESS
+    assert chain.submit(forged).invalid_reason is InvalidReason.BAD_WITNESS
