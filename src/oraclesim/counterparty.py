@@ -27,25 +27,24 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .codec import sha256
 from .datafeed import Comparator, compare
 from .simchain import (
+    MAX_MULTISIG_KEYS,
+    Block,
     DataCarrier,
     KeyPair,
     MultiSig,
     PayToKey,
+    SimChain,
     Transaction,
     TxOutput,
     build_payment,
+    select_coins,
     txid,
 )
-from .simchain.script import MAX_MULTISIG_KEYS
-from .simchain.tx import select_coins
-
-if TYPE_CHECKING:
-    from .simchain import Block, SimChain
 
 MAGIC = b"CNTRPRTY"
 DATA_CARRIER_LIMIT = 40  # larger payloads fall back to multisig embedding
@@ -294,7 +293,7 @@ def carried_ciphertexts(tx: Transaction) -> list[bytes]:
 
 
 def compose_message_tx(
-    chain: "SimChain",
+    chain: SimChain,
     sender: KeyPair,
     message: MetaMessage,
     *,
@@ -310,7 +309,7 @@ def compose_message_tx(
 
 
 def compose_burn_tx(
-    chain: "SimChain", sender: KeyPair, btc_qty: int, *, fee: int = 1000
+    chain: SimChain, sender: KeyPair, btc_qty: int, *, fee: int = 1000
 ) -> Transaction:
     """Pay host coin to the unspendable vanity address, declaring the burn."""
     burn_out = TxOutput(value=btc_qty, lock=PayToKey(BURN_PUB))
@@ -419,7 +418,7 @@ class MetaState:
     def _debit(self, address: str, qty: int, asset: str = XCP) -> None:
         self.balances[(address, asset)] = self.balance(address, asset) - qty
 
-    def apply_block(self, chain: "SimChain", block: "Block") -> None:
+    def apply_block(self, chain: SimChain, block: Block) -> None:
         """Fold one host block into this state, in transaction order.
 
         `chain` must hold every transaction the block spends from.  Each
@@ -467,7 +466,7 @@ R_BAD_SIDE = "bad side"
 R_NO_SOURCE = "unidentifiable source"
 
 
-def _source_address(chain: "SimChain", tx: Transaction) -> str | None:
+def _source_address(chain: SimChain, tx: Transaction) -> str | None:
     spent = chain.output_at(tx.inputs[0].outpoint)
     if spent is None:
         return None
@@ -483,7 +482,7 @@ def _source_address(chain: "SimChain", tx: Transaction) -> str | None:
 _folds = weakref.WeakKeyDictionary()
 
 
-def replay(chain: "SimChain") -> MetaState:
+def replay(chain: SimChain) -> MetaState:
     """Fold the host chain into the replicated meta state.
 
     Pure function of the chain contents: any replica gets a bit-identical

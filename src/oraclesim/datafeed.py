@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .codec import Writer, sha256
-from .simchain.keys import KeyPair, Signature, derive_pair, sign
+from .simchain import KeyPair, Signature, derive_pair, sign
 
 FeedValue = Union[bool, int, float, str]
 

@@ -17,6 +17,10 @@ from .metrics import export_metrics
 from .scenario import ParseError, run_scenario
 
 
+class _Inaccessible(Exception):
+    """A file that cannot be read or written at all."""
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         result = run_scenario(args.scenario, seed_override=args.seed)
@@ -24,9 +28,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / f"{result.scenario.name}.log.jsonl"
-    result.log.write(log_path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        result.log.write(log_path)
+    except OSError as exc:
+        raise _Inaccessible(f"cannot write {log_path}: {exc}") from None
     print(f"{len(result.log.events)} events -> {log_path}")
     print(f"digest {result.log.digest().hex()}")
     for failure in result.failures:
@@ -35,15 +42,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
-class _Unreadable(Exception):
-    """A log file that cannot be read at all."""
-
-
 def _read_log(path: str) -> EventLog:
     try:
         return EventLog.read(path)
     except OSError as exc:
-        raise _Unreadable(f"cannot read {path}: {exc}") from None
+        raise _Inaccessible(f"cannot read {path}: {exc}") from None
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -67,7 +70,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     log = _read_log(args.log)
-    rows = export_metrics(log, args.out)
+    try:
+        rows = export_metrics(log, args.out)
+    except OSError as exc:
+        raise _Inaccessible(f"cannot write {args.out}: {exc}") from None
     print(f"{rows} rows -> {args.out}")
     return 0
 
@@ -152,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LogFormatError, _Unreadable) as exc:  # from `verify` and `metrics`
+    except (LogFormatError, _Inaccessible) as exc:  # from `run`, `verify` and `metrics`
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

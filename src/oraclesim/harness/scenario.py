@@ -43,12 +43,13 @@ from ..simchain import (
     Transaction,
     TxInput,
     TxOutput,
+    add_signature,
     build_payment,
+    check_miners,
     policy_for,
+    sign_input,
     txid,
 )
-from ..simchain.mining import check_miners
-from ..simchain.tx import add_signature, sign_input
 from .events import EventLog
 
 
@@ -338,9 +339,11 @@ class Scenario:
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
+        # ValueError covers bad JSON and bytes that are not UTF-8, and
+        # RecursionError a document nested deeper than the decoder recurses
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ParseError(f"cannot load {path}: {exc}") from exc
         return cls.from_dict(doc)
 

@@ -42,14 +42,17 @@ from .simchain import (
     KeyPair,
     MultiSig,
     PayToKey,
+    SimChain,
     Transaction,
+    TxInput,
     TxOutput,
+    add_signature,
+    select_coins,
     sighash,
     sign,
+    sign_input,
     txid,
 )
-from .simchain.chain import SimChain
-from .simchain.tx import TxInput, add_signature, select_coins, sign_input
 
 DEFAULT_POLL_INTERVAL = 3600  # seconds
 

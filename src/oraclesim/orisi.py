@@ -28,23 +28,25 @@ from .codec import Reader, Writer
 from . import datafeed
 from .datafeed import DataSource, NoDataError, query
 from .simchain import (
+    MAX_MULTISIG_KEYS,
     InvalidReason,
     KeyPair,
+    KeyRegistry,
     MultiSig,
     PayToKey,
     Signature,
+    SimChain,
     Transaction,
+    TxInput,
     TxOutput,
     Witness,
     build_payment,
     sighash,
     sign,
+    signature_from_reader,
     txid,
+    write_signature,
 )
-from .simchain.chain import SimChain
-from .simchain.keys import KeyRegistry, signature_from_reader, write_signature
-from .simchain.script import MAX_MULTISIG_KEYS
-from .simchain.tx import TxInput
 
 DEFAULT_BUS_DIFFICULTY = 8  # leading zero bits
 MAX_BUS_DIFFICULTY = 256  # a SHA-256 digest has no more zero bits to lead with

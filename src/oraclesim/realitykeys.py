@@ -25,14 +25,15 @@ from .simchain import (
     MultiSig,
     PayToKey,
     ScriptHash,
+    SimChain,
     Transaction,
+    TxInput,
     TxOutput,
     p2sh_lock,
     sighash,
+    sign_input,
     txid,
 )
-from .simchain.chain import SimChain
-from .simchain.tx import TxInput, _blank_digest, sign_input
 
 DEFAULT_OBJECTION_WINDOW = 86_400  # seconds
 MIN_OBJECTION_TIP = 1_000_000  # satoshi (10 mBTC)
@@ -285,8 +286,8 @@ def demo_countersign(
     """Bob rebuilds the spend and signs his rebuild only if the partner's
     transaction, recomputed from its parts, has the same blank-witness digest."""
     rebuilt = _setup_unsigned(chain, contract, fee)
-    outpoints = [txin.outpoint for txin in partial.inputs]
-    if _blank_digest(outpoints, partial.outputs, partial.locktime) != sighash(rebuilt):
+    agreed = Transaction(partial.inputs, partial.outputs, partial.locktime)  # memo-free copy
+    if sighash(agreed) != sighash(rebuilt):
         raise ReconstructionMismatchError("partner's transaction differs from the rebuilt one")
     complete = sign_input(rebuilt.with_witness(0, partial.inputs[0].witness), 1, bob_temp)
     contract.funding_outpoint = (txid(complete), 0)

@@ -18,14 +18,15 @@ from .simchain import (
     MultiSig,
     PayToKey,
     Signature,
+    SimChain,
     Transaction,
+    TxInput,
     TxOutput,
     build_payment,
     sighash,
     sign,
+    sign_input,
 )
-from .simchain.chain import SimChain
-from .simchain.tx import TxInput, sign_input
 
 
 class WillError(Exception):

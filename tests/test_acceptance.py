@@ -58,6 +58,7 @@ from oraclesim.simchain import (
     DataCarrier,
     InvalidReason,
     KeyRegistry,
+    MAX_MULTISIG_KEYS,
     Miner,
     MultiSig,
     NonStandardReason,
@@ -75,7 +76,6 @@ from oraclesim.simchain import (
     txid,
     validate_tx,
 )
-from oraclesim.simchain.script import MAX_MULTISIG_KEYS
 from oraclesim.truthcoin import (
     Binary,
     COIN,

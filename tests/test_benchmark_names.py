@@ -9,7 +9,9 @@ import pkgutil
 import types
 from pathlib import Path
 
-from oraclesim import truthcoin
+import pytest
+
+from oraclesim import simchain, truthcoin
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,12 +49,22 @@ def test_the_tracer_finds_each_function_under_one_name():
     assert len(functions) == len({id(f) for f in functions})
 
 
-def test_the_tracer_finds_every_public_truthcoin_function_and_method():
-    """A public function defined anywhere in the truthcoin package is traced,
-    and so is each public method of its classes that are no exception or enum."""
+@pytest.mark.parametrize(
+    "layer, sample",
+    [
+        pytest.param(truthcoin, {"cost", "resolve_votes", "TruthcoinSim.trade", "SideLedger.mint_csh"},
+                     id=truthcoin.__name__),
+        pytest.param(simchain, {"select_coins", "check_miners", "SimChain.utxos_for", "Mempool.submit"},
+                     id=simchain.__name__),
+    ],
+)
+def test_the_tracer_finds_every_public_function_and_method(layer, sample):
+    """A public function defined anywhere in the layer is traced, and so is
+    each public method of its classes that are no exception or enum; a
+    module with no ``__path__`` has no submodules to walk."""
     found = {id(_function(owner, attr)) for _, owner, attr in _layertrace().discover()}
-    modules = [truthcoin] + [importlib.import_module(f"{truthcoin.__name__}.{m.name}")
-                             for m in pkgutil.iter_modules(truthcoin.__path__)]
+    modules = [layer] + [importlib.import_module(f"{layer.__name__}.{m.name}")
+                         for m in pkgutil.iter_modules(getattr(layer, "__path__", []))]
     expected = []
     for module in modules:
         for name, obj in vars(module).items():
@@ -67,5 +79,5 @@ def test_the_tracer_finds_every_public_truthcoin_function_and_method():
                     if not attr.startswith("_")
                     and (inspect.isfunction(member) or isinstance(member, (classmethod, staticmethod)))
                 ]
-    assert {"cost", "resolve_votes", "TruthcoinSim.trade", "SideLedger.mint_csh"} <= dict(expected).keys()
+    assert sample <= dict(expected).keys()
     assert [name for name, f in expected if id(f) not in found] == []

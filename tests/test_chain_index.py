@@ -45,14 +45,16 @@ from oraclesim.simchain import (
     TxInput,
     TxOutput,
     Witness,
+    _serialized,
     block_hash,
     build_payment,
     p2sh_lock,
     serialize_tx,
     sighash,
+    sign_input,
+    tx_size,
     txid,
 )
-from oraclesim.simchain.tx import _serialized, sign_input, tx_size
 
 OWNERS = 4
 SOLO = [Miner("solo", 1.0)]

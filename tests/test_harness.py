@@ -28,6 +28,7 @@ from oraclesim.harness.cli import main
 from oraclesim.harness.events import Event, _encode, first_difference
 from oraclesim.simchain import (
     DataCarrier,
+    MAX_LOCK_DEPTH,
     PayToKey,
     Transaction,
     TxInput,
@@ -35,7 +36,6 @@ from oraclesim.simchain import (
     Witness,
     serialize_tx,
 )
-from oraclesim.simchain.script import MAX_LOCK_DEPTH
 from test_script_tx import _edits
 
 
@@ -646,9 +646,15 @@ def test_books_balance_on_structural_and_leaf_edits_of_bundled_scenarios(data):
     assert run_scenario(scenario).log.digest() == result.log.digest()
 
 
-def test_load_rejects_bad_json(tmp_path):
+# files that are no JSON document: bad syntax, bytes that are not UTF-8, and
+# nesting deeper than the decoder recurses
+_UNLOADABLE = {"not_json": b"{not json", "not_utf8": b"\xff\xfe{}", "too_deep": b"[" * 100_000}
+
+
+@pytest.mark.parametrize("kind", _UNLOADABLE)
+def test_load_rejects_bad_json(tmp_path, kind):
     path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
+    path.write_bytes(_UNLOADABLE[kind])
     with pytest.raises(ParseError):
         Scenario.load(path)
 
@@ -1373,6 +1379,34 @@ def test_cli_metrics_refuses_an_unreadable_log(tmp_path, capsys):
     assert main(["metrics", str(missing), str(tmp_path / "m.csv")]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
     assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["not_utf8", "too_deep"])
+def test_cli_run_reports_an_unloadable_scenario_as_a_parse_error(tmp_path, capsys, kind):
+    path = tmp_path / "broken.json"
+    path.write_bytes(_UNLOADABLE[kind])
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: cannot load {path}: ")
+
+
+def test_cli_run_refuses_an_out_dir_it_cannot_write(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "logs"
+    assert main(["run", _scenario_path("will_claim"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out / 'will_claim.log.jsonl'}: ")
+    assert captured.out == ""
+
+
+def test_cli_metrics_refuses_an_out_path_it_cannot_write(tmp_path, capsys):
+    main(["run", _scenario_path("will_claim"), "--out", str(tmp_path)])
+    capsys.readouterr()
+    out = tmp_path / "nosuch" / "m.csv"
+    assert main(["metrics", str(tmp_path / "will_claim.log.jsonl"), str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.out == ""
 
 
 def test_cli_metrics_writes_csv(tmp_path, capsys):

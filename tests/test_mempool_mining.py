@@ -24,11 +24,12 @@ from oraclesim.simchain import (
     block_hash,
     build_payment,
     classify,
+    select_coins,
     serialize_tx,
+    sign_input,
     txid,
     validate_tx,
 )
-from oraclesim.simchain.tx import select_coins, sign_input
 
 ALL_COMPLIANT = [Miner("big", 0.93, accepts_nonstandard=False), Miner("small", 0.07)]
 SOLO = [Miner("solo", 1.0)]

@@ -5,6 +5,7 @@ import pytest
 from oraclesim.simchain import (
     DataCarrier,
     Either,
+    Era,
     KeyRegistry,
     MultiSig,
     NonStandardReason,
@@ -18,11 +19,11 @@ from oraclesim.simchain import (
     Witness,
     classify,
     p2sh_lock,
+    policy_for,
     sighash,
     sign,
     validate_tx,
 )
-from oraclesim.simchain.policy import Era, policy_for
 
 PUB = bytes([0x11]) * 32
 SOURCE = bytes([0xAA]) * 32

@@ -289,7 +289,7 @@ def test_demo_p2sh_unspendable_before_key_release(demo_env):
     chain, registry, alice, bob, alice_temp, bob_temp, temps = demo_env
     fact, contract = funded_contract(chain, registry, alice, bob, alice_temp, bob_temp, temps)
 
-    from oraclesim.simchain.tx import Transaction, TxInput
+    from oraclesim.simchain import Transaction, TxInput
 
     attempt = Transaction(
         inputs=(TxInput(outpoint=contract.funding_outpoint),),

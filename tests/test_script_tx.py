@@ -16,6 +16,7 @@ from oraclesim.simchain import (
     InsufficientFundsError,
     KeyPair,
     KeyRegistry,
+    MAX_LOCK_DEPTH,
     Miner,
     MultiSig,
     PayToKey,
@@ -28,20 +29,22 @@ from oraclesim.simchain import (
     TxInput,
     TxOutput,
     Witness,
+    _serialized,
+    add_signature,
     block_hash,
     build_payment,
     deserialize_tx,
     lock_from_reader,
     p2sh_lock,
     script_digest,
+    select_coins,
     serialize_lock,
     serialize_tx,
     sighash,
     sign,
+    sign_input,
     txid,
 )
-from oraclesim.simchain.script import MAX_LOCK_DEPTH
-from oraclesim.simchain.tx import _serialized, add_signature, select_coins, sign_input
 
 
 def deserialize_lock(data):

@@ -17,10 +17,10 @@ from oraclesim.simchain import (
     SimChain,
     TxOutput,
     Witness,
+    add_signature,
     sighash,
     sign,
 )
-from oraclesim.simchain.tx import add_signature
 from oraclesim.will_oracle import (
     ConditionFalseError,
     HashMismatchError,
