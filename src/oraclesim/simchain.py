@@ -15,6 +15,7 @@ and why.
 from __future__ import annotations
 
 import enum
+import hashlib
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
@@ -691,18 +692,18 @@ def validate_tx(
     keys: KeyRegistry,
 ) -> ValidationResult:
     """Validity of `tx` if included in a block at `height`."""
-    if not tx.inputs:
+    inputs = tx.inputs
+    if not inputs:
         return _INVALID[InvalidReason.NO_INPUTS]
     if tx.locktime > height:
         return _INVALID[InvalidReason.PREMATURE]
-
-    outpoints = [txin.outpoint for txin in tx.inputs]
-    if len(set(outpoints)) != len(outpoints):
+    # one input cannot name its outpoint twice
+    if len(inputs) > 1 and len({txin.outpoint for txin in inputs}) != len(inputs):
         return _INVALID[InvalidReason.DOUBLE_SPEND]
 
     total_in = 0
     digest = sighash(tx)
-    for txin in tx.inputs:
+    for txin in inputs:
         source = utxo_set.get(txin.outpoint)
         if source is None:
             return _INVALID[InvalidReason.MISSING_INPUT]
@@ -711,10 +712,12 @@ def validate_tx(
             return _INVALID[failure]
         total_in += source.value
 
-    total_out = sum(o.value for o in tx.outputs)
+    total_out = 0
+    for out in tx.outputs:
+        total_out += out.value
     if total_out > total_in:
         return _INVALID[InvalidReason.OVERSPEND]
-    return ValidationResult(True, None, total_in - total_out)
+    return tuple.__new__(ValidationResult, (True, None, total_in - total_out))
 
 
 # ------------------------------------------------------------------ mempool
@@ -730,6 +733,11 @@ def validate_tx(
 # and earlier arrival on ties, is fixed when it is submitted. `entries`
 # keeps arrival order, in which `arrival_height` never decreases, so expiry
 # stops at the first entry that is young enough.
+#
+# Admission runs once per relayed transaction, so it builds no per-call list,
+# set or generator, and it builds every result and entry with `tuple.__new__`
+# and all of its fields in order: a named tuple built by keyword runs its
+# generated Python `__new__`, at over twice the cost of `tuple.__new__`.
 
 
 REASON_INVALID = "invalid"
@@ -780,22 +788,23 @@ class Mempool:
     def submit(self, chain: SimChain, tx: Transaction) -> SubmitResult:
         tid = txid(tx)
         if tid in self.entries:
-            return SubmitResult(tid, False, reason=REASON_DUPLICATE)
+            return tuple.__new__(SubmitResult, (tid, False, None, REASON_DUPLICATE, None))
+        claimed = self._claimed
         for txin in tx.inputs:
-            if txin.outpoint in self._claimed:
-                return SubmitResult(tid, False, reason=REASON_CONFLICT)
+            if txin.outpoint in claimed:
+                return tuple.__new__(SubmitResult, (tid, False, None, REASON_CONFLICT, None))
         verdict = chain.validate(tx)
-        if not verdict:
-            return SubmitResult(tid, False, reason=REASON_INVALID, invalid_reason=verdict.reason)
+        if not verdict.ok:
+            return tuple.__new__(SubmitResult, (tid, False, None, REASON_INVALID, verdict.reason))
         decision = classify(tx, chain.policy)
         fee, size, seq = verdict.fee, tx_size(tx), self._next_seq
         self._next_seq = seq + 1
-        self.entries[tid] = MempoolEntry(
-            tx, tid, fee, size, chain.height, seq, decision, (-(fee / size), seq)
+        self.entries[tid] = tuple.__new__(
+            MempoolEntry, (tx, tid, fee, size, chain.height, seq, decision, (-(fee / size), seq))
         )
         for txin in tx.inputs:
-            self._claimed[txin.outpoint] = tid
-        return SubmitResult(tid, True, decision)
+            claimed[txin.outpoint] = tid
+        return tuple.__new__(SubmitResult, (tid, True, decision, None, None))
 
     def candidates(self, include_nonstandard: bool) -> list[MempoolEntry]:
         """Entries a miner will consider, best fee rate first, FIFO on ties."""
@@ -838,8 +847,9 @@ class Mempool:
 # first read and kept from then on, so an owner nobody reads (a payer of
 # presigned transactions) costs no sorted insert or delete.
 #
-# `serialize_block` writes the header, then each transaction's bytes as kept
-# when its txid was taken, so a block never encodes a transaction again.
+# `block_hash` feeds the header, then each transaction's bytes as kept when
+# its txid was taken, into one hash state, so a block never encodes a
+# transaction again and its bytes are never joined into one string.
 
 
 GENESIS_PARENT = bytes(32)
@@ -853,17 +863,18 @@ class Block:
     parent: bytes
 
 
-def serialize_block(block: Block) -> bytes:
-    w = Writer()
-    w.u64(block.height).string(block.miner_id).raw(block.parent)
-    w.u32(len(block.txs))
-    for tx in block.txs:
-        w.raw(_serialized(tx))
-    return w.getvalue()
-
-
 def block_hash(block: Block) -> bytes:
-    return sha256(serialize_block(block))
+    """H of the block layout in FORMATS.md: u64 height, string miner_id,
+    raw parent, u32 n_txs, then each transaction's canonical bytes."""
+    miner_id = block.miner_id.encode("utf-8")
+    txs = block.txs
+    state = hashlib.sha256(
+        pack_u64(block.height) + pack_u32(len(miner_id)) + miner_id + block.parent
+        + pack_u32(len(txs))
+    )
+    for tx in txs:
+        state.update(_serialized(tx))
+    return state.digest()
 
 
 class SimChain:
@@ -944,12 +955,12 @@ class SimChain:
         return mine_next(self, miners, rng)
 
     def _apply_block(self, block: Block) -> None:
-        coins, balances, orders = self._coins, self._balances, self._order
+        utxo, coins, balances, orders = self.utxo, self._coins, self._balances, self._order
         for tx in block.txs:
             tid = txid(tx)
             for txin in tx.inputs:
                 outpoint = txin.outpoint
-                out = self.utxo.pop(outpoint)
+                out = utxo.pop(outpoint)
                 if isinstance(out.lock, PayToKey):
                     owner = out.lock.pub
                     owned = coins[owner]
@@ -964,17 +975,20 @@ class SimChain:
                         orders.pop(owner, None)
             for idx, out in enumerate(tx.outputs):
                 outpoint = (tid, idx)
-                self.utxo[outpoint] = out
+                utxo[outpoint] = out
                 if isinstance(out.lock, PayToKey):
                     owner = out.lock.pub
-                    coins.setdefault(owner, {})[outpoint] = out
+                    owned = coins.get(owner)
+                    if owned is None:
+                        owned = coins[owner] = {}
+                    owned[outpoint] = out
                     balances[owner] = balances.get(owner, 0) + out.value
                     order = orders.get(owner)
                     if order is not None:
                         insort(order, outpoint)
             self.txs_by_id[tid] = tx
         self.blocks.append(block)
-        self.mempool.on_block(block, self.height)
+        self.mempool.on_block(block, block.height)
 
 
 # ------------------------------------------------------------------- mining

@@ -8,6 +8,7 @@ import json
 import pkgutil
 import types
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -81,3 +82,35 @@ def test_the_tracer_finds_every_public_function_and_method(layer, sample):
                 ]
     assert sample <= dict(expected).keys()
     assert [name for name, f in expected if id(f) not in found] == []
+
+
+def test_the_tracer_sees_every_host_chain_call_of_one_relayed_block():
+    """One warm payment submitted and mined: each traced host-chain call on
+    the relay path is counted once, and `txid` once for admission, once for
+    the block's UTXO update and once for the pool's clean-up."""
+    keys = simchain.KeyRegistry()
+    alice, bob = keys.keygen(b"alice"), keys.keygen(b"bob")
+    chain = simchain.SimChain(
+        genesis=(simchain.TxOutput(5_000, simchain.PayToKey(alice.pub)),), keys=keys
+    )
+    tx = simchain.build_payment(
+        chain, alice, [simchain.TxOutput(1_000, simchain.PayToKey(bob.pub))], fee=100
+    )
+    simchain.txid(tx)  # warm, as a presigned relay transaction is after its first block
+    tracer = _layertrace().Tracer()
+    tracer.install()
+    try:
+        assert chain.submit(tx).accepted
+        block = chain.mine_next([simchain.Miner("solo", 1.0)], Random(0))
+    finally:
+        tracer.uninstall()
+    assert block.txs == (tx,)
+    calls, _ = tracer.summarize()
+    counted = {name: n for name, n in calls.items() if name.startswith("simchain.") and n}
+    once = [
+        "Mempool.submit", "SimChain.submit", "SimChain.validate", "validate_tx",
+        "KeyRegistry.verify", "classify", "tx_size", "sighash", "check_miners",
+        "mine_next", "SimChain.mine_next", "Mempool.candidates", "Mempool.on_block",
+        "block_hash",
+    ]
+    assert counted == {"simchain.txid": 3} | {f"simchain.{name}": 1 for name in once}

@@ -31,6 +31,7 @@ from oraclesim.counterparty import (
     replay,
 )
 from oraclesim.simchain import (
+    Block,
     DataCarrier,
     InsufficientFundsError,
     KeyRegistry,
@@ -69,6 +70,14 @@ def scanned_coins(chain, pub):
     return sorted(found, key=lambda item: item[0])
 
 
+def layout_hash(block: Block) -> bytes:
+    """sha256 of the FORMATS.md block layout, written field by field."""
+    w = Writer().u64(block.height).string(block.miner_id).raw(block.parent).u32(len(block.txs))
+    for tx in block.txs:
+        w.raw(serialize_tx(tx))
+    return sha256(w.getvalue())
+
+
 def assert_digests_fresh(tx: Transaction) -> None:
     data = serialize_tx(tx)
     assert _serialized(tx) == data
@@ -88,10 +97,7 @@ def check_chain(chain, owners, stranger, reading):
             assert pub not in chain._order  # an owner nobody read keeps no order
         assert chain.balance(pub) == sum(out.value for _, out in coins)
     tip = chain.blocks[-1]
-    w = Writer().u64(tip.height).string(tip.miner_id).raw(tip.parent).u32(len(tip.txs))
-    for tx in tip.txs:
-        w.raw(serialize_tx(tx))
-    assert chain.tip_hash == block_hash(tip) == sha256(w.getvalue())
+    assert chain.tip_hash == block_hash(tip) == layout_hash(tip)
     for tx in tip.txs:
         assert_digests_fresh(tx)
         moved = replace(tx, locktime=tx.locktime + 1)
@@ -103,6 +109,36 @@ def check_chain(chain, owners, stranger, reading):
             derived.append(rewitnessed)
         for other in derived:
             assert_digests_fresh(other)
+
+
+def test_block_hash_is_the_hash_of_the_block_layout():
+    reg = KeyRegistry()
+    alice, bob = reg.keygen(b"alice"), reg.keygen(b"bob")
+    chain = SimChain(genesis=[TxOutput(5_000, PayToKey(alice.pub))] * 3, keys=reg)
+    genesis = chain.blocks[0]
+    coins = [op for op, _ in chain.utxos_for(alice.pub)]
+    payments = tuple(
+        sign_input(Transaction((TxInput(op),), (TxOutput(4_000 - i, PayToKey(bob.pub)),)), 0, alice)
+        for i, op in enumerate(coins)
+    )
+    parent = bytes(range(32))
+    snowman = "mïner☃"
+    blocks = {
+        "empty": Block(height=1, miner_id="", txs=(), parent=parent),
+        "genesis": genesis,
+        "several": Block(height=2, miner_id="solo", txs=payments + genesis.txs, parent=parent),
+        "non-ascii miner": Block(height=3, miner_id=snowman, txs=payments[:1], parent=parent),
+    }
+    for name, block in blocks.items():
+        assert block_hash(block) == layout_hash(block), name
+    assert chain.tip_hash == layout_hash(genesis)
+
+    # the miner id's length prefix counts bytes; a count of characters differs
+    block = blocks["non-ascii miner"]
+    assert (len(snowman), len(snowman.encode("utf-8"))) == (6, 9)
+    by_chars = Writer().u64(block.height).u32(len(snowman)).raw(snowman.encode("utf-8"))
+    by_chars.raw(block.parent).u32(1).raw(serialize_tx(payments[0]))
+    assert block_hash(block) != sha256(by_chars.getvalue())
 
 
 def lock_for(kind: str, pub: bytes, height: int):

@@ -8,25 +8,34 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from oraclesim.simchain import (
+    REASON_CONFLICT,
+    REASON_DUPLICATE,
+    REASON_INVALID,
     DataCarrier,
     InsufficientFundsError,
     InvalidReason,
     KeyRegistry,
+    MempoolEntry,
     Miner,
     NoMinersError,
     PayToKey,
     POLICY_TEST2013,
     SimChain,
+    SubmitResult,
     TimeLocked,
     Transaction,
     TxInput,
     TxOutput,
+    ValidationResult,
+    _satisfies,
     block_hash,
     build_payment,
     classify,
     select_coins,
     serialize_tx,
+    sighash,
     sign_input,
+    tx_size,
     txid,
     validate_tx,
 )
@@ -255,17 +264,67 @@ MINER_SETS = {
 }
 
 
+def reference_validate(tx, utxo_set, height, keys):
+    """`validate_tx` written plainly: a list and a set for every duplicate
+    check, a generator for the output sum, and each verdict built by the
+    named tuple's constructor."""
+    if not tx.inputs:
+        return ValidationResult(False, InvalidReason.NO_INPUTS)
+    if tx.locktime > height:
+        return ValidationResult(False, InvalidReason.PREMATURE)
+
+    outpoints = [txin.outpoint for txin in tx.inputs]
+    if len(set(outpoints)) != len(outpoints):
+        return ValidationResult(False, InvalidReason.DOUBLE_SPEND)
+
+    total_in = 0
+    digest = sighash(tx)
+    for txin in tx.inputs:
+        source = utxo_set.get(txin.outpoint)
+        if source is None:
+            return ValidationResult(False, InvalidReason.MISSING_INPUT)
+        failure = _satisfies(source.lock, txin.witness, digest, height, keys)
+        if failure is not None:
+            return ValidationResult(False, failure)
+        total_in += source.value
+
+    total_out = sum(o.value for o in tx.outputs)
+    if total_out > total_in:
+        return ValidationResult(False, InvalidReason.OVERSPEND)
+    return ValidationResult(True, None, total_in - total_out)
+
+
+def reference_admission(chain, tx):
+    """What `chain.submit(tx)` gives, taken the plain way and without
+    touching the pool: the result and the entry it adds, or None."""
+    pool = chain.mempool
+    tid = txid(tx)
+    if tid in pool.entries:
+        return SubmitResult(tid, False, reason=REASON_DUPLICATE), None
+    for txin in tx.inputs:
+        if txin.outpoint in pool._claimed:
+            return SubmitResult(tid, False, reason=REASON_CONFLICT), None
+    verdict = reference_validate(tx, chain.utxo, chain.height + 1, chain.keys)
+    if not verdict:
+        return SubmitResult(tid, False, reason=REASON_INVALID, invalid_reason=verdict.reason), None
+    decision = classify(tx, chain.policy)
+    fee, size, seq = verdict.fee, tx_size(tx), pool._next_seq
+    entry = MempoolEntry(tx, tid, fee, size, chain.height, seq, decision, (-(fee / size), seq))
+    return SubmitResult(tid, True, decision), entry
+
+
 class RelayTraffic(RuleBasedStateMachine):
     """Random relay traffic, mined with no validation at mining time.
 
     Payments (some time-locked, some nonstandard), rival spends of one coin,
     transactions naming a coin twice, premature unlocks, overspends and
-    re-sent confirmed transactions go through `submit`; mining by strict,
-    loose, mixed and small-budget miners confirms some and lets the rest
-    expire.  Every mined block must validate tx by tx against the UTXO set
-    before it, with the block's earlier spends applied, and must hold what a
-    greedy fill of the pool before it takes.  Fees, arrival order and expiry
-    are checked against what the machine itself recorded and the UTXO set.
+    re-sent confirmed transactions go through `submit`, each admission
+    checked against `reference_admission`; mining by strict, loose, mixed
+    and small-budget miners confirms some and lets the rest expire.  Every
+    mined block must validate tx by tx against the UTXO set before it, with
+    the block's earlier spends applied, and must hold what a greedy fill of
+    the pool before it takes.  Fees, arrival order and expiry are checked
+    against what the machine itself recorded and the UTXO set.
     """
 
     def __init__(self):
@@ -287,9 +346,21 @@ class RelayTraffic(RuleBasedStateMachine):
         self.accepted = 0
 
     def submit(self, tx):
-        if self.chain.submit(tx):
-            self.arrived[txid(tx)] = (self.chain.height, self.accepted)
-            self.accepted += 1
+        """Submit `tx`, checking the result and the new entry, field by field,
+        against the reference admission."""
+        expected, entry = reference_admission(self.chain, tx)
+        depth = len(self.chain.mempool)
+        result = self.chain.submit(tx)
+        assert type(result) is SubmitResult
+        assert result._asdict() == expected._asdict()
+        if entry is None:
+            assert len(self.chain.mempool) == depth
+            return
+        kept = self.chain.mempool.entries[result.txid]
+        assert type(kept) is MempoolEntry
+        assert kept._asdict() == entry._asdict()
+        self.arrived[result.txid] = (self.chain.height, self.accepted)
+        self.accepted += 1
 
     def pay_to(self, sender, lock, value, fee):
         try:

@@ -16,6 +16,7 @@ from oraclesim.simchain import (
     Transaction,
     TxInput,
     TxOutput,
+    ValidationResult,
     Witness,
     build_payment,
     deserialize_tx,
@@ -120,6 +121,43 @@ def test_intra_tx_double_spend(reg):
     )
     verdict = validate_tx(tx, utxo, height=1, keys=reg)
     assert verdict.reason is InvalidReason.DOUBLE_SPEND
+
+
+def test_one_input_is_never_a_double_spend(reg):
+    alice = reg.keygen(b"alice")
+    tx, utxo = spend_of(PayToKey(alice.pub), value=100, outputs=[TxOutput(60, PayToKey(alice.pub))])
+    signed = signed_by(tx, [alice])
+    verdict = validate_tx(signed, utxo, height=1, keys=reg)
+    assert type(verdict) is ValidationResult and verdict == (True, None, 40)
+    short = {(SOURCE_ID, 0): TxOutput(value=59, lock=PayToKey(alice.pub))}
+    for spend, view, reason in (
+        (tx, utxo, InvalidReason.BAD_WITNESS),
+        (signed, {}, InvalidReason.MISSING_INPUT),
+        (signed, short, InvalidReason.OVERSPEND),
+    ):
+        assert validate_tx(spend, view, height=1, keys=reg).reason is reason
+
+
+def test_a_missing_outpoint_named_twice_is_a_double_spend(reg):
+    """The duplicate check comes before any input is looked up."""
+    tx = Transaction(
+        inputs=(TxInput(outpoint=(SOURCE_ID, 0)), TxInput(outpoint=(SOURCE_ID, 0))),
+        outputs=(TxOutput(value=1, lock=DataCarrier(b"sink")),),
+    )
+    assert validate_tx(tx, {}, height=1, keys=reg).reason is InvalidReason.DOUBLE_SPEND
+
+
+def test_a_premature_double_spend_is_premature(reg):
+    """The locktime check comes before the duplicate check."""
+    alice = reg.keygen(b"alice")
+    utxo = {(SOURCE_ID, 0): TxOutput(value=10, lock=PayToKey(alice.pub))}
+    tx = Transaction(
+        inputs=(TxInput(outpoint=(SOURCE_ID, 0)), TxInput(outpoint=(SOURCE_ID, 0))),
+        outputs=(TxOutput(value=1, lock=PayToKey(alice.pub)),),
+        locktime=2,
+    )
+    assert validate_tx(tx, utxo, height=1, keys=reg).reason is InvalidReason.PREMATURE
+    assert validate_tx(tx, utxo, height=2, keys=reg).reason is InvalidReason.DOUBLE_SPEND
 
 
 def test_overspend(reg):
