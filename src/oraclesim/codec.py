@@ -29,8 +29,9 @@ class Writer:
     """Accumulates a canonical byte string.
 
     `put` appends bytes that are already encoded, as they are and without
-    chaining: the hot encoders (`serialize_tx`, `write_lock`) call it with
-    the packers above instead of the chaining methods.
+    chaining, such as a signature's wire form.  The host-chain encoders
+    (`simchain.serialize_tx`, `serialize_lock`) take no Writer: they join
+    the packers' output into bytes and return them.
     """
 
     def __init__(self) -> None:

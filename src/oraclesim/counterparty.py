@@ -41,8 +41,8 @@ from .simchain import (
     SimChain,
     Transaction,
     TxOutput,
-    build_payment,
     select_coins,
+    sign_payment,
     txid,
 )
 
@@ -263,15 +263,17 @@ def carrier_output(payload: bytes, owner_pub: bytes) -> TxOutput:
     """
     size = len(payload)
     if size <= DATA_CARRIER_LIMIT:
-        return TxOutput(value=0, lock=DataCarrier(payload))
+        return TxOutput(0, DataCarrier(payload))
     count = -(-size // CHUNK)
     if count + 1 > MAX_MULTISIG_KEYS:
         raise ValueError(f"payload of {size} bytes exceeds multisig capacity")
     tail = (count - 1) * CHUNK  # where the last chunk starts
+    padded = payload.ljust(count * CHUNK, b"\0")
     keys = [owner_pub]
-    keys += [_FULL_CHUNK + payload[i : i + CHUNK] for i in range(0, tail, CHUNK)]
-    keys.append(bytes((size - tail,)) + payload[tail:].ljust(CHUNK, b"\0"))
-    return TxOutput(value=0, lock=MultiSig(m=1, keys=tuple(keys)))
+    for start in range(0, tail, CHUNK):
+        keys.append(_FULL_CHUNK + padded[start : start + CHUNK])
+    keys.append(bytes((size - tail,)) + padded[tail:])
+    return TxOutput(0, MultiSig(1, tuple(keys)))
 
 
 def carried_ciphertexts(tx: Transaction) -> list[bytes]:
@@ -301,21 +303,28 @@ def compose_message_tx(
     extra_outputs: tuple[TxOutput, ...] = (),
 ) -> Transaction:
     """Build and sign a host transaction carrying one protocol message,
-    keyed by the first coin that any spend by the sender takes."""
-    coins, _ = select_coins(chain, sender.pub, 0)
+    keyed by the txid of the first coin it spends.
+
+    The coins are selected once, before the payload exists: the carrier
+    output is worth nothing, so the target is the extra outputs plus the fee.
+    """
+    if fee < 0:
+        raise ValueError("fee must be non-negative")
+    target = fee
+    for out in extra_outputs:
+        target += out.value
+    coins, gathered = select_coins(chain, sender.pub, target)
     payload = encode_message(message, coins[0][0])
-    outputs = [carrier_output(payload, sender.pub), *extra_outputs]
-    return build_payment(chain, sender, outputs, fee=fee)
+    outputs = (carrier_output(payload, sender.pub), *extra_outputs)
+    return sign_payment(sender, coins, outputs, gathered - target)
 
 
 def compose_burn_tx(
     chain: SimChain, sender: KeyPair, btc_qty: int, *, fee: int = 1000
 ) -> Transaction:
     """Pay host coin to the unspendable vanity address, declaring the burn."""
-    burn_out = TxOutput(value=btc_qty, lock=PayToKey(BURN_PUB))
-    return compose_message_tx(
-        chain, sender, Burn(btc_qty=btc_qty), fee=fee, extra_outputs=(burn_out,)
-    )
+    burn_out = TxOutput(btc_qty, PayToKey(BURN_PUB))
+    return compose_message_tx(chain, sender, Burn(btc_qty), fee=fee, extra_outputs=(burn_out,))
 
 
 # -------------------------------------------------------------- meta state

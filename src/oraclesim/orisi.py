@@ -41,11 +41,11 @@ from .simchain import (
     TxOutput,
     Witness,
     build_payment,
+    serialize_signature,
     sighash,
     sign,
     signature_from_reader,
     txid,
-    write_signature,
 )
 
 DEFAULT_BUS_DIFFICULTY = 8  # leading zero bits
@@ -262,7 +262,7 @@ def encode_bus_payload(contract_id: str, oracle_id: str, kind: DraftKind, sig: S
     w = Writer()
     w.string(contract_id).string(oracle_id)
     w.u8(1 if kind is DraftKind.UNLOCK else 2)
-    write_signature(w, sig)
+    w.put(serialize_signature(sig))
     return w.getvalue()
 
 

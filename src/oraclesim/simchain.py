@@ -23,7 +23,7 @@ from operator import attrgetter
 from random import Random
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .codec import Reader, Writer, pack_u8, pack_u16, pack_u32, pack_u64, sha256
+from .codec import Reader, pack_u16, pack_u32, pack_u64, sha256
 
 
 # --------------------------------------------------------------------- keys
@@ -55,12 +55,9 @@ class Signature:
     tag: bytes  # sha256(secret || digest_signed)
 
 
-def write_signature(w: Writer, sig: Signature) -> None:
+def serialize_signature(sig: Signature) -> bytes:
     """The 96-byte wire form: signer pub, digest signed, tag."""
-    put = w.put
-    put(sig.signer_pub)
-    put(sig.digest_signed)
-    put(sig.tag)
+    return sig.signer_pub + sig.digest_signed + sig.tag
 
 
 def signature_from_reader(r: Reader) -> Signature:
@@ -79,7 +76,7 @@ def sign(secret: bytes, digest: bytes) -> Signature:
     """Sign a 32-byte digest with a secret. Needs no registry."""
     if len(digest) != 32:
         raise ValueError("digest must be 32 bytes")
-    return Signature(signer_pub=sha256(secret), digest_signed=digest, tag=sha256(secret + digest))
+    return Signature(sha256(secret), digest, sha256(secret + digest))  # signer pub, digest, tag
 
 
 class KeyRegistry:
@@ -117,12 +114,14 @@ class KeyRegistry:
 MAX_MULTISIG_KEYS = 15
 MAX_LOCK_DEPTH = 16  # nested TimeLocked/Either levels a lock may have
 
-_TAG_PAY_TO_KEY = 1
-_TAG_MULTISIG = 2
-_TAG_SCRIPT_HASH = 3
-_TAG_DATA_CARRIER = 4
-_TAG_TIME_LOCKED = 5
-_TAG_EITHER = 6
+# each template's tag byte, which both the encoder and the decoder read
+_TAG_PAY_TO_KEY = b"\x01"
+_TAG_MULTISIG = b"\x02"
+_TAG_SCRIPT_HASH = b"\x03"
+_TAG_DATA_CARRIER = b"\x04"
+_TAG_TIME_LOCKED = b"\x05"
+_TAG_EITHER = b"\x06"
+_ABSENT, _PRESENT = b"\x00", b"\x01"  # a presence flag
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,41 +198,6 @@ class Either:
 LockScript = Union[PayToKey, MultiSig, ScriptHash, DataCarrier, TimeLocked, Either]
 
 
-def write_lock(w: Writer, lock: LockScript) -> None:
-    put = w.put
-    if isinstance(lock, PayToKey):
-        put(pack_u8(_TAG_PAY_TO_KEY))
-        put(lock.pub)
-    elif isinstance(lock, MultiSig):
-        put(pack_u8(_TAG_MULTISIG))
-        put(pack_u8(lock.m))
-        put(pack_u8(len(lock.keys)))
-        for k in lock.keys:
-            put(k)
-        if lock.commitment is None:
-            put(pack_u8(0))
-        else:
-            put(pack_u8(1))
-            put(lock.commitment)
-    elif isinstance(lock, ScriptHash):
-        put(pack_u8(_TAG_SCRIPT_HASH))
-        put(lock.h)
-    elif isinstance(lock, DataCarrier):
-        put(pack_u8(_TAG_DATA_CARRIER))
-        put(pack_u32(len(lock.payload)))
-        put(lock.payload)
-    elif isinstance(lock, TimeLocked):
-        put(pack_u8(_TAG_TIME_LOCKED))
-        put(pack_u64(lock.unlock_height))
-        write_lock(w, lock.inner)
-    elif isinstance(lock, Either):
-        put(pack_u8(_TAG_EITHER))
-        write_lock(w, lock.left)
-        write_lock(w, lock.right)
-    else:
-        raise TypeError(f"not a lock script: {lock!r}")
-
-
 def lock_from_reader(r: Reader) -> LockScript:
     """One lock script; ValueError past MAX_LOCK_DEPTH nested levels."""
     return _lock_at_depth(r, 0)
@@ -242,7 +206,7 @@ def lock_from_reader(r: Reader) -> LockScript:
 def _lock_at_depth(r: Reader, depth: int) -> LockScript:
     if depth > MAX_LOCK_DEPTH:
         raise ValueError(f"lock script nested deeper than {MAX_LOCK_DEPTH} levels")
-    tag = r.u8()
+    tag = r.raw(1)
     if tag == _TAG_PAY_TO_KEY:
         return PayToKey(pub=r.raw(32))
     if tag == _TAG_MULTISIG:
@@ -260,13 +224,28 @@ def _lock_at_depth(r: Reader, depth: int) -> LockScript:
         return TimeLocked(inner=_lock_at_depth(r, depth + 1), unlock_height=unlock_height)
     if tag == _TAG_EITHER:
         return Either(left=_lock_at_depth(r, depth + 1), right=_lock_at_depth(r, depth + 1))
-    raise ValueError(f"unknown lock script tag {tag}")
+    raise ValueError(f"unknown lock script tag {tag[0]}")
 
 
 def serialize_lock(lock: LockScript) -> bytes:
-    w = Writer()
-    write_lock(w, lock)
-    return w.getvalue()
+    """The canonical bytes of `lock`: its tag byte, then its fields."""
+    if isinstance(lock, PayToKey):
+        return _TAG_PAY_TO_KEY + lock.pub
+    if isinstance(lock, DataCarrier):
+        return _TAG_DATA_CARRIER + pack_u32(len(lock.payload)) + lock.payload
+    if isinstance(lock, MultiSig):
+        keys = lock.keys
+        head = _TAG_MULTISIG + bytes((lock.m, len(keys)))
+        if lock.commitment is None:
+            return b"".join((head, *keys, _ABSENT))
+        return b"".join((head, *keys, _PRESENT, lock.commitment))
+    if isinstance(lock, ScriptHash):
+        return _TAG_SCRIPT_HASH + lock.h
+    if isinstance(lock, TimeLocked):
+        return _TAG_TIME_LOCKED + pack_u64(lock.unlock_height) + serialize_lock(lock.inner)
+    if isinstance(lock, Either):
+        return _TAG_EITHER + serialize_lock(lock.left) + serialize_lock(lock.right)
+    raise TypeError(f"not a lock script: {lock!r}")
 
 
 def script_digest(lock: LockScript) -> bytes:
@@ -286,10 +265,14 @@ def p2sh_lock(redeem: LockScript) -> ScriptHash:
 # the same layout with every witness written blank (`Witness()`, the four
 # bytes 00 00 00 00) — that is what signatures commit to, so co-signers can
 # add their signatures to a partially signed transaction without
-# invalidating earlier ones.  `serialize_tx` writes the canonical bytes;
-# `_blank_digest` writes the sighash preimage from a transaction's parts
-# (outpoints, outputs, locktime), with the blank witness in each input's
-# place, and both write the outputs and locktime with one helper.
+# invalidating earlier ones.
+#
+# Every encoder returns bytes, one per layout: `serialize_signature`,
+# `serialize_lock`, `_serialize_witness`, `_tail` for the outputs and the
+# locktime, which the txid and the sighash share, and `_tx_layout`, which
+# joins each outpoint and its encoded witness with a tail.  `serialize_tx`
+# and the sighash preimage are `_tx_layout` with each input's own witness
+# and with the blank one.
 #
 # A `Transaction` is frozen, so each is serialized at most once: its
 # canonical bytes are kept on the instance, and `txid`, `tx_size` and the
@@ -302,12 +285,16 @@ def p2sh_lock(redeem: LockScript) -> ScriptHash:
 # declared fields, left out of `__init__`, `==`, `hash` and `repr`;
 # `dataclasses.fields()` lists them, and nothing else sees them.
 #
-# Signing builds each transaction once.  `build_payment` builds no unsigned
-# twin: it hashes the selected outpoints, the outputs and the locktime with
-# `_blank_digest`, signs that digest once, and constructs the signed
-# transaction in one step, with the one `Witness` shared by every input and
-# the digest set as its sighash.  `with_witness`, and so `sign_input` and
-# `add_signature`, rebuilds the inputs tuple once.
+# Signing builds and encodes each transaction once.  A host spend is
+# `select_coins`, then `sign_payment`, which builds no unsigned twin: it
+# encodes the outputs and the locktime once, as one tail, and takes from it
+# both the sighash preimage and, after signing that digest once, the
+# canonical bytes, with the one `Witness` shared by every input.  It keeps
+# the digest as the sighash and the bytes as the transaction's own, so a
+# built transaction never reaches `serialize_tx`.  It encodes both from the
+# fields it constructs, and takes no bytes from its caller.
+# `with_witness`, and so `sign_input` and `add_signature`, rebuilds the
+# inputs tuple once.
 #
 # `select_coins` is the one coin-selection rule of every host spend: the
 # owner's coins in outpoint order until the target is covered, and always at
@@ -351,8 +338,9 @@ class Transaction:
     outputs: tuple[TxOutput, ...]
     locktime: int = 0  # block height; 0 = no lock
 
-    # Memoised by _serialized, txid and sighash; fields only for their slots,
-    # so they take no part in equality, hash or repr, and `replace` starts them afresh.
+    # Set by sign_payment, or memoised by _serialized, txid and sighash; fields
+    # only for their slots, so they take no part in equality, hash or repr,
+    # and `replace` starts them afresh.
     _bytes: bytes | None = field(default=None, init=False, repr=False, compare=False)
     _txid: bytes | None = field(default=None, init=False, repr=False, compare=False)
     _sighash: bytes | None = field(default=None, init=False, repr=False, compare=False)
@@ -366,21 +354,14 @@ class Transaction:
         return derived
 
 
-def _write_witness(w: Writer, wit: Witness) -> None:
-    put = w.put
-    put(pack_u16(len(wit.signatures)))
-    for sig in wit.signatures:
-        write_signature(w, sig)
-    if wit.redeem is None:
-        put(pack_u8(0))
-    else:
-        put(pack_u8(1))
-        write_lock(w, wit.redeem)
+def _serialize_witness(wit: Witness) -> bytes:
+    parts = [pack_u16(len(wit.signatures)), *map(serialize_signature, wit.signatures)]
+    parts.append(_ABSENT if wit.redeem is None else _PRESENT + serialize_lock(wit.redeem))
     if wit.expr_preimage is None:
-        put(pack_u8(0))
+        parts.append(_ABSENT)
     else:
-        put(pack_u8(1))
-        w.bytes(wit.expr_preimage)
+        parts += (_PRESENT, pack_u32(len(wit.expr_preimage)), wit.expr_preimage)
+    return b"".join(parts)
 
 
 def _witness_from_reader(r: Reader) -> Witness:
@@ -392,41 +373,33 @@ def _witness_from_reader(r: Reader) -> Witness:
 
 def serialize_tx(tx: Transaction) -> bytes:
     """The canonical bytes of `tx`."""
-    w = Writer()
-    put = w.put
-    put(pack_u16(len(tx.inputs)))
-    for txin in tx.inputs:
-        put(txin.outpoint[0])
-        put(pack_u32(txin.outpoint[1]))
-        _write_witness(w, txin.witness)
-    _write_outputs(w, tx.outputs, tx.locktime)
-    return w.getvalue()
+    inputs = tx.inputs
+    return _tx_layout(
+        [txin.outpoint for txin in inputs],
+        [_serialize_witness(txin.witness) for txin in inputs],
+        _tail(tx.outputs, tx.locktime),
+    )
 
 
-def _blank_digest(
-    outpoints: Sequence[tuple[bytes, int]], outputs: Sequence[TxOutput], locktime: int
+def _tx_layout(
+    outpoints: Sequence[tuple[bytes, int]], witnesses: Sequence[bytes], tail: bytes
 ) -> bytes:
-    """The sighash of a transaction with these inputs, outputs and locktime:
-    the hash of its canonical bytes with every witness written `Witness()`."""
-    w = Writer()
-    put = w.put
-    put(pack_u16(len(outpoints)))
-    for spent, index in outpoints:
-        put(spent)
-        put(pack_u32(index))
-        put(_BLANK_WITNESS)
-    _write_outputs(w, outputs, locktime)
-    return sha256(w.getvalue())
+    """The transaction layout: each outpoint with its encoded witness, then
+    `tail`, the encoded outputs and locktime."""
+    parts = [pack_u16(len(outpoints))]
+    for (spent, index), witness in zip(outpoints, witnesses):
+        parts += (spent, pack_u32(index), witness)
+    parts.append(tail)
+    return b"".join(parts)
 
 
-def _write_outputs(w: Writer, outputs: Sequence[TxOutput], locktime: int) -> None:
+def _tail(outputs: Sequence[TxOutput], locktime: int) -> bytes:
     """The layout after the inputs, the same in the txid and the sighash."""
-    put = w.put
-    put(pack_u16(len(outputs)))
+    parts = [pack_u16(len(outputs))]
     for txout in outputs:
-        put(pack_u64(txout.value))
-        write_lock(w, txout.lock)
-    put(pack_u64(locktime))
+        parts += (pack_u64(txout.value), serialize_lock(txout.lock))
+    parts.append(pack_u64(locktime))
+    return b"".join(parts)
 
 
 def deserialize_tx(data: bytes) -> Transaction:
@@ -459,8 +432,11 @@ def txid(tx: Transaction) -> bytes:
 
 def sighash(tx: Transaction) -> bytes:
     if tx._sighash is None:
-        digest = _blank_digest([txin.outpoint for txin in tx.inputs], tx.outputs, tx.locktime)
-        object.__setattr__(tx, "_sighash", digest)
+        inputs = tx.inputs
+        outpoints = [txin.outpoint for txin in inputs]
+        blank = [_BLANK_WITNESS] * len(inputs)
+        preimage = _tx_layout(outpoints, blank, _tail(tx.outputs, tx.locktime))
+        object.__setattr__(tx, "_sighash", sha256(preimage))
     return tx._sighash
 
 
@@ -510,21 +486,41 @@ def build_payment(
     """Spend the sender's pay-to-key UTXOs into `outputs` plus change.
 
     Coins are taken by `select_coins`, so the payment has at least one
-    input.  Raises InsufficientFundsError when the sender's spendable value
-    cannot cover outputs plus fee.
+    input, and signed by `sign_payment`.  Raises InsufficientFundsError
+    when the sender's spendable value cannot cover outputs plus fee.
     """
     if fee < 0:
         raise ValueError("fee must be non-negative")
     target = sum(o.value for o in outputs) + fee
-    selected, gathered = select_coins(chain, sender.pub, target)
+    coins, gathered = select_coins(chain, sender.pub, target)
+    return sign_payment(sender, coins, outputs, gathered - target)
 
-    change = gathered - target
+
+def sign_payment(
+    sender: KeyPair,
+    coins: Sequence[tuple[bytes, int]],
+    outputs: Sequence[TxOutput],
+    change: int,
+) -> Transaction:
+    """Spend `coins`, outpoints locked to the sender's key, into `outputs`,
+    then `change` back to the sender unless it is 0, with one signature by
+    `sender` in every input's witness.
+
+    The transaction keeps its sighash and its canonical bytes, both encoded
+    here from one encoding of its outputs and locktime.
+    """
     outs = tuple(outputs)
-    if change > 0:
-        outs += (TxOutput(value=change, lock=PayToKey(sender.pub)),)
-    digest = _blank_digest(selected, outs, 0)
-    witness = Witness(signatures=(sign(sender.secret, digest),))
-    tx = Transaction(tuple(TxInput(op, witness) for op in selected), outs)
+    if change:
+        outs += (TxOutput(change, PayToKey(sender.pub)),)
+    tail = _tail(outs, 0)
+    digest = sha256(_tx_layout(coins, [_BLANK_WITNESS] * len(coins), tail))
+    witness = Witness((sign(sender.secret, digest),))
+    inputs = []
+    for outpoint in coins:
+        inputs.append(TxInput(outpoint, witness))
+    tx = Transaction(tuple(inputs), outs)
+    signed = [_serialize_witness(witness)] * len(coins)
+    object.__setattr__(tx, "_bytes", _tx_layout(coins, signed, tail))
     object.__setattr__(tx, "_sighash", digest)
     return tx
 

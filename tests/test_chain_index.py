@@ -262,10 +262,20 @@ def test_submitting_and_mining_encodes_each_tx_once(monkeypatch):
     stranger = reg.keygen(b"stranger").pub
     genesis = [TxOutput(value=25_000, lock=PayToKey(pair.pub)) for pair in senders]
     chain = SimChain(policy=POLICY_TEST2013, genesis=genesis, keys=reg)
-    txs = [
-        build_payment(chain, pair, [TxOutput(value=1_000, lock=PayToKey(stranger))], fee=10)
-        for pair in senders
-    ]
+    pay = TxOutput(value=1_000, lock=PayToKey(stranger))
+    built = [build_payment(chain, pair, [pay], fee=10) for pair in senders[1:]]
+    # one transaction assembled and signed by hand, so it carries no bytes yet
+    [(outpoint, coin)] = chain.utxos_for(senders[0].pub)
+    change = TxOutput(value=coin.value - 1_010, lock=PayToKey(senders[0].pub))
+    by_hand = sign_input(Transaction((TxInput(outpoint),), (pay, change)), 0, senders[0])
+    txs = [by_hand, *built]
+
+    # a built transaction's kept bytes are those of its fresh twin, so
+    # `serialize_tx` need never see it
+    for tx in built:
+        twin = Transaction(tx.inputs, tx.outputs, tx.locktime)
+        assert tx._bytes == serialize_tx(twin) and tx._sighash == sighash(twin)
+    assert by_hand._bytes is None
 
     encoded = []
     original = serialize_tx
@@ -283,5 +293,7 @@ def test_submitting_and_mining_encodes_each_tx_once(monkeypatch):
     block = chain.mine_next(SOLO, Random(0))
     assert list(block.txs) == txs
     block_hash(block)
-    # the witness-blanked copies that sighash encodes are other objects
-    assert sum(any(seen is tx for tx in txs) for seen in encoded) == len(txs)
+    # on submit, mine and block hash the hand-signed transaction is encoded
+    # once and every built one never
+    assert [sum(seen is tx for seen in encoded) for tx in txs] == [1] + [0] * len(built)
+    assert by_hand._bytes == original(Transaction(by_hand.inputs, by_hand.outputs))

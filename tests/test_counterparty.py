@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oraclesim import counterparty
+from oraclesim import counterparty, simchain
 from oraclesim.codec import Reader, TruncatedError, Writer
 from oraclesim.counterparty import (
     BURN_PUB,
@@ -54,6 +54,7 @@ from oraclesim.counterparty import (
 from oraclesim.datafeed import Comparator, compare
 from oraclesim.simchain import (
     DataCarrier,
+    InsufficientFundsError,
     KeyRegistry,
     Miner,
     MultiSig,
@@ -63,6 +64,8 @@ from oraclesim.simchain import (
     Transaction,
     TxOutput,
     build_payment,
+    select_coins,
+    serialize_tx,
     txid,
 )
 from test_script_tx import _edits
@@ -567,6 +570,58 @@ def test_multisig_with_a_non_payload_key_carries_nothing(spare_key):
     mine(chain, tx, seed=12)  # host-valid and standard: every replica must fold it
     [entry] = replay(chain).log
     assert entry.valid and entry.message == Burn(btc_qty=100_000)
+
+
+def _compose_selecting_twice(chain, sender, message, fee, extra_outputs):
+    """The composition that selects coins twice, kept as the reference: the
+    payload key from a selection with no target, then `build_payment`'s."""
+    coins, _ = select_coins(chain, sender.pub, 0)
+    payload = encode_message(message, coins[0][0])
+    outputs = [carrier_output(payload, sender.pub), *extra_outputs]
+    return build_payment(chain, sender, outputs, fee=fee)
+
+
+@settings(max_examples=60)
+@given(
+    coins=st.lists(st.integers(1, 10**6), min_size=1, max_size=5),
+    fee=st.integers(0, 2 * 10**6),
+    burn=st.none() | st.integers(0, 2 * 10**6),
+    message=st.sampled_from(ALL_MESSAGES[:3]),
+)
+def test_composing_selects_coins_once_with_the_bytes_of_two_selections(coins, fee, burn, message):
+    reg = KeyRegistry()
+    alice = reg.keygen(b"alice")
+    genesis = [TxOutput(value, PayToKey(alice.pub)) for value in coins]
+    chain = SimChain(policy=POLICY_V090, genesis=genesis, keys=reg)
+    if burn is None:
+        compose, carried, extra = compose_message_tx, message, ()
+    else:
+        compose, carried = compose_burn_tx, burn
+        message, extra = Burn(burn), (TxOutput(burn, PayToKey(BURN_PUB)),)
+
+    calls = []
+    select = simchain.select_coins
+
+    def counting(*args):
+        calls.append(args)
+        return select(*args)
+
+    # every module that binds the selector, so a call by any route is counted
+    with patch.object(simchain, "select_coins", counting), patch.object(
+        counterparty, "select_coins", counting
+    ):
+        try:
+            tx = compose(chain, alice, carried, fee=fee)
+        except InsufficientFundsError:
+            tx = None
+    assert len(calls) == 1
+    if tx is None:
+        with pytest.raises(InsufficientFundsError):
+            _compose_selecting_twice(chain, alice, message, fee, extra)
+    else:
+        assert serialize_tx(tx) == serialize_tx(
+            _compose_selecting_twice(chain, alice, message, fee, extra)
+        )
 
 
 # ------------------------------------------------------------- feeds & bets

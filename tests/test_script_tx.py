@@ -6,9 +6,11 @@ from dataclasses import fields
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oraclesim.codec import Reader, TruncatedError, Writer
+from oraclesim.counterparty import Bet, Broadcast, compose_burn_tx, compose_message_tx
+from oraclesim.datafeed import Comparator
 from oraclesim.simchain import (
     Block,
     DataCarrier,
@@ -43,6 +45,7 @@ from oraclesim.simchain import (
     sighash,
     sign,
     sign_input,
+    sign_payment,
     txid,
 )
 
@@ -480,6 +483,33 @@ def _reference_tx(tx: Transaction) -> bytes:
     return out + struct.pack("<Q", tx.locktime)
 
 
+def _nested(levels: int, wrap):
+    """A PayToKey inside `levels` locks, each made from the one below by `wrap`."""
+    lock = PayToKey(PUB_A)
+    for level in range(levels):
+        lock = wrap(lock, level)
+    return lock
+
+
+# every lock kind, TimeLocked and Either nested as deep as a lock may be, and
+# multisig with and without a commitment
+_EVERY_KIND = (
+    PayToKey(PUB_A),
+    MultiSig(2, (PUB_A, PUB_B, PUB_C)),
+    MultiSig(1, (PUB_A,), PUB_C),
+    ScriptHash(PUB_B),
+    DataCarrier(b""),
+    DataCarrier(bytes(range(40))),
+    _nested(MAX_LOCK_DEPTH, lambda inner, level: TimeLocked(inner, 2**64 - 1 - level)),
+    _nested(MAX_LOCK_DEPTH, lambda inner, level: Either(inner, PayToKey(PUB_B))),
+    _nested(MAX_LOCK_DEPTH, lambda inner, level: Either(MultiSig(1, (PUB_C,), PUB_A), inner)),
+    _nested(
+        MAX_LOCK_DEPTH,
+        lambda inner, level: TimeLocked(inner, level) if level % 2 else Either(inner, inner),
+    ),
+)
+assert all(lock._depth == MAX_LOCK_DEPTH for lock in _EVERY_KIND[6:])
+
 _B32 = st.binary(min_size=32, max_size=32)
 _U64 = st.integers(0, 2**64 - 1)
 _MULTISIGS = st.lists(_B32, min_size=1, max_size=4).flatmap(
@@ -495,10 +525,11 @@ _LOCKS = st.recursive(
     lambda inner: st.builds(TimeLocked, inner, _U64) | st.builds(Either, inner, inner),
     max_leaves=5,
 )
+_ANY_LOCK = _LOCKS | st.sampled_from(_EVERY_KIND)
 _WITNESSES = st.builds(
     Witness,
     st.lists(st.builds(Signature, _B32, _B32, _B32), max_size=3).map(tuple),
-    st.none() | _LOCKS,
+    st.none() | _ANY_LOCK,
     st.none() | st.binary(max_size=40),
 )
 _TXS = st.builds(
@@ -506,13 +537,52 @@ _TXS = st.builds(
     st.lists(
         st.builds(TxInput, st.tuples(_B32, st.integers(0, 2**32 - 1)), _WITNESSES), max_size=3
     ).map(tuple),
-    st.lists(st.builds(TxOutput, _U64, _LOCKS), max_size=3).map(tuple),
+    st.lists(st.builds(TxOutput, _U64, _ANY_LOCK), max_size=3).map(tuple),
     _U64,
+)
+_EVERY_KIND_TX = Transaction(
+    tuple(TxInput((PUB_C, i), Witness(redeem=lock)) for i, lock in enumerate(_EVERY_KIND)),
+    tuple(TxOutput(i, lock) for i, lock in enumerate(_EVERY_KIND)),
+)
+
+_BUILDERS = ("build_payment", "sign_payment", "compose_message_tx", "compose_burn_tx")
+# one payload short enough for a data carrier, and one split over a multisig
+_MESSAGES = (
+    Broadcast(1_000, 7, 0, "t"),
+    Bet("cd" * 32, Comparator.GE, 3 * 10**9, 1_200, 100_000, 200_000, 1),
 )
 
 
-@given(_TXS)
-def test_serialize_tx_matches_the_reference_and_sighash_blanks_every_witness(tx):
+@st.composite
+def _spends(draw):
+    """A builder, the sender's coin values, an amount to pay and a fee that
+    the coins cover, and a message to carry."""
+    coins = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=4))
+    amount = draw(st.integers(0, sum(coins)))
+    fee = draw(st.integers(0, sum(coins) - amount))
+    return draw(st.sampled_from(_BUILDERS)), coins, amount, fee, draw(st.sampled_from(_MESSAGES))
+
+
+def _build(builder, coins, amount, fee, message) -> Transaction:
+    reg = KeyRegistry()
+    alice, bob = reg.keygen(b"alice"), reg.keygen(b"bob")
+    genesis = [TxOutput(value, PayToKey(alice.pub)) for value in coins]
+    chain = SimChain(policy=POLICY_TEST2013, genesis=genesis, keys=reg)
+    pay = TxOutput(amount, PayToKey(bob.pub))
+    if builder == "build_payment":
+        return build_payment(chain, alice, [pay], fee=fee)
+    if builder == "sign_payment":
+        picked, gathered = select_coins(chain, alice.pub, amount + fee)
+        return sign_payment(alice, picked, [pay], gathered - amount - fee)
+    if builder == "compose_message_tx":
+        return compose_message_tx(chain, alice, message, fee=fee, extra_outputs=(pay,))
+    return compose_burn_tx(chain, alice, amount, fee=fee)
+
+
+@given(_TXS, _spends())
+@example(_EVERY_KIND_TX, ("sign_payment", [5, 6, 7], 10, 3, _MESSAGES[0]))
+@example(_EVERY_KIND_TX, ("compose_message_tx", [10**6], 0, 0, _MESSAGES[1]))
+def test_serialize_tx_matches_the_reference_and_sighash_blanks_every_witness(tx, spend):
     assert serialize_tx(tx) == _reference_tx(tx)
     assert deserialize_tx(serialize_tx(tx)) == tx
     blanked = Transaction(
@@ -520,6 +590,19 @@ def test_serialize_tx_matches_the_reference_and_sighash_blanks_every_witness(tx)
     )
     assert sighash(tx) == hashlib.sha256(serialize_tx(blanked)).digest()
     assert sighash(tx) == hashlib.sha256(_reference_tx(blanked)).digest()
+    for lock in [out.lock for out in tx.outputs] + [txin.witness.redeem for txin in tx.inputs]:
+        if lock is not None:
+            assert serialize_lock(lock) == _reference_lock(lock)
+
+    # a built transaction keeps the bytes and the sighash of its fresh twin
+    built = _build(*spend)
+    twin = Transaction(built.inputs, built.outputs, built.locktime)
+    assert None not in (built._bytes, built._sighash)
+    assert built._bytes == serialize_tx(twin) == _reference_tx(twin)
+    assert built._sighash == sighash(twin)
+    blanked = Transaction(tuple(TxInput(txin.outpoint) for txin in twin.inputs), twin.outputs)
+    assert built._sighash == hashlib.sha256(_reference_tx(blanked)).digest()
+    assert txid(built) == hashlib.sha256(_reference_tx(twin)).digest()
 
 
 # alice holds 400, 300, 200 and 100, spent in that order: `coins` of them
