@@ -2,8 +2,10 @@
 
 All integers are fixed-width little-endian, byte strings are u32
 length-prefixed, and lists are u16/u32 count-prefixed.  FORMATS.md documents
-the resulting layouts; keeping every encoder on these helpers is what makes
-transaction ids bit-exact across implementations.
+the resulting layouts.  Every encoder returns bytes: it joins the output of
+the `pack_*` packers and of `pack_bytes`, the one encoder of the `bytes`
+primitive (a `string` is `pack_bytes` of its UTF-8 encoding).  `Reader`
+reads them back.
 """
 
 from __future__ import annotations
@@ -18,65 +20,14 @@ def sha256(data: bytes) -> bytes:
 
 # One precompiled little-endian struct per fixed width; `struct.pack` would
 # look its format up again on every call.
-_U8, _U16, _U32, _U64, _I64 = (struct.Struct(f) for f in ("<B", "<H", "<I", "<Q", "<q"))
-_F64 = struct.Struct("<d")  # IEEE-754 binary64; bit-exact across platforms
-pack_u8, pack_u16, pack_u32, pack_u64, pack_i64, pack_f64 = (
-    s.pack for s in (_U8, _U16, _U32, _U64, _I64, _F64)
-)
+_U8, _U16, _U32, _U64 = (struct.Struct(f) for f in ("<B", "<H", "<I", "<Q"))
+pack_u16, pack_u32, pack_u64 = _U16.pack, _U32.pack, _U64.pack
+pack_f64 = struct.Struct("<d").pack  # IEEE-754 binary64; bit-exact across platforms
 
 
-class Writer:
-    """Accumulates a canonical byte string.
-
-    `put` appends bytes that are already encoded, as they are and without
-    chaining, such as a signature's wire form.  The host-chain encoders
-    (`simchain.serialize_tx`, `serialize_lock`) take no Writer: they join
-    the packers' output into bytes and return them.
-    """
-
-    def __init__(self) -> None:
-        self._parts: list[bytes] = []
-        self.put = self._parts.append
-
-    def u8(self, v: int) -> "Writer":
-        self.put(pack_u8(v))
-        return self
-
-    def u16(self, v: int) -> "Writer":
-        self.put(pack_u16(v))
-        return self
-
-    def u32(self, v: int) -> "Writer":
-        self.put(pack_u32(v))
-        return self
-
-    def u64(self, v: int) -> "Writer":
-        self.put(pack_u64(v))
-        return self
-
-    def i64(self, v: int) -> "Writer":
-        self.put(pack_i64(v))
-        return self
-
-    def f64(self, v: float) -> "Writer":
-        self.put(pack_f64(v))
-        return self
-
-    def raw(self, b: bytes) -> "Writer":
-        self.put(bytes(b))
-        return self
-
-    def bytes(self, b: bytes) -> "Writer":
-        # u32 length prefix, then the raw bytes
-        self.put(pack_u32(len(b)))
-        self.put(bytes(b))
-        return self
-
-    def string(self, s: str) -> "Writer":
-        return self.bytes(s.encode("utf-8"))
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+def pack_bytes(b: bytes) -> bytes:
+    """The `bytes` primitive: a u32 length prefix, then the bytes."""
+    return pack_u32(len(b)) + b
 
 
 class TruncatedError(ValueError):
@@ -125,12 +76,6 @@ class Reader:
     def u64(self) -> int:
         return _U64.unpack_from(self._data, self._advance(8))[0]
 
-    def i64(self) -> int:
-        return _I64.unpack_from(self._data, self._advance(8))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack_from(self._data, self._advance(8))[0]
-
     def raw(self, n: int) -> bytes:
         return self._take(n)
 
@@ -140,9 +85,6 @@ class Reader:
     def string(self) -> str:
         return self.bytes().decode("utf-8")
 
-    def done(self) -> bool:
-        return self._pos == len(self._data)
-
     def expect_done(self) -> None:
-        if not self.done():
+        if self._pos != len(self._data):
             raise ValueError(f"{len(self._data) - self._pos} trailing bytes after decode")

@@ -29,7 +29,7 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .codec import sha256
+from .codec import pack_bytes, sha256
 from .datafeed import Comparator, compare
 from .simchain import (
     MAX_MULTISIG_KEYS,
@@ -169,8 +169,7 @@ class _Body:
         parts = [self.head]
         for run, at, stop in self.steps:
             if run is None:
-                text = message[at].encode("utf-8")
-                parts += (_LENGTH.pack(len(text)), text)
+                parts.append(pack_bytes(message[at].encode("utf-8")))
             else:
                 parts.append(run.pack(*message[at:stop]))
         return b"".join(parts)

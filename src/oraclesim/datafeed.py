@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .codec import Writer, sha256
+from .codec import pack_bytes, pack_u64, sha256
 from .simchain import KeyPair, Signature, derive_pair, sign
 
 FeedValue = Union[bool, int, float, str]
@@ -59,9 +59,10 @@ class Observation:
 
 
 def observation_digest(source_id: str, key: str, time: int, value: FeedValue) -> bytes:
-    w = Writer()
-    w.string(source_id).string(key).u64(time).bytes(encode_value(value))
-    return sha256(w.getvalue())
+    return sha256(
+        pack_bytes(source_id.encode("utf-8")) + pack_bytes(key.encode("utf-8"))
+        + pack_u64(time) + pack_bytes(encode_value(value))
+    )
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,10 @@ class AuthenticityProof:
 
 
 def _attestation(key: str, time: int, response_digest: bytes, source_id: str, attestor_id: str) -> bytes:
-    w = Writer()
-    w.string(key).u64(time).raw(response_digest).string(source_id).string(attestor_id)
-    return sha256(w.getvalue())
+    return sha256(
+        pack_bytes(key.encode("utf-8")) + pack_u64(time) + response_digest
+        + pack_bytes(source_id.encode("utf-8")) + pack_bytes(attestor_id.encode("utf-8"))
+    )
 
 
 class DataSource:

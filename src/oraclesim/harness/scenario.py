@@ -475,7 +475,7 @@ class World:
 # Each handler takes the world and its action's fields, and emits what it saw.
 
 
-def _op_mine(w: World, blocks: int = 1) -> None:
+def _op_mine(w: World, blocks: U64 = 1) -> None:
     for _ in range(blocks):
         w.mine()
 

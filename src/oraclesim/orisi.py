@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import struct
 from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
 
-from .codec import Reader, Writer
+from .codec import Reader, pack_bytes, pack_u64
 from . import datafeed
 from .datafeed import DataSource, NoDataError, query
 from .simchain import (
@@ -105,9 +104,6 @@ def compute_safe_params(m: int, n: int) -> SafeParams:
 
 # --- message bus -------------------------------------------------------------
 
-_NONCE = struct.Struct("<Q")  # the u64 nonce that ends every message digest
-
-
 @dataclass(frozen=True)
 class BusMessage:
     payload: bytes
@@ -117,7 +113,7 @@ class BusMessage:
 
 def _payload_hash(payload: bytes):
     """SHA-256 state after `bytes payload`: the prefix every nonce's digest shares."""
-    return hashlib.sha256(Writer().bytes(payload).getvalue())
+    return hashlib.sha256(pack_bytes(payload))
 
 
 def _pow_bound(difficulty: int) -> bytes:
@@ -138,7 +134,7 @@ def check_pow(message: BusMessage) -> bool:
     except ValueError:
         return False
     h = _payload_hash(message.payload)
-    h.update(_NONCE.pack(message.nonce))
+    h.update(pack_u64(message.nonce))
     return h.digest() <= bound
 
 
@@ -146,7 +142,7 @@ def mint_message(payload: bytes, difficulty: int = DEFAULT_BUS_DIFFICULTY) -> Bu
     """Grind the smallest nonce whose digest clears the difficulty."""
     bound = _pow_bound(difficulty)
     prefix = _payload_hash(payload)
-    pack = _NONCE.pack
+    pack = pack_u64  # the u64 nonce that ends every message digest
     nonce = 0
     while True:
         h = prefix.copy()
@@ -259,11 +255,11 @@ class OrisiContract:
 
 
 def encode_bus_payload(contract_id: str, oracle_id: str, kind: DraftKind, sig: Signature) -> bytes:
-    w = Writer()
-    w.string(contract_id).string(oracle_id)
-    w.u8(1 if kind is DraftKind.UNLOCK else 2)
-    w.put(serialize_signature(sig))
-    return w.getvalue()
+    code = b"\x01" if kind is DraftKind.UNLOCK else b"\x02"
+    return (
+        pack_bytes(contract_id.encode("utf-8")) + pack_bytes(oracle_id.encode("utf-8"))
+        + code + serialize_signature(sig)
+    )
 
 
 def decode_bus_payload(payload: bytes) -> tuple[str, str, DraftKind, Signature]:

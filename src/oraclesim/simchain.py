@@ -23,7 +23,7 @@ from operator import attrgetter
 from random import Random
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .codec import Reader, pack_u16, pack_u32, pack_u64, sha256
+from .codec import Reader, pack_bytes, pack_u16, pack_u32, pack_u64, sha256
 
 
 # --------------------------------------------------------------------- keys
@@ -232,7 +232,7 @@ def serialize_lock(lock: LockScript) -> bytes:
     if isinstance(lock, PayToKey):
         return _TAG_PAY_TO_KEY + lock.pub
     if isinstance(lock, DataCarrier):
-        return _TAG_DATA_CARRIER + pack_u32(len(lock.payload)) + lock.payload
+        return _TAG_DATA_CARRIER + pack_bytes(lock.payload)
     if isinstance(lock, MultiSig):
         keys = lock.keys
         head = _TAG_MULTISIG + bytes((lock.m, len(keys)))
@@ -269,10 +269,11 @@ def p2sh_lock(redeem: LockScript) -> ScriptHash:
 #
 # Every encoder returns bytes, one per layout: `serialize_signature`,
 # `serialize_lock`, `_serialize_witness`, `_tail` for the outputs and the
-# locktime, which the txid and the sighash share, and `_tx_layout`, which
-# joins each outpoint and its encoded witness with a tail.  `serialize_tx`
-# and the sighash preimage are `_tx_layout` with each input's own witness
-# and with the blank one.
+# locktime, which the txid and the sighash share, and `serialize_tx`, which
+# walks the inputs once and writes each outpoint with its own witness.
+# `_tx_layout` writes the same layout with one encoded witness shared by
+# every input: the blank one for the sighash preimage, or a payment's one
+# signed witness.
 #
 # A `Transaction` is frozen, so each is serialized at most once: its
 # canonical bytes are kept on the instance, and `txid`, `tx_size` and the
@@ -360,7 +361,7 @@ def _serialize_witness(wit: Witness) -> bytes:
     if wit.expr_preimage is None:
         parts.append(_ABSENT)
     else:
-        parts += (_PRESENT, pack_u32(len(wit.expr_preimage)), wit.expr_preimage)
+        parts += (_PRESENT, pack_bytes(wit.expr_preimage))
     return b"".join(parts)
 
 
@@ -374,20 +375,20 @@ def _witness_from_reader(r: Reader) -> Witness:
 def serialize_tx(tx: Transaction) -> bytes:
     """The canonical bytes of `tx`."""
     inputs = tx.inputs
-    return _tx_layout(
-        [txin.outpoint for txin in inputs],
-        [_serialize_witness(txin.witness) for txin in inputs],
-        _tail(tx.outputs, tx.locktime),
-    )
+    parts = [pack_u16(len(inputs))]
+    for txin in inputs:
+        spent, index = txin.outpoint
+        parts += (spent, pack_u32(index), _serialize_witness(txin.witness))
+    parts.append(_tail(tx.outputs, tx.locktime))
+    return b"".join(parts)
 
 
-def _tx_layout(
-    outpoints: Sequence[tuple[bytes, int]], witnesses: Sequence[bytes], tail: bytes
-) -> bytes:
-    """The transaction layout: each outpoint with its encoded witness, then
-    `tail`, the encoded outputs and locktime."""
+def _tx_layout(outpoints: Sequence[tuple[bytes, int]], witness: bytes, tail: bytes) -> bytes:
+    """The transaction layout with one encoded `witness` in every input:
+    each outpoint with that witness, then `tail`, the encoded outputs and
+    locktime."""
     parts = [pack_u16(len(outpoints))]
-    for (spent, index), witness in zip(outpoints, witnesses):
+    for spent, index in outpoints:
         parts += (spent, pack_u32(index), witness)
     parts.append(tail)
     return b"".join(parts)
@@ -432,10 +433,8 @@ def txid(tx: Transaction) -> bytes:
 
 def sighash(tx: Transaction) -> bytes:
     if tx._sighash is None:
-        inputs = tx.inputs
-        outpoints = [txin.outpoint for txin in inputs]
-        blank = [_BLANK_WITNESS] * len(inputs)
-        preimage = _tx_layout(outpoints, blank, _tail(tx.outputs, tx.locktime))
+        outpoints = [txin.outpoint for txin in tx.inputs]
+        preimage = _tx_layout(outpoints, _BLANK_WITNESS, _tail(tx.outputs, tx.locktime))
         object.__setattr__(tx, "_sighash", sha256(preimage))
     return tx._sighash
 
@@ -513,14 +512,13 @@ def sign_payment(
     if change:
         outs += (TxOutput(change, PayToKey(sender.pub)),)
     tail = _tail(outs, 0)
-    digest = sha256(_tx_layout(coins, [_BLANK_WITNESS] * len(coins), tail))
+    digest = sha256(_tx_layout(coins, _BLANK_WITNESS, tail))
     witness = Witness((sign(sender.secret, digest),))
     inputs = []
     for outpoint in coins:
         inputs.append(TxInput(outpoint, witness))
     tx = Transaction(tuple(inputs), outs)
-    signed = [_serialize_witness(witness)] * len(coins)
-    object.__setattr__(tx, "_bytes", _tx_layout(coins, signed, tail))
+    object.__setattr__(tx, "_bytes", _tx_layout(coins, _serialize_witness(witness), tail))
     object.__setattr__(tx, "_sighash", digest)
     return tx
 
@@ -862,10 +860,9 @@ class Block:
 def block_hash(block: Block) -> bytes:
     """H of the block layout in FORMATS.md: u64 height, string miner_id,
     raw parent, u32 n_txs, then each transaction's canonical bytes."""
-    miner_id = block.miner_id.encode("utf-8")
     txs = block.txs
     state = hashlib.sha256(
-        pack_u64(block.height) + pack_u32(len(miner_id)) + miner_id + block.parent
+        pack_u64(block.height) + pack_bytes(block.miner_id.encode("utf-8")) + block.parent
         + pack_u32(len(txs))
     )
     for tx in txs:

@@ -35,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ..codec import Writer, sha256
+from ..codec import pack_bytes, pack_f64, pack_u32, sha256
 from . import lmsr
 
 COIN = 10**8  # base units per CSH and per VTC
@@ -232,13 +232,11 @@ class VetoOutcome(Enum):
 
 def commitment_digest(reports: Mapping[str, float], salt: bytes) -> bytes:
     """Binding commitment to a report set: H(canonical reports || salt)."""
-    w = Writer()
-    w.u32(len(reports))
+    parts = [pack_u32(len(reports))]
     for decision_id in sorted(reports):
-        w.string(decision_id)
-        w.f64(reports[decision_id])
-    w.bytes(salt)
-    return sha256(w.getvalue())
+        parts += (pack_bytes(decision_id.encode("utf-8")), pack_f64(reports[decision_id]))
+    parts.append(pack_bytes(salt))
+    return sha256(b"".join(parts))
 
 
 # ----------------------------------------------------------------- side ledger

@@ -4,14 +4,16 @@ Random pay, lock and unlock traffic over several owners runs through the
 public relay and mining path.  At every height the index must equal a fresh
 scan of `chain.utxo`, and every memoised digest and the kept bytes must equal
 a fresh serialization, also for transactions derived from a memoised one.
-The block hash is recomputed from the block layout and `serialize_tx`, never
-from the kept bytes.
+The block hash is recomputed by the reference of the block layout
+(`test_formats.block_hash`), which writes each transaction itself and never
+reads the kept bytes.
 
 An owner's coin order is kept only from its first read on, so the owners
 are read in three ways: from height 0, first at a drawn step, and not
 until the end; the last only ever receives.
 """
 
+import struct
 import sys
 from dataclasses import replace
 from random import Random
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oraclesim.codec import Writer, sha256
+from oraclesim.codec import sha256
 from oraclesim.counterparty import (
     XCP,
     Broadcast,
@@ -57,6 +59,8 @@ from oraclesim.simchain import (
     txid,
 )
 
+import test_formats as ref
+
 OWNERS = 4
 SOLO = [Miner("solo", 1.0)]
 
@@ -68,14 +72,6 @@ def scanned_coins(chain, pub):
         if isinstance(out.lock, PayToKey) and out.lock.pub == pub
     ]
     return sorted(found, key=lambda item: item[0])
-
-
-def layout_hash(block: Block) -> bytes:
-    """sha256 of the FORMATS.md block layout, written field by field."""
-    w = Writer().u64(block.height).string(block.miner_id).raw(block.parent).u32(len(block.txs))
-    for tx in block.txs:
-        w.raw(serialize_tx(tx))
-    return sha256(w.getvalue())
 
 
 def assert_digests_fresh(tx: Transaction) -> None:
@@ -97,7 +93,7 @@ def check_chain(chain, owners, stranger, reading):
             assert pub not in chain._order  # an owner nobody read keeps no order
         assert chain.balance(pub) == sum(out.value for _, out in coins)
     tip = chain.blocks[-1]
-    assert chain.tip_hash == block_hash(tip) == layout_hash(tip)
+    assert chain.tip_hash == block_hash(tip) == ref.block_hash(tip)
     for tx in tip.txs:
         assert_digests_fresh(tx)
         moved = replace(tx, locktime=tx.locktime + 1)
@@ -130,15 +126,17 @@ def test_block_hash_is_the_hash_of_the_block_layout():
         "non-ascii miner": Block(height=3, miner_id=snowman, txs=payments[:1], parent=parent),
     }
     for name, block in blocks.items():
-        assert block_hash(block) == layout_hash(block), name
-    assert chain.tip_hash == layout_hash(genesis)
+        assert block_hash(block) == ref.block_hash(block), name
+    assert chain.tip_hash == ref.block_hash(genesis)
 
     # the miner id's length prefix counts bytes; a count of characters differs
     block = blocks["non-ascii miner"]
     assert (len(snowman), len(snowman.encode("utf-8"))) == (6, 9)
-    by_chars = Writer().u64(block.height).u32(len(snowman)).raw(snowman.encode("utf-8"))
-    by_chars.raw(block.parent).u32(1).raw(serialize_tx(payments[0]))
-    assert block_hash(block) != sha256(by_chars.getvalue())
+    by_chars = (
+        struct.pack("<QI", block.height, len(snowman)) + snowman.encode("utf-8") + block.parent
+        + struct.pack("<I", 1) + serialize_tx(payments[0])
+    )
+    assert block_hash(block) != sha256(by_chars)
 
 
 def lock_for(kind: str, pub: bytes, height: int):

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oraclesim import counterparty, simchain
-from oraclesim.codec import Reader, TruncatedError, Writer
 from oraclesim.counterparty import (
     BURN_PUB,
     AppliedMessage,
@@ -68,6 +67,7 @@ from oraclesim.simchain import (
     serialize_tx,
     txid,
 )
+import test_formats as ref
 from test_script_tx import _edits
 
 XCP_UNIT = 10**8
@@ -208,55 +208,6 @@ def test_decode_payload_refuses_or_round_trips_edited_payloads(message, data):
     _refuses_or_round_trips(_xor_stream(data.draw(_edits(plain)), KEY_A), KEY_A)
 
 
-# The Writer/Reader codec the body table replaced, kept as the reference the
-# table must agree with byte for byte and verdict for verdict.
-
-
-def _reference_encode(message, key: bytes) -> bytes:
-    w = Writer()
-    if isinstance(message, Send):
-        w.u8(1).string(message.asset).u64(message.qty).string(message.dest)
-    elif isinstance(message, Broadcast):
-        w.u8(2).u64(message.timestamp).i64(message.value)
-        w.u32(message.fee_fraction).string(message.text)
-    elif isinstance(message, Bet):
-        w.u8(3).string(message.feed).u8(int(message.comparator)).i64(message.target)
-        w.u64(message.deadline).u64(message.wager).u64(message.counterwager)
-        w.u8(message.side)
-    else:
-        w.u8(4).u64(message.btc_qty)
-    return _xor_stream(MAGIC + w.getvalue(), key)
-
-
-def _reference_decode(payload: bytes, key: bytes):
-    plain = _xor_stream(payload, key)
-    if not plain.startswith(MAGIC):
-        raise BadMagicError("payload magic missing after decryption")
-    r = Reader(plain[len(MAGIC):])
-    try:
-        tag = r.u8()
-        if tag == 1:
-            message = Send(asset=r.string(), qty=r.u64(), dest=r.string())
-        elif tag == 2:
-            message = Broadcast(
-                timestamp=r.u64(), value=r.i64(), fee_fraction=r.u32(), text=r.string()
-            )
-        elif tag == 3:
-            message = Bet(
-                feed=r.string(), comparator=Comparator(r.u8()), target=r.i64(),
-                deadline=r.u64(), wager=r.u64(), counterwager=r.u64(), side=r.u8(),
-            )
-        elif tag == 4:
-            message = Burn(btc_qty=r.u64())
-        else:
-            raise ValueError(f"unknown message tag {tag}")
-        if not r.done():
-            raise TruncatedPayloadError("trailing bytes after message")
-    except TruncatedError as exc:
-        raise TruncatedPayloadError(str(exc)) from exc
-    return message
-
-
 def _width(lo: int, hi: int):
     """Integers of one codec width, its ends and their neighbours included."""
     return st.one_of(st.sampled_from((lo, lo + 1, hi - 1, hi)), st.integers(lo, hi))
@@ -279,15 +230,16 @@ MESSAGES = st.one_of(
 
 def _decodes_as_the_reference_does(payload: bytes, key: bytes) -> None:
     try:
-        expected = _reference_decode(payload, key)
-    except (BadMagicError, TruncatedPayloadError, ValueError):
+        kind, fields = ref.decode_consensus_payload(payload, key)
+    except ValueError:
         # what the reference refuses is refused with an exception `replay` skips
         with pytest.raises((BadMagicError, TruncatedPayloadError, ValueError)):
             decode_payload(payload, key)
         return
     decoded = decode_payload(payload, key)
-    assert decoded == expected
-    assert repr(decoded) == repr(expected)  # the comparator is a Comparator, not an int
+    assert (type(decoded).__name__, decoded._asdict()) == (kind, fields)
+    if isinstance(decoded, Bet):
+        assert type(decoded.comparator) is Comparator  # not an int
 
 
 @settings(max_examples=300, deadline=None)
@@ -298,12 +250,13 @@ def _decodes_as_the_reference_does(payload: bytes, key: bytes) -> None:
     body=st.binary(max_size=100),
     data=st.data(),
 )
-def test_the_body_table_agrees_with_the_writer_reader_reference(message, key, tag, body, data):
+def test_the_body_table_agrees_with_the_struct_reference(message, key, tag, body, data):
     payload = encode_message(message, key)
-    assert payload == _reference_encode(message, key)
+    assert payload == ref.consensus_payload(message, key)
     decoded = decode_payload(payload, key)
-    assert decoded == message == _reference_decode(payload, key)
+    assert decoded == message
     assert repr(decoded) == repr(message)
+    assert ref.decode_consensus_payload(payload, key) == (type(message).__name__, message._asdict())
 
     plain = _xor_stream(payload, key)
     for cut in range(len(payload)):

@@ -1,8 +1,6 @@
 """Fixture sources: carry-forward queries, signatures, proofs, comparators."""
 
-import hashlib
 import operator
-import struct
 from dataclasses import replace
 
 import pytest
@@ -23,6 +21,8 @@ from oraclesim.datafeed import (
     verify_proof,
 )
 from oraclesim.simchain import sign
+
+import test_formats as ref
 
 T0 = 1_357_000_000
 
@@ -76,12 +76,7 @@ def test_value_encodings_are_typed_and_distinct():
 
 def test_observation_digest_matches_hand_packed_layout():
     # length-prefixed fields: source, key, u64 time, encoded value
-    def field(b):
-        return struct.pack("<I", len(b)) + b
-
-    expected = hashlib.sha256(
-        field(b"weather") + field(b"milan_temp") + struct.pack("<Q", T0) + field(b"i:12")
-    ).digest()
+    expected = ref.observation_digest("weather", "milan_temp", T0, 12)
     assert observation_digest("weather", "milan_temp", T0, 12) == expected
 
 

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oraclesim import counterparty
-from oraclesim.codec import Writer
 from oraclesim.counterparty import Send, encode_message
 from oraclesim.datafeed import query
 from oraclesim.harness import (
@@ -36,6 +36,7 @@ from oraclesim.simchain import (
     Witness,
     serialize_tx,
 )
+import test_formats as ref
 from test_script_tx import _edits
 
 
@@ -207,8 +208,7 @@ _EVENT = st.builds(
 @settings(max_examples=500)
 @given(_EVENT)
 def test_event_line_is_json_dumps_of_its_fields(event):
-    doc = {"tick": event.tick, "module": event.module, "kind": event.kind, "payload": event.payload}
-    assert _encode(event) == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert _encode(event) == ref.event_line(event.tick, event.module, event.kind, event.payload)
 
 
 @settings(max_examples=200)
@@ -291,11 +291,33 @@ def test_minimal_scenario_parses_and_runs():
                     "stakes": [1, 2, 3]}),
         _declaring(_oz_contract(comparator="ne", threshold=10)),
         _declaring(_oz_contract(comparator="gt", threshold="sunny")),
+        _minimal(mine_every=None, actions=[{"tick": 0, "op": "mine", "blocks": -1}]),
     ],
 )
 def test_malformed_scenarios_raise_parse_error(doc):
     with pytest.raises(ParseError):
         Scenario.from_dict(doc)
+
+
+def test_the_mine_op_mines_its_blocks_when_only_mine_ops_mine(tmp_path, capsys):
+    doc = _minimal(
+        mine_every=None, actors=["a", "b"], genesis=[{"actor": "a", "value": 10_000}],
+        actions=[
+            {"tick": 0, "op": "pay", "from": "a", "to": "b", "value": 1_000},
+            {"tick": 1, "op": "mine", "blocks": 2},
+        ],
+    )
+    blocks = run_scenario(doc).log.matching("host/block")
+    # the payment sent at tick 0 confirms in the first block, one tick later
+    assert [(e.tick, e.payload["txs"], e.payload["delays"]) for e in blocks] == [
+        (1, 1, [1]), (1, 0, []),
+    ]
+    # a negative count is refused when the document is read, not run as no blocks
+    doc["actions"][1]["blocks"] = -1
+    bad = tmp_path / "negative_mine.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+    assert "parse error: scenario.actions[1].blocks: -1 does not fit u64" in capsys.readouterr().err
 
 
 def _rk_fact(comparator):
@@ -1447,10 +1469,10 @@ def test_cli_classify_tx_era_split(capsys):
 
 def _tx_with_nested_lock(levels):
     """A transaction whose one output is a pay-to-key inside `levels` time locks."""
-    w = Writer().u16(0).u16(1).u64(0)  # no inputs; one output of value 0
-    for _ in range(levels):
-        w.u8(5).u64(0)  # TimeLocked tag, unlock height
-    return w.u8(1).raw(bytes(32)).u64(0).getvalue()  # PayToKey tag, pub; locktime
+    head = struct.pack("<HHQ", 0, 1, 0)  # no inputs; one output of value 0
+    time_lock = b"\x05" + struct.pack("<Q", 0)  # TimeLocked tag, unlock height
+    pay_to_key = b"\x01" + bytes(32)  # tag, pub
+    return head + time_lock * levels + pay_to_key + struct.pack("<Q", 0)  # locktime
 
 
 # has_redeem is the byte after u16 n_inputs, the outpoint and u16 n_signatures

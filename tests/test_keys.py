@@ -11,12 +11,12 @@ from oraclesim.simchain import (
     sign,
 )
 
+import test_formats as ref
+
 
 def test_derive_pair_matches_hash_recomputation():
     pair = derive_pair(b"alice")
-    expected_secret = hashlib.sha256(b"key:alice").digest()
-    assert pair.secret == expected_secret
-    assert pair.pub == hashlib.sha256(expected_secret).digest()
+    assert (pair.secret, pair.pub) == ref.keypair(b"alice")
 
 
 def test_derive_pair_is_deterministic_and_seed_sensitive():
@@ -33,7 +33,7 @@ def test_signature_tag_matches_hash_recomputation():
     pair = derive_pair(b"signer")
     digest = hashlib.sha256(b"message").digest()
     sig = sign(pair.secret, digest)
-    assert sig.tag == hashlib.sha256(pair.secret + digest).digest()
+    assert sig.tag == ref.signature_tag(pair.secret, digest)
     assert sig.signer_pub == pair.pub
     assert sig.digest_signed == digest
 

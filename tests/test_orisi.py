@@ -1,6 +1,5 @@
 """Safe-parameter arithmetic, the PoW bus, and the multi-oracle settlement."""
 
-import hashlib
 import itertools
 from random import Random
 
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oraclesim import orisi
-from oraclesim.codec import Writer
 from oraclesim.datafeed import Comparator, DataSource
 from oraclesim.harness import bundled_scenarios, run_scenario
 from oraclesim.orisi import (
@@ -54,6 +52,7 @@ from oraclesim.simchain import (
     sighash,
     sign,
 )
+import test_formats as ref
 from test_script_tx import _edits
 
 LOOSE = [Miner("loose", 1.0)]
@@ -94,10 +93,6 @@ def leading_zero_bits(digest: bytes) -> int:
     return 256 - as_int.bit_length() if as_int else 256
 
 
-def reference_digest(payload: bytes, nonce: int) -> bytes:
-    return hashlib.sha256(Writer().bytes(payload).u64(nonce).getvalue()).digest()
-
-
 def test_pow_bound_matches_integer_arithmetic():
     samples = [
         bytes(32),
@@ -127,7 +122,7 @@ def test_mint_message_returns_the_smallest_clearing_nonce(payload, difficulty):
     first = next(
         n
         for n in itertools.count()
-        if leading_zero_bits(reference_digest(payload, n)) >= difficulty
+        if leading_zero_bits(ref.message_digest(payload, n)) >= difficulty
     )
     assert message == BusMessage(payload, first, difficulty)
     assert check_pow(message)

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oraclesim.codec import Reader, TruncatedError, Writer
+from oraclesim.codec import Reader, TruncatedError
 from oraclesim.counterparty import Bet, Broadcast, compose_burn_tx, compose_message_tx
 from oraclesim.datafeed import Comparator
 from oraclesim.simchain import (
@@ -48,6 +48,8 @@ from oraclesim.simchain import (
     sign_payment,
     txid,
 )
+
+import test_formats as ref
 
 
 def deserialize_lock(data):
@@ -321,36 +323,38 @@ def test_presence_flags_are_exactly_0_or_1(flag):
 
 def _nested_lock_bytes(levels, tag):
     """A PayToKey inside `levels` TimeLocked (tag 5) or left-nested Either (tag 6) locks."""
-    w = Writer()
-    for _ in range(levels):
-        if tag == 5:
-            w.u8(5).u64(0)  # unlock height, then the inner lock
-        else:
-            w.u8(6)  # the left lock, then the right
-    w.u8(1).raw(PUB_A)
-    if tag == 6:
-        for _ in range(levels):
-            w.u8(1).raw(PUB_B)  # each Either's right branch
-    return w.getvalue()
+    if tag == 5:
+        # each level's tag and unlock height, then the inner lock
+        return (b"\x05" + struct.pack("<Q", 0)) * levels + b"\x01" + PUB_A
+    # each level's tag and left lock, then each Either's right branch
+    return b"\x06" * levels + b"\x01" + PUB_A + (b"\x01" + PUB_B) * levels
+
+
+def _tx_with_one_output(lock: bytes) -> bytes:
+    """No inputs, then one output of value 0 under `lock`, and locktime 0."""
+    return struct.pack("<HHQ", 0, 1, 0) + lock + struct.pack("<Q", 0)
 
 
 @pytest.mark.parametrize("tag", [5, 6], ids=["time_locked", "either"])
 def test_decoders_refuse_locks_nested_past_the_limit(tag):
     at_limit = _nested_lock_bytes(MAX_LOCK_DEPTH, tag)
     assert serialize_lock(deserialize_lock(at_limit)) == at_limit
-    as_output = Writer().u16(0).u16(1).u64(0).raw(at_limit).u64(0).getvalue()
+    as_output = _tx_with_one_output(at_limit)
     assert serialize_tx(deserialize_tx(as_output)) == as_output
     for levels in (MAX_LOCK_DEPTH + 1, 5000):
         data = _nested_lock_bytes(levels, tag)
         with pytest.raises(ValueError, match="nested deeper than"):
             deserialize_lock(data)
         with pytest.raises(ValueError, match="nested deeper than"):
-            deserialize_tx(Writer().u16(0).u16(1).u64(0).raw(data).u64(0).getvalue())
+            deserialize_tx(_tx_with_one_output(data))
     redeem = _nested_lock_bytes(MAX_LOCK_DEPTH + 1, tag)
     # one input whose witness carries the over-deep lock as its redeem script, no outputs
-    spend = Writer().u16(1).raw(PUB_A).u32(0).u16(0).u8(1).raw(redeem).u8(0).u16(0).u64(0)
+    spend = (
+        struct.pack("<H", 1) + PUB_A + struct.pack("<IH", 0, 0) + b"\x01" + redeem + b"\x00"
+        + struct.pack("<HQ", 0, 0)
+    )
     with pytest.raises(ValueError, match="nested deeper than"):
-        deserialize_tx(spend.getvalue())
+        deserialize_tx(spend)
 
 
 @pytest.mark.parametrize(
@@ -444,43 +448,8 @@ def test_select_coins_walks_sorted_outpoints(funded_chain):
 
 
 # --------------------------------------------------------- encoder pinning
-# A field-by-field reference for the layouts in FORMATS.md, built from
-# struct.pack alone, so that no helper of the encoder under test is in it.
-
-
-def _reference_lock(lock) -> bytes:
-    if isinstance(lock, PayToKey):
-        return b"\x01" + lock.pub
-    if isinstance(lock, MultiSig):
-        out = struct.pack("<BBB", 2, lock.m, len(lock.keys)) + b"".join(lock.keys)
-        return out + (b"\x00" if lock.commitment is None else b"\x01" + lock.commitment)
-    if isinstance(lock, ScriptHash):
-        return b"\x03" + lock.h
-    if isinstance(lock, DataCarrier):
-        return b"\x04" + struct.pack("<I", len(lock.payload)) + lock.payload
-    if isinstance(lock, TimeLocked):
-        return b"\x05" + struct.pack("<Q", lock.unlock_height) + _reference_lock(lock.inner)
-    return b"\x06" + _reference_lock(lock.left) + _reference_lock(lock.right)
-
-
-def _reference_witness(wit: Witness) -> bytes:
-    out = struct.pack("<H", len(wit.signatures))
-    out += b"".join(s.signer_pub + s.digest_signed + s.tag for s in wit.signatures)
-    out += b"\x00" if wit.redeem is None else b"\x01" + _reference_lock(wit.redeem)
-    if wit.expr_preimage is None:
-        return out + b"\x00"
-    return out + b"\x01" + struct.pack("<I", len(wit.expr_preimage)) + wit.expr_preimage
-
-
-def _reference_tx(tx: Transaction) -> bytes:
-    out = struct.pack("<H", len(tx.inputs))
-    for txin in tx.inputs:
-        prev, index = txin.outpoint
-        out += prev + struct.pack("<I", index) + _reference_witness(txin.witness)
-    out += struct.pack("<H", len(tx.outputs))
-    for txout in tx.outputs:
-        out += struct.pack("<Q", txout.value) + _reference_lock(txout.lock)
-    return out + struct.pack("<Q", tx.locktime)
+# The encoders against the struct reference of FORMATS.md's layouts
+# (`test_formats`), on every lock kind and on drawn transactions.
 
 
 def _nested(levels: int, wrap):
@@ -583,26 +552,25 @@ def _build(builder, coins, amount, fee, message) -> Transaction:
 @example(_EVERY_KIND_TX, ("sign_payment", [5, 6, 7], 10, 3, _MESSAGES[0]))
 @example(_EVERY_KIND_TX, ("compose_message_tx", [10**6], 0, 0, _MESSAGES[1]))
 def test_serialize_tx_matches_the_reference_and_sighash_blanks_every_witness(tx, spend):
-    assert serialize_tx(tx) == _reference_tx(tx)
+    assert serialize_tx(tx) == ref.transaction(tx)
     assert deserialize_tx(serialize_tx(tx)) == tx
     blanked = Transaction(
         tuple(TxInput(txin.outpoint, Witness()) for txin in tx.inputs), tx.outputs, tx.locktime
     )
     assert sighash(tx) == hashlib.sha256(serialize_tx(blanked)).digest()
-    assert sighash(tx) == hashlib.sha256(_reference_tx(blanked)).digest()
+    assert sighash(tx) == ref.sighash(tx)
     for lock in [out.lock for out in tx.outputs] + [txin.witness.redeem for txin in tx.inputs]:
         if lock is not None:
-            assert serialize_lock(lock) == _reference_lock(lock)
+            assert serialize_lock(lock) == ref.lock_script(lock)
 
     # a built transaction keeps the bytes and the sighash of its fresh twin
     built = _build(*spend)
     twin = Transaction(built.inputs, built.outputs, built.locktime)
     assert None not in (built._bytes, built._sighash)
-    assert built._bytes == serialize_tx(twin) == _reference_tx(twin)
+    assert built._bytes == serialize_tx(twin) == ref.transaction(twin)
     assert built._sighash == sighash(twin)
-    blanked = Transaction(tuple(TxInput(txin.outpoint) for txin in twin.inputs), twin.outputs)
-    assert built._sighash == hashlib.sha256(_reference_tx(blanked)).digest()
-    assert txid(built) == hashlib.sha256(_reference_tx(twin)).digest()
+    assert built._sighash == ref.sighash(twin)
+    assert txid(built) == ref.txid(twin)
 
 
 # alice holds 400, 300, 200 and 100, spent in that order: `coins` of them

@@ -1,9 +1,7 @@
 """Prediction-market sidechain: LMSR math, vote consensus, veto, redemption."""
 
-import hashlib
 import math
 import random
-import struct
 from fractions import Fraction
 
 import pytest
@@ -39,6 +37,8 @@ from oraclesim.truthcoin import (
     weighted_binary_outcome,
     weighted_median,
 )
+
+import test_formats as ref
 
 
 def prices(q, b):
@@ -324,12 +324,9 @@ def test_resolution_conserves_stake_exactly():
 def test_commitment_digest_layout():
     reports = {"d-2": 1.0, "d-1": 0.5}
     salt = b"pepper"
-    blob = struct.pack("<I", 2)
-    for did in ("d-1", "d-2"):  # canonical order sorts decision ids
-        blob += struct.pack("<I", len(did)) + did.encode()
-        blob += struct.pack("<d", reports[did])
-    blob += struct.pack("<I", len(salt)) + salt
-    assert commitment_digest(reports, salt) == hashlib.sha256(blob).digest()
+    assert commitment_digest(reports, salt) == ref.commitment(reports, salt)
+    # the reports go in sorted order, whatever the mapping's order
+    assert commitment_digest({"d-1": 0.5, "d-2": 1.0}, salt) == commitment_digest(reports, salt)
     assert commitment_digest(reports, b"other") != commitment_digest(reports, salt)
     assert commitment_digest({"d-1": 0.5}, salt) != commitment_digest(reports, salt)
 
