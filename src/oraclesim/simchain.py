@@ -74,9 +74,14 @@ def derive_pair(seed_material: bytes) -> KeyPair:
 
 def sign(secret: bytes, digest: bytes) -> Signature:
     """Sign a 32-byte digest with a secret. Needs no registry."""
+    return _signed(secret, sha256(secret), digest)
+
+
+def _signed(secret: bytes, pub: bytes, digest: bytes) -> Signature:
+    """The one tag rule: `pub` is the signer's, sha256(secret) for a true pair."""
     if len(digest) != 32:
         raise ValueError("digest must be 32 bytes")
-    return Signature(sha256(secret), digest, sha256(secret + digest))  # signer pub, digest, tag
+    return Signature(pub, digest, sha256(secret + digest))  # signer pub, digest, tag
 
 
 class KeyRegistry:
@@ -446,7 +451,7 @@ def tx_size(tx: Transaction) -> int:
 def sign_input(tx: Transaction, index: int, *signers: KeyPair, **witness_fields) -> Transaction:
     """Give input `index` a witness holding one signature per signer, in order."""
     digest = sighash(tx)
-    sigs = tuple(sign(signer.secret, digest) for signer in signers)
+    sigs = tuple(_signed(signer.secret, signer.pub, digest) for signer in signers)
     return tx.with_witness(index, Witness(signatures=sigs, **witness_fields))
 
 
@@ -513,7 +518,7 @@ def sign_payment(
         outs += (TxOutput(change, PayToKey(sender.pub)),)
     tail = _tail(outs, 0)
     digest = sha256(_tx_layout(coins, _BLANK_WITNESS, tail))
-    witness = Witness((sign(sender.secret, digest),))
+    witness = Witness((_signed(sender.secret, sender.pub, digest),))
     inputs = []
     for outpoint in coins:
         inputs.append(TxInput(outpoint, witness))
@@ -834,12 +839,14 @@ class Mempool:
 # locked behind unspendable scripts.
 #
 # `chain.utxo` is read-only outside `_apply_block`.  That method is the only
-# place the UTXO set changes, and it keeps indexes beside it: the pay-to-key
+# place the UTXO set changes.  The owner index is a view of it: the pay-to-key
 # coins of each owner, each owner's running balance, and each owner's
 # outpoints in sorted order.  `utxos_for`, `balance` and coin selection read
-# them without scanning the set or sorting.  An owner's order is built on its
-# first read and kept from then on, so an owner nobody reads (a payer of
-# presigned transactions) costs no sorted insert or delete.
+# it without scanning the set.  The chain's first owner query builds it in one
+# pass over the set, `_index_tx` keeps it from then on, and each owner's order
+# is sorted on that owner's first read.  So a chain nobody queries (a relay of
+# presigned transactions) keeps no index, and a chain is scanned for it at
+# most once.
 #
 # `block_hash` feeds the header, then each transaction's bytes as kept when
 # its txid was taken, into one hash state, so a block never encodes a
@@ -882,9 +889,9 @@ class SimChain:
         self.keys = keys if keys is not None else KeyRegistry()
         self.mempool = Mempool(expiry_blocks=expiry_blocks)
         self.utxo: dict[tuple[bytes, int], TxOutput] = {}
-        # pay-to-key outpoints per owner pub, their summed value, and the
-        # outpoints in sorted order for each owner read since its coins appeared
-        self._coins: dict[bytes, dict[tuple[bytes, int], TxOutput]] = {}
+        # the owner index, None until the first owner query: pay-to-key outpoints
+        # per owner pub, their summed value, and each read owner's sorted outpoints
+        self._coins: dict[bytes, dict[tuple[bytes, int], TxOutput]] | None = None
         self._balances: dict[bytes, int] = {}
         self._order: dict[bytes, list[tuple[bytes, int]]] = {}
         self.blocks: list[Block] = []
@@ -911,9 +918,12 @@ class SimChain:
     def _owned(self, pub: bytes) -> tuple[list[tuple[bytes, int]], dict]:
         """The owner's pay-to-key outpoints in sorted order, and their outputs.
 
-        Both are the chain's own, for reading only; the order is sorted on
-        the owner's first read and kept by `_apply_block` after that.
+        Both are the chain's own, for reading only.  The owner index is built
+        on the chain's first owner query and kept from then on, and each
+        owner's order is sorted on the owner's first read.
         """
+        if self._coins is None:
+            self._index()
         coins = self._coins.get(pub)
         if coins is None:
             return [], {}
@@ -923,7 +933,20 @@ class SimChain:
         return order, coins
 
     def balance(self, pub: bytes) -> int:
+        """The owner's pay-to-key value, from the owner index of `_owned`."""
+        if self._coins is None:
+            self._index()
         return self._balances.get(pub, 0)
+
+    def _index(self) -> None:
+        """Build the owner index in one pass over `utxo`: the chain's first
+        owner query calls this, and `_index_tx` keeps the index after it."""
+        coins, balances = self._coins, self._balances = {}, {}
+        for outpoint, out in self.utxo.items():
+            if isinstance(out.lock, PayToKey):
+                owner = out.lock.pub
+                coins.setdefault(owner, {})[outpoint] = out
+                balances[owner] = balances.get(owner, 0) + out.value
 
     def supply(self) -> int:
         return sum(out.value for out in self.utxo.values())
@@ -948,40 +971,49 @@ class SimChain:
         return mine_next(self, miners, rng)
 
     def _apply_block(self, block: Block) -> None:
-        utxo, coins, balances, orders = self.utxo, self._coins, self._balances, self._order
+        utxo, txs_by_id, indexed = self.utxo, self.txs_by_id, self._coins is not None
         for tx in block.txs:
             tid = txid(tx)
             for txin in tx.inputs:
-                outpoint = txin.outpoint
-                out = utxo.pop(outpoint)
-                if isinstance(out.lock, PayToKey):
-                    owner = out.lock.pub
-                    owned = coins[owner]
-                    del owned[outpoint]
-                    if owned:
-                        balances[owner] -= out.value
-                        order = orders.get(owner)
-                        if order is not None:
-                            del order[bisect_left(order, outpoint)]
-                    else:
-                        del coins[owner], balances[owner]
-                        orders.pop(owner, None)
+                del utxo[txin.outpoint]
             for idx, out in enumerate(tx.outputs):
-                outpoint = (tid, idx)
-                utxo[outpoint] = out
-                if isinstance(out.lock, PayToKey):
-                    owner = out.lock.pub
-                    owned = coins.get(owner)
-                    if owned is None:
-                        owned = coins[owner] = {}
-                    owned[outpoint] = out
-                    balances[owner] = balances.get(owner, 0) + out.value
-                    order = orders.get(owner)
-                    if order is not None:
-                        insort(order, outpoint)
-            self.txs_by_id[tid] = tx
+                utxo[(tid, idx)] = out
+            txs_by_id[tid] = tx
+            if indexed:
+                self._index_tx(tid, tx)
         self.blocks.append(block)
         self.mempool.on_block(block, block.height)
+
+    def _index_tx(self, tid: bytes, tx: Transaction) -> None:
+        """Keep the owner index current; a spent output is read from its transaction."""
+        coins, balances, orders, by_id = self._coins, self._balances, self._order, self.txs_by_id
+        for txin in tx.inputs:
+            outpoint = txin.outpoint
+            out = by_id[outpoint[0]].outputs[outpoint[1]]
+            if isinstance(out.lock, PayToKey):
+                owner = out.lock.pub
+                owned = coins[owner]
+                del owned[outpoint]
+                if owned:
+                    balances[owner] -= out.value
+                    order = orders.get(owner)
+                    if order is not None:
+                        del order[bisect_left(order, outpoint)]
+                else:
+                    del coins[owner], balances[owner]
+                    orders.pop(owner, None)
+        for idx, out in enumerate(tx.outputs):
+            if isinstance(out.lock, PayToKey):
+                outpoint = (tid, idx)
+                owner = out.lock.pub
+                owned = coins.get(owner)
+                if owned is None:
+                    owned = coins[owner] = {}
+                owned[outpoint] = out
+                balances[owner] = balances.get(owner, 0) + out.value
+                order = orders.get(owner)
+                if order is not None:
+                    insort(order, outpoint)
 
 
 # ------------------------------------------------------------------- mining

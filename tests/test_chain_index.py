@@ -11,6 +11,11 @@ reads the kept bytes.
 An owner's coin order is kept only from its first read on, so the owners
 are read in three ways: from height 0, first at a drawn step, and not
 until the end; the last only ever receives.
+
+The owner index itself is built on the chain's first owner query, so a
+second chain given the same traffic is first queried at a drawn step, and
+must then answer as the chain queried from genesis, after one pass over its
+UTXO set and no more.
 """
 
 import struct
@@ -52,6 +57,7 @@ from oraclesim.simchain import (
     block_hash,
     build_payment,
     p2sh_lock,
+    select_coins,
     serialize_tx,
     sighash,
     sign_input,
@@ -225,6 +231,129 @@ def test_owner_index_and_digests_match_brute_force(actions, coins, late):
         if tx is not None:
             chain.submit(tx)
     check_chain(chain, owners, stranger, {*owners, stranger})
+
+
+class CountedScans(dict):
+    """A UTXO set that counts the passes made over it."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+    def keys(self):
+        self.scans += 1
+        return super().keys()
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+
+TARGET = 30_000
+
+
+def selection(chain, pub):
+    try:
+        return select_coins(chain, pub, TARGET)
+    except InsufficientFundsError:
+        return None
+
+
+def scanned_selection(coins):
+    """`select_coins` of TARGET by brute force: a prefix of the sorted coins."""
+    picked, have = [], 0
+    for op, out in coins:
+        if picked and have >= TARGET:
+            break
+        picked.append(op)
+        have += out.value
+    return (picked, have) if picked and have >= TARGET else None
+
+
+QUERIES = {
+    "utxos_for": SimChain.utxos_for,
+    "balance": SimChain.balance,
+    "select_coins": selection,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    actions=st.lists(ACTION, max_size=40),
+    coins=st.integers(1, 4),
+    first=st.integers(0, 40),
+    query=st.sampled_from(sorted(QUERIES)),
+    reader=st.integers(0, OWNERS),
+)
+def test_an_owner_index_built_on_the_first_query_answers_as_one_kept_from_genesis(
+    actions, coins, first, query, reader
+):
+    reg = KeyRegistry()
+    keypairs = [reg.keygen(b"owner-%d" % i) for i in range(OWNERS)]
+    owners = [pair.pub for pair in keypairs]
+    pairs = dict(zip(owners, keypairs))
+    everyone = [*owners, reg.keygen(b"stranger").pub]
+    genesis = [TxOutput(value=25_000, lock=PayToKey(pub)) for pub in owners for _ in range(coins)]
+    genesis.append(TxOutput(value=7_000, lock=MultiSig(m=1, keys=(owners[0],))))
+    # the traffic is built on `kept`, queried from genesis; `late` only relays it
+    kept = SimChain(policy=POLICY_TEST2013, genesis=genesis, keys=reg)
+    late = SimChain(policy=POLICY_TEST2013, genesis=genesis, keys=reg)
+    late.utxo = CountedScans(late.utxo)
+    kept_rng, late_rng = Random(0), Random(0)
+
+    def check(queried):
+        assert late.tip_hash == kept.tip_hash
+        assert late.supply() == kept.supply()
+        if not queried:
+            assert late._coins is None  # a chain nobody queried keeps no index
+            return
+        for pub in everyone:
+            scans = late.utxo.scans
+            answers = [late.utxos_for(pub), late.balance(pub), selection(late, pub)]
+            assert late.utxo.scans == scans  # another owner's first read scans nothing
+            coins = scanned_coins(late, pub)
+            assert answers == [coins, sum(out.value for _, out in coins), scanned_selection(coins)]
+            assert answers == [kept.utxos_for(pub), kept.balance(pub), selection(kept, pub)]
+
+    def first_query():
+        # the late chain's first owner query builds its index in one pass
+        scans = late.utxo.scans
+        assert QUERIES[query](late, everyone[reader]) == QUERIES[query](kept, everyone[reader])
+        assert late.utxo.scans == scans + 1 and late._coins is not None
+
+    check(queried=False)
+    for step, action in enumerate([*actions, ("mine",)]):
+        if step == first:
+            first_query()
+        kind = action[0]
+        if kind == "mine":
+            assert late.mine_next(SOLO, late_rng) == kept.mine_next(SOLO, kept_rng)
+            check(queried=step >= first)
+            continue
+        if kind == "unlock":
+            tx = unlock_tx(kept, pairs, action[1], action[2])
+        else:
+            sender = keypairs[action[1]]
+            if kind == "pay":
+                lock = PayToKey(owners[action[2]])
+            else:
+                lock = lock_for(action[2], sender.pub, kept.height)
+            try:
+                tx = build_payment(kept, sender, [TxOutput(action[3], lock)], fee=action[4])
+            except InsufficientFundsError:
+                tx = None
+        if tx is not None:
+            assert late.submit(tx) == kept.submit(tx)
+    if first > len(actions):
+        first_query()
+    check(queried=True)
+    assert [block_hash(b) for b in late.blocks] == [block_hash(b) for b in kept.blocks]
 
 
 def test_compose_message_tx_keys_the_payload_by_the_first_coin():

@@ -5,10 +5,20 @@ import hashlib
 import pytest
 
 from oraclesim.simchain import (
+    InvalidReason,
     InvalidSeedError,
+    KeyPair,
     KeyRegistry,
+    PayToKey,
+    SimChain,
+    Transaction,
+    TxInput,
+    TxOutput,
     derive_pair,
+    sighash,
     sign,
+    sign_input,
+    sign_payment,
 )
 
 import test_formats as ref
@@ -74,3 +84,24 @@ def test_keygen_is_deterministic_per_seed():
     a2 = reg.keygen(b"alice")
     assert a1 == a2
     assert reg.verify(sign(a1.secret, bytes(32)), a1.pub, bytes(32))
+
+
+def test_a_key_pair_signs_with_its_pub_and_admission_checks_the_tag():
+    reg = KeyRegistry()
+    alice, bob = reg.keygen(b"alice"), reg.keygen(b"bob")
+    chain = SimChain(genesis=[TxOutput(1_000, PayToKey(alice.pub))], keys=reg)
+    [(coin, _)] = chain.utxos_for(alice.pub)
+    pay = (TxOutput(900, PayToKey(bob.pub)),)
+    unsigned = Transaction((TxInput(coin),), pay)
+
+    # a derived pair signs as `sign` does from its secret alone
+    for tx in (sign_input(unsigned, 0, alice), sign_payment(alice, [coin], pay, 0)):
+        assert tx.inputs[0].witness.signatures == (sign(alice.secret, sighash(unsigned)),)
+        assert chain.validate(tx)
+
+    # a pair whose pub is not sha256(secret) signs as alice, and is refused
+    forged = KeyPair(secret=bob.secret, pub=alice.pub)
+    for tx in (sign_input(unsigned, 0, forged), sign_payment(forged, [coin], pay, 0)):
+        assert tx.inputs[0].witness.signatures[0].signer_pub == alice.pub
+        verdict = chain.submit(tx)
+        assert (verdict.accepted, verdict.invalid_reason) == (False, InvalidReason.BAD_WITNESS)
