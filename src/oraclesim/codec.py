@@ -31,7 +31,8 @@ def pack_bytes(b: bytes) -> bytes:
 
 
 class TruncatedError(ValueError):
-    """Ran out of bytes while decoding."""
+    """Ran out of bytes while decoding any layout, Counterparty message bodies
+    included: "need N bytes at offset X, have Y"."""
 
 
 class Reader:
@@ -50,10 +51,6 @@ class Reader:
             )
         self._pos = pos + n
         return pos
-
-    def _take(self, n: int) -> bytes:
-        pos = self._advance(n)
-        return self._data[pos : pos + n]
 
     # each number is read by its precompiled struct at the current offset,
     # without slicing its bytes out first
@@ -77,10 +74,11 @@ class Reader:
         return _U64.unpack_from(self._data, self._advance(8))[0]
 
     def raw(self, n: int) -> bytes:
-        return self._take(n)
+        pos = self._advance(n)
+        return self._data[pos : pos + n]
 
     def bytes(self) -> bytes:
-        return self._take(self.u32())
+        return self.raw(self.u32())
 
     def string(self) -> str:
         return self.bytes().decode("utf-8")

@@ -29,7 +29,7 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .codec import pack_bytes, sha256
+from .codec import TruncatedError, pack_bytes, sha256
 from .datafeed import Comparator, compare
 from .simchain import (
     MAX_MULTISIG_KEYS,
@@ -64,11 +64,9 @@ class CounterpartyError(Exception):
 
 
 class BadMagicError(CounterpartyError):
-    """Payload does not start with the protocol magic after decryption."""
-
-
-class TruncatedPayloadError(CounterpartyError):
-    """Payload ended mid-field or carried trailing bytes."""
+    """Payload does not start with the protocol magic after decryption; a body
+    behind the magic that does not decode raises `ValueError`, the subclass
+    `codec.TruncatedError` when it ends mid-field."""
 
 
 # ----------------------------------------------------------------- messages
@@ -194,14 +192,14 @@ class _Body:
                 values.append(plain[pos : pos + size].decode("utf-8"))
                 pos += size
         if pos != end:
-            raise TruncatedPayloadError("trailing bytes after message")
+            raise ValueError(f"{end - pos} trailing bytes after decode")
         return self.make(values)
 
 
-def _truncated(pos: int, size: int, end: int) -> TruncatedPayloadError:
+def _truncated(pos: int, size: int, end: int) -> TruncatedError:
     # offsets count from the tag, the first byte after the magic
     at = pos - len(MAGIC)
-    return TruncatedPayloadError(f"need {size} bytes at offset {at}, have {end - pos}")
+    return TruncatedError(f"need {size} bytes at offset {at}, have {end - pos}")
 
 
 _COMPARATORS = {int(c): c for c in Comparator}
@@ -440,7 +438,7 @@ class MetaState:
             for cipher in carried_ciphertexts(tx):
                 try:
                     message = decode_payload(cipher, key_txid)
-                except (BadMagicError, TruncatedPayloadError, ValueError):
+                except (BadMagicError, ValueError):
                     continue  # not ours, or the magic matched but the body is garbage
                 break
             else:

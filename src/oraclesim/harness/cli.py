@@ -11,7 +11,7 @@ from pathlib import Path
 
 from ..counterparty import CounterpartyError, decode_payload, message_json
 from ..orisi import OrisiError, compute_safe_params
-from ..simchain import classify, deserialize_tx, policy_for
+from ..simchain import POLICIES, classify, deserialize_tx
 from .events import EventLog, LogFormatError, first_difference
 from .metrics import export_metrics
 from .scenario import ParseError, run_scenario
@@ -104,7 +104,7 @@ def _cmd_classify_tx(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    decision = classify(tx, policy_for(args.era))
+    decision = classify(tx, POLICIES[args.era])
     doc = {"standard": decision.standard}
     if decision.reason is not None:
         doc["reason"] = decision.reason.value
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify-tx", help="standardness of a serialized transaction")
     p_classify.add_argument("tx", help="hex canonical transaction bytes")
-    p_classify.add_argument("--era", choices=("test2013", "v090"), default="v090")
+    p_classify.add_argument("--era", choices=POLICIES, default="v090")
     p_classify.set_defaults(func=_cmd_classify_tx)
 
     return parser

@@ -43,10 +43,10 @@ from ..simchain import (
     Transaction,
     TxInput,
     TxOutput,
+    POLICIES,
     add_signature,
     build_payment,
     check_miners,
-    policy_for,
     sign_input,
     txid,
 )
@@ -283,7 +283,7 @@ class Scenario:
     ticks: int
     tick_seconds: int = 3600
     start_time: int = 1_700_000_000
-    policy: Literal["v090", "test2013"] = "v090"
+    policy: Literal[tuple(POLICIES)] = "v090"
     mine_every: int | None = 1
     miners: tuple[Miner, ...] = (Miner("m1", 1.0),)
     actors: tuple[str, ...] = ()
@@ -393,7 +393,7 @@ class World:
             pair = self.actors[grant.actor]
             for _ in range(grant.coins):
                 genesis.append(TxOutput(value=grant.value, lock=PayToKey(pair.pub)))
-        policy = policy_for(scenario.policy)
+        policy = POLICIES[scenario.policy]
         self.chain = SimChain(policy=policy, genesis=tuple(genesis), keys=self.keys)
         self.sources = {src.id: src for src in scenario.sources}
         self.log = EventLog()

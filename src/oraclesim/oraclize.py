@@ -39,6 +39,7 @@ from .datafeed import (
     verify_proof,
 )
 from .simchain import (
+    InvalidReason,
     KeyPair,
     MultiSig,
     PayToKey,
@@ -250,7 +251,10 @@ def _settle(
 def _broadcast(chain: SimChain, tx: Transaction, what: str) -> Transaction:
     result = chain.submit(tx)
     if not result.accepted:
-        raise BadWitnessError(f"{what} rejected: {result.reason}")
+        refusal = f"{what} rejected: {result.reason}"
+        if result.invalid_reason is InvalidReason.BAD_WITNESS:
+            raise BadWitnessError(refusal)
+        raise OraclizeError(refusal)  # a duplicate, a conflict or another invalid spend
     return tx
 
 
@@ -258,22 +262,18 @@ class Oracle:
     """Scheduled co-signer: builds contracts, polls sources, signs payouts.
 
     `proof_hook`, when set, rewrites each proof between fetch and the
-    pre-signature check; adversarial fixtures use it to model tampering
+    pre-signature check; adversarial fixtures set it to model tampering
     anywhere along the data path.  Every signing decision lands in
     `audit`, including refusals.
     """
 
     def __init__(
-        self,
-        keys,
-        sources: dict[str, DataSource],
-        oracle_id: str = "oraclize",
-        proof_hook=None,
+        self, keys, sources: dict[str, DataSource], oracle_id: str = "oraclize"
     ) -> None:
         self.id = oracle_id
         self.pair: KeyPair = keys.keygen(f"oracle:{oracle_id}".encode())
         self.sources = sources
-        self.proof_hook = proof_hook
+        self.proof_hook = None
         self.audit: list[Settlement] = []
         self._next_id = 1
 

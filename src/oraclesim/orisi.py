@@ -155,14 +155,12 @@ def mint_message(payload: bytes, difficulty: int = DEFAULT_BUS_DIFFICULTY) -> Bu
 class MessageBus:
     """Ordered in-memory message queue; spam is rejected at the PoW gate."""
 
-    def __init__(self, difficulty: int = DEFAULT_BUS_DIFFICULTY) -> None:
-        _pow_bound(difficulty)  # raises outside 0..256
-        self.difficulty = difficulty
+    def __init__(self) -> None:
         self.pending: list[BusMessage] = []
         self.dropped = 0
 
     def post(self, message: BusMessage) -> bool:
-        if message.difficulty < self.difficulty or not check_pow(message):
+        if message.difficulty < DEFAULT_BUS_DIFFICULTY or not check_pow(message):
             self.dropped += 1
             return False
         self.pending.append(message)
@@ -419,7 +417,7 @@ class OracleNode:
             return None
         sig = sign(self.keypair.secret, sighash(contract.draft(kind)))
         payload = encode_bus_payload(contract.contract_id, self.oracle_id, kind, sig)
-        message = mint_message(payload, bus.difficulty)
+        message = mint_message(payload)
         return message if bus.post(message) else None
 
 
@@ -432,24 +430,16 @@ def ready_draft(contract: OrisiContract) -> DraftKind | None:
 
 
 def finalize(
-    chain: SimChain,
-    contract: OrisiContract,
-    beneficiary_keys: Sequence[KeyPair],
-    kind: DraftKind | None = None,
+    chain: SimChain, contract: OrisiContract, beneficiary_keys: Sequence[KeyPair]
 ) -> Transaction:
-    """Combine m oracle signatures with the beneficiary's padding keys,
-    reaching the n+1 threshold, and broadcast the settlement."""
+    """Combine the `ready_draft`'s m oracle signatures with the beneficiary's
+    padding keys, reaching the n+1 threshold, and broadcast the settlement."""
     if contract.state is not ContractState.ACTIVE:
         raise StateError(f"cannot finalize from {contract.state.value}")
+    kind = ready_draft(contract)
     if kind is None:
-        kind = ready_draft(contract)
-        if kind is None:
-            raise QuorumNotReachedError("no draft holds m partial signatures")
+        raise QuorumNotReachedError("no draft holds m partial signatures")
     collected = contract.signatures[kind]
-    if len(collected) < contract.params.m:
-        raise QuorumNotReachedError(
-            f"{len(collected)} of {contract.params.m} oracle signatures on {kind.value}"
-        )
     held = {p.pub for p in beneficiary_keys}
     if not set(contract.agent_pubs) <= held:
         raise BadWitnessError("beneficiary does not hold the padding keys")

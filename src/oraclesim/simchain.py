@@ -532,21 +532,17 @@ def sign_payment(
 # Relay standardness policy.
 #
 # Standardness never affects validity; it only decides which miners will
-# touch a transaction.  Two eras are modelled: the mid-2013 test release that
-# relayed 80-byte data payloads, and the v0.9.0 rules that halved the cap to
-# 40 bytes.  Multisig is standard up to three keys; bigger key sets, bare
-# non-payment templates, and witnesses carrying more than three signatures
-# (the footprint of spending a large multisig) are all non-standard.
+# touch a transaction.  `POLICIES` names the eras modelled, the one list that
+# scenarios and the CLI choose from: the v0.9.0 rules capping data payloads at
+# 40 bytes, the default, and the mid-2013 test release that relayed 80.
+# Multisig is standard up to three keys; bigger key sets, bare non-payment
+# templates, and witnesses carrying more than three signatures (the footprint
+# of spending a large multisig) are all non-standard.
 #
 # `classify` returns shared decisions, one per outcome, and builds none.
 
 
 MAX_STANDARD_MULTISIG_KEYS = 3  # in every era
-
-
-class Era(enum.Enum):
-    TEST2013 = "test2013"
-    V090 = "v090"
 
 
 class NonStandardReason(enum.Enum):
@@ -558,20 +554,14 @@ class NonStandardReason(enum.Enum):
 
 @dataclass(frozen=True)
 class StandardnessPolicy:
-    era: Era
+    name: str
     max_data_payload: int
 
 
-POLICY_TEST2013 = StandardnessPolicy(era=Era.TEST2013, max_data_payload=80)
-POLICY_V090 = StandardnessPolicy(era=Era.V090, max_data_payload=40)
+POLICY_V090 = StandardnessPolicy(name="v090", max_data_payload=40)
+POLICY_TEST2013 = StandardnessPolicy(name="test2013", max_data_payload=80)
 
-_POLICIES = {Era.TEST2013: POLICY_TEST2013, Era.V090: POLICY_V090}
-
-
-def policy_for(era: Era | str) -> StandardnessPolicy:
-    if isinstance(era, str):
-        era = Era(era)
-    return _POLICIES[era]
+POLICIES = {policy.name: policy for policy in (POLICY_V090, POLICY_TEST2013)}
 
 
 @dataclass(frozen=True)

@@ -125,14 +125,12 @@ def build_claim(
     chain: SimChain,
     contract: WillContract,
     heir: KeyPair,
-    dest_pub: bytes | None = None,
     fee: int = 0,
 ) -> Transaction:
-    """Heir's half-signed spend of the will output. Deterministic, so the
-    oracle's signature over its sighash composes with a rebuilt copy."""
-    dest = dest_pub if dest_pub is not None else contract.heir_pub
+    """Heir's half-signed spend of the will output to the heir. Deterministic,
+    so the oracle's signature over its sighash composes with a rebuilt copy."""
     unsigned = Transaction(
         inputs=(TxInput(outpoint=contract.funding_outpoint),),
-        outputs=(TxOutput(value=contract.amount - fee, lock=PayToKey(dest)),),
+        outputs=(TxOutput(value=contract.amount - fee, lock=PayToKey(contract.heir_pub)),),
     )
     return sign_input(unsigned, 0, heir)

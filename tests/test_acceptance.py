@@ -720,7 +720,8 @@ def test_c08_oraclize_disjointness_and_proofshield():
                 )
             return proof
 
-        shielded = Oracle(reg, sources, oracle_id="shielded", proof_hook=hook)
+        shielded = Oracle(reg, sources, oracle_id="shielded")
+        shielded.proof_hook = hook
         tampered = clean = 0
         for _ in range(60):
             contract = shielded.build_contract(
@@ -757,7 +758,8 @@ def test_c08_oraclize_disjointness_and_proofshield():
         # without the shield the same tampering is signed straight through,
         # which is exactly the failure mode the flag exists to remove
         tamper_next[0] = True
-        naive = Oracle(reg, sources, oracle_id="naive", proof_hook=hook)
+        naive = Oracle(reg, sources, oracle_id="naive")
+        naive.proof_hook = hook
         unshielded = naive.build_contract(
             chain,
             alice=alice,

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oraclesim import counterparty, simchain
+from oraclesim.codec import TruncatedError
 from oraclesim.counterparty import (
     BURN_PUB,
     AppliedMessage,
@@ -36,7 +37,6 @@ from oraclesim.counterparty import (
     R_WRONG_BURN,
     R_ZERO_WAGER,
     Send,
-    TruncatedPayloadError,
     XCP,
     _xor_stream,
     carried_ciphertexts,
@@ -178,17 +178,18 @@ def test_wrong_key_scrambles_the_magic():
 
 def test_truncated_and_padded_payloads_fail():
     payload = encode_message(ALL_MESSAGES[0], KEY_A)
-    with pytest.raises(TruncatedPayloadError):
+    with pytest.raises(TruncatedError, match=r"^need 4 bytes at offset 1, have 3$"):
         decode_payload(payload[:12], KEY_A)
     padded = payload + bytes([0 ^ KEY_A[len(payload) % 32]])
-    with pytest.raises(TruncatedPayloadError):
+    with pytest.raises(ValueError, match=r"^1 trailing bytes after decode$") as raised:
         decode_payload(padded, KEY_A)
+    assert type(raised.value) is ValueError  # not a truncation
 
 
 def _refuses_or_round_trips(payload: bytes, key: bytes) -> None:
     try:
         message = decode_payload(payload, key)
-    except (BadMagicError, TruncatedPayloadError, ValueError):  # what `replay` skips
+    except (BadMagicError, ValueError):  # what `replay` skips
         return
     assert encode_message(message, key) == payload
 
@@ -233,7 +234,7 @@ def _decodes_as_the_reference_does(payload: bytes, key: bytes) -> None:
         kind, fields = ref.decode_consensus_payload(payload, key)
     except ValueError:
         # what the reference refuses is refused with an exception `replay` skips
-        with pytest.raises((BadMagicError, TruncatedPayloadError, ValueError)):
+        with pytest.raises((BadMagicError, ValueError)):
             decode_payload(payload, key)
         return
     decoded = decode_payload(payload, key)
@@ -247,7 +248,9 @@ def _decodes_as_the_reference_does(payload: bytes, key: bytes) -> None:
     message=MESSAGES,
     key=st.binary(min_size=1, max_size=40),
     tag=st.one_of(st.sampled_from((1, 2, 3, 4)), st.integers(0, 255)),
-    body=st.binary(max_size=100),
+    # never empty: after a message of varying length, hypothesis's cache may compare
+    # b"" with a 0 drawn there, an error under -bb; the empty body has its own test
+    body=st.binary(min_size=1, max_size=100),
     data=st.data(),
 )
 def test_the_body_table_agrees_with_the_struct_reference(message, key, tag, body, data):
@@ -263,6 +266,12 @@ def test_the_body_table_agrees_with_the_struct_reference(message, key, tag, body
         _decodes_as_the_reference_does(payload[:cut], key)
     _decodes_as_the_reference_does(_xor_stream(data.draw(_edits(plain)), key), key)
     _decodes_as_the_reference_does(_xor_stream(MAGIC + bytes((tag,)) + body, key), key)
+
+
+@pytest.mark.parametrize("key", [KEY_A, KEY_B])
+def test_an_empty_body_behind_each_tag_decodes_as_the_reference_does(key):
+    for tag in range(256):
+        _decodes_as_the_reference_does(_xor_stream(MAGIC + bytes((tag,)), key), key)
 
 
 def test_small_payloads_ride_a_data_carrier():

@@ -439,6 +439,28 @@ def test_shielded_oracle_never_signs_unverified_over_adversarial_trace():
 # ------------------------------------------------- witnesses and refunds
 
 
+def test_a_refused_broadcast_is_a_bad_witness_only_when_the_witness_is_bad():
+    chain, reg, oracle, alice, bob, carol = make_world(
+        temp_entries=[(T0, 12)], rain_entries=[(T0, False)]
+    )
+    terms = dict(
+        alice=alice, bob=bob, conditions=milan_conditions(bob.pub),
+        stakes=(5 * COIN // 10, 3 * COIN // 10), default_beneficiary=alice.pub,
+        start=T0, end=T0 + DAY, refund_locktime=chain.height + 6,
+    )
+    contract = oracle.build_contract(chain, **terms)
+    # the same funding again, then one spending the same coins, before a block
+    for stakes, reason in ((terms["stakes"], "duplicate"), ((COIN // 10, COIN // 10), "conflict")):
+        with pytest.raises(OraclizeError, match=f"^funding rejected: {reason}$") as raised:
+            oracle.build_contract(chain, **{**terms, "stakes": stakes})
+        assert not isinstance(raised.value, BadWitnessError)
+
+    chain.mine_next(MINERS, Random(1))
+    settlement = oracle.poll(contract, T0 + HOUR)
+    with pytest.raises(BadWitnessError, match="^settlement rejected: invalid$"):
+        co_sign_and_broadcast(chain, settlement, carol)  # carol holds no escrow key
+
+
 def test_threshold_witness_enumeration():
     chain, reg, oracle, alice, bob, carol = make_world(
         temp_entries=[(T0, 12)], rain_entries=[(T0, False)]

@@ -15,6 +15,7 @@ from oraclesim.orisi import (
     BusMessage,
     Condition,
     ContractState,
+    DEFAULT_BUS_DIFFICULTY,
     DraftKind,
     KeyLimitExceededError,
     MessageBus,
@@ -109,8 +110,6 @@ def test_pow_bound_matches_integer_arithmetic():
 @pytest.mark.parametrize("difficulty", [257, 300, -1])
 def test_difficulty_outside_0_to_256_is_refused(difficulty):
     with pytest.raises(ValueError):
-        MessageBus(difficulty=difficulty)
-    with pytest.raises(ValueError):
         mint_message(b"never ground", difficulty)  # at 257 grinding could never end
     assert not check_pow(BusMessage(b"payload", 0, difficulty))
 
@@ -154,7 +153,7 @@ def test_mint_message_clears_difficulty_deterministically():
 
 
 def test_bus_drops_bad_pow_and_low_difficulty():
-    bus = MessageBus(difficulty=8)
+    bus = MessageBus()
     good = mint_message(b"payload", difficulty=8)
     assert bus.post(good)
 
@@ -171,7 +170,7 @@ def test_bus_drops_bad_pow_and_low_difficulty():
 
 
 def test_bus_drops_a_nonce_outside_the_u64_range():
-    bus = MessageBus(difficulty=8)
+    bus = MessageBus()
     for nonce in (-1, 2**64):
         assert not check_pow(BusMessage(b"payload", nonce, 8))
         assert not bus.post(BusMessage(b"payload", nonce, 8))
@@ -334,15 +333,15 @@ def test_polling_no_data_then_signatures_over_bus():
 def test_bus_garbage_and_spam_never_become_signatures():
     chain, contract, agents, nodes, *_ = activated_world()
     bus = MessageBus()
-    bus.post(mint_message(b"not a signature at all", bus.difficulty))
+    bus.post(mint_message(b"not a signature at all"))
     assert contract.apply_bus(bus, chain.keys) == 0
 
     sig = sign(nodes[0].keypair.secret, sighash(contract.unlock_tx))
     payload = encode_bus_payload(contract.contract_id, nodes[0].oracle_id, DraftKind.UNLOCK, sig)
     bad = next(
-        BusMessage(payload, n, bus.difficulty)
+        BusMessage(payload, n, DEFAULT_BUS_DIFFICULTY)
         for n in itertools.count()
-        if not check_pow(BusMessage(payload, n, bus.difficulty))
+        if not check_pow(BusMessage(payload, n, DEFAULT_BUS_DIFFICULTY))
     )
     assert not bus.post(bad)
     assert contract.apply_bus(bus, chain.keys) == 0
@@ -350,7 +349,7 @@ def test_bus_garbage_and_spam_never_become_signatures():
 
     forged = sign(chain.keys.keygen(b"mallory").secret, sighash(contract.unlock_tx))
     payload = encode_bus_payload(contract.contract_id, nodes[0].oracle_id, DraftKind.UNLOCK, forged)
-    bus.post(mint_message(payload, bus.difficulty))
+    bus.post(mint_message(payload))
     assert contract.apply_bus(bus, chain.keys) == 0
 
 
@@ -473,7 +472,7 @@ def test_at_most_one_draft_settles():
     chain.mine_next(LOOSE, Random(4))
 
     with pytest.raises(StateError):
-        finalize(chain, contract, agents, kind=DraftKind.REFUND)
+        finalize(chain, contract, agents)
 
     contract.state = ContractState.ACTIVE  # even a rolled-back state cannot double-settle
     digest = sighash(contract.refund_tx)

@@ -1,11 +1,15 @@
 """Standardness classification across both relay policy eras."""
 
+import json
+
 import pytest
 
+from oraclesim.harness import ParseError, Scenario, run_scenario
+from oraclesim.harness.cli import main
 from oraclesim.simchain import (
+    POLICIES,
     DataCarrier,
     Either,
-    Era,
     KeyRegistry,
     MultiSig,
     NonStandardReason,
@@ -19,7 +23,7 @@ from oraclesim.simchain import (
     Witness,
     classify,
     p2sh_lock,
-    policy_for,
+    serialize_tx,
     sighash,
     sign,
     validate_tx,
@@ -99,11 +103,39 @@ def test_payment_templates_are_standard_everywhere():
         assert classify(tx_with_output(p2sh_lock(PayToKey(PUB))), policy).standard
 
 
-def test_policy_lookup_accepts_enum_and_string():
-    assert policy_for("test2013") is POLICY_TEST2013
-    assert policy_for(Era.V090) is POLICY_V090
+def test_policies_list_each_era_once_by_its_name():
+    assert POLICIES == {"v090": POLICY_V090, "test2013": POLICY_TEST2013}
+    assert list(POLICIES) == ["v090", "test2013"]  # the default first, as refusals list them
+    assert all(policy.name == name for name, policy in POLICIES.items())
     assert POLICY_V090.max_data_payload == 40
     assert POLICY_TEST2013.max_data_payload == 80
+
+
+@pytest.mark.parametrize("name", POLICIES)
+def test_each_era_runs_a_scenario_and_classifies_on_the_cli(name, capsys):
+    result = run_scenario({"name": "t", "seed": 1, "ticks": 2, "policy": name})
+    assert result.passed and result.world.chain.policy is POLICIES[name]
+    tx = serialize_tx(tx_with_output(DataCarrier(bytes(60))))  # over 40 bytes, within 80
+    assert main(["classify-tx", tx.hex(), "--era", name]) == 0
+    standard = json.loads(capsys.readouterr().out)["standard"]
+    assert standard is (60 <= POLICIES[name].max_data_payload)
+
+
+def test_an_era_outside_the_list_is_refused(tmp_path, capsys):
+    doc = {"name": "t", "seed": 1, "ticks": 2, "policy": "v091"}
+    refusal = f"scenario.policy: expected one of {', '.join(POLICIES)}, got 'v091'"
+    with pytest.raises(ParseError) as raised:
+        Scenario.from_dict(doc)
+    assert str(raised.value) == refusal
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert refusal in capsys.readouterr().err
+    tx = serialize_tx(tx_with_output(PayToKey(PUB)))
+    with pytest.raises(SystemExit) as exited:
+        main(["classify-tx", tx.hex(), "--era", "v091"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'v091'" in capsys.readouterr().err
 
 
 def test_nonstandard_tx_still_validates():

@@ -155,15 +155,3 @@ def test_spend_paths_require_both_signatures(setup):
         verdict = chain.validate(candidate)
         assert not verdict
         assert verdict.reason is InvalidReason.BAD_WITNESS
-
-
-def test_claim_can_pay_a_designated_address(setup):
-    chain, creator, heir, oracle = setup
-    contract = fund(chain, creator, oracle, heir)
-    dest = chain.keys.keygen(b"estate-account")
-    partial = build_claim(chain, contract, heir, dest_pub=dest.pub)
-    oracle_sig = oracle.sign_request(chain, EXPR, partial, now=T_DEAD)
-    spend = add_signature(partial, 0, oracle_sig)
-    assert chain.submit(spend).accepted
-    chain.mine_next(LOOSE, Random(3))
-    assert chain.balance(dest.pub) == contract.amount
