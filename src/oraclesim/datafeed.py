@@ -1,12 +1,11 @@
-"""Fixture-backed data sources with signed observations and digest proofs.
+"""Fixture-backed data sources with digest proofs.
 
 A source is a time series per key with carry-forward reads: a query at
-time t returns the latest entry at or before t. Sources that sign their
-data attach a signature over the canonical observation digest; a proof
-binds a query, the response digest, the source, and an attestor into one
-recomputable attestation digest. Values are typed (bool, int, float,
-string) and are encoded with a one-letter type prefix so that, say, the
-number 1 and the string "1" never collide.
+time t returns the latest entry at or before t. A proof binds a query,
+the response digest, the source, and an attestor into one recomputable
+attestation digest. Values are typed (bool, int, float, string) and are
+encoded with a one-letter type prefix so that, say, the number 1 and the
+string "1" never collide.
 
 Comparison is typed the same way. A value's kind is an event (bool), a
 number (int or float) or a label (str), and a comparator holds only
@@ -27,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .codec import pack_bytes, pack_u64, sha256
-from .simchain import KeyPair, Signature, derive_pair, sign
 
 FeedValue = Union[bool, int, float, str]
 
@@ -55,14 +53,6 @@ class Observation:
     key: str
     time: int
     value: FeedValue
-    source_signature: Signature | None = None
-
-
-def observation_digest(source_id: str, key: str, time: int, value: FeedValue) -> bytes:
-    return sha256(
-        pack_bytes(source_id.encode("utf-8")) + pack_bytes(key.encode("utf-8"))
-        + pack_u64(time) + pack_bytes(encode_value(value))
-    )
 
 
 @dataclass(frozen=True)
@@ -90,12 +80,9 @@ class DataSource:
         source_id: str,
         entries: Iterable[tuple[str, int, FeedValue]],
         ssl: bool = True,
-        signs_data: bool = False,
     ) -> None:
         self.id = source_id
         self.ssl = ssl
-        self.signs_data = signs_data
-        self.keypair: KeyPair = derive_pair(b"feed:" + source_id.encode("utf-8"))
         by_key: dict[str, list[tuple[int, FeedValue]]] = {}
         for key, time, value in entries:
             by_key.setdefault(key, []).append((int(time), value))
@@ -120,13 +107,7 @@ def query(source: DataSource, key: str, time: int) -> Observation:
     if idx < 0:
         raise NoDataError(f"{source.id}: no entry for {key!r} at or before t={time}")
     entry_time, value = source._series[key][idx]
-    signature = None
-    if source.signs_data:
-        digest = observation_digest(source.id, key, entry_time, value)
-        signature = sign(source.keypair.secret, digest)
-    return Observation(
-        source_id=source.id, key=key, time=entry_time, value=value, source_signature=signature
-    )
+    return Observation(source_id=source.id, key=key, time=entry_time, value=value)
 
 
 def make_proof(source: DataSource, key: str, time: int, attestor_id: str) -> AuthenticityProof:

@@ -268,10 +268,8 @@ def _miner(id_: str, hashrate: float = 1.0, accepts_nonstandard: bool = True) ->
     return Miner(id_, hashrate, accepts_nonstandard)
 
 
-def _source(
-    id_: str, entries: tuple[_Entry, ...] = (), ssl: bool = True, signs_data: bool = False
-) -> DataSource:
-    return DataSource(id_, entries, ssl=ssl, signs_data=signs_data)
+def _source(id_: str, entries: tuple[_Entry, ...] = (), ssl: bool = True) -> DataSource:
+    return DataSource(id_, entries, ssl=ssl)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from .datafeed import (
     verify_proof,
 )
 from .simchain import (
-    InvalidReason,
     KeyPair,
     MultiSig,
     PayToKey,
@@ -84,10 +83,6 @@ class TooEarlyError(OraclizeError):
 
 class AlreadySettledError(OraclizeError):
     pass
-
-
-class BadWitnessError(OraclizeError):
-    """The settlement or refund did not satisfy the escrow lock."""
 
 
 class ArbitrationRequiredError(OraclizeError):
@@ -248,16 +243,6 @@ def _settle(
     return replace(decision, tx=tx)
 
 
-def _broadcast(chain: SimChain, tx: Transaction, what: str) -> Transaction:
-    result = chain.submit(tx)
-    if not result.accepted:
-        refusal = f"{what} rejected: {result.reason}"
-        if result.invalid_reason is InvalidReason.BAD_WITNESS:
-            raise BadWitnessError(refusal)
-        raise OraclizeError(refusal)  # a duplicate, a conflict or another invalid spend
-    return tx
-
-
 class Oracle:
     """Scheduled co-signer: builds contracts, polls sources, signs payouts.
 
@@ -347,7 +332,7 @@ class Oracle:
         )
         refund = sign_input(refund, 0, alice, bob)
 
-        _broadcast(chain, funding, "funding")
+        chain.broadcast(funding, "funding")
         contract_id = f"oc-{self._next_id}"
         self._next_id += 1
         return ConditionalContract(
@@ -436,7 +421,8 @@ def co_sign_and_broadcast(chain: SimChain, settlement: Settlement, agent: KeyPai
     if settlement.tx is None:
         raise ProofInvalidError(f"{settlement.contract_id}: the oracle refused to sign")
     tx = add_signature(settlement.tx, 0, sign(agent.secret, sighash(settlement.tx)))
-    return _broadcast(chain, tx, "settlement")
+    chain.broadcast(tx, "settlement")
+    return tx
 
 
 def refund_expiry(chain: SimChain, contract: ConditionalContract) -> Transaction:
@@ -450,7 +436,7 @@ def refund_expiry(chain: SimChain, contract: ConditionalContract) -> Transaction
         raise TooEarlyError(
             f"refund minable at height {contract.refund_locktime}, next is {chain.height + 1}"
         )
-    _broadcast(chain, contract.refund_draft, "refund")
+    chain.broadcast(contract.refund_draft, "refund")
     contract.state = ContractState.REFUNDED
     return contract.refund_draft
 

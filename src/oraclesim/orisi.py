@@ -28,7 +28,7 @@ from . import datafeed
 from .datafeed import DataSource, NoDataError, query
 from .simchain import (
     MAX_MULTISIG_KEYS,
-    InvalidReason,
+    BadWitnessError,
     KeyPair,
     KeyRegistry,
     MultiSig,
@@ -72,10 +72,6 @@ class VerificationFailedError(OrisiError):
 
 
 class QuorumNotReachedError(OrisiError):
-    pass
-
-
-class BadWitnessError(OrisiError):
     pass
 
 
@@ -346,9 +342,7 @@ def activate(chain: SimChain, contract: OrisiContract) -> None:
     missing = set(contract.oracle_pubs) - contract.acks
     if missing:
         raise NotAllAckedError(f"missing acks: {sorted(missing)}")
-    result = chain.submit(contract.funding_tx)
-    if not result:
-        raise StateError(f"funding rejected: {result.reason}")
+    chain.broadcast(contract.funding_tx, "funding")
     contract.state = ContractState.ACTIVE
 
 
@@ -441,6 +435,7 @@ def finalize(
         raise QuorumNotReachedError("no draft holds m partial signatures")
     collected = contract.signatures[kind]
     held = {p.pub for p in beneficiary_keys}
+    # stricter than the chain, where oracle signatures past m can stand in for padding keys
     if not set(contract.agent_pubs) <= held:
         raise BadWitnessError("beneficiary does not hold the padding keys")
 
@@ -450,10 +445,6 @@ def finalize(
     sigs += [sign(p.secret, digest) for p in beneficiary_keys if p.pub in set(contract.agent_pubs)]
     settled = draft.with_witness(0, Witness(signatures=tuple(sigs)))
 
-    result = chain.submit(settled)
-    if not result:
-        if result.invalid_reason is InvalidReason.BAD_WITNESS:
-            raise BadWitnessError("combined signatures do not satisfy the safe")
-        raise StateError(f"settlement rejected: {result.reason}")
+    chain.broadcast(settled, "settlement")
     contract.state = ContractState.SETTLED if kind is DraftKind.UNLOCK else ContractState.REFUNDED
     return settled

@@ -745,6 +745,15 @@ class SubmitResult(NamedTuple):
         return self.accepted
 
 
+class RejectedError(ValueError):
+    """A refused broadcast: "<what> rejected: <why>", <why> the `InvalidReason`
+    value of an invalid spend, else the pool's reason (duplicate, conflict)."""
+
+
+class BadWitnessError(RejectedError):
+    """A witness that does not satisfy its lock (`InvalidReason.BAD_WITNESS`)."""
+
+
 class MempoolEntry(NamedTuple):
     tx: Transaction
     txid: bytes
@@ -956,6 +965,15 @@ class SimChain:
 
     def submit(self, tx: Transaction) -> SubmitResult:
         return self.mempool.submit(self, tx)
+
+    def broadcast(self, tx: Transaction, what: str) -> SubmitResult:
+        """Submit `tx` once; raise RejectedError, naming `what`, if refused."""
+        result = self.mempool.submit(self, tx)
+        if not result.accepted:
+            why = result.invalid_reason
+            error = BadWitnessError if why is InvalidReason.BAD_WITNESS else RejectedError
+            raise error(f"{what} rejected: {result.reason if why is None else why.value}")
+        return result
 
     def mine_next(self, miners, rng) -> Block:
         return mine_next(self, miners, rng)

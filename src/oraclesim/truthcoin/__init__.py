@@ -33,12 +33,20 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..codec import pack_bytes, pack_f64, pack_u32, sha256
 from . import lmsr
 
 COIN = 10**8  # base units per CSH and per VTC
+
+
+def _base_units(csh: float, rounding: Callable[[float], int]) -> int:
+    """`csh` in base units, rounded by `rounding`; ValueError when not finite."""
+    units = csh * COIN
+    if not math.isfinite(units):
+        raise ValueError(f"{csh} CSH has no amount in base units")
+    return rounding(units)
 
 
 class TruthcoinError(Exception):
@@ -466,6 +474,8 @@ class TruthcoinSim:
             raise ValueError("quorum must be in (0, 1]")
         if veto_window < 1:
             raise ValueError("veto window must be at least one block")
+        if not math.isfinite(severity):
+            raise ValueError("severity must be finite")
         self.ledger = SideLedger(vtc=dict(vtc_allocation))
         self.quorum = quorum
         self.severity = severity
@@ -537,7 +547,7 @@ class TruthcoinSim:
                 raise TradingClosedError(f"{decision_id} is already {decision.state.value}")
         states = 2 ** len(decision_ids)
         # author funds the maker's worst-case loss C(0) = b * ln(states)
-        liquidity = math.ceil(lmsr.cost([0.0] * states, b) * COIN)
+        liquidity = _base_units(lmsr.cost([0.0] * states, b), math.ceil)
         self.ledger.debit_csh(author, liquidity)
         market_id = f"m-{len(self.markets) + 1}"
         market = Market(
@@ -571,14 +581,14 @@ class TruthcoinSim:
             raise InsufficientSharesError(f"{trader} holds {held}, sells {-delta}")
         raw = lmsr.charge(market.q, market.b, state, delta)
         if delta > 0:
-            charge = math.ceil(raw * COIN)
+            charge = _base_units(raw, math.ceil)
             fee = math.ceil(charge * market.fee_rate)
             self.ledger.debit_csh(trader, charge + fee)
             self.ledger.credit_csh(market.author, fee)
             market.collateral += charge
             moved = charge + fee
         else:
-            refund = math.floor(-raw * COIN)
+            refund = _base_units(-raw, math.floor)
             fee = math.floor(refund * market.fee_rate)
             market.collateral -= refund
             self.ledger.credit_csh(trader, refund - fee)
@@ -756,7 +766,7 @@ class TruthcoinSim:
             shares * self._state_payoff(market, state, branch_payoff)
             for state, shares in holdings.items()
         )
-        payout = int(value * COIN)
+        payout = _base_units(value, math.floor)
         if payout > market.collateral:
             raise TruthcoinError(f"market {market_id} collateral exhausted")
         market.collateral -= payout

@@ -73,9 +73,7 @@ def create_will(
     commitment = expr_hash(expression)
     lock = will_lock(oracle_pub, heir_pub, commitment)
     funding = build_payment(chain, creator, [TxOutput(value=amount, lock=lock)], fee=fee)
-    result = chain.submit(funding)
-    if not result:
-        raise ValueError(f"funding rejected: {result.reason}")
+    result = chain.broadcast(funding, "funding")
     contract = WillContract(
         oracle_pub=oracle_pub,
         heir_pub=heir_pub,

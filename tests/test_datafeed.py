@@ -1,4 +1,4 @@
-"""Fixture sources: carry-forward queries, signatures, proofs, comparators."""
+"""Fixture sources: carry-forward queries, proofs, comparators."""
 
 import operator
 from dataclasses import replace
@@ -16,13 +16,9 @@ from oraclesim.datafeed import (
     compare,
     encode_value,
     make_proof,
-    observation_digest,
     query,
     verify_proof,
 )
-from oraclesim.simchain import sign
-
-import test_formats as ref
 
 T0 = 1_357_000_000
 
@@ -36,7 +32,6 @@ def weather():
             ("milan_temp", T0 + 7200, 15),
             ("rain", T0, False),
         ],
-        signs_data=True,
     )
 
 
@@ -72,26 +67,6 @@ def test_value_encodings_are_typed_and_distinct():
     assert encode_value("1") == b"s:1"
     samples = [True, 1, 1.0, "1", "true"]
     assert len({encode_value(v) for v in samples}) == len(samples)
-
-
-def test_observation_digest_matches_hand_packed_layout():
-    # length-prefixed fields: source, key, u64 time, encoded value
-    expected = ref.observation_digest("weather", "milan_temp", T0, 12)
-    assert observation_digest("weather", "milan_temp", T0, 12) == expected
-
-
-def test_signed_observation_verifies_and_tampering_breaks_it(weather):
-    obs = query(weather, "milan_temp", T0)
-    digest = observation_digest(obs.source_id, obs.key, obs.time, obs.value)
-    assert obs.source_signature == sign(weather.keypair.secret, digest)
-    forged = replace(obs, value=99)
-    assert observation_digest(forged.source_id, forged.key, forged.time, forged.value) != digest
-
-
-def test_unsigned_source_yields_no_signature():
-    silent = DataSource("silent", entries=[("k", T0, 1)], signs_data=False)
-    obs = query(silent, "k", T0)
-    assert obs.source_signature is None
 
 
 def test_proof_round_trip_and_tamper_detection(weather):

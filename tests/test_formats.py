@@ -147,13 +147,6 @@ def feed_value(value) -> bytes:
     return b"s:" + value.encode("utf-8")
 
 
-def observation_digest(source_id: str, key: str, time: int, value) -> bytes:
-    return _h(
-        string_field(source_id) + string_field(key) + struct.pack("<Q", time)
-        + bytes_field(feed_value(value))
-    )
-
-
 def response_digest(value) -> bytes:
     return _h(feed_value(value))
 
@@ -371,10 +364,7 @@ _FEED_VALUES = st.booleans() | _edges(-(2**63), 2**64 - 1) | _F64 | _TEXT
 @example("", "", 0, "", "")
 def test_observations_and_proofs_match_the_reference(source_id, key, time, value, attestor_id):
     assert datafeed.encode_value(value) == feed_value(value)
-    digest = datafeed.observation_digest(source_id, key, time, value)
-    assert digest == observation_digest(source_id, key, time, value)
-    source = datafeed.DataSource(source_id, [(key, time, value)], signs_data=True)
-    assert datafeed.query(source, key, time).source_signature.digest_signed == digest
+    source = datafeed.DataSource(source_id, [(key, time, value)])
     proof = datafeed.make_proof(source, key, time, attestor_id)
     assert proof.response_digest == response_digest(value)
     assert proof.attestation == attestation(

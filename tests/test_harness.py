@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import math
 import re
 import struct
 from pathlib import Path
@@ -457,7 +458,7 @@ def test_a_float_field_takes_an_int_and_names_take_any_case():
 def test_scenario_sources_carry_every_value_type():
     text = """
     [
-      {"id": "mixed", "ssl": true, "signs_data": false, "entries": [
+      {"id": "mixed", "ssl": true, "entries": [
         {"key": "flag", "time": 100, "value": true},
         {"key": "count", "time": 100, "value": 42},
         {"key": "level", "time": 100, "value": 3.5},
@@ -1165,6 +1166,24 @@ def test_tc_peg_out_burns_the_amount_and_refuses_an_overdraw():
 
 def _last(op, **change):
     return lambda doc: [a for a in doc["actions"] if a["op"] == op][-1].update(change)
+
+
+@pytest.mark.parametrize(
+    "mutate, op, trader_csh",
+    [
+        (_last("tc_market", b=1e308), "tc_market", [1_000_000_000]),
+        (_last("tc_trade", shares=1e308), "tc_trade", [1_000_000_000]),
+        # no sidechain, so the trader never holds CSH
+        (_last("tc_init", severity=math.inf), "tc_init", []),
+    ],
+    ids=["market_b", "trade_shares", "init_severity"],
+)
+def test_a_truthcoin_amount_past_the_float_range_is_refused(mutate, op, trader_csh):
+    result = run_scenario(_mutated("truthcoin_market", mutate))
+    assert (result.log.events[-1].module, result.log.events[-1].kind) == ("run", "end")
+    assert result.log.matching("run/refused")[0].payload == {"op": op, "reason": "ValueError"}
+    accounts = result.log.matching("tc/account", {"actor": "trader"})
+    assert [e.payload["csh"] for e in accounts] == trader_csh
 
 
 def _cosign_by_outsider(doc):

@@ -11,6 +11,7 @@ from oraclesim.simchain import (
     REASON_CONFLICT,
     REASON_DUPLICATE,
     REASON_INVALID,
+    BadWitnessError,
     DataCarrier,
     InsufficientFundsError,
     InvalidReason,
@@ -20,6 +21,7 @@ from oraclesim.simchain import (
     NoMinersError,
     PayToKey,
     POLICY_TEST2013,
+    RejectedError,
     SimChain,
     SubmitResult,
     TimeLocked,
@@ -116,6 +118,28 @@ def test_submit_rejects_duplicate_conflict_and_invalid():
     respend = chain.submit(tx)
     assert respend.reason == "invalid"
     assert respend.invalid_reason is InvalidReason.MISSING_INPUT
+
+
+def test_broadcast_names_why_the_chain_refused():
+    chain, alice, bob = make_chain(coins=1)
+
+    def refuse(tx, why):
+        with pytest.raises(RejectedError, match=f"^payment rejected: {why}$") as raised:
+            chain.broadcast(tx, "payment")
+        assert isinstance(raised.value, BadWitnessError) is (why == "bad_witness")
+
+    tx = pay(chain, alice, bob.pub, 1_000)
+    assert chain.broadcast(tx, "payment").accepted
+    refuse(tx, "duplicate")
+    refuse(pay(chain, alice, bob.pub, 2_000), "conflict")
+    chain.mine_next(SOLO, Random(1))
+    refuse(tx, "missing_input")
+    bob_coin = chain.utxos_for(bob.pub)[0][0]
+    spend = Transaction(inputs=(TxInput(bob_coin),), outputs=(TxOutput(100, PayToKey(alice.pub)),))
+    refuse(sign_input(spend, 0, alice), "bad_witness")  # bob's coin, alice's signature
+    late = Transaction(spend.inputs, spend.outputs, locktime=chain.height + 5)
+    refuse(sign_input(late, 0, bob), "premature")
+    assert len(chain.mempool) == 0
 
 
 def test_input_less_tx_is_refused_so_no_txid_is_mined_twice():

@@ -11,7 +11,6 @@ from oraclesim.datafeed import Comparator, DataSource, NoDataError
 from oraclesim.oraclize import (
     AlreadySettledError,
     ArbitrationRequiredError,
-    BadWitnessError,
     Condition,
     ConditionalContract,
     ContractState,
@@ -30,11 +29,13 @@ from oraclesim.oraclize import (
     refund_expiry,
 )
 from oraclesim.simchain import (
+    BadWitnessError,
     KeyRegistry,
     Miner,
     MultiSig,
     PayToKey,
     POLICY_V090,
+    RejectedError,
     SimChain,
     Transaction,
     TxInput,
@@ -451,14 +452,32 @@ def test_a_refused_broadcast_is_a_bad_witness_only_when_the_witness_is_bad():
     contract = oracle.build_contract(chain, **terms)
     # the same funding again, then one spending the same coins, before a block
     for stakes, reason in ((terms["stakes"], "duplicate"), ((COIN // 10, COIN // 10), "conflict")):
-        with pytest.raises(OraclizeError, match=f"^funding rejected: {reason}$") as raised:
+        with pytest.raises(RejectedError, match=f"^funding rejected: {reason}$") as raised:
             oracle.build_contract(chain, **{**terms, "stakes": stakes})
         assert not isinstance(raised.value, BadWitnessError)
 
     chain.mine_next(MINERS, Random(1))
     settlement = oracle.poll(contract, T0 + HOUR)
-    with pytest.raises(BadWitnessError, match="^settlement rejected: invalid$"):
+    with pytest.raises(BadWitnessError, match="^settlement rejected: bad_witness$"):
         co_sign_and_broadcast(chain, settlement, carol)  # carol holds no escrow key
+    co_sign_and_broadcast(chain, settlement, bob)
+    with pytest.raises(RejectedError, match="^settlement rejected: duplicate$") as raised:
+        co_sign_and_broadcast(chain, settlement, bob)
+    assert not isinstance(raised.value, BadWitnessError)
+
+
+def test_a_refused_refund_names_the_pool_reason():
+    chain, reg, oracle, alice, bob, carol = make_world(
+        temp_entries=[(T0, 8)], rain_entries=[(T0, False)]
+    )
+    contract = fund(
+        chain, oracle, alice, bob, milan_conditions(bob.pub), refund_locktime=2
+    )
+    chain.broadcast(contract.refund_draft, "refund")  # an agent relays the draft first
+    with pytest.raises(RejectedError, match="^refund rejected: duplicate$") as raised:
+        refund_expiry(chain, contract)
+    assert not isinstance(raised.value, BadWitnessError)
+    assert contract.state is ContractState.ACTIVE
 
 
 def test_threshold_witness_enumeration():

@@ -11,7 +11,6 @@ from oraclesim.datafeed import Comparator, DataSource
 from oraclesim.harness import bundled_scenarios, run_scenario
 from oraclesim.orisi import (
     BadQuorumError,
-    BadWitnessError,
     BusMessage,
     Condition,
     ContractState,
@@ -38,13 +37,16 @@ from oraclesim.orisi import (
     ready_draft,
 )
 from oraclesim.simchain import (
+    BadWitnessError,
     InvalidReason,
+    KeyPair,
     KeyRegistry,
     Miner,
     MultiSig,
     NonStandardReason,
     PayToKey,
     POLICY_V090,
+    RejectedError,
     SimChain,
     Transaction,
     TxOutput,
@@ -436,6 +438,37 @@ def test_quorum_arithmetic_on_finalize():
     with pytest.raises(BadWitnessError):
         finalize(chain, contract, agents[:-1])  # missing a padding key
     assert finalize(chain, contract, agents)
+
+
+def test_a_refused_activation_names_the_pool_reason():
+    chain, contract, agents, nodes, *_ = build_world()
+    for node in nodes:
+        node.ack(contract)
+    chain.broadcast(contract.funding_tx, "funding")  # someone relays it first
+    with pytest.raises(RejectedError, match="^funding rejected: duplicate$") as raised:
+        activate(chain, contract)
+    assert not isinstance(raised.value, BadWitnessError)
+    assert contract.state is ContractState.ACKED
+
+
+def test_a_refused_settlement_is_a_bad_witness_only_when_the_witness_is_bad():
+    chain, contract, agents, nodes, *_ = activated_world()
+    bus = MessageBus()
+    for node in nodes[:4]:
+        node.poll_and_sign(contract, bus, now=T_RESULT)
+    contract.apply_bus(bus, chain.keys)
+    # a padding pub paired with a wrong secret: its signature names another key
+    impostor = KeyPair(secret=bytes(32), pub=agents[-1].pub)
+    with pytest.raises(BadWitnessError, match="^settlement rejected: bad_witness$"):
+        finalize(chain, contract, (*agents[:-1], impostor))
+    assert contract.state is ContractState.ACTIVE
+
+    finalize(chain, contract, agents)
+    contract.state = ContractState.ACTIVE  # a rolled-back state finalizes the same bytes again
+    with pytest.raises(RejectedError, match="^settlement rejected: duplicate$") as raised:
+        finalize(chain, contract, agents)
+    assert not isinstance(raised.value, BadWitnessError)
+    assert len(chain.mempool) == 1
 
 
 def test_all_oracles_together_cannot_steal():

@@ -7,6 +7,7 @@ import pytest
 
 from oraclesim.datafeed import DataSource, NoDataError
 from oraclesim.simchain import (
+    BadWitnessError,
     InsufficientFundsError,
     InvalidReason,
     KeyRegistry,
@@ -14,6 +15,7 @@ from oraclesim.simchain import (
     MultiSig,
     PayToKey,
     POLICY_TEST2013,
+    RejectedError,
     SimChain,
     TxOutput,
     Witness,
@@ -90,6 +92,17 @@ def test_create_will_rejects_empty_expression_and_overdraft(setup):
         create_will(chain, creator, oracle.pub, heir.pub, "", 1_000)
     with pytest.raises(InsufficientFundsError):
         create_will(chain, creator, oracle.pub, heir.pub, EXPR, 100_001)
+
+
+def test_a_refused_funding_names_the_pool_reason(setup):
+    chain, creator, heir, oracle = setup
+    create_will(chain, creator, oracle.pub, heir.pub, EXPR, 60_000)
+    # the same funding again, then one spending the same coin, before a block
+    for amount, why in ((60_000, "duplicate"), (50_000, "conflict")):
+        with pytest.raises(RejectedError, match=f"^funding rejected: {why}$") as raised:
+            create_will(chain, creator, oracle.pub, heir.pub, EXPR, amount)
+        assert not isinstance(raised.value, BadWitnessError)
+    assert len(chain.mempool) == 1
 
 
 def test_oracle_gate_over_all_four_combinations(setup):
