@@ -59,7 +59,7 @@ BURN_PUB = sha256(b"proof-of-burn vanity address, key unknown")
 XCP = "XCP"
 
 
-class CounterpartyError(Exception):
+class CounterpartyError(ValueError):
     """Base for meta-protocol failures."""
 
 
@@ -438,7 +438,7 @@ class MetaState:
             for cipher in carried_ciphertexts(tx):
                 try:
                     message = decode_payload(cipher, key_txid)
-                except (BadMagicError, ValueError):
+                except ValueError:
                     continue  # not ours, or the magic matched but the body is garbage
                 break
             else:

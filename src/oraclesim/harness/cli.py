@@ -9,7 +9,7 @@ import json
 import sys
 from pathlib import Path
 
-from ..counterparty import CounterpartyError, decode_payload, message_json
+from ..counterparty import decode_payload, message_json
 from ..orisi import OrisiError, compute_safe_params
 from ..simchain import POLICIES, classify, deserialize_tx
 from .events import EventLog, LogFormatError, first_difference
@@ -91,7 +91,7 @@ def _cmd_orisi_params(args: argparse.Namespace) -> int:
 def _cmd_decode_payload(args: argparse.Namespace) -> int:
     try:
         message = decode_payload(bytes.fromhex(args.payload), bytes.fromhex(args.key_txid))
-    except (ValueError, CounterpartyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(message_json(message), sort_keys=True))

@@ -1120,11 +1120,10 @@ _SCENARIO = _converter(Scenario)  # builds every converter a document reaches
 
 # -------------------------------------------------------------------- run
 
-# What a protocol refuses an op with: each module's error base, a bad argument
-# (ValueError, so InsufficientFundsError too) and an id or datum that is not
-# there (LookupError: KeyError, NoDataError). Anything else is a harness bug.
-_REFUSALS = (will_oracle.WillError, realitykeys.RealityKeysError, orisi.OrisiError,
-             truthcoin.TruthcoinError, oraclize.OraclizeError, ValueError, LookupError)
+# What a protocol refuses an op with: a ValueError (each module's error base,
+# a bad argument, a refused broadcast) or a missing id or datum (LookupError:
+# KeyError, NoDataError). Anything else is a harness bug.
+_REFUSALS = (ValueError, LookupError)
 
 
 def run_scenario(

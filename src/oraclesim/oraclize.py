@@ -49,7 +49,6 @@ from .simchain import (
     add_signature,
     select_coins,
     sighash,
-    sign,
     sign_input,
     txid,
 )
@@ -57,7 +56,7 @@ from .simchain import (
 DEFAULT_POLL_INTERVAL = 3600  # seconds
 
 
-class OraclizeError(Exception):
+class OraclizeError(ValueError):
     """Base for conditional-contract failures."""
 
 
@@ -420,7 +419,7 @@ def co_sign_and_broadcast(chain: SimChain, settlement: Settlement, agent: KeyPai
     """
     if settlement.tx is None:
         raise ProofInvalidError(f"{settlement.contract_id}: the oracle refused to sign")
-    tx = add_signature(settlement.tx, 0, sign(agent.secret, sighash(settlement.tx)))
+    tx = add_signature(settlement.tx, 0, agent.sign(sighash(settlement.tx)))
     chain.broadcast(tx, "settlement")
     return tx
 

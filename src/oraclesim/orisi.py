@@ -42,7 +42,6 @@ from .simchain import (
     build_payment,
     serialize_signature,
     sighash,
-    sign,
     signature_from_reader,
     txid,
 )
@@ -51,7 +50,7 @@ DEFAULT_BUS_DIFFICULTY = 8  # leading zero bits
 MAX_BUS_DIFFICULTY = 256  # a SHA-256 digest has no more zero bits to lead with
 
 
-class OrisiError(Exception):
+class OrisiError(ValueError):
     """Base for safe-contract failures."""
 
 
@@ -409,7 +408,7 @@ class OracleNode:
             return None
         if self.oracle_id in contract.signatures[kind]:
             return None
-        sig = sign(self.keypair.secret, sighash(contract.draft(kind)))
+        sig = self.keypair.sign(sighash(contract.draft(kind)))
         payload = encode_bus_payload(contract.contract_id, self.oracle_id, kind, sig)
         message = mint_message(payload)
         return message if bus.post(message) else None
@@ -442,7 +441,7 @@ def finalize(
     draft = contract.draft(kind)
     digest = sighash(draft)
     sigs = [collected[oid] for oid in sorted(collected)]
-    sigs += [sign(p.secret, digest) for p in beneficiary_keys if p.pub in set(contract.agent_pubs)]
+    sigs += [p.sign(digest) for p in beneficiary_keys if p.pub in set(contract.agent_pubs)]
     settled = draft.with_witness(0, Witness(signatures=tuple(sigs)))
 
     chain.broadcast(settled, "settlement")

@@ -39,7 +39,7 @@ DEFAULT_OBJECTION_WINDOW = 86_400  # seconds
 MIN_OBJECTION_TIP = 1_000_000  # satoshi (10 mBTC)
 
 
-class RealityKeysError(Exception):
+class RealityKeysError(ValueError):
     """Base for fact registry and demo contract failures."""
 
 

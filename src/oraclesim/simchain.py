@@ -35,7 +35,8 @@ from .codec import Reader, pack_bytes, pack_u16, pack_u32, pack_u64, sha256
 # The scheme gives the two properties the protocols actually need — only the
 # secret holder can sign, and a revealed secret lets anyone sign (Reality
 # Keys key release) — without real cryptography.  The registry is instanced
-# per simulation; nothing is process-global.
+# per simulation; nothing is process-global.  `KeyPair.sign` makes every tag;
+# `sign` adapts it to a bare secret for the benchmark workloads.
 
 
 class InvalidSeedError(ValueError):
@@ -46,6 +47,12 @@ class InvalidSeedError(ValueError):
 class KeyPair:
     secret: bytes  # 32 bytes
     pub: bytes  # 32 bytes, sha256(secret)
+
+    def sign(self, digest: bytes) -> Signature:
+        """The one tag rule: sha256(secret || digest), under this pair's pub."""
+        if len(digest) != 32:
+            raise ValueError("digest must be 32 bytes")
+        return Signature(self.pub, digest, sha256(self.secret + digest))  # signer pub, digest, tag
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,15 +80,9 @@ def derive_pair(seed_material: bytes) -> KeyPair:
 
 
 def sign(secret: bytes, digest: bytes) -> Signature:
-    """Sign a 32-byte digest with a secret. Needs no registry."""
-    return _signed(secret, sha256(secret), digest)
-
-
-def _signed(secret: bytes, pub: bytes, digest: bytes) -> Signature:
-    """The one tag rule: `pub` is the signer's, sha256(secret) for a true pair."""
-    if len(digest) != 32:
-        raise ValueError("digest must be 32 bytes")
-    return Signature(pub, digest, sha256(secret + digest))  # signer pub, digest, tag
+    """`KeyPair.sign` for a bare secret. No `oraclesim` module calls it; it
+    stays only because `perfbench/workloads.py` imports it."""
+    return KeyPair(secret, sha256(secret)).sign(digest)
 
 
 class KeyRegistry:
@@ -451,7 +452,7 @@ def tx_size(tx: Transaction) -> int:
 def sign_input(tx: Transaction, index: int, *signers: KeyPair, **witness_fields) -> Transaction:
     """Give input `index` a witness holding one signature per signer, in order."""
     digest = sighash(tx)
-    sigs = tuple(_signed(signer.secret, signer.pub, digest) for signer in signers)
+    sigs = tuple(signer.sign(digest) for signer in signers)
     return tx.with_witness(index, Witness(signatures=sigs, **witness_fields))
 
 
@@ -518,7 +519,7 @@ def sign_payment(
         outs += (TxOutput(change, PayToKey(sender.pub)),)
     tail = _tail(outs, 0)
     digest = sha256(_tx_layout(coins, _BLANK_WITNESS, tail))
-    witness = Witness((_signed(sender.secret, sender.pub, digest),))
+    witness = Witness((sender.sign(digest),))
     inputs = []
     for outpoint in coins:
         inputs.append(TxInput(outpoint, witness))

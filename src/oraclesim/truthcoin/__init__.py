@@ -49,7 +49,7 @@ def _base_units(csh: float, rounding: Callable[[float], int]) -> int:
     return rounding(units)
 
 
-class TruthcoinError(Exception):
+class TruthcoinError(ValueError):
     """Base for side-ledger rule violations."""
 
 
@@ -220,7 +220,6 @@ class Ballot:
     decision_ids: tuple[str, ...]
     phase: BallotPhase = BallotPhase.COMMIT
     votes: dict[str, VoteRecord] = field(default_factory=dict)
-    outcomes: dict[str, float] = field(default_factory=dict)
     resolved_time: int | None = None
     window_start: int | None = None  # height of the first veto-window block
     reballoted: bool = False
@@ -256,7 +255,7 @@ class SideLedger:
     vtc: dict[str, int] = field(default_factory=dict)
     frozen_vtc: dict[str, int] = field(default_factory=dict)
 
-    def mint_csh(self, address: str, amount: int) -> None:
+    def credit_csh(self, address: str, amount: int) -> None:
         if amount < 0:
             raise ValueError("amount must be nonnegative")
         self.csh[address] = self.csh.get(address, 0) + amount
@@ -268,9 +267,6 @@ class SideLedger:
         if have < amount:
             raise InsufficientCSHError(f"{address} holds {have}, needs {amount}")
         self.csh[address] = have - amount
-
-    def credit_csh(self, address: str, amount: int) -> None:
-        self.mint_csh(address, amount)
 
     def freeze_vtc(self, address: str, amount: int) -> None:
         if amount < 0:
@@ -290,9 +286,6 @@ class SideLedger:
 
     def vtc_supply(self) -> int:
         return sum(self.vtc.values()) + sum(self.frozen_vtc.values())
-
-    def csh_held(self) -> int:
-        return sum(self.csh.values())
 
 
 # ------------------------------------------------------------- consensus math
@@ -348,7 +341,6 @@ def apportion(total: int, weights: Sequence[Fraction]) -> list[int]:
 class Resolution:
     outcomes: dict[str, float]  # decision id -> resolved value
     unresolvable: set[str]  # decisions below quorum or exactly tied
-    distances: dict[str, Fraction]  # voter -> mean report distance
     stake_deltas: dict[str, int]  # voter -> net frozen-stake change, sums to 0
 
 
@@ -414,7 +406,7 @@ def resolve_votes(
     deltas = {voter: 0 for voter in voters}
     resolved_count = len(decisions) - len(unresolvable)
     if resolved_count == 0:
-        return Resolution(outcomes, unresolvable, {v: Fraction(0) for v in voters}, deltas)
+        return Resolution(outcomes, unresolvable, deltas)
 
     distances = {
         voter: sum(per_voter[voter], Fraction(0)) / resolved_count for voter in voters
@@ -430,7 +422,7 @@ def resolve_votes(
         shares = apportion(pool, weights)
         for voter, share in zip(voters, shares):
             deltas[voter] = share - slashes[voter]
-    return Resolution(outcomes, unresolvable, distances, deltas)
+    return Resolution(outcomes, unresolvable, deltas)
 
 
 def evaluate_veto(period: int, window_blocks: Sequence[SideBlock], window: int) -> VetoOutcome:
@@ -474,8 +466,8 @@ class TruthcoinSim:
             raise ValueError("quorum must be in (0, 1]")
         if veto_window < 1:
             raise ValueError("veto window must be at least one block")
-        if not math.isfinite(severity):
-            raise ValueError("severity must be finite")
+        if not (math.isfinite(severity) and severity >= 0):
+            raise ValueError("severity must be finite and nonnegative")
         self.ledger = SideLedger(vtc=dict(vtc_allocation))
         self.quorum = quorum
         self.severity = severity
@@ -496,7 +488,7 @@ class TruthcoinSim:
 
     def peg_in(self, address: str, amount: int) -> None:
         """Mint CSH against coin locked on the host chain."""
-        self.ledger.mint_csh(address, amount)
+        self.ledger.credit_csh(address, amount)
 
     def peg_out(self, address: str, amount: int) -> None:
         """Burn CSH, releasing the host-chain coin it was pegged to."""
@@ -507,7 +499,7 @@ class TruthcoinSim:
 
     def csh_supply(self) -> int:
         """All CSH in existence: balances plus market collateral."""
-        return self.ledger.csh_held() + sum(m.collateral for m in self.markets.values())
+        return sum(self.ledger.csh.values()) + sum(m.collateral for m in self.markets.values())
 
     # -------------------------------------------------------------- decisions
 
@@ -628,10 +620,15 @@ class TruthcoinSim:
         self.ballots[period] = ballot
         return ballot
 
-    def commit_vote(self, voter: str, period: int, commitment: bytes, stake: int) -> None:
+    def _ballot_in(self, period: int, phase: BallotPhase, error: type[TruthcoinError]) -> Ballot:
+        """The ballot of `period`; raises `error` unless it is in `phase`."""
         ballot = self.ballots[period]
-        if ballot.phase is not BallotPhase.COMMIT:
-            raise CommitClosedError(f"ballot {period} is in {ballot.phase.value}")
+        if ballot.phase is not phase:
+            raise error(f"ballot {period} is in {ballot.phase.value}")
+        return ballot
+
+    def commit_vote(self, voter: str, period: int, commitment: bytes, stake: int) -> None:
+        ballot = self._ballot_in(period, BallotPhase.COMMIT, CommitClosedError)
         if len(commitment) != 32:
             raise ValueError("commitment must be 32 bytes")
         if stake < 0:
@@ -642,17 +639,12 @@ class TruthcoinSim:
         record.commitment = commitment
 
     def close_commit(self, period: int) -> None:
-        ballot = self.ballots[period]
-        if ballot.phase is not BallotPhase.COMMIT:
-            raise StateError(f"ballot {period} is in {ballot.phase.value}")
-        ballot.phase = BallotPhase.REVEAL
+        self._ballot_in(period, BallotPhase.COMMIT, StateError).phase = BallotPhase.REVEAL
 
     def reveal_vote(
         self, voter: str, period: int, reports: dict[str, float], salt: bytes
     ) -> None:
-        ballot = self.ballots[period]
-        if ballot.phase is not BallotPhase.REVEAL:
-            raise RevealClosedError(f"ballot {period} is in {ballot.phase.value}")
+        ballot = self._ballot_in(period, BallotPhase.REVEAL, RevealClosedError)
         record = ballot.votes.get(voter)
         if record is None or record.commitment is None:
             raise StateError(f"{voter} has no commitment on ballot {period}")
@@ -664,17 +656,13 @@ class TruthcoinSim:
         record.reveal = dict(reports)
 
     def close_reveal(self, period: int) -> None:
-        ballot = self.ballots[period]
-        if ballot.phase is not BallotPhase.REVEAL:
-            raise StateError(f"ballot {period} is in {ballot.phase.value}")
-        ballot.phase = BallotPhase.TALLY
+        self._ballot_in(period, BallotPhase.REVEAL, StateError).phase = BallotPhase.TALLY
 
     def resolve_ballot(self, period: int) -> dict[str, float]:
         ballot = self.ballots[period]
         if ballot.phase in (BallotPhase.COMMIT, BallotPhase.REVEAL):
             raise RevealOpenError(f"ballot {period} is still in {ballot.phase.value}")
-        if ballot.phase is not BallotPhase.TALLY:
-            raise StateError(f"ballot {period} is in {ballot.phase.value}")
+        self._ballot_in(period, BallotPhase.TALLY, StateError)
         decisions = [self.decisions[did] for did in ballot.decision_ids]
         resolution = resolve_votes(
             decisions,
@@ -698,7 +686,6 @@ class TruthcoinSim:
             decision.outcome = resolution.outcomes[decision.decision_id]
             decision.unresolvable = decision.decision_id in resolution.unresolvable
             decision.state = DecisionState.RESOLVED
-        ballot.outcomes = dict(resolution.outcomes)
         ballot.phase = BallotPhase.RESOLVED
         ballot.resolved_time = self.now
         ballot.window_start = None

@@ -24,12 +24,11 @@ from .simchain import (
     TxOutput,
     build_payment,
     sighash,
-    sign,
     sign_input,
 )
 
 
-class WillError(Exception):
+class WillError(ValueError):
     """Base for will-contract request failures."""
 
 
@@ -104,7 +103,7 @@ class OracleServer:
         obs = query(self.truth_source, expression, now)
         if obs.value is not True:
             raise ConditionFalseError(f"condition evaluates to {obs.value!r}")
-        return sign(self.keypair.secret, sighash(partial_tx))
+        return self.keypair.sign(sighash(partial_tx))
 
     def _committed_hash(self, chain: SimChain, partial_tx: Transaction) -> bytes:
         for txin in partial_tx.inputs:

@@ -53,7 +53,7 @@ def test_the_tracer_finds_each_function_under_one_name():
 @pytest.mark.parametrize(
     "layer, sample",
     [
-        pytest.param(truthcoin, {"cost", "resolve_votes", "TruthcoinSim.trade", "SideLedger.mint_csh"},
+        pytest.param(truthcoin, {"cost", "resolve_votes", "TruthcoinSim.trade", "SideLedger.credit_csh"},
                      id=truthcoin.__name__),
         pytest.param(simchain, {"select_coins", "check_miners", "SimChain.utxos_for", "Mempool.submit"},
                      id=simchain.__name__),

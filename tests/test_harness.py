@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oraclesim import counterparty
+from oraclesim import counterparty, oraclize, orisi, realitykeys, truthcoin, will_oracle
 from oraclesim.counterparty import Send, encode_message
 from oraclesim.datafeed import query
 from oraclesim.harness import (
@@ -1175,8 +1175,9 @@ def _last(op, **change):
         (_last("tc_trade", shares=1e308), "tc_trade", [1_000_000_000]),
         # no sidechain, so the trader never holds CSH
         (_last("tc_init", severity=math.inf), "tc_init", []),
+        (_last("tc_init", severity=-1), "tc_init", []),  # it would slash nothing
     ],
-    ids=["market_b", "trade_shares", "init_severity"],
+    ids=["market_b", "trade_shares", "init_severity", "init_severity_negative"],
 )
 def test_a_truthcoin_amount_past_the_float_range_is_refused(mutate, op, trader_csh):
     result = run_scenario(_mutated("truthcoin_market", mutate))
@@ -1223,10 +1224,21 @@ _OZ_WITHOUT_CONTRACT = [("oz_poll", "KeyError")] * 3 + [("oz_cosign", "KeyError"
          [("rk_post", "LookupError")], 1),
         ("will_claim", lambda d: d["actions"].insert(0, {"tick": 0, "op": "tc_ballot"}),
          [("tc_ballot", "LookupError")], 1),
+        # one refusal per module error base that an op lets through
+        ("orisi_election",
+         lambda d: d["actions"].insert(3, {"tick": 0, "op": "orisi_finalize", "id": "e1"}),
+         [("orisi_finalize", "QuorumNotReachedError")], 1),
+        ("realitykeys_stake",  # right after the post, inside the objection window
+         lambda d: d["actions"].insert(5, {"tick": 6, "op": "rk_finalize", "fact": "snow"}),
+         [("rk_finalize", "TooEarlyError")], 2),
+        ("oraclize_milan",
+         lambda d: d["actions"].append({"tick": 6, "op": "oz_default", "id": "z1"}),
+         [("oz_default", "AlreadySettledError")], 1),
     ],
     ids=["oz_poll_before_data", "oz_poll_fee", "oz_cosign_outsider", "oz_default_fee",
          "oz_zero_stakes", "oz_refund_short", "tc_peg_in_negative", "rk_before_registry",
-         "tc_before_init"],
+         "tc_before_init", "orisi_finalize_before_poll", "rk_finalize_in_window",
+         "oz_default_after_settlement"],
 )
 def test_a_refused_op_is_logged_and_the_run_goes_on(stem, mutate, refused, txs_at_1):
     result = run_scenario(_mutated(stem, mutate))
@@ -1235,6 +1247,18 @@ def test_a_refused_op_is_logged_and_the_run_goes_on(stem, mutate, refused, txs_a
     assert logged == refused
     [block] = result.log.matching("host/block", {"height": 1})
     assert block.payload["txs"] == txs_at_1
+
+
+@pytest.mark.parametrize(
+    "base",
+    [will_oracle.WillError, realitykeys.RealityKeysError, orisi.OrisiError,
+     truthcoin.TruthcoinError, oraclize.OraclizeError, counterparty.CounterpartyError],
+    ids=lambda base: base.__name__,
+)
+def test_every_module_error_base_is_a_refusal(base):
+    """The harness refuses an op on a ValueError or a LookupError and names
+    no module, so each module's error base must be a ValueError."""
+    assert issubclass(base, ValueError)
 
 
 def test_a_refused_op_keeps_what_it_did_before_the_refusal():

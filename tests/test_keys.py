@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oraclesim.simchain import (
     InvalidReason,
@@ -105,3 +107,19 @@ def test_a_key_pair_signs_with_its_pub_and_admission_checks_the_tag():
         assert tx.inputs[0].witness.signatures[0].signer_pub == alice.pub
         verdict = chain.submit(tx)
         assert (verdict.accepted, verdict.invalid_reason) == (False, InvalidReason.BAD_WITNESS)
+
+
+# the empty secret is an example, not a draw: under -bb, hypothesis's cache may
+# compare a drawn b"" with 0 (see ROADMAP, "-bb and hypothesis")
+@example(secret=b"", digest=bytes(32))
+@given(secret=st.binary(min_size=1, max_size=64), digest=st.binary(min_size=32, max_size=32))
+def test_key_pair_sign_is_the_one_tag_rule(secret, digest):
+    pair = KeyPair(secret, hashlib.sha256(secret).digest())
+    assert pair.sign(digest) == sign(secret, digest)
+    for wrong in (digest[:31], digest + b"\x00"):
+        with pytest.raises(ValueError, match="digest must be 32 bytes"):
+            pair.sign(wrong)
+
+    reg = KeyRegistry()
+    issued = reg.keygen(b"seed:" + secret)
+    assert reg.verify(issued.sign(digest), issued.pub, digest)

@@ -572,6 +572,39 @@ def test_commit_reveal_guards():
         sim.resolve_ballot(ballot.period)
 
 
+def test_each_phase_guard_names_the_phase_the_ballot_is_in():
+    sim = make_sim()
+    decision = sim.add_decision("ann", "phases", Binary(), 10)
+    sim.advance(20)
+    period = sim.open_ballot().period
+    reports = {decision.decision_id: 1.0}
+    digest = commitment_digest(reports, b"a")
+
+    def refused(error, phase, call, *args):
+        with pytest.raises(error) as caught:
+            call(*args)
+        assert type(caught.value) is error and str(caught.value) == f"ballot 1 is in {phase}"
+
+    refused(RevealClosedError, "commit", sim.reveal_vote, "ann", period, reports, b"a")
+    refused(StateError, "commit", sim.close_reveal, period)
+    sim.commit_vote("ann", period, digest, 60 * COIN)
+    sim.close_commit(period)
+    refused(CommitClosedError, "reveal", sim.commit_vote, "bert", period, digest, 1 * COIN)
+    refused(StateError, "reveal", sim.close_commit, period)
+    sim.reveal_vote("ann", period, reports, b"a")
+    sim.close_reveal(period)
+    refused(RevealClosedError, "tally", sim.reveal_vote, "ann", period, reports, b"a")
+    sim.resolve_ballot(period)
+    refused(StateError, "resolved", sim.resolve_ballot, period)
+
+
+@pytest.mark.parametrize("severity", [-1.0, -math.inf, math.inf, math.nan])
+def test_a_negative_or_non_finite_severity_is_refused(severity):
+    with pytest.raises(ValueError, match="severity must be finite and nonnegative"):
+        make_sim(severity=severity)
+    assert make_sim(severity=0.0).severity == 0.0
+
+
 def test_fuzzed_reveals_never_break_the_binding():
     sim = make_sim()
     decision = sim.add_decision("ann", "bound", Binary(), 10)
@@ -778,6 +811,6 @@ def test_resolved_ballot_records_phase_votes_and_outcomes():
     sim.resolve_ballot(ballot.period)
     resolved = sim.ballots[ballot.period]
     assert resolved.phase is BallotPhase.RESOLVED
-    assert resolved.outcomes == {decision.decision_id: 1.0}
+    assert decision.outcome == 1.0
     assert resolved.votes["ann"].stake == 60 * COIN
     assert resolved.votes["ann"].reveal == reports
