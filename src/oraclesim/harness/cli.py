@@ -72,6 +72,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     log = _read_log(args.log)
     try:
         rows = export_metrics(log, args.out)
+    except LogFormatError as exc:
+        raise LogFormatError(f"{args.log}: {exc}") from None
     except OSError as exc:
         raise _Inaccessible(f"cannot write {args.out}: {exc}") from None
     print(f"{rows} rows -> {args.out}")

@@ -18,6 +18,7 @@ import enum
 import hashlib
 import math
 from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from random import Random
@@ -467,19 +468,19 @@ def select_coins(chain: SimChain, pub: bytes, target: int) -> tuple[list[tuple[b
     is covered, and always at least one: a transaction without inputs is
     never valid, so the first coin taken is the same for every target.
 
-    Walks the chain's kept order of the owner's outpoints and stops at the
-    first coins that cover `target`, so neither the set nor the owner's
-    coins are scanned or sorted.  Returns the outpoints taken and their
-    total.  Raises InsufficientFundsError when the owner's coins run out first.
+    Walks the chain's kept order of the owner's outpoints, each value read
+    from the UTXO set, up to the first coins that cover `target`; nothing is
+    scanned or sorted.  Returns the outpoints taken and their total.  Raises
+    InsufficientFundsError when the owner's coins run out first.
     """
-    order, coins = chain._owned(pub)
+    utxo = chain.utxo
     picked: list[tuple[bytes, int]] = []
     have = 0
-    for outpoint in order:
+    for outpoint in chain._owned(pub):
         if picked and have >= target:
             break
         picked.append(outpoint)
-        have += coins[outpoint].value
+        have += utxo[outpoint].value
     if have < target or not picked:
         raise InsufficientFundsError(f"need {target}, have {have}")
     return picked, have
@@ -718,11 +719,11 @@ def validate_tx(
 # parent confirms. Standardness is recorded at submit time and consulted
 # by miners, never by validation.
 #
-# Admission is one pass. The fee is the one `validate_tx` computed while
-# checking the inputs, and each entry's mining rank, best fee rate first
-# and earlier arrival on ties, is fixed when it is submitted. `entries`
-# keeps arrival order, in which `arrival_height` never decreases, so expiry
-# stops at the first entry that is young enough.
+# Admission is one pass, and the fee is the one `validate_tx` computed. An
+# entry's txid is its key in `entries`; its mining rank, best fee rate first
+# and then its arrival number, is fixed at submit. `_claimed` is the set of
+# outpoints the entries spend. `entries` keeps arrival order, in which
+# `arrival_height` never decreases, so expiry stops at the first young entry.
 #
 # Admission runs once per relayed transaction, so it builds no per-call list,
 # set or generator, and it builds every result and entry with `tuple.__new__`
@@ -757,25 +758,22 @@ class BadWitnessError(RejectedError):
 
 class MempoolEntry(NamedTuple):
     tx: Transaction
-    txid: bytes
     fee: int
     size: int
     arrival_height: int
-    arrival_seq: int
     standard: StandardnessDecision
-    rank: tuple[float, int]  # (-(fee / size), arrival_seq): mining order, ascending
+    rank: tuple[float, int]  # (-(fee / size), arrival number): mining order, ascending
 
 
 _rank = attrgetter("rank")
 
 
 class Mempool:
-    def __init__(self, expiry_blocks: int = 100) -> None:
-        if expiry_blocks < 1:
-            raise ValueError("expiry_blocks must be positive")
-        self.expiry_blocks = expiry_blocks
-        self.entries: dict[bytes, MempoolEntry] = {}  # in arrival order
-        self._claimed: dict[tuple[bytes, int], bytes] = {}
+    expiry_blocks = 100  # an entry not mined this many blocks after its arrival leaves
+
+    def __init__(self) -> None:
+        self.entries: dict[bytes, MempoolEntry] = {}  # by txid, in arrival order
+        self._claimed: set[tuple[bytes, int]] = set()
         self._next_seq = 0
 
     def __len__(self) -> int:
@@ -799,10 +797,10 @@ class Mempool:
         fee, size, seq = verdict.fee, tx_size(tx), self._next_seq
         self._next_seq = seq + 1
         self.entries[tid] = tuple.__new__(
-            MempoolEntry, (tx, tid, fee, size, chain.height, seq, decision, (-(fee / size), seq))
+            MempoolEntry, (tx, fee, size, chain.height, decision, (-(fee / size), seq))
         )
         for txin in tx.inputs:
-            claimed[txin.outpoint] = tid
+            claimed.add(txin.outpoint)
         return tuple.__new__(SubmitResult, (tid, True, decision, None, None))
 
     def candidates(self, include_nonstandard: bool) -> list[MempoolEntry]:
@@ -811,12 +809,12 @@ class Mempool:
         pool.sort(key=_rank)
         return pool
 
-    def on_block(self, block: Block, height: int) -> None:
+    def on_block(self, block: Block) -> None:
         for tx in block.txs:
             self._remove(txid(tx))
         expired = []
         for tid, entry in self.entries.items():
-            if height - entry.arrival_height < self.expiry_blocks:
+            if block.height - entry.arrival_height < self.expiry_blocks:
                 break  # every later arrival is at least as young
             expired.append(tid)
         for tid in expired:
@@ -824,10 +822,9 @@ class Mempool:
 
     def _remove(self, tid: bytes) -> None:
         entry = self.entries.pop(tid, None)
-        if entry is None:
-            return
-        for txin in entry.tx.inputs:
-            self._claimed.pop(txin.outpoint, None)
+        if entry is not None:
+            for txin in entry.tx.inputs:
+                self._claimed.discard(txin.outpoint)
 
 
 # -------------------------------------------------------------------- chain
@@ -838,15 +835,13 @@ class Mempool:
 # genesis allocation and only ever decreases by fees (burned) or by being
 # locked behind unspendable scripts.
 #
-# `chain.utxo` is read-only outside `_apply_block`.  That method is the only
-# place the UTXO set changes.  The owner index is a view of it: the pay-to-key
-# coins of each owner, each owner's running balance, and each owner's
-# outpoints in sorted order.  `utxos_for`, `balance` and coin selection read
-# it without scanning the set.  The chain's first owner query builds it in one
-# pass over the set, `_index_tx` keeps it from then on, and each owner's order
-# is sorted on that owner's first read.  So a chain nobody queries (a relay of
-# presigned transactions) keeps no index, and a chain is scanned for it at
-# most once.
+# `chain.utxo`, the one store of unspent outputs, changes only in
+# `_apply_block`.  The owner index is a view of it that holds no output: each
+# owner's sorted pay-to-key outpoints and their running sum, so `utxos_for`,
+# `balance` and coin selection scan nothing.  The first owner query builds it
+# in one pass over the set, and `_apply_block`'s one loop keeps it.  So a
+# chain nobody queries (a relay of presigned transactions) keeps no index,
+# and a chain is scanned for it at most once.
 #
 # `block_hash` feeds the header, then each transaction's bytes as kept when
 # its txid was taken, into one hash state, so a block never encodes a
@@ -883,17 +878,14 @@ class SimChain:
         policy: StandardnessPolicy = POLICY_V090,
         genesis: Sequence[TxOutput] = (),
         keys: KeyRegistry | None = None,
-        expiry_blocks: int = 100,
     ) -> None:
         self.policy = policy
         self.keys = keys if keys is not None else KeyRegistry()
-        self.mempool = Mempool(expiry_blocks=expiry_blocks)
+        self.mempool = Mempool()
         self.utxo: dict[tuple[bytes, int], TxOutput] = {}
-        # the owner index, None until the first owner query: pay-to-key outpoints
-        # per owner pub, their summed value, and each read owner's sorted outpoints
-        self._coins: dict[bytes, dict[tuple[bytes, int], TxOutput]] | None = None
-        self._balances: dict[bytes, int] = {}
-        self._order: dict[bytes, list[tuple[bytes, int]]] = {}
+        # the owner index, None until the first owner query: sorted outpoints and sum per owner
+        self._order: defaultdict[bytes, list[tuple[bytes, int]]] | None = None
+        self._balances: defaultdict[bytes, int] = defaultdict(int)
         self.blocks: list[Block] = []
         self.txs_by_id: dict[bytes, Transaction] = {}
 
@@ -912,41 +904,31 @@ class SimChain:
 
     def utxos_for(self, pub: bytes) -> list[tuple[tuple[bytes, int], TxOutput]]:
         """The owner's pay-to-key coins in sorted outpoint order."""
-        order, coins = self._owned(pub)
-        return [(op, coins[op]) for op in order]
+        utxo = self.utxo
+        return [(op, utxo[op]) for op in self._owned(pub)]
 
-    def _owned(self, pub: bytes) -> tuple[list[tuple[bytes, int]], dict]:
-        """The owner's pay-to-key outpoints in sorted order, and their outputs.
-
-        Both are the chain's own, for reading only.  The owner index is built
-        on the chain's first owner query and kept from then on, and each
-        owner's order is sorted on the owner's first read.
-        """
-        if self._coins is None:
-            self._index()
-        coins = self._coins.get(pub)
-        if coins is None:
-            return [], {}
-        order = self._order.get(pub)
-        if order is None:
-            order = self._order[pub] = sorted(coins)
-        return order, coins
+    def _owned(self, pub: bytes) -> Sequence[tuple[bytes, int]]:
+        """The owner's pay-to-key outpoints in sorted order, the chain's own
+        list for reading only."""
+        return self._index().get(pub, ())
 
     def balance(self, pub: bytes) -> int:
-        """The owner's pay-to-key value, from the owner index of `_owned`."""
-        if self._coins is None:
-            self._index()
+        """The owner's pay-to-key value, from the owner index."""
+        self._index()
         return self._balances.get(pub, 0)
 
-    def _index(self) -> None:
-        """Build the owner index in one pass over `utxo`: the chain's first
-        owner query calls this, and `_index_tx` keeps the index after it."""
-        coins, balances = self._coins, self._balances = {}, {}
-        for outpoint, out in self.utxo.items():
-            if isinstance(out.lock, PayToKey):
-                owner = out.lock.pub
-                coins.setdefault(owner, {})[outpoint] = out
-                balances[owner] = balances.get(owner, 0) + out.value
+    def _index(self) -> defaultdict[bytes, list[tuple[bytes, int]]]:
+        """The owner index's outpoint lists.  The chain's first owner query
+        builds the index in one pass over `utxo`; `_apply_block` keeps it."""
+        if self._order is None:
+            order = self._order = defaultdict(list)
+            for outpoint, out in self.utxo.items():
+                if isinstance(out.lock, PayToKey):
+                    order[out.lock.pub].append(outpoint)
+                    self._balances[out.lock.pub] += out.value
+            for owned in order.values():
+                owned.sort()
+        return self._order
 
     def supply(self) -> int:
         return sum(out.value for out in self.utxo.values())
@@ -980,49 +962,24 @@ class SimChain:
         return mine_next(self, miners, rng)
 
     def _apply_block(self, block: Block) -> None:
-        utxo, txs_by_id, indexed = self.utxo, self.txs_by_id, self._coins is not None
+        utxo, txs_by_id, order, balances = self.utxo, self.txs_by_id, self._order, self._balances
         for tx in block.txs:
             tid = txid(tx)
             for txin in tx.inputs:
-                del utxo[txin.outpoint]
+                outpoint = txin.outpoint
+                out = utxo.pop(outpoint)
+                if order is not None and isinstance(out.lock, PayToKey):
+                    owned = order[out.lock.pub]
+                    del owned[bisect_left(owned, outpoint)]
+                    balances[out.lock.pub] -= out.value
             for idx, out in enumerate(tx.outputs):
                 utxo[(tid, idx)] = out
+                if order is not None and isinstance(out.lock, PayToKey):
+                    insort(order[out.lock.pub], (tid, idx))
+                    balances[out.lock.pub] += out.value
             txs_by_id[tid] = tx
-            if indexed:
-                self._index_tx(tid, tx)
         self.blocks.append(block)
-        self.mempool.on_block(block, block.height)
-
-    def _index_tx(self, tid: bytes, tx: Transaction) -> None:
-        """Keep the owner index current; a spent output is read from its transaction."""
-        coins, balances, orders, by_id = self._coins, self._balances, self._order, self.txs_by_id
-        for txin in tx.inputs:
-            outpoint = txin.outpoint
-            out = by_id[outpoint[0]].outputs[outpoint[1]]
-            if isinstance(out.lock, PayToKey):
-                owner = out.lock.pub
-                owned = coins[owner]
-                del owned[outpoint]
-                if owned:
-                    balances[owner] -= out.value
-                    order = orders.get(owner)
-                    if order is not None:
-                        del order[bisect_left(order, outpoint)]
-                else:
-                    del coins[owner], balances[owner]
-                    orders.pop(owner, None)
-        for idx, out in enumerate(tx.outputs):
-            if isinstance(out.lock, PayToKey):
-                outpoint = (tid, idx)
-                owner = out.lock.pub
-                owned = coins.get(owner)
-                if owned is None:
-                    owned = coins[owner] = {}
-                owned[outpoint] = out
-                balances[owner] = balances.get(owner, 0) + out.value
-                order = orders.get(owner)
-                if order is not None:
-                    insort(order, outpoint)
+        self.mempool.on_block(block)
 
 
 # ------------------------------------------------------------------- mining

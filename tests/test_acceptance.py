@@ -155,9 +155,8 @@ def test_c02_nonstandard_inclusion_delay():
         )
         # expiry must exceed any plausible wait: the geometric tail passes
         # 100 blocks with probability ~7e-4, which would bias the mean
-        chain = SimChain(
-            policy=POLICY_V090, genesis=genesis, keys=reg, expiry_blocks=10**9
-        )
+        chain = SimChain(policy=POLICY_V090, genesis=genesis, keys=reg)
+        chain.mempool.expiry_blocks = 10**9
         gtxid = txid(chain.blocks[0].txs[0])
         miners = [
             Miner("compliant", 0.07, accepts_nonstandard=True),
@@ -550,9 +549,8 @@ def test_c07_counterparty_replay_determinism():
             for n in names
             for _ in range(30)
         )
-        chain = SimChain(
-            policy=POLICY_V090, genesis=genesis, keys=reg, expiry_blocks=10**9
-        )
+        chain = SimChain(policy=POLICY_V090, genesis=genesis, keys=reg)
+        chain.mempool.expiry_blocks = 10**9
         miners = [Miner("m", 1.0, accepts_nonstandard=True)]
         feed = pairs["alice"].pub.hex()
         next_ts = dict.fromkeys(names, 1000)
@@ -626,8 +624,8 @@ def test_c07_counterparty_replay_determinism():
             policy=POLICY_V090,
             genesis=(TxOutput(value=5_000_000, lock=PayToKey(pairs["bob"].pub)),),
             keys=reg,
-            expiry_blocks=10**9,
         )
+        chain2.mempool.expiry_blocks = 10**9
         burn = compose_burn_tx(chain2, pairs["bob"], 1_000)  # issues 1,000,000 units
         assert chain2.submit(burn).accepted
         chain2.mine_next(miners, Random(70))

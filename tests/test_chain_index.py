@@ -8,9 +8,10 @@ The block hash is recomputed by the reference of the block layout
 (`test_formats.block_hash`), which writes each transaction itself and never
 reads the kept bytes.
 
-An owner's coin order is kept only from its first read on, so the owners
-are read in three ways: from height 0, first at a drawn step, and not
-until the end; the last only ever receives.
+The owners are read in three ways: from height 0, first at a drawn step,
+and not until the end; the last only ever receives.  Whether read or not,
+each owner's kept outpoint list must be strictly increasing and hold
+exactly the owner's pay-to-key outpoints in `chain.utxo`.
 
 The owner index itself is built on the chain's first owner query, so a
 second chain given the same traffic is first queried at a drawn step, and
@@ -95,8 +96,9 @@ def check_chain(chain, owners, stranger, reading):
         coins = scanned_coins(chain, pub)
         if pub in reading:
             assert chain.utxos_for(pub) == coins
-        else:
-            assert pub not in chain._order  # an owner nobody read keeps no order
+        owned = list(chain._owned(pub))
+        assert all(a < b for a, b in zip(owned, owned[1:]))  # strictly increasing
+        assert owned == [op for op, _ in coins]
         assert chain.balance(pub) == sum(out.value for _, out in coins)
     tip = chain.blocks[-1]
     assert chain.tip_hash == block_hash(tip) == ref.block_hash(tip)
@@ -311,7 +313,7 @@ def test_an_owner_index_built_on_the_first_query_answers_as_one_kept_from_genesi
         assert late.tip_hash == kept.tip_hash
         assert late.supply() == kept.supply()
         if not queried:
-            assert late._coins is None  # a chain nobody queried keeps no index
+            assert late._order is None  # a chain nobody queried keeps no index
             return
         for pub in everyone:
             scans = late.utxo.scans
@@ -325,7 +327,7 @@ def test_an_owner_index_built_on_the_first_query_answers_as_one_kept_from_genesi
         # the late chain's first owner query builds its index in one pass
         scans = late.utxo.scans
         assert QUERIES[query](late, everyone[reader]) == QUERIES[query](kept, everyone[reader])
-        assert late.utxo.scans == scans + 1 and late._coins is not None
+        assert late.utxo.scans == scans + 1 and late._order is not None
 
     check(queried=False)
     for step, action in enumerate([*actions, ("mine",)]):

@@ -1430,6 +1430,33 @@ def test_cli_verify_and_metrics_refuse_a_malformed_log(tmp_path, capsys):
         assert main(["metrics", str(bad), str(tmp_path / "m.csv")]) == 2
         assert f"error: {bad}: line 1: " in capsys.readouterr().err
 
+    # canonical logs whose payloads the table cannot read: `metrics` names
+    # the line and the field, and opens no CSV
+    cases = {
+        "tc/stake payload 'actor' missing or not a string": ("tc", "stake", {"stake": 5}),
+        "host/block payload 'txs' missing or not an integer": (
+            "host", "block", {"txs": "2", "delays": []}
+        ),
+        "host/block payload 'delays' missing or not a list of integers": (
+            "host", "block", {"txs": 1, "delays": ["0"]}
+        ),
+        "host/balances payload 'balances' missing or not an object of integers": (
+            "host", "balances", {"balances": {"alice": None}}
+        ),
+        "run/end payload 'ticks' missing or not an integer": ("run", "end", {"ticks": True}),
+    }
+    for number, (message, (module, kind, payload)) in enumerate(cases.items()):
+        bad_log = EventLog()
+        bad_log.append(0, "host", "block", txs=0, delays=[])
+        bad_log.append(1, module, kind, **payload)
+        bad = tmp_path / f"payload{number}.log"
+        bad_log.write(bad)
+        out = tmp_path / f"payload{number}.csv"
+        assert main(["metrics", str(bad), str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: line 2: {message}\n"
+        assert captured.out == "" and not out.exists()
+
 
 def test_cli_verify_refuses_an_unreadable_log(tmp_path, capsys):
     main(["run", _scenario_path("will_claim"), "--out", str(tmp_path)])

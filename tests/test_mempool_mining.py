@@ -52,12 +52,8 @@ def make_chain(expiry_blocks=100, coins=10):
     bob = reg.keygen(b"bob")
     allocation = [TxOutput(value=50_000, lock=PayToKey(alice.pub)) for _ in range(coins)]
     allocation += [TxOutput(value=50_000, lock=PayToKey(bob.pub)) for _ in range(coins)]
-    chain = SimChain(
-        policy=POLICY_TEST2013,
-        genesis=allocation,
-        keys=reg,
-        expiry_blocks=expiry_blocks,
-    )
+    chain = SimChain(policy=POLICY_TEST2013, genesis=allocation, keys=reg)
+    chain.mempool.expiry_blocks = expiry_blocks
     return chain, alice, bob
 
 
@@ -95,7 +91,7 @@ def test_admission_shares_verdicts_and_keeps_immutable_records():
     accepted, duplicate = chain.submit(tx), chain.submit(tx)
     assert (bool(accepted), bool(duplicate)) == (True, False)
     entry = chain.mempool.entries[accepted.txid]
-    assert (entry.fee, entry.rank) == (250, (-250 / entry.size, entry.arrival_seq))
+    assert (entry.fee, entry.rank) == (250, (-250 / entry.size, 0))
     for record, field in (
         (verdict, "ok"), (accepted, "accepted"), (entry, "fee"), (accepted.standard, "standard")
     ):
@@ -333,7 +329,7 @@ def reference_admission(chain, tx):
         return SubmitResult(tid, False, reason=REASON_INVALID, invalid_reason=verdict.reason), None
     decision = classify(tx, chain.policy)
     fee, size, seq = verdict.fee, tx_size(tx), pool._next_seq
-    entry = MempoolEntry(tx, tid, fee, size, chain.height, seq, decision, (-(fee / size), seq))
+    entry = MempoolEntry(tx, fee, size, chain.height, decision, (-(fee / size), seq))
     return SubmitResult(tid, True, decision), entry
 
 
@@ -365,7 +361,8 @@ class RelayTraffic(RuleBasedStateMachine):
             TxOutput(value=9_000, lock=TimeLocked(inner=PayToKey(pair.pub), unlock_height=3))
             for pair in self.pairs
         ]
-        self.chain = SimChain(policy=POLICY_TEST2013, genesis=genesis, keys=reg, expiry_blocks=4)
+        self.chain = SimChain(policy=POLICY_TEST2013, genesis=genesis, keys=reg)
+        self.chain.mempool.expiry_blocks = 4
         self.arrived = {}  # txid -> (height, order) of its latest accepted submit
         self.accepted = 0
 
@@ -525,8 +522,14 @@ class RelayTraffic(RuleBasedStateMachine):
     def pool_holds_no_expired_entry(self):
         height, expiry = self.chain.height, self.chain.mempool.expiry_blocks
         for tid, entry in self.chain.mempool.entries.items():
-            assert (entry.arrival_height, entry.arrival_seq) == self.arrived[tid]
+            assert (entry.arrival_height, entry.rank[1]) == self.arrived[tid]
             assert height - entry.arrival_height < expiry, entry
+
+    @invariant()
+    def pool_claims_exactly_the_inputs_of_its_entries(self):
+        pool = self.chain.mempool
+        spent = {txin.outpoint for entry in pool.entries.values() for txin in entry.tx.inputs}
+        assert pool._claimed == spent
 
 
 RelayTraffic.TestCase.settings = settings(
