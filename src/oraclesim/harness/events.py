@@ -4,8 +4,11 @@ One event per line: canonical JSON (sorted keys, no spaces), UTF-8, one
 trailing newline per line. The digest is the hash of exactly those bytes,
 so two logs compare equal iff their files are byte-identical.
 
-A line is fixed when its event is appended: the log encodes each event
-once, then, and later changes to a payload's objects do not reach it.
+`EventLog.append(tick, module, kind, payload)` is the one way to add an
+event, reading included: it takes the payload dict as it is, without
+packing it again, and builds the event positionally. A line is fixed when
+its event is appended: the log encodes each event once, then, and later
+changes to the payload or its objects do not reach it.
 The encoder is built once, when the module is imported: the payload goes
 through the C JSON encoder, and the four-key envelope around it is written
 directly, in its sorted key order.
@@ -64,18 +67,17 @@ def _encode(event: Event) -> str:
 
 @dataclass
 class EventLog:
-    # filled only by `_add`, so every event has its line
+    # filled only by `append`, so every event has its line
     events: list[Event] = field(default_factory=list, init=False)
     _lines: list[str] = field(default_factory=list, init=False, repr=False, compare=False)
 
-    def _add(self, event: Event) -> Event:
+    def append(self, tick: int, module: str, kind: str, payload: dict) -> Event:
+        """Add the event and its line; the event holds ``payload`` itself."""
+        event = Event(tick, module, kind, payload)
         line = _encode(event)  # rejects non-serializable payloads at the source
         self.events.append(event)
         self._lines.append(line)
         return event
-
-    def append(self, tick: int, module: str, kind: str, **payload) -> Event:
-        return self._add(Event(tick=tick, module=module, kind=kind, payload=payload))
 
     def line(self, index: int) -> str:
         """The encoded line of event `index`, without its newline."""
@@ -118,7 +120,7 @@ class EventLog:
             for name, kind in _FIELDS:
                 if not isinstance(doc.get(name), kind) or isinstance(doc[name], bool):
                     raise LogFormatError(f"line {number}: {name!r} missing or not {kind.__name__}")
-            log._add(Event(doc["tick"], doc["module"], doc["kind"], doc["payload"]))
+            log.append(doc["tick"], doc["module"], doc["kind"], doc["payload"])
             if log._lines[-1] != line:
                 raise LogFormatError(f"line {number}: not the canonical encoding of its event")
         return log

@@ -30,14 +30,16 @@ def _fits(value, kind: type) -> bool:
 
 
 def export_metrics(log: EventLog, out_path: str | Path) -> int:
-    """Write the per-tick table; returns the number of data rows.  A payload
-    field it reads that is missing or of another type raises LogFormatError
-    naming its line, before the file is opened."""
+    """Write the per-tick table; returns the number of data rows.  A negative
+    tick, or a payload field it reads that is missing or of another type,
+    raises LogFormatError naming its line, before the file is opened."""
     ticks = 0
     balance_actors: set[str] = set()
     stake_actors: set[str] = set()
     by_tick: dict[int, list] = {}
     for number, event in enumerate(log.events, 1):
+        if event.tick < 0:  # a run never writes one, and no row would hold it
+            raise LogFormatError(f"line {number}: tick {event.tick} is negative")
         ticks = max(ticks, event.tick + 1)
         by_tick.setdefault(event.tick, []).append(event)
         name = (event.module, event.kind)

@@ -29,7 +29,7 @@ from itertools import repeat
 from pathlib import Path
 from random import Random
 from types import UnionType
-from typing import Annotated, Any, Callable, Literal, NamedTuple, Union
+from typing import Annotated, Any, Callable, Iterable, Literal, NamedTuple, Union
 from typing import get_args, get_origin, get_type_hints
 
 from .. import counterparty, oraclize, orisi, realitykeys, truthcoin, will_oracle
@@ -398,6 +398,7 @@ class World:
         self.tick = 0
         self.now = scenario.start_time
         self.submit_tick: dict[bytes, int] = {}  # each mempool entry's txid: tick it arrived
+        self.tracked = tuple((name, self.actors[name].pub) for name in scenario.track_balances)
 
         # protocol slots, created on first use
         self.wills: dict[str, will_oracle.WillContract] = {}
@@ -433,7 +434,7 @@ class World:
         return self._tc
 
     def emit(self, module: str, kind: str, **payload: Any) -> None:
-        self.log.append(self.tick, module, kind, **payload)
+        self.log.append(self.tick, module, kind, payload)
 
     def submit(self, tx: Transaction, module: str) -> bool:
         result = self.chain.submit(tx)
@@ -453,9 +454,12 @@ class World:
 
     def mine(self) -> None:
         block = self.chain.mine_next(self.scenario.miners, self.rng)
-        delays = [self.tick - self.submit_tick[txid(tx)] for tx in block.txs]
-        # keep the stamps of what stays pooled, so an expired tx sent again is stamped anew
-        self.submit_tick = {tid: self.submit_tick[tid] for tid in self.chain.mempool.entries}
+        stamps, pool = self.submit_tick, self.chain.mempool.entries
+        delays = [self.tick - stamps.pop(txid(tx)) for tx in block.txs]
+        # each mined stamp is popped; entries that expired lose theirs too, so
+        # that one sent again is stamped anew
+        if len(stamps) != len(pool):
+            self.submit_tick = {tid: stamps[tid] for tid in pool}
         self.emit(
             "host",
             "block",
@@ -464,6 +468,11 @@ class World:
             txs=len(block.txs),
             delays=delays,
         )
+
+    def emit_balances(self, owners: Iterable[tuple[str, bytes]]) -> None:
+        """Log `host/balances` for each (name, pub) pair."""
+        balance = self.chain.balance
+        self.emit("host", "balances", balances={name: balance(pub) for name, pub in owners})
 
     def names_by_pub(self) -> dict[str, str]:
         return {pair.pub.hex(): name for name, pair in self.actors.items()}
@@ -1052,9 +1061,7 @@ def _op_oz_tamper(w: World, on: bool = True) -> None:
 
 
 def _op_balances(w: World, actors: list[Actor] | None = None) -> None:
-    names = actors or sorted(w.actors)
-    balances = {name: w.chain.balance(w.actors[name].pub) for name in names}
-    w.emit("host", "balances", balances=balances)
+    w.emit_balances((name, w.actors[name].pub) for name in actors or sorted(w.actors))
 
 
 # Every ``_op_<name>`` above handles the op "<name>".
@@ -1164,8 +1171,8 @@ def run_scenario(
             world.stamp()
         if scenario.mine_every is not None and (tick + 1) % scenario.mine_every == 0:
             world.mine()
-        if scenario.track_balances:
-            _op_balances(world, scenario.track_balances)
+        if world.tracked:
+            world.emit_balances(world.tracked)
     world.emit("run", "end", ticks=scenario.ticks, height=world.chain.height)
 
     failures = []

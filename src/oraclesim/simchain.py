@@ -841,7 +841,9 @@ class Mempool:
 # `balance` and coin selection scan nothing.  The first owner query builds it
 # in one pass over the set, and `_apply_block`'s one loop keeps it.  So a
 # chain nobody queries (a relay of presigned transactions) keeps no index,
-# and a chain is scanned for it at most once.
+# and a chain is scanned for it at most once.  `balance`, which a scenario
+# calls per tracked owner each tick, checks `_order` itself and then reads
+# `_balances`, without a call to `_index`.
 #
 # `block_hash` feeds the header, then each transaction's bytes as kept when
 # its txid was taken, into one hash state, so a block never encodes a
@@ -914,7 +916,8 @@ class SimChain:
 
     def balance(self, pub: bytes) -> int:
         """The owner's pay-to-key value, from the owner index."""
-        self._index()
+        if self._order is None:
+            self._index()
         return self._balances.get(pub, 0)
 
     def _index(self) -> defaultdict[bytes, list[tuple[bytes, int]]]:

@@ -405,7 +405,7 @@ def test_event_logs_match_the_reference():
         (2, "m", "k", {"nan": math.nan, "inf": math.inf, "ninf": -math.inf, "none": None}),
     ]
     for tick, module, kind, payload in events:
-        log.append(tick, module, kind, **payload)
+        log.append(tick, module, kind, payload)
     lines = [event_line(*event) for event in events]
     assert log.encode() == "".join(line + "\n" for line in lines).encode("utf-8")
     assert log.digest() == log_digest(lines)

@@ -6,10 +6,11 @@ import json
 import math
 import re
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oraclesim import counterparty, oraclize, orisi, realitykeys, truthcoin, will_oracle
@@ -30,12 +31,15 @@ from oraclesim.harness.events import Event, _encode, first_difference
 from oraclesim.simchain import (
     DataCarrier,
     MAX_LOCK_DEPTH,
+    Miner,
     PayToKey,
     Transaction,
     TxInput,
     TxOutput,
     Witness,
+    build_payment,
     serialize_tx,
+    txid,
 )
 import test_formats as ref
 from test_script_tx import _edits
@@ -54,7 +58,7 @@ T0 = 1_700_000_000
 
 def test_event_line_is_canonical_json():
     log = EventLog()
-    log.append(3, "host", "block", height=1, txs=2)
+    log.append(3, "host", "block", {"height": 1, "txs": 2})
     assert log.encode() == (
         b'{"kind":"block","module":"host","payload":{"height":1,"txs":2},"tick":3}\n'
     )
@@ -64,16 +68,16 @@ def test_digest_hashes_exact_bytes():
     from oraclesim.codec import sha256
 
     log = EventLog()
-    log.append(0, "a", "b", x=1)
-    log.append(1, "a", "c", y=[1, 2])
+    log.append(0, "a", "b", {"x": 1})
+    log.append(1, "a", "c", {"y": [1, 2]})
     assert log.digest() == sha256(log.encode())
     assert log.encode().count(b"\n") == 2
 
 
 def test_write_read_round_trip(tmp_path):
     log = EventLog()
-    log.append(0, "host", "block", height=1)
-    log.append(5, "cp", "balance", actor="alice", qty=10)
+    log.append(0, "host", "block", {"height": 1})
+    log.append(5, "cp", "balance", {"actor": "alice", "qty": 10})
     path = tmp_path / "run.log.jsonl"
     log.write(path)
     loaded = EventLog.read(path)
@@ -133,9 +137,9 @@ def test_read_refuses_or_round_trips_edited_logs(bundled_log, data):
 
 def test_matching_filters_kind_and_payload():
     log = EventLog()
-    log.append(0, "cp", "balance", actor="alice", qty=10)
-    log.append(1, "cp", "balance", actor="bob", qty=20)
-    log.append(2, "cp", "replay", issued=30)
+    log.append(0, "cp", "balance", {"actor": "alice", "qty": 10})
+    log.append(1, "cp", "balance", {"actor": "bob", "qty": 20})
+    log.append(2, "cp", "replay", {"issued": 30})
     assert len(log.matching("cp/balance")) == 2
     assert log.matching("cp/balance", {"actor": "bob"})[0].payload["qty"] == 20
     assert log.matching("cp/balance", {"actor": "zoe"}) == []
@@ -144,18 +148,24 @@ def test_matching_filters_kind_and_payload():
 def test_line_is_fixed_when_its_event_is_appended():
     log = EventLog()
     held = [1, 2]
-    log.append(0, "host", "block", txs=held)
+    payload = {"txs": held, "meta": {"by": ["m1"]}}
+    event = log.append(0, "host", "block", payload)
     held.append(3)
-    assert log.encode() == b'{"kind":"block","module":"host","payload":{"txs":[1,2]},"tick":0}\n'
+    payload["meta"]["by"].append("m2")
+    payload["late"] = 1
+    assert event.payload is payload  # the event holds the dict it was given
+    assert log.encode() == (
+        b'{"kind":"block","module":"host","payload":{"meta":{"by":["m1"]},"txs":[1,2]},"tick":0}\n'
+    )
 
 
 def test_append_rejects_unserializable_payload():
     log = EventLog()
     for raw in (b"\x00", {1, 2}, [{"deep": {3}}]):
         with pytest.raises(TypeError):
-            log.append(0, "host", "block", raw=raw)
+            log.append(0, "host", "block", {"raw": raw})
     assert log.events == []
-    log.append(1, "host", "block", ok=[{}])  # a refused payload leaves nothing behind
+    log.append(1, "host", "block", {"ok": [{}]})  # a refused payload leaves nothing behind
     assert log.encode() == b'{"kind":"block","module":"host","payload":{"ok":[{}]},"tick":1}\n'
 
 
@@ -167,7 +177,7 @@ def test_append_rejects_unserializable_payload():
 def test_append_rejects_fields_that_read_would_refuse(tick, module, kind):
     log = EventLog()
     with pytest.raises(TypeError):
-        log.append(tick, module, kind, x=1)
+        log.append(tick, module, kind, {"x": 1})
     assert log.events == []
 
 
@@ -176,7 +186,7 @@ def test_append_rejects_a_circular_payload():
     held.append(held)
     log = EventLog()
     with pytest.raises((ValueError, RecursionError)):
-        log.append(0, "host", "block", held=held)
+        log.append(0, "host", "block", {"held": held})
     assert log.events == []
 
 
@@ -209,7 +219,9 @@ _EVENT = st.builds(
 @settings(max_examples=500)
 @given(_EVENT)
 def test_event_line_is_json_dumps_of_its_fields(event):
-    assert _encode(event) == ref.event_line(event.tick, event.module, event.kind, event.payload)
+    log = EventLog()
+    assert log.append(event.tick, event.module, event.kind, event.payload) == event
+    assert log.line(0) == ref.event_line(event.tick, event.module, event.kind, event.payload)
 
 
 @settings(max_examples=200)
@@ -217,21 +229,20 @@ def test_event_line_is_json_dumps_of_its_fields(event):
 def test_appended_events_decode_to_the_same_bytes(events):
     log = EventLog()
     for event in events:
-        assume(not {"tick", "module", "kind"} & event.payload.keys())
-        log.append(event.tick, event.module, event.kind, **event.payload)
+        log.append(event.tick, event.module, event.kind, event.payload)
     assert EventLog.decode(log.encode()).encode() == log.encode()
 
 
 def test_verify_replay_detects_any_difference():
     a, b = EventLog(), EventLog()
-    a.append(0, "m", "k", v=1)
-    b.append(0, "m", "k", v=1)
+    a.append(0, "m", "k", {"v": 1})
+    b.append(0, "m", "k", {"v": 1})
     assert verify_replay(a, b)
     assert first_difference(a, b) is None
-    b.append(1, "m", "k", v=2)
+    b.append(1, "m", "k", {"v": 2})
     assert not verify_replay(a, b)
     assert first_difference(a, b) == first_difference(b, a) == 1  # a ends first
-    a.append(1, "m", "k", v=3)
+    a.append(1, "m", "k", {"v": 3})
     assert first_difference(a, b) == 1 and b.line(1) == _encode(b.events[1])
 
 
@@ -804,6 +815,71 @@ def test_mine_every_none_leaves_mempool_alone():
         ],
     )
     assert run_scenario(doc).passed
+
+
+def test_a_block_delay_counts_from_the_tick_a_tx_last_entered_the_pool():
+    # strict miners leave two 60-byte carriers pooled until the first expires;
+    # it is sent again at tick 4, and a lax miner then mines both at tick 5
+    doc = _minimal(
+        ticks=6, mine_every=None, actors=["a", "b"],
+        genesis=[{"actor": "a", "value": 10_000}, {"actor": "b", "value": 10_000}],
+        miners=[{"id": "strict", "hashrate": 1.0, "accepts_nonstandard": False}],
+    )
+    world = scenario_module.World(Scenario.from_dict(doc))
+    world.chain.mempool.expiry_blocks = 2
+    carrier = [TxOutput(0, DataCarrier(bytes(60)))]
+    first = build_payment(world.chain, world.actors["a"], carrier, fee=100)
+    second = build_payment(world.chain, world.actors["b"], carrier, fee=200)
+
+    def at(tick, *steps):
+        world.tick = tick
+        for step in steps:
+            step()
+            world.stamp()
+
+    at(0, lambda: world.submit(first, "host"))
+    at(1, world.mine, lambda: world.submit(second, "host"))
+    at(2, world.mine)  # height 2: `first`, pooled at height 0, expires; `second` stays
+    assert txid(first) not in world.chain.mempool and txid(second) in world.chain.mempool
+    at(4, lambda: world.submit(first, "host"))
+    world.scenario = replace(world.scenario, miners=(Miner("lax", 1.0),))
+    at(5, world.mine)
+
+    blocks = world.log.matching("host/block")
+    assert [(e.tick, e.payload["txs"]) for e in blocks] == [(1, 0), (2, 0), (5, 2)]
+    mined = [txid(tx) for tx in world.chain.blocks[-1].txs]
+    assert dict(zip(mined, blocks[-1].payload["delays"])) == {txid(first): 1, txid(second): 4}
+    assert len(world.chain.mempool) == 0
+
+
+def test_tracked_balances_follow_a_ledger_every_tick():
+    names = ["a", "b", "c", "d"]  # d is tracked but never paid
+    ledger = dict.fromkeys(names, 0)
+    ledger.update(a=30_000, b=30_000, c=30_000)
+    actions, expected = [], []
+    for tick in range(12):
+        sender, receiver = names[tick % 3], names[(tick + 1) % 3]
+        value, fee = 100 + tick, tick
+        actions.append({"tick": tick, "op": "pay", "from": sender, "to": receiver,
+                        "value": value, "fee": fee})
+        ledger[sender] -= value + fee
+        ledger[receiver] += value
+        expected.append((tick, dict(ledger)))
+    doc = _minimal(
+        ticks=12, actors=names, track_balances=names, actions=actions,
+        genesis=[{"actor": n, "coins": 3, "value": 10_000} for n in "abc"],
+    )
+    result = run_scenario(doc)
+    tracked = result.log.matching("host/balances")
+    # every payment confirms in the block mined at the end of its own tick
+    assert [(e.tick, e.payload["balances"]) for e in tracked] == expected
+    chain = result.world.chain
+    recount = dict.fromkeys(names, 0)
+    for name in names:
+        pub = result.world.actors[name].pub
+        recount[name] = sum(out.value for out in chain.utxo.values()
+                            if isinstance(out.lock, PayToKey) and out.lock.pub == pub)
+    assert recount == tracked[-1].payload["balances"]
 
 
 # ---------------------------------------------------------------- metrics
@@ -1447,8 +1523,8 @@ def test_cli_verify_and_metrics_refuse_a_malformed_log(tmp_path, capsys):
     }
     for number, (message, (module, kind, payload)) in enumerate(cases.items()):
         bad_log = EventLog()
-        bad_log.append(0, "host", "block", txs=0, delays=[])
-        bad_log.append(1, module, kind, **payload)
+        bad_log.append(0, "host", "block", {"txs": 0, "delays": []})
+        bad_log.append(1, module, kind, payload)
         bad = tmp_path / f"payload{number}.log"
         bad_log.write(bad)
         out = tmp_path / f"payload{number}.csv"
@@ -1456,6 +1532,23 @@ def test_cli_verify_and_metrics_refuse_a_malformed_log(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == f"error: {bad}: line 2: {message}\n"
         assert captured.out == "" and not out.exists()
+
+
+def test_metrics_refuses_a_negative_tick(tmp_path, capsys):
+    # canonical, so `read` takes it; no row of the table could hold line 1
+    bad = tmp_path / "negative.log"
+    bad.write_bytes(
+        b'{"kind":"tx_submitted","module":"x","payload":{},"tick":-1}\n'
+        b'{"kind":"end","module":"run","payload":{"ticks":1},"tick":0}\n'
+    )
+    out = tmp_path / "negative.csv"
+    with pytest.raises(LogFormatError, match=r"^line 1: tick -1 is negative$"):
+        export_metrics(EventLog.read(bad), out)
+    assert not out.exists()
+    assert main(["metrics", str(bad), str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: line 1: tick -1 is negative\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_cli_verify_refuses_an_unreadable_log(tmp_path, capsys):
