@@ -41,13 +41,12 @@ from ..simchain import (
     PayToKey,
     SimChain,
     Transaction,
-    TxInput,
     TxOutput,
     POLICIES,
     add_signature,
     build_payment,
     check_miners,
-    sign_input,
+    spend,
     txid,
 )
 from .events import EventLog
@@ -732,9 +731,8 @@ def _op_orisi_theft(w: World, id_: str, dest: Actor) -> None:
     n+1 threshold, so the spend must bounce."""
     contract = w.orisi_contracts[id_]
     loot = TxOutput(value=contract.amount - _FEE, lock=PayToKey(w.actors[dest].pub))
-    theft = Transaction(inputs=(TxInput(outpoint=contract.safe_outpoint),), outputs=(loot,))
     colluders = [w.actors[name] for name in sorted(contract.oracle_pubs)]
-    result = w.chain.submit(sign_input(theft, 0, *colluders))
+    result = w.chain.submit(spend(contract.safe_outpoint, (loot,), *colluders))
     w.emit("orisi", "theft", id=id_, accepted=result.accepted, signatures=len(colluders))
 
 

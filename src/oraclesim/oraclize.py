@@ -50,6 +50,7 @@ from .simchain import (
     select_coins,
     sighash,
     sign_input,
+    spend,
     txid,
 )
 
@@ -176,8 +177,6 @@ class ContractState(enum.Enum):
 @dataclass
 class ConditionalContract:
     contract_id: str
-    alice_pub: bytes
-    bob_pub: bytes
     third_pub: bytes  # the oracle, or the arbitrator in the carol variant
     arbitrated: bool
     conditions: tuple[Condition, ...]
@@ -188,7 +187,6 @@ class ConditionalContract:
     proofshield: bool
     funding_outpoint: tuple[bytes, int]
     escrow_value: int
-    refund_locktime: int
     refund_draft: Transaction
     state: ContractState = ContractState.ACTIVE
     settled_condition: int | None = None
@@ -230,11 +228,9 @@ def _settle(
     beneficiary = (
         contract.default_beneficiary if index is None else contract.conditions[index].beneficiary
     )
-    tx = Transaction(  # a fee over the escrow raises before anything settles
-        inputs=(TxInput(outpoint=contract.funding_outpoint),),
-        outputs=(TxOutput(value=contract.escrow_value - fee, lock=PayToKey(beneficiary)),),
-    )
-    tx = sign_input(tx, 0, key)
+    # a fee over the escrow raises before anything settles
+    payout = TxOutput(value=contract.escrow_value - fee, lock=PayToKey(beneficiary))
+    tx = spend(contract.funding_outpoint, (payout,), key)
     contract.state = (
         ContractState.SETTLED_DEFAULT if index is None else ContractState.SETTLED_CONDITION
     )
@@ -321,23 +317,17 @@ class Oracle:
 
         refund_value = escrow_value - fee
         alice_share = refund_value * stakes[0] // sum(stakes)
-        refund = Transaction(
-            inputs=(TxInput(outpoint=funding_outpoint),),
-            outputs=(
-                TxOutput(value=alice_share, lock=PayToKey(alice.pub)),
-                TxOutput(value=refund_value - alice_share, lock=PayToKey(bob.pub)),
-            ),
-            locktime=refund_locktime,
+        shares = (
+            TxOutput(value=alice_share, lock=PayToKey(alice.pub)),
+            TxOutput(value=refund_value - alice_share, lock=PayToKey(bob.pub)),
         )
-        refund = sign_input(refund, 0, alice, bob)
+        refund = spend(funding_outpoint, shares, alice, bob, locktime=refund_locktime)
 
         chain.broadcast(funding, "funding")
         contract_id = f"oc-{self._next_id}"
         self._next_id += 1
         return ConditionalContract(
             contract_id=contract_id,
-            alice_pub=alice.pub,
-            bob_pub=bob.pub,
             third_pub=third,
             arbitrated=arbitrator is not None,
             conditions=conditions,
@@ -348,7 +338,6 @@ class Oracle:
             proofshield=proofshield,
             funding_outpoint=funding_outpoint,
             escrow_value=escrow_value,
-            refund_locktime=refund_locktime,
             refund_draft=refund,
         )
 
@@ -431,10 +420,9 @@ def refund_expiry(chain: SimChain, contract: ConditionalContract) -> Transaction
     co-signer."""
     if contract.state is not ContractState.ACTIVE:
         raise AlreadySettledError(contract.contract_id)
-    if chain.height + 1 < contract.refund_locktime:
-        raise TooEarlyError(
-            f"refund minable at height {contract.refund_locktime}, next is {chain.height + 1}"
-        )
+    locktime = contract.refund_draft.locktime
+    if chain.height + 1 < locktime:
+        raise TooEarlyError(f"refund minable at height {locktime}, next is {chain.height + 1}")
     chain.broadcast(contract.refund_draft, "refund")
     contract.state = ContractState.REFUNDED
     return contract.refund_draft

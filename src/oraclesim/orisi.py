@@ -36,13 +36,13 @@ from .simchain import (
     Signature,
     SimChain,
     Transaction,
-    TxInput,
     TxOutput,
     Witness,
     build_payment,
     serialize_signature,
     sighash,
     signature_from_reader,
+    spend,
     txid,
 )
 
@@ -313,10 +313,7 @@ def propose(
     safe_outpoint = (txid(funding), 0)
 
     def settlement(beneficiary_pub: bytes) -> Transaction:
-        return Transaction(
-            inputs=(TxInput(outpoint=safe_outpoint),),
-            outputs=_settlement_outputs(beneficiary_pub, oracle_pubs, amount, fees),
-        )
+        return spend(safe_outpoint, _settlement_outputs(beneficiary_pub, oracle_pubs, amount, fees))
 
     contract = OrisiContract(
         contract_id=contract_id,

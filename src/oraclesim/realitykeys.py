@@ -24,7 +24,6 @@ from .simchain import (
     KeyPair,
     MultiSig,
     PayToKey,
-    ScriptHash,
     SimChain,
     Transaction,
     TxInput,
@@ -32,6 +31,7 @@ from .simchain import (
     p2sh_lock,
     sighash,
     sign_input,
+    spend,
     txid,
 )
 
@@ -237,7 +237,6 @@ class DemoContract:
     stakes: tuple[int, int]
     temp_outpoints: tuple[tuple[bytes, int], tuple[bytes, int]]
     redeem: Either
-    lock: ScriptHash
     funding_outpoint: tuple[bytes, int] | None = None
 
 
@@ -248,15 +247,13 @@ def demo_contract(
     stakes: tuple[int, int],
     temp_outpoints: tuple[tuple[bytes, int], tuple[bytes, int]],
 ) -> DemoContract:
-    redeem = demo_redeem(fact, alice_pub, bob_pub)
     return DemoContract(
         fact_id=fact.id,
         alice_pub=alice_pub,
         bob_pub=bob_pub,
         stakes=stakes,
         temp_outpoints=temp_outpoints,
-        redeem=redeem,
-        lock=p2sh_lock(redeem),
+        redeem=demo_redeem(fact, alice_pub, bob_pub),
     )
 
 
@@ -268,7 +265,7 @@ def _setup_unsigned(chain: SimChain, contract: DemoContract, fee: int) -> Transa
     total = sum(contract.stakes) - fee
     return Transaction(
         inputs=tuple(TxInput(outpoint=op) for op in contract.temp_outpoints),
-        outputs=(TxOutput(value=total, lock=contract.lock),),
+        outputs=(TxOutput(value=total, lock=p2sh_lock(contract.redeem)),),
     )
 
 
@@ -313,10 +310,7 @@ def demo_claim(
         raise StateError("contract was never funded")
 
     value = chain.utxo[contract.funding_outpoint].value - fee
-    unsigned = Transaction(
-        inputs=(TxInput(outpoint=contract.funding_outpoint),),
-        outputs=(TxOutput(value=value, lock=PayToKey(dest_pub)),),
-    )
+    claim = TxOutput(value=value, lock=PayToKey(dest_pub))
     released = KeyPair(secret=fact.released_secret, pub=sha256(fact.released_secret))
-    return sign_input(unsigned, 0, claimant, released, redeem=contract.redeem)
+    return spend(contract.funding_outpoint, (claim,), claimant, released, redeem=contract.redeem)
 

@@ -302,7 +302,9 @@ def p2sh_lock(redeem: LockScript) -> ScriptHash:
 # built transaction never reaches `serialize_tx`.  It encodes both from the
 # fields it constructs, and takes no bytes from its caller.
 # `with_witness`, and so `sign_input` and `add_signature`, rebuilds the
-# inputs tuple once.
+# inputs tuple once.  `spend` is the one builder of a contract spend: the
+# single output a contract locked, spent into new outputs and signed by the
+# quorum that meets its lock, or left unsigned as a draft for co-signers.
 #
 # `select_coins` is the one coin-selection rule of every host spend: the
 # owner's coins in outpoint order until the target is covered, and always at
@@ -455,6 +457,19 @@ def sign_input(tx: Transaction, index: int, *signers: KeyPair, **witness_fields)
     digest = sighash(tx)
     sigs = tuple(signer.sign(digest) for signer in signers)
     return tx.with_witness(index, Witness(signatures=sigs, **witness_fields))
+
+
+def spend(
+    outpoint: tuple[bytes, int],
+    outputs: Sequence[TxOutput],
+    *signers: KeyPair,
+    locktime: int = 0,
+    **witness_fields,
+) -> Transaction:
+    """Spend the one output at `outpoint` into `outputs`, each signer signing
+    input 0 in order; unsigned when no signer is given."""
+    tx = Transaction((TxInput(outpoint),), tuple(outputs), locktime)
+    return sign_input(tx, 0, *signers, **witness_fields) if signers else tx
 
 
 def add_signature(tx: Transaction, index: int, sig: Signature) -> Transaction:

@@ -127,8 +127,8 @@ class Scalar:
     xmax: float
 
     def __post_init__(self) -> None:
-        if not self.xmin < self.xmax:
-            raise ValueError("scalar bounds must satisfy xmin < xmax")
+        if not (math.isfinite(self.xmin) and math.isfinite(self.xmax) and self.xmin < self.xmax):
+            raise ValueError("scalar bounds must be finite and satisfy xmin < xmax")
 
     def in_range(self, report: float) -> bool:
         return self.xmin <= report <= self.xmax
@@ -531,6 +531,8 @@ class TruthcoinSim:
     ) -> Market:
         if not decision_ids:
             raise ValueError("market needs at least one decision")
+        if len(set(decision_ids)) < len(decision_ids):
+            raise ValueError("market names a decision more than once")
         if not 0 <= fee_rate < 1:
             raise ValueError("fee rate must be in [0, 1)")
         for decision_id in decision_ids:

@@ -20,11 +20,10 @@ from .simchain import (
     Signature,
     SimChain,
     Transaction,
-    TxInput,
     TxOutput,
     build_payment,
     sighash,
-    sign_input,
+    spend,
 )
 
 
@@ -50,7 +49,6 @@ def will_lock(oracle_pub: bytes, heir_pub: bytes, commitment: bytes) -> MultiSig
 
 @dataclass(frozen=True)
 class WillContract:
-    oracle_pub: bytes
     heir_pub: bytes
     expr_hash: bytes
     funding_outpoint: tuple[bytes, int]
@@ -74,7 +72,6 @@ def create_will(
     funding = build_payment(chain, creator, [TxOutput(value=amount, lock=lock)], fee=fee)
     result = chain.broadcast(funding, "funding")
     contract = WillContract(
-        oracle_pub=oracle_pub,
         heir_pub=heir_pub,
         expr_hash=commitment,
         funding_outpoint=(result.txid, 0),
@@ -126,8 +123,5 @@ def build_claim(
 ) -> Transaction:
     """Heir's half-signed spend of the will output to the heir. Deterministic,
     so the oracle's signature over its sighash composes with a rebuilt copy."""
-    unsigned = Transaction(
-        inputs=(TxInput(outpoint=contract.funding_outpoint),),
-        outputs=(TxOutput(value=contract.amount - fee, lock=PayToKey(contract.heir_pub)),),
-    )
-    return sign_input(unsigned, 0, heir)
+    claim = TxOutput(value=contract.amount - fee, lock=PayToKey(contract.heir_pub))
+    return spend(contract.funding_outpoint, (claim,), heir)

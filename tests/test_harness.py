@@ -1295,6 +1295,14 @@ _OZ_WITHOUT_CONTRACT = [("oz_poll", "KeyError")] * 3 + [("oz_cosign", "KeyError"
         ("truthcoin_market", lambda d: d["actions"][1].update(amount=-5),
          [("tc_peg_in", "ValueError"), ("tc_market", "InsufficientCSHError"),
           ("tc_trade", "KeyError"), ("tc_redeem", "KeyError")], 0),
+        # two positions of one decision: contradictory states, not a bigger market
+        ("truthcoin_market", _last("tc_market", decisions=["d1", "d1"]),
+         [("tc_market", "ValueError"), ("tc_trade", "KeyError"), ("tc_redeem", "KeyError")], 0),
+        # JSON's Infinity binds to the float `max`; a resolution over it would overflow
+        ("truthcoin_market", lambda d: d["actions"].insert(4, {
+            "tick": 0, "op": "tc_decision", "id": "d2", "author": "maker", "prompt": "goals",
+            "kind": "scalar", "max": math.inf, "maturity_time": 1700007200}),
+         [("tc_decision", "ValueError")], 0),
         # ops that need the registry or the sidechain, before the op that makes it
         ("will_claim", lambda d: d["actions"].insert(0, {"tick": 0, "op": "rk_post", "fact": "f"}),
          [("rk_post", "LookupError")], 1),
@@ -1312,7 +1320,8 @@ _OZ_WITHOUT_CONTRACT = [("oz_poll", "KeyError")] * 3 + [("oz_cosign", "KeyError"
          [("oz_default", "AlreadySettledError")], 1),
     ],
     ids=["oz_poll_before_data", "oz_poll_fee", "oz_cosign_outsider", "oz_default_fee",
-         "oz_zero_stakes", "oz_refund_short", "tc_peg_in_negative", "rk_before_registry",
+         "oz_zero_stakes", "oz_refund_short", "tc_peg_in_negative", "tc_market_repeats_decision",
+         "tc_scalar_max_infinite", "rk_before_registry",
          "tc_before_init", "orisi_finalize_before_poll", "rk_finalize_in_window",
          "oz_default_after_settlement"],
 )

@@ -204,7 +204,10 @@ def test_build_contract_funds_escrow_and_presigns_refund():
     chain, reg, oracle, alice, bob, carol = make_world(
         temp_entries=[(T0, 8)], rain_entries=[(T0, False)]
     )
-    contract = fund(chain, oracle, alice, bob, milan_conditions(bob.pub))
+    refund_locktime = chain.height + 6
+    contract = fund(
+        chain, oracle, alice, bob, milan_conditions(bob.pub), refund_locktime=refund_locktime
+    )
 
     escrow = chain.utxo[contract.funding_outpoint]
     assert isinstance(escrow.lock, MultiSig)
@@ -218,7 +221,7 @@ def test_build_contract_funds_escrow_and_presigns_refund():
     assert chain.balance(bob.pub) == 12 * COIN - 3 * COIN // 10
 
     draft = contract.refund_draft
-    assert draft.locktime == contract.refund_locktime
+    assert draft.locktime == refund_locktime
     assert len(draft.inputs[0].witness.signatures) == 2  # pre-signed by both
     assert sum(out.value for out in draft.outputs) == contract.escrow_value - 1000
     assert contract.state is ContractState.ACTIVE

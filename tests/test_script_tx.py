@@ -14,6 +14,7 @@ from oraclesim.datafeed import Comparator
 from oraclesim.simchain import (
     Block,
     DataCarrier,
+    EMPTY_WITNESS,
     Either,
     InsufficientFundsError,
     KeyPair,
@@ -46,6 +47,7 @@ from oraclesim.simchain import (
     sign,
     sign_input,
     sign_payment,
+    spend,
     txid,
 )
 
@@ -268,6 +270,25 @@ def test_tx_round_trips_with_rich_witness():
     )
     tx = sign_input(tx, 0, alice, redeem=redeem, expr_preimage=b"if this then that")
     assert deserialize_tx(serialize_tx(tx)) == tx
+
+
+@pytest.mark.parametrize(
+    "signers, locktime, redeemed",
+    [((), 0, False), ((b"alice",), 0, False), ((b"alice", b"bob"), 42, True)],
+    ids=["unsigned", "one_signer", "two_signers_locktime_redeem"],
+)
+def test_spend_is_the_hand_built_one_input_spend(signers, locktime, redeemed):
+    reg = KeyRegistry()
+    pairs = [reg.keygen(seed) for seed in signers]
+    witness = {"redeem": MultiSig(m=2, keys=tuple(p.pub for p in pairs))} if redeemed else {}
+    outpoint = (PUB_A, 3)
+    outputs = [TxOutput(value=7, lock=PayToKey(PUB_B)), TxOutput(value=0, lock=DataCarrier(b"x"))]
+
+    built = spend(outpoint, outputs, *pairs, locktime=locktime, **witness)
+    unsigned = Transaction((TxInput(outpoint),), tuple(outputs), locktime)
+    assert serialize_tx(built) == serialize_tx(sign_input(unsigned, 0, *pairs, **witness))
+    if not pairs:
+        assert built.inputs[0].witness is EMPTY_WITNESS
 
 
 def test_deserialize_rejects_truncation_and_trailing_bytes():
@@ -558,7 +579,7 @@ def _build(builder, coins, amount, fee, message) -> Transaction:
 @example(_EVERY_KIND_TX, ("sign_payment", [5, 6, 7], 10, 3, _MESSAGES[0]))
 @example(_EVERY_KIND_TX, ("compose_message_tx", [10**6], 0, 0, _MESSAGES[1]))
 @example(_EMPTY_BYTES_TX, ("build_payment", [1], 1, 0, _MESSAGES[0]))
-def test_serialize_tx_matches_the_reference_and_sighash_blanks_every_witness(tx, spend):
+def test_serialize_tx_matches_the_reference_and_sighash_blanks_every_witness(tx, payment):
     assert serialize_tx(tx) == ref.transaction(tx)
     assert deserialize_tx(serialize_tx(tx)) == tx
     blanked = Transaction(
@@ -571,7 +592,7 @@ def test_serialize_tx_matches_the_reference_and_sighash_blanks_every_witness(tx,
             assert serialize_lock(lock) == ref.lock_script(lock)
 
     # a built transaction keeps the bytes and the sighash of its fresh twin
-    built = _build(*spend)
+    built = _build(*payment)
     twin = Transaction(built.inputs, built.outputs, built.locktime)
     assert None not in (built._bytes, built._sighash)
     assert built._bytes == serialize_tx(twin) == ref.transaction(twin)

@@ -654,6 +654,32 @@ def test_market_guards():
         sim.add_market("ann", [decision.decision_id], b=100.0)
 
 
+@pytest.mark.parametrize(
+    "xmin, xmax",
+    [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (math.nan, 1.0), (0.0, math.nan)],
+    ids=["max_inf", "min_minus_inf", "both_inf", "min_nan", "max_nan"],
+)
+def test_a_scalar_bound_that_is_not_finite_is_refused(xmin, xmax):
+    # an infinite span would reach Fraction(inf) in Scalar.distance at resolution
+    with pytest.raises(ValueError, match="finite"):
+        Scalar(xmin, xmax)
+
+
+def test_a_market_naming_a_decision_twice_is_refused():
+    """Two positions of one decision would make contradictory states, and
+    each repeat doubles the state count."""
+    sim = make_sim()
+    sim.peg_in("ann", 200 * COIN)
+    first = sim.add_decision("ann", "first", Binary(), 10).decision_id
+    second = sim.add_decision("ann", "second", Binary(), 10).decision_id
+    for ids in ([first, first], [first, second, first], [second] * 64):
+        with pytest.raises(ValueError, match="more than once"):
+            sim.add_market("ann", ids, b=1.0)
+    assert sim.markets == {}
+    assert sim.ledger.csh.get("ann") == 200 * COIN  # no liquidity was taken
+    assert len(sim.add_market("ann", [first, second], b=1.0).q) == 4
+
+
 def test_buy_then_sell_returns_the_stake_minus_rounding():
     sim = make_sim()
     sim.peg_in("ann", 100 * COIN)
