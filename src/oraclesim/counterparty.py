@@ -359,6 +359,9 @@ class MatchRecord(NamedTuple):
 
     @property
     def escrow(self) -> int:
+        """The stakes this match still holds: an invariant probe, which
+        `test_counterparty.py::test_indexed_fold_equals_a_scanning_fold_under_bet_heavy_traffic`
+        sums against `MetaState.escrowed`; the fold itself never reads it."""
         return self.yes_escrow + self.no_escrow if not self.settled else 0
 
 

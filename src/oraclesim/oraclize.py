@@ -214,10 +214,6 @@ class Settlement:
     proof_ok: bool | None
     verified_before_signing: bool
 
-    @property
-    def signed(self) -> bool:
-        return self.tx is not None
-
 
 def _settle(
     contract: ConditionalContract, key: KeyPair, fee: int, decision: Settlement

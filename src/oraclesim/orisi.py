@@ -224,10 +224,7 @@ class OrisiContract:
         """Accept a partial signature if it is the named oracle's valid
         signature over the draft's digest; anything else is ignored."""
         pub = self.oracle_pubs.get(oracle_id)
-        if pub is None or sig.signer_pub != pub:
-            return False
-        digest = sighash(self.draft(kind))
-        if not keys.verify(sig, pub, digest):
+        if pub is None or not keys.verify(sig, pub, sighash(self.draft(kind))):
             return False
         self.signatures[kind][oracle_id] = sig
         return True

@@ -109,25 +109,26 @@ class KeyRegistry:
 # Lock script templates.
 #
 # The script engine is a closed set of templates covering every construction
-# the protocol modules need: pay-to-key, M-of-N multisig (15-key cap), P2SH,
-# unspendable data carriers, height timelocks, and a two-branch disjunction
-# used for hash-committed contract redeems.  MultiSig carries an optional
-# 32-byte commitment — the "two signatures plus committed hash" template —
-# which is inert for spending (the committed hash is published for off-chain
-# checks, not enforced on-chain) but changes the script's identity and
-# standardness.
+# the protocol modules build: pay-to-key, M-of-N multisig (15-key cap), P2SH,
+# unspendable data carriers, and a two-branch disjunction of signature checks
+# used for hash-committed contract redeems.  An `Either` branch is a
+# `PayToKey` or a `MultiSig`, so no lock nests, and nothing that reads a lock
+# recurses past one level.  Time enters only through a transaction's
+# `locktime`, the one timelock of the 2013-14 chain.  MultiSig carries an
+# optional 32-byte commitment — the "two signatures plus committed hash"
+# template — which is inert for spending (the committed hash is published for
+# off-chain checks, not enforced on-chain) but changes the script's identity
+# and standardness.
 
 
 MAX_MULTISIG_KEYS = 15
-MAX_LOCK_DEPTH = 16  # nested TimeLocked/Either levels a lock may have
 
 # each template's tag byte, which both the encoder and the decoder read
 _TAG_PAY_TO_KEY = b"\x01"
 _TAG_MULTISIG = b"\x02"
 _TAG_SCRIPT_HASH = b"\x03"
 _TAG_DATA_CARRIER = b"\x04"
-_TAG_TIME_LOCKED = b"\x05"
-_TAG_EITHER = b"\x06"
+_TAG_EITHER = b"\x06"  # tag 5, a height timelock, is retired
 _ABSENT, _PRESENT = b"\x00", b"\x01"  # a presence flag
 
 
@@ -173,47 +174,36 @@ class DataCarrier:
     payload: bytes
 
 
-def _nest(lock, *inner) -> None:
-    """Record `lock` as one level above its deepest inner lock; ValueError
-    past MAX_LOCK_DEPTH levels, the limit the decoder enforces too."""
-    depth = 1 + max(getattr(i, "_depth", 0) for i in inner)
-    if depth > MAX_LOCK_DEPTH:
-        raise ValueError(f"lock script nested deeper than {MAX_LOCK_DEPTH} levels")
-    object.__setattr__(lock, "_depth", depth)
-
-
-@dataclass(frozen=True, slots=True)
-class TimeLocked:
-    inner: "LockScript"
-    unlock_height: int
-    _depth: int | None = field(default=None, init=False, repr=False, compare=False)  # set by _nest
-
-    def __post_init__(self) -> None:
-        _nest(self, self.inner)
-
-
 @dataclass(frozen=True, slots=True)
 class Either:
-    left: "LockScript"
-    right: "LockScript"
-    _depth: int | None = field(default=None, init=False, repr=False, compare=False)  # set by _nest
+    left: PayToKey | MultiSig
+    right: PayToKey | MultiSig
 
     def __post_init__(self) -> None:
-        _nest(self, self.left, self.right)
+        if not {type(self.left), type(self.right)} <= {PayToKey, MultiSig}:
+            raise ValueError("an Either branch must be a PayToKey or a MultiSig")
 
 
-LockScript = Union[PayToKey, MultiSig, ScriptHash, DataCarrier, TimeLocked, Either]
+LockScript = Union[PayToKey, MultiSig, ScriptHash, DataCarrier, Either]
 
 
 def lock_from_reader(r: Reader) -> LockScript:
-    """One lock script; ValueError past MAX_LOCK_DEPTH nested levels."""
-    return _lock_at_depth(r, 0)
-
-
-def _lock_at_depth(r: Reader, depth: int) -> LockScript:
-    if depth > MAX_LOCK_DEPTH:
-        raise ValueError(f"lock script nested deeper than {MAX_LOCK_DEPTH} levels")
+    """One lock script; an `Either`'s branches are read as signature checks,
+    so a nested tag is refused before anything is built under it."""
     tag = r.raw(1)
+    if tag == _TAG_SCRIPT_HASH:
+        return ScriptHash(h=r.raw(32))
+    if tag == _TAG_DATA_CARRIER:
+        return DataCarrier(payload=r.bytes())
+    if tag == _TAG_EITHER:
+        return Either(left=_signature_check(r, r.raw(1)), right=_signature_check(r, r.raw(1)))
+    if tag == _TAG_PAY_TO_KEY or tag == _TAG_MULTISIG:
+        return _signature_check(r, tag)
+    raise ValueError(f"unknown lock script tag {tag[0]}")
+
+
+def _signature_check(r: Reader, tag: bytes) -> PayToKey | MultiSig:
+    """The `PayToKey` or `MultiSig` lock after `tag`; ValueError on any other tag."""
     if tag == _TAG_PAY_TO_KEY:
         return PayToKey(pub=r.raw(32))
     if tag == _TAG_MULTISIG:
@@ -222,16 +212,7 @@ def _lock_at_depth(r: Reader, depth: int) -> LockScript:
         keys = tuple(r.raw(32) for _ in range(n))
         commitment = r.raw(32) if r.flag() else None
         return MultiSig(m=m, keys=keys, commitment=commitment)
-    if tag == _TAG_SCRIPT_HASH:
-        return ScriptHash(h=r.raw(32))
-    if tag == _TAG_DATA_CARRIER:
-        return DataCarrier(payload=r.bytes())
-    if tag == _TAG_TIME_LOCKED:
-        unlock_height = r.u64()
-        return TimeLocked(inner=_lock_at_depth(r, depth + 1), unlock_height=unlock_height)
-    if tag == _TAG_EITHER:
-        return Either(left=_lock_at_depth(r, depth + 1), right=_lock_at_depth(r, depth + 1))
-    raise ValueError(f"unknown lock script tag {tag[0]}")
+    raise ValueError(f"lock script tag {tag[0]} in an Either branch is not PayToKey or MultiSig")
 
 
 def serialize_lock(lock: LockScript) -> bytes:
@@ -248,8 +229,6 @@ def serialize_lock(lock: LockScript) -> bytes:
         return b"".join((head, *keys, _PRESENT, lock.commitment))
     if isinstance(lock, ScriptHash):
         return _TAG_SCRIPT_HASH + lock.h
-    if isinstance(lock, TimeLocked):
-        return _TAG_TIME_LOCKED + pack_u64(lock.unlock_height) + serialize_lock(lock.inner)
     if isinstance(lock, Either):
         return _TAG_EITHER + serialize_lock(lock.left) + serialize_lock(lock.right)
     raise TypeError(f"not a lock script: {lock!r}")
@@ -319,11 +298,11 @@ class InsufficientFundsError(ValueError):
 class Witness:
     signatures: tuple[Signature, ...] = ()
     redeem: LockScript | None = None
-    expr_preimage: bytes | None = None
 
 
 EMPTY_WITNESS = Witness()
-_BLANK_WITNESS = b"\x00\x00\x00\x00"  # EMPTY_WITNESS: no signatures, redeem or preimage
+_BLANK_WITNESS = b"\x00\x00\x00\x00"  # EMPTY_WITNESS: no signatures, no redeem, the reserved byte
+_RESERVED = b"\x00"  # a witness's last byte: always 00, and decoders refuse any other
 
 
 @dataclass(frozen=True, slots=True)
@@ -367,18 +346,16 @@ class Transaction:
 def _serialize_witness(wit: Witness) -> bytes:
     parts = [pack_u16(len(wit.signatures)), *map(serialize_signature, wit.signatures)]
     parts.append(_ABSENT if wit.redeem is None else _PRESENT + serialize_lock(wit.redeem))
-    if wit.expr_preimage is None:
-        parts.append(_ABSENT)
-    else:
-        parts += (_PRESENT, pack_bytes(wit.expr_preimage))
+    parts.append(_RESERVED)
     return b"".join(parts)
 
 
 def _witness_from_reader(r: Reader) -> Witness:
     sigs = tuple(signature_from_reader(r) for _ in range(r.u16()))
     redeem = lock_from_reader(r) if r.flag() else None
-    preimage = r.bytes() if r.flag() else None
-    return Witness(signatures=sigs, redeem=redeem, expr_preimage=preimage)
+    if r.u8():
+        raise ValueError("a witness's reserved byte must be 00")
+    return Witness(signatures=sigs, redeem=redeem)
 
 
 def serialize_tx(tx: Transaction) -> bytes:
@@ -587,6 +564,7 @@ class StandardnessDecision:
     reason: NonStandardReason | None = None
 
     def __bool__(self) -> bool:
+        # `perfbench/workloads.py` reads a decision as a truth value
         return self.standard
 
 
@@ -609,7 +587,7 @@ def classify(tx: Transaction, policy: StandardnessPolicy) -> StandardnessDecisio
                 return _NONSTANDARD[NonStandardReason.NON_TEMPLATE_OUTPUT]
         elif isinstance(lock, (PayToKey, ScriptHash)):
             pass
-        else:  # TimeLocked, Either
+        else:  # Either
             return _NONSTANDARD[NonStandardReason.NON_TEMPLATE_OUTPUT]
     for txin in tx.inputs:
         if len(txin.witness.signatures) > MAX_STANDARD_MULTISIG_KEYS:
@@ -646,6 +624,8 @@ class ValidationResult(NamedTuple):
     fee: int | None = None  # inputs minus outputs when ok
 
     def __bool__(self) -> bool:
+        # `perfbench/layertrace.py` counts `bool(result)` as the ok share of
+        # `validate_tx`; a named tuple without it would always be true
         return self.ok
 
 
@@ -656,13 +636,12 @@ def _satisfies(
     lock: LockScript,
     witness: Witness,
     digest: bytes,
-    height: int,
     keys: KeyRegistry,
 ) -> InvalidReason | None:
     """None when the witness satisfies the lock, else the failure reason."""
     if isinstance(lock, PayToKey):
         for sig in witness.signatures:
-            if sig.signer_pub == lock.pub and keys.verify(sig, lock.pub, digest):
+            if keys.verify(sig, lock.pub, digest):
                 return None
         return InvalidReason.BAD_WITNESS
     if isinstance(lock, MultiSig):
@@ -675,17 +654,13 @@ def _satisfies(
     if isinstance(lock, ScriptHash):
         if witness.redeem is None or script_digest(witness.redeem) != lock.h:
             return InvalidReason.BAD_WITNESS
-        return _satisfies(witness.redeem, witness, digest, height, keys)
+        return _satisfies(witness.redeem, witness, digest, keys)
     if isinstance(lock, DataCarrier):
         return InvalidReason.UNSPENDABLE_INPUT
-    if isinstance(lock, TimeLocked):
-        if height < lock.unlock_height:
-            return InvalidReason.PREMATURE
-        return _satisfies(lock.inner, witness, digest, height, keys)
     if isinstance(lock, Either):
-        if _satisfies(lock.left, witness, digest, height, keys) is None:
+        if _satisfies(lock.left, witness, digest, keys) is None:
             return None
-        if _satisfies(lock.right, witness, digest, height, keys) is None:
+        if _satisfies(lock.right, witness, digest, keys) is None:
             return None
         return InvalidReason.BAD_WITNESS
     raise TypeError(f"not a lock script: {lock!r}")
@@ -713,7 +688,7 @@ def validate_tx(
         source = utxo_set.get(txin.outpoint)
         if source is None:
             return _INVALID[InvalidReason.MISSING_INPUT]
-        failure = _satisfies(source.lock, txin.witness, digest, height, keys)
+        failure = _satisfies(source.lock, txin.witness, digest, keys)
         if failure is not None:
             return _INVALID[failure]
         total_in += source.value
@@ -758,9 +733,6 @@ class SubmitResult(NamedTuple):
     reason: str | None = None
     invalid_reason: InvalidReason | None = None
 
-    def __bool__(self) -> bool:
-        return self.accepted
-
 
 class RejectedError(ValueError):
     """A refused broadcast: "<what> rejected: <why>", <why> the `InvalidReason`
@@ -790,12 +762,6 @@ class Mempool:
         self.entries: dict[bytes, MempoolEntry] = {}  # by txid, in arrival order
         self._claimed: set[tuple[bytes, int]] = set()
         self._next_seq = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, tx_id: bytes) -> bool:
-        return tx_id in self.entries
 
     def submit(self, chain: SimChain, tx: Transaction) -> SubmitResult:
         tid = txid(tx)
@@ -1018,8 +984,8 @@ class SimChain:
 # - `mine_next` is the only caller of `SimChain._apply_block` after
 #   genesis, so only pool entries spend confirmed outputs, and they leave
 #   the pool with their block;
-# - keys are only ever added to the registry, and `locktime` and
-#   `TimeLocked` validity only grow with height.
+# - keys are only ever added to the registry, and `locktime` validity only
+#   grows with height.
 #
 # `tests/test_mempool_mining.py` checks every mined block of random
 # traffic by brute force.

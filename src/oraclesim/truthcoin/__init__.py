@@ -138,7 +138,9 @@ class Scalar:
         return abs(Fraction(report) - Fraction(outcome)) / span
 
     def payoff(self, outcome: float) -> float:
-        return (outcome - self.xmin) / (self.xmax - self.xmin)
+        # in Fraction, as `distance`: the float span overflows past the float range
+        span = Fraction(self.xmax) - Fraction(self.xmin)
+        return float((Fraction(outcome) - Fraction(self.xmin)) / span)
 
 
 DecisionKind = Binary | Scalar
@@ -498,7 +500,9 @@ class TruthcoinSim:
         return self.ledger.vtc_supply()
 
     def csh_supply(self) -> int:
-        """All CSH in existence: balances plus market collateral."""
+        """All CSH in existence: balances plus market collateral.  An invariant
+        probe for the books checks of `test_truthcoin.py`, `test_acceptance.py`
+        and `test_harness.py`; the simulator itself never reads it."""
         return sum(self.ledger.csh.values()) + sum(m.collateral for m in self.markets.values())
 
     # -------------------------------------------------------------- decisions

@@ -41,6 +41,7 @@ from oraclesim.counterparty import (
 from oraclesim.simchain import (
     Block,
     DataCarrier,
+    Either,
     InsufficientFundsError,
     KeyRegistry,
     Miner,
@@ -49,7 +50,6 @@ from oraclesim.simchain import (
     POLICY_TEST2013,
     POLICY_V090,
     SimChain,
-    TimeLocked,
     Transaction,
     TxInput,
     TxOutput,
@@ -108,7 +108,7 @@ def check_chain(chain, owners, stranger, reading):
         assert (moved._bytes, moved._txid, moved._sighash) == (None, None, None)
         derived = [moved]
         if tx.inputs:
-            rewitnessed = tx.with_witness(0, Witness(expr_preimage=b"other"))
+            rewitnessed = tx.with_witness(0, Witness(redeem=DataCarrier(b"other")))
             assert rewitnessed._sighash is tx._sighash is not None  # carried over
             derived.append(rewitnessed)
         for other in derived:
@@ -147,25 +147,25 @@ def test_block_hash_is_the_hash_of_the_block_layout():
     assert block_hash(block) != sha256(by_chars)
 
 
-def lock_for(kind: str, pub: bytes, height: int):
+def lock_for(kind: str, pub: bytes):
     if kind == "multisig":
         return MultiSig(m=1, keys=(pub,))
     if kind == "p2sh":
         return p2sh_lock(PayToKey(pub))
-    if kind == "timelock":
-        return TimeLocked(inner=PayToKey(pub), unlock_height=height + 2)
+    if kind == "either":
+        return Either(left=PayToKey(pub), right=PayToKey(pub[::-1]))
     return DataCarrier(b"memo")
 
 
 def unlock_tx(chain, pairs, pick: int, fee: int):
-    """Spend one multisig or time-locked coin back to its owner's key."""
+    """Spend one multisig or `Either` coin back to its owner's key."""
     spendable = []
     for op, out in sorted(chain.utxo.items(), key=lambda item: item[0]):
         lock = out.lock
         if isinstance(lock, MultiSig):
             spendable.append((op, out, lock.keys[0]))
-        elif isinstance(lock, TimeLocked) and chain.height + 1 >= lock.unlock_height:
-            spendable.append((op, out, lock.inner.pub))
+        elif isinstance(lock, Either):
+            spendable.append((op, out, lock.left.pub))
     if not spendable:
         return None
     op, out, pub = spendable[pick % len(spendable)]
@@ -185,7 +185,7 @@ ACTION = st.one_of(
     st.tuples(
         st.just("lock"),
         spender,
-        st.sampled_from(["multisig", "p2sh", "timelock", "carrier"]),
+        st.sampled_from(["multisig", "p2sh", "either", "carrier"]),
         st.integers(0, 20_000),
         st.integers(0, 300),
     ),
@@ -225,7 +225,7 @@ def test_owner_index_and_digests_match_brute_force(actions, coins, late):
             if kind == "pay":
                 lock, value, fee = PayToKey(owners[action[2]]), action[3], action[4]
             else:
-                lock, value, fee = lock_for(action[2], sender.pub, chain.height), action[3], action[4]
+                lock, value, fee = lock_for(action[2], sender.pub), action[3], action[4]
             try:
                 tx = build_payment(chain, sender, [TxOutput(value=value, lock=lock)], fee=fee)
             except InsufficientFundsError:
@@ -345,7 +345,7 @@ def test_an_owner_index_built_on_the_first_query_answers_as_one_kept_from_genesi
             if kind == "pay":
                 lock = PayToKey(owners[action[2]])
             else:
-                lock = lock_for(action[2], sender.pub, kept.height)
+                lock = lock_for(action[2], sender.pub)
             try:
                 tx = build_payment(kept, sender, [TxOutput(action[3], lock)], fee=action[4])
             except InsufficientFundsError:

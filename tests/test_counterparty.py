@@ -33,6 +33,7 @@ from oraclesim.counterparty import (
     R_BAD_SIDE,
     R_BALANCE,
     R_FEE_FRACTION,
+    R_NO_SOURCE,
     R_STALE,
     R_WRONG_BURN,
     R_ZERO_WAGER,
@@ -52,6 +53,7 @@ from oraclesim.counterparty import (
 )
 from oraclesim.datafeed import Comparator, compare
 from oraclesim.simchain import (
+    Block,
     DataCarrier,
     InsufficientFundsError,
     KeyRegistry,
@@ -63,8 +65,10 @@ from oraclesim.simchain import (
     Transaction,
     TxOutput,
     build_payment,
+    p2sh_lock,
     select_coins,
     serialize_tx,
+    spend,
     txid,
 )
 import test_formats as ref
@@ -447,6 +451,39 @@ def test_replay_is_deterministic():
     # digest is the hash of the canonical JSON document
     doc = json.dumps(state_to_json(replay(chain)), sort_keys=True, separators=(",", ":"))
     assert first == hashlib.sha256(doc.encode()).digest()
+
+
+
+def test_a_message_source_is_the_first_key_of_the_output_its_first_input_spends():
+    """A spent multisig names its first key.  A spent script hash names no
+    key, and a block the chain never mined may spend an outpoint the chain
+    does not know, which names nothing: both messages are logged invalid,
+    as `R_NO_SOURCE`."""
+    reg = KeyRegistry()
+    alice, bob = reg.keygen(b"alice"), reg.keygen(b"bob")
+    multisig = MultiSig(m=1, keys=(alice.pub, bob.pub))
+    genesis = [TxOutput(10**6, multisig), TxOutput(10**6, p2sh_lock(multisig))]
+    chain = SimChain(genesis=genesis, keys=reg)
+    genesis_id = txid(chain.blocks[0].txs[0])
+    message = Broadcast(timestamp=1, value=2, fee_fraction=0, text="t")
+
+    def carrying(outpoint, **witness):
+        payload = encode_message(message, outpoint[0])
+        return spend(outpoint, [carrier_output(payload, alice.pub)], alice, **witness)
+
+    from_multisig = carrying((genesis_id, 0))
+    from_script_hash = carrying((genesis_id, 1), redeem=multisig)
+    mine(chain, from_multisig, from_script_hash)
+    applied = {a.txid: (a.source, a.valid, a.reason) for a in replay(chain).log}
+    assert applied == {
+        txid(from_multisig): (addr(alice), True, None),
+        txid(from_script_hash): ("", False, R_NO_SOURCE),
+    }
+
+    stray = carrying((bytes(32), 0))
+    state = MetaState()
+    state.apply_block(chain, Block(chain.height + 1, "elsewhere", (stray,), chain.tip_hash))
+    assert [(a.source, a.valid, a.reason) for a in state.log] == [("", False, R_NO_SOURCE)]
 
 
 def test_same_block_order_is_consensus():

@@ -85,8 +85,6 @@ def lock_script(lock) -> bytes:
         return b"\x03" + lock.h
     if kind == "DataCarrier":
         return b"\x04" + struct.pack("<I", len(lock.payload)) + lock.payload
-    if kind == "TimeLocked":
-        return b"\x05" + struct.pack("<Q", lock.unlock_height) + lock_script(lock.inner)
     assert kind == "Either", kind
     return b"\x06" + lock_script(lock.left) + lock_script(lock.right)
 
@@ -97,9 +95,7 @@ def lock_script(lock) -> bytes:
 def witness(wit) -> bytes:
     out = struct.pack("<H", len(wit.signatures)) + b"".join(map(signature, wit.signatures))
     out += b"\x00" if wit.redeem is None else b"\x01" + lock_script(wit.redeem)
-    if wit.expr_preimage is None:
-        return out + b"\x00"
-    return out + b"\x01" + struct.pack("<I", len(wit.expr_preimage)) + wit.expr_preimage
+    return out + b"\x00"  # the reserved byte
 
 
 def transaction(tx, blank: bool = False) -> bytes:

@@ -30,7 +30,6 @@ from oraclesim.harness.cli import main
 from oraclesim.harness.events import Event, _encode, first_difference
 from oraclesim.simchain import (
     DataCarrier,
-    MAX_LOCK_DEPTH,
     Miner,
     PayToKey,
     Transaction,
@@ -840,7 +839,8 @@ def test_a_block_delay_counts_from_the_tick_a_tx_last_entered_the_pool():
     at(0, lambda: world.submit(first, "host"))
     at(1, world.mine, lambda: world.submit(second, "host"))
     at(2, world.mine)  # height 2: `first`, pooled at height 0, expires; `second` stays
-    assert txid(first) not in world.chain.mempool and txid(second) in world.chain.mempool
+    pool = world.chain.mempool.entries
+    assert txid(first) not in pool and txid(second) in pool
     at(4, lambda: world.submit(first, "host"))
     world.scenario = replace(world.scenario, miners=(Miner("lax", 1.0),))
     at(5, world.mine)
@@ -849,7 +849,7 @@ def test_a_block_delay_counts_from_the_tick_a_tx_last_entered_the_pool():
     assert [(e.tick, e.payload["txs"]) for e in blocks] == [(1, 0), (2, 0), (5, 2)]
     mined = [txid(tx) for tx in world.chain.blocks[-1].txs]
     assert dict(zip(mined, blocks[-1].payload["delays"])) == {txid(first): 1, txid(second): 4}
-    assert len(world.chain.mempool) == 0
+    assert len(world.chain.mempool.entries) == 0
 
 
 def test_tracked_balances_follow_a_ledger_every_tick():
@@ -881,6 +881,31 @@ def test_tracked_balances_follow_a_ledger_every_tick():
                             if isinstance(out.lock, PayToKey) and out.lock.pub == pub)
     assert recount == tracked[-1].payload["balances"]
 
+
+
+def test_balances_without_actors_logs_every_actor_in_name_order():
+    doc = _minimal(
+        actors=["carol", "alice", "bob"], actions=[{"tick": 0, "op": "balances"}],
+        genesis=[{"actor": "bob", "coins": 2, "value": 7}, {"actor": "carol", "coins": 1, "value": 5}],
+    )
+    [event] = run_scenario(doc).log.matching("host/balances")
+    assert list(event.payload["balances"].items()) == [("alice", 0), ("bob", 14), ("carol", 5)]
+
+
+def test_a_default_settlement_is_logged():
+    """The oracle of `oraclize_dead_oracle` reads no clean proof, so past the
+    contract's end it signs the default spend to alice, and the tick-12
+    refund finds the contract settled."""
+    doc = _mutated(
+        "oraclize_dead_oracle",
+        lambda d: d["actions"].insert(-1, {"tick": 6, "op": "oz_default", "id": "z1"}),
+    )
+    result = run_scenario(doc)
+    assert [(e.tick, e.payload) for e in result.log.matching("oz/default")] == [(6, {"id": "z1"})]
+    refused = [(e.tick, e.payload) for e in result.log.matching("run/refused")]
+    assert refused == [(12, {"op": "oz_refund", "reason": "AlreadySettledError"})]
+    settlement = result.world.oz_settlements["z1"]
+    assert settlement.kind == "default" and settlement.tx is not None
 
 # ---------------------------------------------------------------- metrics
 
@@ -1639,15 +1664,21 @@ def test_cli_classify_tx_era_split(capsys):
     assert doc["reason"] == "data_payload_too_large"
 
 
-def _tx_with_nested_lock(levels):
-    """A transaction whose one output is a pay-to-key inside `levels` time locks."""
-    head = struct.pack("<HHQ", 0, 1, 0)  # no inputs; one output of value 0
-    time_lock = b"\x05" + struct.pack("<Q", 0)  # TimeLocked tag, unlock height
-    pay_to_key = b"\x01" + bytes(32)  # tag, pub
-    return head + time_lock * levels + pay_to_key + struct.pack("<Q", 0)  # locktime
+_PAY_TO_KEY = b"\x01" + bytes(32)  # tag, pub
 
 
-# has_redeem is the byte after u16 n_inputs, the outpoint and u16 n_signatures
+def _tx_with_lock(lock: bytes) -> bytes:
+    """No inputs, then one output of value 0 under the lock bytes `lock`, and locktime 0."""
+    return struct.pack("<HHQ", 0, 1, 0) + lock + struct.pack("<Q", 0)
+
+
+def _nested_either(levels):
+    """`levels` Either tags, each the left branch of the one before, over pay-to-key leaves."""
+    return b"\x06" * levels + _PAY_TO_KEY * (levels + 1)
+
+
+# has_redeem is the byte after u16 n_inputs, the outpoint and u16 n_signatures;
+# the witness's reserved byte follows the 33-byte pay-to-key redeem script
 _WITH_INPUT = serialize_tx(
     Transaction(
         inputs=(TxInput((bytes(32), 0), Witness(redeem=PayToKey(bytes(32)))),),
@@ -1655,6 +1686,11 @@ _WITH_INPUT = serialize_tx(
     )
 )
 _HAS_REDEEM = 2 + 32 + 4 + 2
+_RESERVED = _HAS_REDEEM + 1 + 33
+# the witness re-encoded with a preimage, as the retired has_preimage flag wrote one
+_PREIMAGE_TWIN = (
+    _WITH_INPUT[:_RESERVED] + b"\x01" + struct.pack("<I", 1) + b"x" + _WITH_INPUT[_RESERVED + 1 :]
+)
 
 
 @pytest.mark.parametrize(
@@ -1667,10 +1703,17 @@ _HAS_REDEEM = 2 + 32 + 4 + 2
             (_WITH_INPUT[:_HAS_REDEEM] + b"\x02" + _WITH_INPUT[_HAS_REDEEM + 1 :]).hex(),
             "flag byte 2",
         ),
-        (_tx_with_nested_lock(MAX_LOCK_DEPTH + 1).hex(), "nested deeper than"),
-        (_tx_with_nested_lock(5000).hex(), "nested deeper than"),
+        (_tx_with_lock(b"\x05" + struct.pack("<Q", 0) + _PAY_TO_KEY).hex(), "lock script tag 5"),
+        (_tx_with_lock(b"\x06\x03" + bytes(32) + _PAY_TO_KEY).hex(), "in an Either branch"),
+        (_tx_with_lock(b"\x06" + _PAY_TO_KEY + b"\x04" + bytes(4)).hex(), "in an Either branch"),
+        (_tx_with_lock(_nested_either(2)).hex(), "in an Either branch"),
+        (_tx_with_lock(_nested_either(5000)).hex(), "in an Either branch"),
+        (_PREIMAGE_TWIN.hex(), "reserved byte"),
     ],
-    ids=["not_hex", "truncated", "trailing_byte", "flag_2", "nested", "nested_5000"],
+    ids=[
+        "not_hex", "truncated", "trailing_byte", "flag_2", "time_locked", "either_script_hash",
+        "either_data_carrier", "nested", "nested_5000", "preimage_twin",
+    ],
 )
 def test_cli_classify_tx_refuses_bytes_that_are_not_one_transaction(capsys, tx_hex, message):
     assert main(["classify-tx", tx_hex]) == 2

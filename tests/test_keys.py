@@ -1,6 +1,7 @@
 """Key derivation, signing, and registry-backed verification."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -16,11 +17,13 @@ from oraclesim.simchain import (
     Transaction,
     TxInput,
     TxOutput,
+    Witness,
     derive_pair,
     sighash,
     sign,
     sign_input,
     sign_payment,
+    txid,
 )
 
 import test_formats as ref
@@ -99,7 +102,7 @@ def test_a_key_pair_signs_with_its_pub_and_admission_checks_the_tag():
     # a derived pair signs as `sign` does from its secret alone
     for tx in (sign_input(unsigned, 0, alice), sign_payment(alice, [coin], pay, 0)):
         assert tx.inputs[0].witness.signatures == (sign(alice.secret, sighash(unsigned)),)
-        assert chain.validate(tx)
+        assert chain.validate(tx).ok
 
     # a pair whose pub is not sha256(secret) signs as alice, and is refused
     forged = KeyPair(secret=bob.secret, pub=alice.pub)
@@ -108,6 +111,26 @@ def test_a_key_pair_signs_with_its_pub_and_admission_checks_the_tag():
         verdict = chain.submit(tx)
         assert (verdict.accepted, verdict.invalid_reason) == (False, InvalidReason.BAD_WITNESS)
 
+
+
+def test_verify_is_the_one_signer_check():
+    """Alice's tag relabelled with another signer pub is refused by `verify`,
+    and so by a pay-to-key spend, which checks the signer nowhere else: the
+    relabelled witness would be a twin of the payment with another txid."""
+    reg = KeyRegistry()
+    alice, bob = reg.keygen(b"alice"), reg.keygen(b"bob")
+    chain = SimChain(genesis=[TxOutput(1_000, PayToKey(alice.pub))], keys=reg)
+    [(coin, _)] = chain.utxos_for(alice.pub)
+    pay = (TxOutput(900, PayToKey(bob.pub)),)
+    signed = sign_input(Transaction((TxInput(coin),), pay), 0, alice)
+    [sig] = signed.inputs[0].witness.signatures
+    for label in (bob.pub, bytes(32)):
+        relabelled = replace(sig, signer_pub=label)
+        assert not reg.verify(relabelled, alice.pub, sig.digest_signed)
+        twin = signed.with_witness(0, Witness((relabelled,)))
+        assert txid(twin) != txid(signed)
+        assert chain.submit(twin).invalid_reason is InvalidReason.BAD_WITNESS
+    assert chain.submit(signed).accepted
 
 # the empty secret is an example, not a draw: under -bb, hypothesis's cache may
 # compare a drawn b"" with 0 (see ROADMAP, "-bb and hypothesis")

@@ -13,6 +13,7 @@ from oraclesim.simchain import (
     REASON_INVALID,
     BadWitnessError,
     DataCarrier,
+    Either,
     InsufficientFundsError,
     InvalidReason,
     KeyRegistry,
@@ -24,7 +25,6 @@ from oraclesim.simchain import (
     RejectedError,
     SimChain,
     SubmitResult,
-    TimeLocked,
     Transaction,
     TxInput,
     TxOutput,
@@ -78,10 +78,10 @@ def test_admission_shares_verdicts_and_keeps_immutable_records():
     chain, alice, bob = make_chain(coins=1)
     tx = pay(chain, alice, bob.pub, 1_000, fee=250)
     verdict = chain.validate(tx)
-    assert (bool(verdict), verdict.reason, verdict.fee) == (True, None, 250)
+    assert (verdict.ok, verdict.reason, verdict.fee) == (True, None, 250)
     empty = Transaction(inputs=(), outputs=())
     assert validate_tx(empty, chain.utxo, 1, chain.keys) is chain.validate(empty)
-    assert not chain.validate(empty) and chain.validate(empty).fee is None
+    assert not chain.validate(empty).ok and chain.validate(empty).fee is None
     other = pay(chain, bob, alice.pub, 5)
     assert classify(tx, POLICY_TEST2013) is classify(other, POLICY_TEST2013)
     assert classify(nonstandard_pay(chain, alice, 0), POLICY_TEST2013) is classify(
@@ -89,7 +89,7 @@ def test_admission_shares_verdicts_and_keeps_immutable_records():
     )
 
     accepted, duplicate = chain.submit(tx), chain.submit(tx)
-    assert (bool(accepted), bool(duplicate)) == (True, False)
+    assert (accepted.accepted, duplicate.accepted) == (True, False)
     entry = chain.mempool.entries[accepted.txid]
     assert (entry.fee, entry.rank) == (250, (-250 / entry.size, 0))
     for record, field in (
@@ -135,7 +135,7 @@ def test_broadcast_names_why_the_chain_refused():
     refuse(sign_input(spend, 0, alice), "bad_witness")  # bob's coin, alice's signature
     late = Transaction(spend.inputs, spend.outputs, locktime=chain.height + 5)
     refuse(sign_input(late, 0, bob), "premature")
-    assert len(chain.mempool) == 0
+    assert len(chain.mempool.entries) == 0
 
 
 def test_input_less_tx_is_refused_so_no_txid_is_mined_twice():
@@ -159,7 +159,7 @@ def test_mining_moves_value_and_burns_fees():
     assert block.parent == block_hash(chain.blocks[0])
     assert chain.balance(bob.pub) == bob_before + 7_000
     assert chain.supply() == supply_before - 250
-    assert len(chain.mempool) == 0
+    assert len(chain.mempool.entries) == 0
 
 
 def test_winner_frequencies_track_hashrate():
@@ -182,10 +182,10 @@ def test_compliant_miners_skip_nonstandard():
     for _ in range(20):
         block = chain.mine_next(compliant_only, Random(9))
         assert block.txs == ()
-    assert res.txid in chain.mempool
+    assert res.txid in chain.mempool.entries
 
     block = chain.mine_next([Miner("loose", 1.0)], Random(9))
-    assert [t for t in block.txs] and res.txid not in chain.mempool
+    assert [t for t in block.txs] and res.txid not in chain.mempool.entries
 
 
 def test_mempool_expiry_drops_stale_txs():
@@ -211,7 +211,7 @@ def test_mempool_expiry_drops_stale_txs():
         assert set(chain.mempool.entries) == {
             tid for tid, arrival in arrived.items() if chain.height - arrival < 5
         }
-        pools.append(len(chain.mempool))
+        pools.append(len(chain.mempool.entries))
     assert pools == [4, 2, 1, 1, 0, 0]  # at heights 4..9
 
 
@@ -236,7 +236,7 @@ def test_block_size_budget_limits_inclusion():
     tiny = [Miner("tiny", 1.0, block_size_budget=entry_size)]
     block = chain.mine_next(tiny, Random(5))
     assert len(block.txs) == 1
-    assert second.txid in chain.mempool
+    assert second.txid in chain.mempool.entries
 
 
 def test_mining_requires_miners_and_unit_hashrate():
@@ -265,7 +265,7 @@ def test_nonstandard_inclusion_waits_for_minority_miner():
     res = chain.submit(nonstandard_pay(chain, alice, 0))
     rng = Random(31)
     delay = 0
-    while res.txid in chain.mempool:
+    while res.txid in chain.mempool.entries:
         block = chain.mine_next(ALL_COMPLIANT, rng)
         delay += 1
         assert delay < 200
@@ -303,7 +303,7 @@ def reference_validate(tx, utxo_set, height, keys):
         source = utxo_set.get(txin.outpoint)
         if source is None:
             return ValidationResult(False, InvalidReason.MISSING_INPUT)
-        failure = _satisfies(source.lock, txin.witness, digest, height, keys)
+        failure = _satisfies(source.lock, txin.witness, digest, keys)
         if failure is not None:
             return ValidationResult(False, failure)
         total_in += source.value
@@ -325,7 +325,7 @@ def reference_admission(chain, tx):
         if txin.outpoint in pool._claimed:
             return SubmitResult(tid, False, reason=REASON_CONFLICT), None
     verdict = reference_validate(tx, chain.utxo, chain.height + 1, chain.keys)
-    if not verdict:
+    if not verdict.ok:
         return SubmitResult(tid, False, reason=REASON_INVALID, invalid_reason=verdict.reason), None
     decision = classify(tx, chain.policy)
     fee, size, seq = verdict.fee, tx_size(tx), pool._next_seq
@@ -336,8 +336,9 @@ def reference_admission(chain, tx):
 class RelayTraffic(RuleBasedStateMachine):
     """Random relay traffic, mined with no validation at mining time.
 
-    Payments (some time-locked, some nonstandard), rival spends of one coin,
-    transactions naming a coin twice, premature unlocks, overspends and
+    Payments (some with a future locktime, some nonstandard, some into a
+    two-key `Either`), spends of those `Either` coins, rival spends of one
+    coin, transactions naming a coin twice, overspends and
     re-sent confirmed transactions go through `submit`, each admission
     checked against `reference_admission`; mining by strict, loose, mixed
     and small-budget miners confirms some and lets the rest expire.  Every
@@ -357,10 +358,6 @@ class RelayTraffic(RuleBasedStateMachine):
             for pair in self.pairs
             for _ in range(3)
         ]
-        genesis += [
-            TxOutput(value=9_000, lock=TimeLocked(inner=PayToKey(pair.pub), unlock_height=3))
-            for pair in self.pairs
-        ]
         self.chain = SimChain(policy=POLICY_TEST2013, genesis=genesis, keys=reg)
         self.chain.mempool.expiry_blocks = 4
         self.arrived = {}  # txid -> (height, order) of its latest accepted submit
@@ -370,12 +367,12 @@ class RelayTraffic(RuleBasedStateMachine):
         """Submit `tx`, checking the result and the new entry, field by field,
         against the reference admission."""
         expected, entry = reference_admission(self.chain, tx)
-        depth = len(self.chain.mempool)
+        depth = len(self.chain.mempool.entries)
         result = self.chain.submit(tx)
         assert type(result) is SubmitResult
         assert result._asdict() == expected._asdict()
         if entry is None:
-            assert len(self.chain.mempool) == depth
+            assert len(self.chain.mempool.entries) == depth
             return
         kept = self.chain.mempool.entries[result.txid]
         assert type(kept) is MempoolEntry
@@ -421,21 +418,21 @@ class RelayTraffic(RuleBasedStateMachine):
             outputs.append(TxOutput(gathered - value - fee, change))
         self.submit(self.signed(sender, coins, outputs, locktime=self.chain.height + delay))
 
-    @rule(sender=owner_index, unlock_in=st.integers(0, 4), value=st.integers(0, 15_000))
-    def lock(self, sender, unlock_in, value):
-        inner = PayToKey(self.pairs[sender].pub)
-        lock = TimeLocked(inner=inner, unlock_height=self.chain.height + unlock_in)
+    @rule(sender=owner_index, other=owner_index, value=st.integers(0, 15_000))
+    def lock(self, sender, other, value):
+        lock = Either(PayToKey(self.pairs[sender].pub), PayToKey(self.pairs[other].pub))
         self.pay_to(sender, lock, value, fee=100)
 
-    @rule(pick=st.integers(0, 50), fee=st.integers(0, 500))
-    def unlock(self, pick, fee):
+    @rule(pick=st.integers(0, 50), right=st.booleans(), fee=st.integers(0, 500))
+    def unlock(self, pick, right, fee):
+        """Spend an `Either` coin, signed by the owner of one branch."""
         locked = sorted(
-            (op, out) for op, out in self.chain.utxo.items() if isinstance(out.lock, TimeLocked)
+            (op, out) for op, out in self.chain.utxo.items() if isinstance(out.lock, Either)
         )
         if not locked:
             return
         op, out = locked[pick % len(locked)]
-        owner = self.owner_of[out.lock.inner.pub]
+        owner = self.owner_of[(out.lock.right if right else out.lock.left).pub]
         unsigned = Transaction(
             inputs=(TxInput(outpoint=op),),
             outputs=(TxOutput(value=max(out.value - fee, 0), lock=PayToKey(owner.pub)),),
@@ -497,10 +494,10 @@ class RelayTraffic(RuleBasedStateMachine):
 
         mined = {txid(tx) for tx in block.txs}
         for tx in pool:
-            if txid(tx) not in mined and txid(tx) not in self.chain.mempool:
+            if txid(tx) not in mined and txid(tx) not in self.chain.mempool.entries:
                 assert block.height - self.arrived[txid(tx)][0] >= self.chain.mempool.expiry_blocks
         for tx in block.txs:
-            assert validate_tx(tx, view, block.height, self.chain.keys), tx
+            assert validate_tx(tx, view, block.height, self.chain.keys).ok, tx
             for txin in tx.inputs:
                 del view[txin.outpoint]
             for index, out in enumerate(tx.outputs):
@@ -510,7 +507,7 @@ class RelayTraffic(RuleBasedStateMachine):
     @invariant()
     def pool_entries_are_valid_at_the_next_height(self):
         for entry in self.chain.mempool.entries.values():
-            assert self.chain.validate(entry.tx), entry
+            assert self.chain.validate(entry.tx).ok, entry
 
     @invariant()
     def pool_fees_are_inputs_minus_outputs(self):

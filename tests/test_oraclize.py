@@ -369,7 +369,7 @@ def test_tampered_proof_with_shield_on_blocks_signature():
     assert contract.state is ContractState.ACTIVE  # no signature happened
     [record] = oracle.audit
     assert record.kind == "refused"
-    assert record.signed is False
+    assert record.tx is None
     assert record.proof_ok is False
 
     oracle.proof_hook = None  # data path is clean again: next tick settles
@@ -386,10 +386,10 @@ def test_co_signing_a_refusal_is_refused_and_broadcasts_nothing():
     )
     with pytest.raises(ProofInvalidError):
         oracle.poll(contract, T0 + HOUR)
-    pooled = len(chain.mempool)
+    pooled = len(chain.mempool.entries)
     with pytest.raises(ProofInvalidError, match="refused to sign"):
         co_sign_and_broadcast(chain, oracle.audit[0], bob)
-    assert len(chain.mempool) == pooled
+    assert len(chain.mempool.entries) == pooled
     assert contract.state is ContractState.ACTIVE
 
 
@@ -404,7 +404,7 @@ def test_tampered_proof_with_shield_off_signs_and_flags():
     assert settlement.proof_ok is False
     assert settlement.verified_before_signing is False
     [record] = oracle.audit
-    assert record.signed is True and record.proof_ok is False
+    assert record.tx is not None and record.proof_ok is False
     # the flawed settlement still spends: auditability, not prevention
     co_sign_and_broadcast(chain, settlement, bob)
 
@@ -651,11 +651,11 @@ def test_poll_records_a_condition_audit_row():
             refusals = list(oracle.audit)
             (refused,) = refusals
             assert refused.kind == "refused" and refused.time == T0 + HOUR
-            assert refused.tx is None and not refused.signed
+            assert refused.tx is None
         returned = oracle.poll(contract, T0 + (1 + refused_first) * HOUR)
         assert oracle.audit == [*refusals, returned]
         record = oracle.audit[-1]
         assert record is returned
         assert record.kind == "condition"
         assert record.contract_id == contract.contract_id
-        assert record.signed and record.proof_ok
+        assert record.tx is not None and record.proof_ok

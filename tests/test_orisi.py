@@ -1,6 +1,7 @@
 """Safe-parameter arithmetic, the PoW bus, and the multi-oracle settlement."""
 
 import itertools
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -354,6 +355,13 @@ def test_bus_garbage_and_spam_never_become_signatures():
     bus.post(mint_message(payload))
     assert contract.apply_bus(bus, chain.keys) == 0
 
+    # node 0's own tag under another signer pub: `KeyRegistry.verify` is the
+    # one signer check, and the slot does not check the signer again
+    oracle_id = nodes[0].oracle_id
+    relabelled = replace(sig, signer_pub=nodes[1].keypair.pub)
+    assert not contract.record_signature(DraftKind.UNLOCK, oracle_id, relabelled, chain.keys)
+    assert contract.record_signature(DraftKind.UNLOCK, oracle_id, sig, chain.keys)
+
 
 def _bus_refuses_or_round_trips(payload: bytes) -> None:
     try:
@@ -468,7 +476,7 @@ def test_a_refused_settlement_is_a_bad_witness_only_when_the_witness_is_bad():
     with pytest.raises(RejectedError, match="^settlement rejected: duplicate$") as raised:
         finalize(chain, contract, agents)
     assert not isinstance(raised.value, BadWitnessError)
-    assert len(chain.mempool) == 1
+    assert len(chain.mempool.entries) == 1
 
 
 def test_all_oracles_together_cannot_steal():
@@ -481,7 +489,7 @@ def test_all_oracles_together_cannot_steal():
     sigs = tuple(sign(node.keypair.secret, digest) for node in nodes)
     theft = theft.with_witness(0, Witness(signatures=sigs))
     verdict = chain.validate(theft)
-    assert not verdict and verdict.reason is InvalidReason.BAD_WITNESS
+    assert not verdict.ok and verdict.reason is InvalidReason.BAD_WITNESS
 
 
 def test_any_m_subset_plus_agents_reaches_threshold():
@@ -492,11 +500,11 @@ def test_any_m_subset_plus_agents_reaches_threshold():
     for subset in itertools.combinations(nodes, 3):
         sigs = tuple(sign(node.keypair.secret, digest) for node in subset) + agent_sigs
         candidate = draft.with_witness(0, Witness(signatures=sigs))
-        assert chain.validate(candidate), [n.oracle_id for n in subset]
+        assert chain.validate(candidate).ok, [n.oracle_id for n in subset]
     for subset in itertools.combinations(nodes, 2):
         sigs = tuple(sign(node.keypair.secret, digest) for node in subset) + agent_sigs
         candidate = draft.with_witness(0, Witness(signatures=sigs))
-        assert not chain.validate(candidate)
+        assert not chain.validate(candidate).ok
 
 
 def test_at_most_one_draft_settles():
@@ -513,7 +521,7 @@ def test_at_most_one_draft_settles():
     sigs += tuple(sign(p.secret, digest) for p in agents)
     candidate = contract.refund_tx.with_witness(0, Witness(signatures=sigs))
     verdict = chain.validate(candidate)
-    assert not verdict and verdict.reason is InvalidReason.MISSING_INPUT
+    assert not verdict.ok and verdict.reason is InvalidReason.MISSING_INPUT
 
 
 def test_finalize_requires_active_state():

@@ -16,7 +16,6 @@ from oraclesim.simchain import (
     PayToKey,
     POLICY_TEST2013,
     POLICY_V090,
-    TimeLocked,
     Transaction,
     TxInput,
     TxOutput,
@@ -65,10 +64,10 @@ def test_committed_multisig_is_non_template():
     assert decision.reason is NonStandardReason.NON_TEMPLATE_OUTPUT
 
 
-def test_bare_timelock_and_disjunction_are_non_template():
+def test_bare_disjunction_is_non_template():
     for lock in (
-        TimeLocked(inner=PayToKey(PUB), unlock_height=10),
         Either(left=PayToKey(PUB), right=PayToKey(PUB[::-1])),
+        Either(left=MultiSig(m=1, keys=(PUB,)), right=PayToKey(PUB)),
     ):
         decision = classify(tx_with_output(lock), POLICY_TEST2013)
         assert decision.reason is NonStandardReason.NON_TEMPLATE_OUTPUT
@@ -144,8 +143,8 @@ def test_nonstandard_tx_still_validates():
     utxo = {(SOURCE, 0): TxOutput(value=5, lock=PayToKey(alice.pub))}
     tx = Transaction(
         inputs=(TxInput(outpoint=(SOURCE, 0)),),
-        outputs=(TxOutput(value=5, lock=TimeLocked(inner=PayToKey(alice.pub), unlock_height=9)),),
+        outputs=(TxOutput(value=5, lock=Either(PayToKey(alice.pub), PayToKey(PUB))),),
     )
     tx = tx.with_witness(0, Witness(signatures=(sign(alice.secret, sighash(tx)),)))
     assert not classify(tx, POLICY_V090).standard
-    assert validate_tx(tx, utxo, height=1, keys=reg)
+    assert validate_tx(tx, utxo, height=1, keys=reg).ok

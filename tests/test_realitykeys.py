@@ -306,7 +306,7 @@ def test_demo_p2sh_unspendable_before_key_release(demo_env):
     for sigs in witness_options:
         candidate = attempt.with_witness(0, Witness(signatures=sigs, redeem=contract.redeem))
         verdict = chain.validate(candidate)
-        assert not verdict and verdict.reason is InvalidReason.BAD_WITNESS
+        assert not verdict.ok and verdict.reason is InvalidReason.BAD_WITNESS
 
 
 def test_demo_claim_branch_matrix(demo_env):
@@ -321,7 +321,7 @@ def test_demo_claim_branch_matrix(demo_env):
     with pytest.raises(WrongBranchError):
         demo_claim(chain, registry, contract, bob, bob.pub)
     spend = demo_claim(chain, registry, contract, alice, alice.pub)
-    assert chain.validate(spend)
+    assert chain.validate(spend).ok
 
 
 def test_demo_claim_no_branch_for_bob():

@@ -19,7 +19,6 @@ from oraclesim.simchain import (
     InsufficientFundsError,
     KeyPair,
     KeyRegistry,
-    MAX_LOCK_DEPTH,
     Miner,
     MultiSig,
     PayToKey,
@@ -27,7 +26,6 @@ from oraclesim.simchain import (
     ScriptHash,
     Signature,
     SimChain,
-    TimeLocked,
     Transaction,
     TxInput,
     TxOutput,
@@ -76,8 +74,8 @@ def sample_locks():
         p2sh_lock(multisig),
         DataCarrier(b""),
         DataCarrier(b"hello world"),
-        TimeLocked(inner=PayToKey(PUB_B), unlock_height=144),
-        Either(left=PayToKey(PUB_A), right=TimeLocked(inner=PayToKey(PUB_B), unlock_height=7)),
+        Either(left=PayToKey(PUB_A), right=PayToKey(PUB_B)),
+        Either(left=multisig, right=PayToKey(PUB_C)),
         p2sh_lock(Either(left=multisig, right=PayToKey(PUB_C))),
     ]
 
@@ -168,7 +166,7 @@ def test_minimal_tx_bytes_match_hand_packed_layout():
             struct.pack("<I", 3),  # output index
             struct.pack("<H", 0),  # witness: no signatures
             b"\x00",  # witness: no redeem script
-            b"\x00",  # witness: no preimage
+            b"\x00",  # witness: the reserved byte
             struct.pack("<H", 1),  # output count
             struct.pack("<Q", 5000),  # value
             b"\x01",  # pay-to-key tag
@@ -206,7 +204,7 @@ def test_records_are_slotted_and_their_memos_are_invisible():
     records += sample_locks()
     assert {type(r) for r in records} == {
         KeyPair, Signature, Transaction, TxInput, Witness, TxOutput, Block,
-        PayToKey, MultiSig, ScriptHash, DataCarrier, TimeLocked, Either,
+        PayToKey, MultiSig, ScriptHash, DataCarrier, Either,
     }
     for record in records:
         assert "__slots__" in vars(type(record)) and not hasattr(record, "__dict__")
@@ -221,12 +219,10 @@ def test_records_are_slotted_and_their_memos_are_invisible():
         assert memoised == fresh and hash(memoised) == hash(fresh)
         assert repr(memoised) == repr(fresh)
     assert "_txid" not in repr(tx)
-    deep = Either(left=PayToKey(PUB_A), right=TimeLocked(inner=PayToKey(PUB_B), unlock_height=7))
-    assert deep._depth == 2 and "_depth" not in repr(deep)
     # the memos are the only fields left out of __init__, and what fields() adds
     assert [f.name for f in fields(Transaction) if not f.init] == ["_bytes", "_txid", "_sighash"]
     assert [f.name for f in fields(Block) if not f.init] == []
-    assert [f.name for f in fields(Either) if not f.init] == ["_depth"]
+    assert [f.name for f in fields(Either) if not f.init] == []
 
 
 def test_cosigning_preserves_existing_signatures():
@@ -268,7 +264,7 @@ def test_tx_round_trips_with_rich_witness():
         ),
         locktime=42,
     )
-    tx = sign_input(tx, 0, alice, redeem=redeem, expr_preimage=b"if this then that")
+    tx = sign_input(tx, 0, alice, redeem=redeem)
     assert deserialize_tx(serialize_tx(tx)) == tx
 
 
@@ -317,10 +313,6 @@ PRESENCE_FLAGS = {
         serialize_tx, deserialize_tx,
         _flag_tx(), _flag_tx(redeem=PayToKey(PUB_C)), 2 + 32 + 4 + 2,
     ),
-    "has_preimage": (
-        serialize_tx, deserialize_tx,
-        _flag_tx(), _flag_tx(expr_preimage=b"preimage"), 2 + 32 + 4 + 2 + 1,
-    ),
     "has_commitment": (
         serialize_lock, deserialize_lock,
         MultiSig(m=1, keys=(PUB_A,)), MultiSig(m=1, keys=(PUB_A,), commitment=PUB_B),
@@ -343,7 +335,8 @@ def test_presence_flags_are_exactly_0_or_1(flag):
 
 
 def _nested_lock_bytes(levels, tag):
-    """A PayToKey inside `levels` TimeLocked (tag 5) or left-nested Either (tag 6) locks."""
+    """A PayToKey inside `levels` locks of tag 5, the retired height timelock,
+    or inside `levels` left-nested Either (tag 6) locks."""
     if tag == 5:
         # each level's tag and unlock height, then the inner lock
         return (b"\x05" + struct.pack("<Q", 0)) * levels + b"\x01" + PUB_A
@@ -356,47 +349,69 @@ def _tx_with_one_output(lock: bytes) -> bytes:
     return struct.pack("<HHQ", 0, 1, 0) + lock + struct.pack("<Q", 0)
 
 
-@pytest.mark.parametrize("tag", [5, 6], ids=["time_locked", "either"])
-def test_decoders_refuse_locks_nested_past_the_limit(tag):
-    at_limit = _nested_lock_bytes(MAX_LOCK_DEPTH, tag)
-    assert serialize_lock(deserialize_lock(at_limit)) == at_limit
-    as_output = _tx_with_one_output(at_limit)
-    assert serialize_tx(deserialize_tx(as_output)) == as_output
-    for levels in (MAX_LOCK_DEPTH + 1, 5000):
-        data = _nested_lock_bytes(levels, tag)
-        with pytest.raises(ValueError, match="nested deeper than"):
-            deserialize_lock(data)
-        with pytest.raises(ValueError, match="nested deeper than"):
-            deserialize_tx(_tx_with_one_output(data))
-    redeem = _nested_lock_bytes(MAX_LOCK_DEPTH + 1, tag)
-    # one input whose witness carries the over-deep lock as its redeem script, no outputs
-    spend = (
+def _tx_redeeming(redeem: bytes) -> bytes:
+    """One input whose witness carries `redeem` as its redeem script, and no outputs."""
+    return (
         struct.pack("<H", 1) + PUB_A + struct.pack("<IH", 0, 0) + b"\x01" + redeem + b"\x00"
         + struct.pack("<HQ", 0, 0)
     )
-    with pytest.raises(ValueError, match="nested deeper than"):
-        deserialize_tx(spend)
+
+
+# An Either holds one level of signature checks, and tag 5 is no lock: the
+# decoder refuses a nested tag where it reads it, before it reads on, so
+# 5,000 levels are refused as fast as 2.
+@pytest.mark.parametrize(
+    "tag, limit, message",
+    [(5, 0, "unknown lock script tag 5"), (6, 1, "tag 6 in an Either branch")],
+    ids=["time_locked", "either"],
+)
+def test_decoders_refuse_locks_nested_past_the_limit(tag, limit, message):
+    if limit:
+        at_limit = _nested_lock_bytes(limit, tag)
+        assert serialize_lock(deserialize_lock(at_limit)) == at_limit
+        for data in (_tx_with_one_output(at_limit), _tx_redeeming(at_limit)):
+            assert serialize_tx(deserialize_tx(data)) == data
+    for levels in (limit + 1, 2, 5000):
+        data = _nested_lock_bytes(levels, tag)
+        with pytest.raises(ValueError, match=message):
+            deserialize_lock(data)
+        with pytest.raises(ValueError, match=message):
+            deserialize_tx(_tx_with_one_output(data))
+        with pytest.raises(ValueError, match=message):
+            deserialize_tx(_tx_redeeming(data))
+
+
+@pytest.mark.parametrize(
+    "branch",
+    [b"\x03" + PUB_C, b"\x04" + struct.pack("<I", 1) + b"x", b"\x00", b"\x07"],
+    ids=["script_hash", "data_carrier", "tag_0", "tag_7"],
+)
+def test_decoders_refuse_an_either_branch_that_is_no_signature_check(branch):
+    leaf = b"\x01" + PUB_A
+    for lock in (b"\x06" + branch + leaf, b"\x06" + leaf + branch):
+        with pytest.raises(ValueError, match="in an Either branch is not PayToKey or MultiSig"):
+            deserialize_lock(lock)
+        with pytest.raises(ValueError, match="in an Either branch is not PayToKey or MultiSig"):
+            deserialize_tx(_tx_with_one_output(lock))
 
 
 @pytest.mark.parametrize(
     "wrap",
     [
-        lambda lock: TimeLocked(inner=lock, unlock_height=0),
         lambda lock: Either(left=lock, right=PayToKey(PUB_B)),
-        lambda lock: Either(left=PayToKey(PUB_B), right=lock),
+        lambda lock: Either(left=MultiSig(m=1, keys=(PUB_B,)), right=lock),
     ],
-    ids=["time_locked", "either_left", "either_right"],
+    ids=["either_left", "either_right"],
 )
 def test_locks_refuse_construction_past_the_limit(wrap):
-    lock = PayToKey(PUB_A)
-    for _ in range(MAX_LOCK_DEPTH):
-        lock = wrap(lock)
-    assert deserialize_lock(serialize_lock(lock)) == lock
-    assert lock._depth == MAX_LOCK_DEPTH
-    tx = Transaction(inputs=(), outputs=(TxOutput(value=0, lock=lock),))
-    assert deserialize_tx(serialize_tx(tx)) == tx
-    with pytest.raises(ValueError, match="nested deeper than"):
-        wrap(lock)
+    for check in (PayToKey(PUB_A), MultiSig(m=1, keys=(PUB_A, PUB_C), commitment=PUB_B)):
+        lock = wrap(check)
+        assert deserialize_lock(serialize_lock(lock)) == lock
+        tx = Transaction(inputs=(), outputs=(TxOutput(value=0, lock=lock),))
+        assert deserialize_tx(serialize_tx(tx)) == tx
+        for branch in (lock, p2sh_lock(check), DataCarrier(b"x")):
+            with pytest.raises(ValueError, match="must be a PayToKey or a MultiSig"):
+                wrap(branch)
 
 
 @pytest.fixture
@@ -415,6 +430,25 @@ def funded_chain():
     return chain, alice, bob
 
 
+def test_a_witness_reserved_byte_is_only_0(funded_chain):
+    chain, alice, bob = funded_chain
+    paid = build_payment(chain, alice, [TxOutput(value=1_000, lock=PayToKey(bob.pub))], fee=10)
+    data = serialize_tx(paid)
+    # after u16 n_inputs, the first outpoint, u16 n_signatures, one
+    # signature and the has_redeem flag
+    at = 2 + 32 + 4 + 2 + 96 + 1
+    assert (data[at - 1], data[at]) == (0, 0) and deserialize_tx(data) == paid
+    # the preimage twin: the signed payment re-encoded with a preimage after
+    # a flag of 1, a second valid encoding with another txid where a
+    # preimage was read
+    head, rest = data[:at], data[at + 1 :]
+    twin = head + b"\x01" + struct.pack("<I", 8) + b"preimage" + rest
+    for edited in (twin, head + b"\x01" + rest, head + b"\xff" + rest):
+        with pytest.raises(ValueError, match="reserved byte must be 00"):
+            deserialize_tx(edited)
+    assert chain.submit(deserialize_tx(data)).accepted
+
+
 def test_build_payment_selects_coins_and_returns_change(funded_chain):
     chain, alice, bob = funded_chain
     tx = build_payment(chain, alice, [TxOutput(value=35_000, lock=PayToKey(bob.pub))], fee=100)
@@ -423,7 +457,7 @@ def test_build_payment_selects_coins_and_returns_change(funded_chain):
     change = [o for o in tx.outputs if isinstance(o.lock, PayToKey) and o.lock.pub == alice.pub]
     assert total_in - sum(o.value for o in tx.outputs) == 100
     assert change and change[0].value == total_in - 35_000 - 100
-    assert chain.validate(tx)
+    assert chain.validate(tx).ok
 
 
 def test_build_payment_is_deterministic(funded_chain):
@@ -473,15 +507,7 @@ def test_select_coins_walks_sorted_outpoints(funded_chain):
 # (`test_formats`), on every lock kind and on drawn transactions.
 
 
-def _nested(levels: int, wrap):
-    """A PayToKey inside `levels` locks, each made from the one below by `wrap`."""
-    lock = PayToKey(PUB_A)
-    for level in range(levels):
-        lock = wrap(lock, level)
-    return lock
-
-
-# every lock kind, TimeLocked and Either nested as deep as a lock may be, and
+# every lock kind, Either over each pair of signature-check kinds, and
 # multisig with and without a commitment
 _EVERY_KIND = (
     PayToKey(PUB_A),
@@ -490,15 +516,11 @@ _EVERY_KIND = (
     ScriptHash(PUB_B),
     DataCarrier(b""),
     DataCarrier(bytes(range(40))),
-    _nested(MAX_LOCK_DEPTH, lambda inner, level: TimeLocked(inner, 2**64 - 1 - level)),
-    _nested(MAX_LOCK_DEPTH, lambda inner, level: Either(inner, PayToKey(PUB_B))),
-    _nested(MAX_LOCK_DEPTH, lambda inner, level: Either(MultiSig(1, (PUB_C,), PUB_A), inner)),
-    _nested(
-        MAX_LOCK_DEPTH,
-        lambda inner, level: TimeLocked(inner, level) if level % 2 else Either(inner, inner),
-    ),
+    Either(PayToKey(PUB_A), PayToKey(PUB_B)),
+    Either(PayToKey(PUB_B), MultiSig(2, (PUB_A, PUB_C))),
+    Either(MultiSig(1, (PUB_C,), PUB_A), PayToKey(PUB_B)),
+    Either(MultiSig(1, (PUB_C,), PUB_A), MultiSig(1, (PUB_A, PUB_B))),
 )
-assert all(lock._depth == MAX_LOCK_DEPTH for lock in _EVERY_KIND[6:])
 
 _B32 = st.binary(min_size=32, max_size=32)
 _U64 = st.integers(0, 2**64 - 1)
@@ -507,20 +529,18 @@ _MULTISIGS = st.lists(_B32, min_size=1, max_size=4).flatmap(
         MultiSig, st.integers(1, len(keys)), st.just(tuple(keys)), st.none() | _B32
     )
 )
-_LOCKS = st.recursive(
-    st.builds(PayToKey, _B32)
-    | _MULTISIGS
+_CHECKS = st.builds(PayToKey, _B32) | _MULTISIGS
+_LOCKS = (
+    _CHECKS
     | st.builds(ScriptHash, _B32)
-    | st.builds(DataCarrier, st.binary(min_size=1, max_size=40)),
-    lambda inner: st.builds(TimeLocked, inner, _U64) | st.builds(Either, inner, inner),
-    max_leaves=5,
+    | st.builds(DataCarrier, st.binary(min_size=1, max_size=40))
+    | st.builds(Either, _CHECKS, _CHECKS)
 )
 _ANY_LOCK = _LOCKS | st.sampled_from(_EVERY_KIND)
 _WITNESSES = st.builds(
     Witness,
     st.lists(st.builds(Signature, _B32, _B32, _B32), max_size=3).map(tuple),
     st.none() | _ANY_LOCK,
-    st.none() | st.binary(min_size=1, max_size=40),
 )
 _TXS = st.builds(
     Transaction,
@@ -530,12 +550,10 @@ _TXS = st.builds(
     st.lists(st.builds(TxOutput, _U64, _ANY_LOCK), max_size=3).map(tuple),
     _U64,
 )
-# The strategies above draw no empty payload or preimage: hypothesis keys its
-# cache by the values drawn, where b"" and 0 hash alike, and under `-bb`
-# comparing them raises BytesWarning.  This example holds both.
-_EMPTY_BYTES_TX = Transaction(
-    (TxInput((PUB_C, 0), Witness(expr_preimage=b"")),), (TxOutput(0, DataCarrier(b"")),)
-)
+# The strategies above draw no empty payload: hypothesis keys its cache by
+# the values drawn, where b"" and 0 hash alike, and under `-bb` comparing
+# them raises BytesWarning.  This example holds one.
+_EMPTY_BYTES_TX = Transaction((TxInput((PUB_C, 0)),), (TxOutput(0, DataCarrier(b"")),))
 _EVERY_KIND_TX = Transaction(
     tuple(TxInput((PUB_C, i), Witness(redeem=lock)) for i, lock in enumerate(_EVERY_KIND)),
     tuple(TxOutput(i, lock) for i, lock in enumerate(_EVERY_KIND)),
@@ -636,25 +654,23 @@ def test_build_payment_equals_its_unsigned_twin_signed_input_by_input(paid, fee,
     assert sighash(tx) == sighash(twin) == sighash(deserialize_tx(_serialized(tx)))
     assert [i.witness for i in tx.inputs] == [i.witness for i in twin.inputs]
     assert tx.with_witness(0, Witness())._sighash == sighash(twin)
-    assert chain.validate(tx)
+    assert chain.validate(tx).ok
 
 
 # ------------------------------------------------------------ decoder fuzz
 
 
 def _rich_tx() -> Transaction:
-    redeem = Either(
-        left=MultiSig(m=2, keys=(PUB_A, PUB_B), commitment=PUB_C),
-        right=TimeLocked(inner=PayToKey(PUB_C), unlock_height=500),
-    )
+    multisig = MultiSig(m=2, keys=(PUB_A, PUB_B), commitment=PUB_C)
+    redeem = Either(left=multisig, right=PayToKey(PUB_C))
     sig = Signature(PUB_A, bytes(range(32)), PUB_B)
-    witness = Witness(signatures=(sig, sig), redeem=redeem, expr_preimage=b"if rain then bob")
+    witness = Witness(signatures=(sig, sig), redeem=redeem)
     return Transaction(
         inputs=(TxInput(outpoint=(PUB_C, 7), witness=witness), TxInput(outpoint=(PUB_B, 0))),
         outputs=(
             TxOutput(value=1_000, lock=p2sh_lock(redeem)),
             TxOutput(value=0, lock=DataCarrier(b"payload")),
-            TxOutput(value=5, lock=TimeLocked(inner=redeem, unlock_height=9)),
+            TxOutput(value=5, lock=redeem),
         ),
         locktime=12,
     )

@@ -409,6 +409,9 @@ def test_full_binary_lifecycle():
     assert decision.state is DecisionState.CONFIRMED
     assert sim.ledger.vtc == {"ann": 60 * COIN, "bert": 40 * COIN}
     assert sim.ledger.frozen_vtc == {"ann": 0, "bert": 0}
+    # asked again, the ballot answers from its phase and unfreezes nothing twice
+    assert sim.veto_result(ballot.period) is VetoOutcome.CONFIRMED
+    assert sim.ledger.vtc == {"ann": 60 * COIN, "bert": 40 * COIN}
 
     payout = sim.redeem(market.market_id, "trader")
     assert payout == 10 * COIN  # winning shares pay one CSH each
@@ -486,6 +489,7 @@ def test_veto_boundary_and_revote_flow():
     assert sim.veto_result(ballot.period) is VetoOutcome.REVOTE
     assert decision.state is DecisionState.REVOTE
     assert decision.outcome is None
+    assert sim.veto_result(ballot.period) is VetoOutcome.REVOTE  # asked again: its phase
     # stakes stay frozen into the re-vote
     assert sim.ledger.frozen_vtc == {"ann": 60 * COIN, "bert": 40 * COIN}
 
@@ -664,6 +668,26 @@ def test_a_scalar_bound_that_is_not_finite_is_refused(xmin, xmax):
     with pytest.raises(ValueError, match="finite"):
         Scalar(xmin, xmax)
 
+
+
+@pytest.mark.parametrize(
+    "xmin, xmax, outcome, pays",
+    [
+        (-1e308, 1e308, 0.0, 0.5),
+        (-1e308, 1e308, 1e308, 1.0),
+        (-1e308, 1e308, -1e308, 0.0),
+        (0.0, 40.0, 10.0, 0.25),
+        (-5.0, 5.0, 0.1, 0.51),
+        (0.1, 0.3, 0.2, 0.5),
+    ],
+    ids=["wide_midpoint", "wide_max", "wide_min", "quarter", "tenth", "inexact_bounds"],
+)
+def test_a_scalar_payoff_is_the_exact_share_rounded_once(xmin, xmax, outcome, pays):
+    """The share of the span below the outcome, as exact `Fraction`s and
+    then one rounding: a span past the float range overflows no float."""
+    exact = (Fraction(outcome) - Fraction(xmin)) / (Fraction(xmax) - Fraction(xmin))
+    payoff = Scalar(xmin, xmax).payoff(outcome)
+    assert payoff == float(exact) and math.isclose(payoff, pays)
 
 def test_a_market_naming_a_decision_twice_is_refused():
     """Two positions of one decision would make contradictory states, and

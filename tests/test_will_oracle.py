@@ -102,7 +102,7 @@ def test_a_refused_funding_names_the_pool_reason(setup):
         with pytest.raises(RejectedError, match=f"^funding rejected: {why}$") as raised:
             create_will(chain, creator, oracle.pub, heir.pub, EXPR, amount)
         assert not isinstance(raised.value, BadWitnessError)
-    assert len(chain.mempool) == 1
+    assert len(chain.mempool.entries) == 1
 
 
 def test_oracle_gate_over_all_four_combinations(setup):
@@ -161,10 +161,10 @@ def test_spend_paths_require_both_signatures(setup):
     bare = partial.with_witness(0, Witness())
 
     both = add_signature(partial, 0, oracle_sig)
-    assert chain.validate(both)
+    assert chain.validate(both).ok
 
     for witness_sigs in [(), (heir_sig,), (oracle_sig,)]:
         candidate = bare.with_witness(0, Witness(signatures=witness_sigs))
         verdict = chain.validate(candidate)
-        assert not verdict
+        assert not verdict.ok
         assert verdict.reason is InvalidReason.BAD_WITNESS
